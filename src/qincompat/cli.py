@@ -25,7 +25,13 @@ from .constructions import (
     z_channel,
 )
 from .core import HermitianObservable, Instrument, Povm
-from .errors import ParamOutOfRangeError, ParseError, QincompatError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    ParamOutOfRangeError,
+    ParseError,
+    QincompatError,
+    ValidationError,
+)
 from .incompatibility import (
     Measure,
     conjecture_scan,
@@ -205,12 +211,7 @@ def cmd_construct(args) -> int:
 
 def cmd_scan(args) -> int:
     measure = Measure.from_flag(args.measure)
-    config = OptimizerConfig(
-        n_random_starts=args.starts,
-        max_iterations=args.iterations,
-        convergence_tol=args.tol,
-        rng_seed=args.seed,
-    )
+    config = _config_from_args(args)
     report = conjecture_scan(
         measure,
         args.dim,
@@ -391,7 +392,7 @@ def main(argv=None) -> int:
         args.suite = ["all"]
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ParamOutOfRangeError) as exc:
+    except (ParseError, ValidationError, ParamOutOfRangeError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QincompatError as exc:

@@ -10,6 +10,7 @@ immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import (
 )
 
 HERMITIAN_TOL = 1e-10
-PROJECTOR_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 STATE_NORM_TOL = 1e-12
@@ -157,63 +157,61 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class HermitianObservable:
-    """A self-adjoint operator together with its spectral decomposition.
+    """A self-adjoint operator stored as its spectral decomposition.
 
     ``eigenvalues`` are strictly increasing after degeneracy grouping;
-    ``projectors[i]`` projects onto the eigenspace of ``eigenvalues[i]`` and
-    has rank ``ranks[i]``; ``basis`` holds an orthonormal eigenvector basis
-    whose columns are grouped by eigenspace in the same order.
+    ``basis`` holds an orthonormal eigenvector basis whose columns are
+    grouped by eigenspace in the same order, ``ranks[i]`` columns for
+    ``eigenvalues[i]``. These three fields are validated once, when the
+    observable is built; ``matrix`` and ``projectors`` are derived from them
+    on first access and are read-only.
     """
 
-    matrix: np.ndarray
     eigenvalues: np.ndarray
-    projectors: np.ndarray
     ranks: tuple[int, ...]
     basis: np.ndarray
 
     def __post_init__(self):
-        mat = as_complex_matrix(self.matrix, "observable")
-        d = mat.shape[0]
-        if hermiticity_defect(mat) > HERMITIAN_TOL:
-            raise NotHermitianError(
-                f"observable deviates from self-adjointness by {hermiticity_defect(mat):.3e}"
-            )
         eigvals = np.asarray(self.eigenvalues, dtype=float).ravel()
-        projs = np.asarray(self.projectors, dtype=np.complex128)
         ranks = tuple(int(r) for r in self.ranks)
-        basis = np.asarray(self.basis, dtype=np.complex128)
-        if projs.shape != (eigvals.size, d, d):
-            raise ValidationError("projector stack shape does not match spectrum")
+        basis = as_complex_matrix(self.basis, "eigenbasis")
+        d = basis.shape[0]
+        if not np.all(np.isfinite(eigvals)):
+            raise ValidationError("eigenvalues contain non-finite entries")
         if len(ranks) != eigvals.size or sum(ranks) != d or min(ranks) < 1:
-            raise ValidationError("projector ranks must be positive and sum to dim")
-        if basis.shape != (d, d):
-            raise ValidationError("eigenbasis must be a d x d matrix of columns")
+            raise ValidationError("eigenspace ranks must be positive and sum to dim")
         if eigvals.size > 1 and np.min(np.diff(eigvals)) <= 0:
             raise ValidationError("grouped eigenvalues must be strictly increasing")
-        ident = np.eye(d)
-        for i, proj in enumerate(projs):
-            if max_abs(proj @ proj - proj) > PROJECTOR_TOL:
-                raise ValidationError(f"projector {i} is not idempotent")
-            for j in range(i + 1, len(projs)):
-                if max_abs(proj @ projs[j]) > PROJECTOR_TOL:
-                    raise ValidationError(f"projectors {i} and {j} are not orthogonal")
-        if max_abs(projs.sum(axis=0) - ident) > COMPLETENESS_TOL:
-            raise ValidationError("projectors do not sum to the identity")
-        recon = np.einsum("k,kij->ij", eigvals, projs)
-        if max_abs(recon - mat) > RECONSTRUCTION_TOL:
-            raise ValidationError("spectral decomposition does not reconstruct the matrix")
-        if max_abs(basis.conj().T @ basis - ident) > 1e-8:
+        if max_abs(basis.conj().T @ basis - np.eye(d)) > 1e-8:
             raise ValidationError("eigenbasis columns are not orthonormal")
-        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "eigenvalues", eigvals)
-        object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "basis", basis)
-        _freeze(mat, eigvals, projs, basis)
+        _freeze(eigvals, basis)
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """Stack of eigenprojectors, ``projectors[i]`` of rank ``ranks[i]``."""
+        projs = []
+        for sl in self.block_slices():
+            block = self.basis[:, sl]
+            proj = block @ block.conj().T
+            projs.append((proj + proj.conj().T) / 2.0)
+        projs = np.array(projs)
+        _freeze(projs)
+        return projs
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The operator sum_i eigenvalues[i] * projectors[i]."""
+        matrix = np.einsum("k,kij->ij", self.eigenvalues, self.projectors)
+        matrix = (matrix + matrix.conj().T) / 2.0
+        _freeze(matrix)
+        return matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
 
     @property
     def n_outcomes(self) -> int:
@@ -250,22 +248,10 @@ class HermitianObservable:
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
         groups = _cluster_sorted(vals, group_tol)
-        grouped_vals, projs, ranks, cols = [], [], [], []
-        for idx in groups:
-            block = vecs[:, idx]
-            proj = block @ block.conj().T
-            projs.append((proj + proj.conj().T) / 2.0)
-            grouped_vals.append(float(np.mean(vals[idx])))
-            ranks.append(len(idx))
-            cols.append(block)
-        matrix = np.einsum("k,kij->ij", np.array(grouped_vals), np.array(projs))
-        matrix = (matrix + matrix.conj().T) / 2.0
         return cls(
-            matrix=matrix,
-            eigenvalues=np.array(grouped_vals),
-            projectors=np.array(projs),
-            ranks=tuple(ranks),
-            basis=np.hstack(cols),
+            eigenvalues=np.array([float(np.mean(vals[idx])) for idx in groups]),
+            ranks=tuple(len(idx) for idx in groups),
+            basis=np.hstack([vecs[:, idx] for idx in groups]),
         )
 
 
@@ -383,9 +369,11 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
 
     ``group_tol`` defaults to ``1e-8 * max|A|`` so that grouping is scale
     invariant; eigenvalues within the tolerance of their neighbor collapse
-    into a single projector. Raises :class:`NotHermitianError` when the
-    input deviates from self-adjointness by more than 1e-10 and
-    :class:`NumericalFailureError` if the eigensolver does not converge.
+    into a single eigenspace. Raises :class:`NotHermitianError` when the
+    input deviates from self-adjointness by more than 1e-10,
+    :class:`NumericalFailureError` if the eigensolver does not converge and
+    :class:`ValidationError` if the grouped spectrum no longer reconstructs
+    the matrix.
     """
     mat = as_complex_matrix(matrix, "matrix")
     defect = hermiticity_defect(mat)
@@ -403,21 +391,10 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("eigensolver did not converge") from exc
-    groups = _cluster_sorted(eigvals, group_tol)
-    grouped_vals, projs, ranks = [], [], []
-    for idx in groups:
-        block = eigvecs[:, idx]
-        proj = block @ block.conj().T
-        projs.append((proj + proj.conj().T) / 2.0)
-        grouped_vals.append(float(np.mean(eigvals[idx])))
-        ranks.append(len(idx))
-    return HermitianObservable(
-        matrix=sym,
-        eigenvalues=np.array(grouped_vals),
-        projectors=np.array(projs),
-        ranks=tuple(ranks),
-        basis=eigvecs,
-    )
+    obs = HermitianObservable.from_eigensystem(eigvals, eigvecs, group_tol)
+    if max_abs(obs.matrix - sym) > RECONSTRUCTION_TOL:
+        raise ValidationError("spectral decomposition does not reconstruct the matrix")
+    return obs
 
 
 def luders_from_povm(povm: Povm) -> Instrument:

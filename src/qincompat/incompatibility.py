@@ -66,10 +66,6 @@ _DISTANCE: dict[Measure, Callable] = {
 }
 
 
-def _dim_of(meas) -> int:
-    return meas.dim
-
-
 def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
@@ -96,14 +92,17 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(columns), np.asarray(offsets)
 
 
-def pair_distance_objective(measure: Measure, first, second) -> Callable[[PureState], float]:
+def pair_distance_objective(measure: Measure, first, second) -> Callable[[np.ndarray], float]:
     """State objective: distance between second's statistics with and without first.
 
-    The undisturbed probabilities are p_j = sum_w |<w|psi>|^2 over the j-th
-    effect's factors; the sequential ones push psi through every Kraus
-    operator of first's canonical instrument before the same contraction,
-    q_j = sum_kw |<w|K_k psi>|^2. Both match the public distribution
-    functions up to round-off while staying exactly nonnegative.
+    The objective takes a unit ``complex128`` amplitude vector psi of shape
+    ``(dim,)`` and does not validate it; pass ``state.amplitudes`` to
+    evaluate a :class:`PureState`. The undisturbed probabilities are
+    p_j = sum_w |<w|psi>|^2 over the j-th effect's factors; the sequential
+    ones push psi through every Kraus operator of first's canonical
+    instrument before the same contraction, q_j = sum_kw |<w|K_k psi>|^2.
+    Both match the public distribution functions up to round-off while
+    staying exactly nonnegative.
     """
     inst = canonical_instrument(first)
     factors, offsets = _effect_factors(second)
@@ -115,8 +114,7 @@ def pair_distance_objective(measure: Measure, first, second) -> Callable[[PureSt
     factors_conj = factors.conj()
     distance = _DISTANCE[measure]
 
-    def objective(state: PureState) -> float:
-        vec = state.amplitudes
+    def objective(vec: np.ndarray) -> float:
         images = kraus_stack @ vec
         direct_cols = np.abs(vec @ factors_conj) ** 2
         seq_cols = (np.abs(images @ factors_conj) ** 2).sum(axis=0)
@@ -127,12 +125,11 @@ def pair_distance_objective(measure: Measure, first, second) -> Callable[[PureSt
     return objective
 
 
-def _disturbance_objective(measure: Measure, inst: Instrument) -> Callable[[PureState], float]:
+def _disturbance_objective(measure: Measure, inst: Instrument) -> Callable[[np.ndarray], float]:
     kraus = inst.kraus_flat()
     if measure is Measure.FIDELITY:
 
-        def objective(state: PureState) -> float:
-            vec = state.amplitudes
+        def objective(vec: np.ndarray) -> float:
             total = 0.0
             for k in kraus:
                 total += float(abs(vec.conj() @ (k @ vec))) ** 2
@@ -140,8 +137,7 @@ def _disturbance_objective(measure: Measure, inst: Instrument) -> Callable[[Pure
 
     elif measure is Measure.L1:
 
-        def objective(state: PureState) -> float:
-            vec = state.amplitudes
+        def objective(vec: np.ndarray) -> float:
             out = -np.outer(vec, vec.conj())
             for k in kraus:
                 img = k @ vec
@@ -234,7 +230,7 @@ def directional_incompatibility(
         _add_seed(seeds, state)
     for state in extra_seeds:
         _add_seed(seeds, state)
-    return maximize_over_pure_states(objective, _dim_of(first), seeds, config)
+    return maximize_over_pure_states(objective, first.dim, seeds, config)
 
 
 def maximal_disturbance(
@@ -258,7 +254,7 @@ def maximal_disturbance(
             _add_seed(seeds, state)
     for state in extra_seeds:
         _add_seed(seeds, state)
-    return maximize_over_pure_states(objective, _dim_of(meas), seeds, config)
+    return maximize_over_pure_states(objective, meas.dim, seeds, config)
 
 
 @dataclass(frozen=True)
@@ -281,12 +277,12 @@ class IncompatReport:
     measure: Measure
     forward: OptResult
     backward: OptResult
-    symmetric: float
     bound_checks: tuple[BoundCheck, ...] = ()
 
-    def __post_init__(self):
-        if self.symmetric != (self.forward.value + self.backward.value) / 4.0:
-            raise ValueError("symmetric value must equal (forward + backward) / 4 exactly")
+    @property
+    def symmetric(self) -> float:
+        """The symmetric value (forward + backward) / 4."""
+        return (self.forward.value + self.backward.value) / 4.0
 
     @property
     def upper_bounds(self) -> tuple[tuple[str, float], ...]:
@@ -319,7 +315,7 @@ def check_bounds(
     the limit of perfect optimization.
     """
     checks: list[BoundCheck] = []
-    dim = _dim_of(first)
+    dim = first.dim
     if report.measure is Measure.FIDELITY:
         dim_bound = 1.0 - 1.0 / dim
         if isinstance(first, HermitianObservable):
@@ -368,10 +364,7 @@ def pair_incompatibility(
     """Both directional values and the symmetric average (forward + backward) / 4."""
     forward = directional_incompatibility(measure, first, second, config)
     backward = directional_incompatibility(measure, second, first, config)
-    symmetric = (forward.value + backward.value) / 4.0
-    report = IncompatReport(
-        measure=measure, forward=forward, backward=backward, symmetric=symmetric
-    )
+    report = IncompatReport(measure=measure, forward=forward, backward=backward)
     if with_bounds:
         report = replace(report, bound_checks=check_bounds(report, first, second, config))
     return report
@@ -386,7 +379,7 @@ def set_incompatibility(
     n = len(observables)
     if n < 2:
         raise ParamOutOfRangeError("need at least two observables")
-    dims = {_dim_of(obs) for obs in observables}
+    dims = {obs.dim for obs in observables}
     if len(dims) != 1:
         raise DimensionMismatchError("observables live in different dimensions")
     total = 0.0
@@ -503,11 +496,10 @@ def conjecture_scan(
     rows: list[ScanRow] = []
 
     def record(trial: int, seed: int, first, second) -> None:
-        fwd = directional_incompatibility(measure, first, second, config)
-        bwd = directional_incompatibility(measure, second, first, config)
-        value = (fwd.value + bwd.value) / 4.0
+        report = pair_incompatibility(measure, first, second, config, with_bounds=False)
+        fwd, bwd = report.forward, report.backward
         argmax = fwd.argmax if fwd.value >= bwd.value else bwd.argmax
-        rows.append(ScanRow(trial=trial, seed=seed, value=value, argmax=argmax))
+        rows.append(ScanRow(trial=trial, seed=seed, value=report.symmetric, argmax=argmax))
 
     trial = 0
     for label in inject:

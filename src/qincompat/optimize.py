@@ -61,55 +61,60 @@ class OptResult:
     starts_used: int
 
 
-def _state_from_coords(coords: np.ndarray, dim: int) -> PureState | None:
-    vec = coords[:dim] + 1j * coords[dim:]
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return None
-    return PureState(vec / norm)
-
-
 def maximize_over_pure_states(
-    objective: Callable[[PureState], float],
+    objective: Callable[[np.ndarray], float],
     dim: int,
     seeds: Iterable[PureState] = (),
     config: OptimizerConfig | None = None,
 ) -> OptResult:
     """Maximize ``objective`` over unit vectors in C^dim.
 
-    Every seed is evaluated exactly; each random start runs a Nelder-Mead
-    search on the 2*dim real coordinates of the state (normalized before
-    every evaluation). Results merge deterministically: seeds are visited
-    first, in order, and a later candidate replaces the incumbent only on a
-    strict improvement, so with identical inputs and ``rng_seed`` the result
-    is bitwise reproducible. Raises :class:`ObjectiveNaNError` if the
-    objective returns a non-finite value at any probed state.
+    ``objective`` receives a unit ``complex128`` amplitude vector of shape
+    ``(dim,)``: seeds are validated once, as :class:`PureState` objects, and
+    the search hands the objective plain arrays, so nothing is re-validated
+    per evaluation. Every seed is evaluated exactly; each random start runs
+    a Nelder-Mead search on the 2*dim real coordinates of the state
+    (normalized before every evaluation). Results merge deterministically:
+    seeds are visited first, in order, and a later candidate replaces the
+    incumbent only on a strict improvement, so with identical inputs and
+    ``rng_seed`` the result is bitwise reproducible. ``starts_used`` counts
+    the random starts that ended at a nonzero vector. Raises
+    :class:`ObjectiveNaNError` if the objective returns a non-finite value
+    at any probed state.
     """
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
 
-    def evaluate(state: PureState) -> float:
-        value = float(objective(state))
+    def evaluate(vec: np.ndarray) -> float:
+        value = float(objective(vec))
         if not np.isfinite(value):
             raise ObjectiveNaNError(f"objective returned {value!r}")
         return value
+
+    def unit_vector(coords: np.ndarray) -> np.ndarray | None:
+        vec = coords[:dim] + 1j * coords[dim:]
+        norm = np.linalg.norm(vec)
+        if norm < 1e-12:
+            return None
+        return vec / norm
 
     best_value = -np.inf
     best_state: PureState | None = None
     best_prov = Provenance.ANALYTIC_SEED
     for seed in seeds:
-        value = evaluate(seed)
+        value = evaluate(seed.amplitudes)
         if value > best_value:
             best_value, best_state, best_prov = value, seed, Provenance.ANALYTIC_SEED
 
     def neg_objective(coords: np.ndarray) -> float:
-        state = _state_from_coords(coords, dim)
-        if state is None:
+        vec = unit_vector(coords)
+        if vec is None:
             return _ZERO_NORM_PENALTY
-        return -evaluate(state)
+        return -evaluate(vec)
 
     rng = np.random.default_rng(cfg.rng_seed)
+    starts_used = 0
     for _ in range(cfg.n_random_starts):
         x0 = rng.standard_normal(2 * dim)
         result = minimize(
@@ -122,12 +127,13 @@ def maximize_over_pure_states(
                 "xatol": 1e-8,
             },
         )
-        state = _state_from_coords(np.asarray(result.x, dtype=float), dim)
-        if state is None:
+        vec = unit_vector(np.asarray(result.x, dtype=float))
+        if vec is None:
             continue
-        value = evaluate(state)
+        starts_used += 1
+        value = evaluate(vec)
         if value > best_value:
-            best_value, best_state, best_prov = value, state, Provenance.RANDOM_START
+            best_value, best_state, best_prov = value, PureState(vec), Provenance.RANDOM_START
 
     if best_state is None:  # pragma: no cover - requires every start to collapse to 0
         raise ObjectiveNaNError("no valid state was probed")
@@ -135,5 +141,5 @@ def maximize_over_pure_states(
         value=best_value,
         argmax=best_state,
         provenance=best_prov,
-        starts_used=cfg.n_random_starts,
+        starts_used=starts_used,
     )

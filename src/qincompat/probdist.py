@@ -98,9 +98,3 @@ def chebyshev_distance(p, q) -> float:
     """L-infinity distance: the largest per-outcome probability difference."""
     pv, qv = _paired(p, q)
     return float(np.abs(pv - qv).max())
-
-
-def renyi2_entropy(p) -> float:
-    """Second-order Renyi entropy -log2(sum_i p_i^2), in [0, log2 n]."""
-    pv = np.asarray(p, dtype=float).ravel()
-    return float(-np.log2(float(pv @ pv)))

@@ -33,6 +33,7 @@ from .incompatibility import (
     commuting_fixture,
     directional_incompatibility,
     maximal_disturbance,
+    pair_incompatibility,
     set_incompatibility,
 )
 from .optimize import OptimizerConfig
@@ -84,9 +85,7 @@ def _light_config(seed: int, starts: int | None, tol: float | None) -> Optimizer
 
 
 def _symmetric(measure, obs_a, obs_b, config) -> float:
-    fwd = directional_incompatibility(measure, obs_a, obs_b, config)
-    bwd = directional_incompatibility(measure, obs_b, obs_a, config)
-    return (fwd.value + bwd.value) / 4.0
+    return pair_incompatibility(measure, obs_a, obs_b, config, with_bounds=False).symmetric
 
 
 def _suite_mub_directional(config_for) -> Iterable[ClaimResult]:

@@ -84,6 +84,17 @@ def test_compute_luders_rejects_observable_file(tmp_path):
     assert code == 2
 
 
+def test_compute_rejects_files_of_different_dimension(tmp_path, capsys):
+    assert run(["construct", "mub", "--dim", 2, "--out", tmp_path]) == 0
+    assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
+    code = run(
+        ["compute", "--measure", "F", "--pair",
+         tmp_path / "mub_d2_a.json", tmp_path / "mub_d3_b.json"] + FAST
+    )
+    assert code == 2
+    assert "dimensions differ" in capsys.readouterr().err
+
+
 def test_compute_rejects_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -1,5 +1,7 @@
 """Core types: spectral decomposition, instruments, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,42 @@ def test_from_eigensystem_groups_equal_values():
     obs = HermitianObservable.from_eigensystem([2.0, 1.0, 2.0], np.eye(3))
     assert obs.eigenvalues == pytest.approx([1.0, 2.0])
     assert obs.ranks == (1, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_eigensystem_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValidationError):
+        HermitianObservable.from_eigensystem([1.0, bad, 2.0], np.eye(3))
+
+
+def test_from_eigensystem_rejects_non_orthonormal_basis():
+    skewed = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.sqrt([1.0, 2.0])
+    with pytest.raises(ValidationError):
+        HermitianObservable.from_eigensystem([1.0, 2.0], skewed)
+
+
+def test_spectral_rejects_grouping_that_breaks_reconstruction():
+    with pytest.raises(ValidationError):
+        spectral_decompose(np.diag([1.0, 1.05, 2.0]), group_tol=0.1)
+
+
+def test_observable_stores_only_its_eigensystem():
+    assert [f.name for f in dataclasses.fields(HermitianObservable)] == [
+        "eigenvalues",
+        "ranks",
+        "basis",
+    ]
+
+
+def test_derived_matrix_and_projectors_are_read_only():
+    obs = spectral_decompose(PAULI_X)
+    for name in ("matrix", "projectors"):
+        derived = getattr(obs, name)
+        assert getattr(obs, name) is derived
+        assert not derived.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obs, name, np.zeros_like(derived))
+    np.testing.assert_allclose(obs.matrix, PAULI_X, atol=1e-15)
 
 
 def test_luders_of_projective_povm_is_projector_collapse():

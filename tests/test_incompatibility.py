@@ -211,7 +211,7 @@ def test_objective_matches_public_distribution_route():
         direct = outcome_distribution(second, state.density())
         for measure, distance in pairs.items():
             objective = pair_distance_objective(measure, first, second)
-            assert objective(state) == pytest.approx(
+            assert objective(state.amplitudes) == pytest.approx(
                 distance(seq, direct), abs=1e-10
             )
 

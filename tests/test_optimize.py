@@ -1,5 +1,8 @@
 """Multistart pure-state optimizer: correctness, determinism, soundness."""
 
+import zlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,8 @@ LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
 
 def quadratic_form(matrix):
-    def objective(state):
-        return float((state.amplitudes.conj() @ matrix @ state.amplitudes).real)
+    def objective(vec):
+        return float((vec.conj() @ matrix @ vec).real)
 
     return objective
 
@@ -40,6 +43,37 @@ def test_constant_objective_prefers_seed():
     assert result.value == 0.3
     assert result.provenance is Provenance.ANALYTIC_SEED
     assert result.starts_used == LIGHT.n_random_starts
+
+
+def test_starts_used_skips_collapsed_starts(monkeypatch):
+    def collapse(fun, x0, **kwargs):
+        return SimpleNamespace(x=np.zeros_like(x0))
+
+    monkeypatch.setattr("qincompat.optimize.minimize", collapse)
+    seed = PureState(np.array([1.0, 0.0], dtype=complex))
+    cfg = OptimizerConfig(n_random_starts=3, max_iterations=10, rng_seed=0)
+    result = maximize_over_pure_states(lambda vec: 0.3, 2, (seed,), cfg)
+    assert result.starts_used == 0
+    assert result.provenance is Provenance.ANALYTIC_SEED
+
+
+def test_objective_receives_unit_complex_vectors():
+    seen = []
+
+    def objective(vec):
+        seen.append(vec)
+        return float(abs(vec[0]) ** 2)
+
+    seeds = (PureState(np.array([0.6, 0.8j])),)
+    cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=3)
+    result = maximize_over_pure_states(objective, 2, seeds, cfg)
+    assert len(seen) > len(seeds)
+    for vec in seen:
+        assert type(vec) is np.ndarray
+        assert vec.dtype == np.complex128 and vec.shape == (2,)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert result.provenance is Provenance.RANDOM_START
+    assert isinstance(result.argmax, PureState)
 
 
 def test_mub_fidelity_objective_attained_at_basis_seed():
@@ -84,7 +118,7 @@ def test_value_matches_objective_at_argmax():
     obs_a, obs_b = fourier_mub_pair(3)
     objective = pair_distance_objective(Measure.LINF, obs_a, obs_b)
     result = directional_incompatibility(Measure.LINF, obs_a, obs_b, LIGHT)
-    assert objective(result.argmax) == pytest.approx(result.value, abs=1e-12)
+    assert objective(result.argmax.amplitudes) == pytest.approx(result.value, abs=1e-12)
 
 
 def test_config_validation():
@@ -130,7 +164,7 @@ def _batch_mixed_states(rng, n, d):
 @pytest.mark.parametrize("measure", [Measure.L1, Measure.FIDELITY, Measure.LINF])
 def test_mixed_states_never_beat_pure_optimum(measure):
     """Distances are convex over the state space, so pure states suffice."""
-    rng = np.random.default_rng(hash(measure.value) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(measure.value.encode()))
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=150, rng_seed=7)
     for problem in range(200):
         d = 2 if problem % 2 == 0 else 3

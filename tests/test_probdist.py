@@ -12,7 +12,6 @@ from qincompat import (
     chebyshev_distance,
     classical_fidelity,
     fidelity_distance,
-    renyi2_entropy,
     variational_distance,
 )
 
@@ -56,15 +55,6 @@ def test_chebyshev_frozen_values():
     assert chebyshev_distance((0.5, 0.5), (0.5, 0.5)) == 0.0
     assert chebyshev_distance((1.0, 0.0), (0.0, 1.0)) == 1.0
     assert chebyshev_distance((0.7, 0.3), (0.4, 0.6)) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_renyi2_frozen_values():
-    assert renyi2_entropy((1.0, 0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    for d in (2, 3, 5, 8):
-        assert renyi2_entropy(np.full(d, 1.0 / d)) == pytest.approx(
-            np.log2(d), abs=1e-12
-        )
-    assert renyi2_entropy((0.5, 0.5, 0.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_length_mismatch():
