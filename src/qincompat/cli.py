@@ -229,8 +229,10 @@ def cmd_scan(args) -> int:
             )
             writer.writerow([row.trial, row.seed, repr(row.value), argmax])
     n_bad = len(report.counterexamples)
+    n_exact = sum(row.is_exact for row in report.rows)
     print(f"scan: {len(report.rows)} rows written to {args.out}")
-    print(f"max value {_fmt(report.max_value)} against threshold {_fmt(report.threshold)}")
+    print(f"max value {_fmt(report.max_value)} against threshold {_fmt(report.threshold)} "
+          f"({n_exact} exact suprema, {len(report.rows) - n_exact} lower bounds)")
     if n_bad:
         trials = ", ".join(str(r.trial) for r in report.counterexamples)
         print(

@@ -37,11 +37,14 @@ from .constructions import (
     fourier_mub_pair,
     random_observable,
 )
-from .errors import DimensionMismatchError, ParamOutOfRangeError
-from .optimize import OptimizerConfig, OptResult, maximize_over_pure_states
+from .errors import DimensionMismatchError, NumericalFailureError, ParamOutOfRangeError
+from .optimize import OptimizerConfig, OptResult, Provenance, maximize_over_pure_states
 from .probdist import chebyshev_distance, fidelity_distance, variational_distance
 
 BOUND_SLACK = 1e-8
+# Above this many outcomes of the second measurement the exact L1 path would
+# solve more than 2^11 eigenproblems, and the multistart search runs instead.
+EXACT_L1_MAX_OUTCOMES = 12
 
 
 class Measure(enum.Enum):
@@ -66,6 +69,14 @@ _DISTANCE: dict[Measure, Callable] = {
 }
 
 
+def _solve(solver, mat: np.ndarray, what: str):
+    """Run a dense decomposition, reporting non-convergence as NumericalFailureError."""
+    try:
+        return solver(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"decomposition of {what} did not converge") from exc
+
+
 def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
@@ -83,7 +94,7 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     dim = meas.dim
     for effect in measurement_effects(meas):
         offsets.append(sum(c.shape[1] for c in columns))
-        eigvals, eigvecs = np.linalg.eigh(effect)
+        eigvals, eigvecs = _solve(np.linalg.eigh, effect, "a POVM effect")
         keep = eigvals > 1e-14
         if not np.any(keep):
             columns.append(np.zeros((dim, 1), dtype=np.complex128))
@@ -142,7 +153,7 @@ def _disturbance_objective(measure: Measure, inst: Instrument) -> Callable[[np.n
             for k in kraus:
                 img = k @ vec
                 out += np.outer(img, img.conj())
-            lam = np.linalg.eigvalsh((out + out.conj().T) / 2.0)
+            lam = _solve(np.linalg.eigvalsh, (out + out.conj().T) / 2.0, "a state difference")
             return float(0.5 * np.abs(lam).sum())
 
     else:
@@ -185,7 +196,7 @@ def analytic_seed_states(meas) -> list[PureState]:
         return seeds
     if isinstance(meas, Povm):
         for elem in meas.elements:
-            _, vecs = np.linalg.eigh(elem)
+            _, vecs = _solve(np.linalg.eigh, elem, "a POVM element")
             _basis_seed_family(seeds, vecs)
         return seeds
     if isinstance(meas, Instrument):
@@ -198,14 +209,70 @@ def analytic_seed_states(meas) -> list[PureState]:
 def _normal_basis(kraus: np.ndarray) -> np.ndarray:
     """Orthonormal basis adapted to a Kraus operator's invariant directions."""
     if hermiticity_defect(kraus) <= 1e-9:
-        _, vecs = np.linalg.eigh((kraus + kraus.conj().T) / 2.0)
+        _, vecs = _solve(np.linalg.eigh, (kraus + kraus.conj().T) / 2.0, "a Kraus operator")
         return vecs
     commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
     if max_abs(commut) <= 1e-9:
-        _, vecs = scipy.linalg.schur(kraus, output="complex")
+        _, vecs = _solve(
+            lambda k: scipy.linalg.schur(k, output="complex"), kraus, "a Kraus operator"
+        )
         return vecs
-    _, vecs = np.linalg.eigh(kraus.conj().T @ kraus)
+    _, vecs = _solve(np.linalg.eigh, kraus.conj().T @ kraus, "a Kraus operator")
     return vecs
+
+
+def _heralded_differences(first, second) -> np.ndarray:
+    """Stack of D_j = sum_k K_k^dag E_j K_k - E_j, one per outcome of second.
+
+    The K_k are the Kraus operators of first's canonical instrument and the
+    E_j second's effects, so the sequential and plain outcome probabilities
+    of a state psi differ by q_j - p_j = <psi|D_j|psi>. The D_j are Hermitian
+    up to round-off; the eigensolvers read only their lower triangles.
+    """
+    kraus = np.stack(canonical_instrument(first).kraus_flat())
+    effects = np.stack(measurement_effects(second))
+    if kraus.shape[1] != effects.shape[1]:
+        raise DimensionMismatchError(
+            f"dimensions differ: {kraus.shape[1]} vs {effects.shape[1]}"
+        )
+    kraus_adj = kraus.conj().transpose(0, 2, 1)
+    heralded = (kraus_adj[None] @ effects[:, None] @ kraus[None]).sum(axis=1)
+    return heralded - effects
+
+
+def _exact_directional(measure: Measure, first, second) -> OptResult:
+    """Q_inf or Q_1 from the spectra of the D_j.
+
+    Q_inf is the largest |eigenvalue| of any D_j. Because the D_j sum to
+    zero, half the L1 distance is the largest sum of q_j - p_j over a subset
+    of outcomes (Helstrom's event form of total variation), so Q_1 is the
+    largest eigenvalue of any subset sum. A subset holding the last outcome
+    is the negated complement of one that does not, so the 2^(n-1) sums of
+    D_1..D_{n-1} cover every subset through their extreme eigenvalues.
+    """
+    diff = _heralded_differences(first, second)
+    n, dim, _ = diff.shape
+    if measure is Measure.L1:
+        masks = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+        sums = (masks @ diff[: n - 1].reshape(n - 1, dim * dim)).reshape(-1, dim, dim)
+        lam = _solve(np.linalg.eigvalsh, sums, "the subset sums")
+        best = int(np.argmax(np.maximum(lam[:, -1], -lam[:, 0])))
+        candidates = sums[best : best + 1]
+    else:
+        candidates = diff
+    lam, vecs = _solve(np.linalg.eigh, candidates, "the outcome differences")
+    top, bottom = lam[:, -1], -lam[:, 0]
+    j = int(np.argmax(np.maximum(top, bottom)))
+    if top[j] >= bottom[j]:
+        value, vec = top[j], vecs[j, :, -1]
+    else:
+        value, vec = bottom[j], vecs[j, :, 0]
+    return OptResult(
+        value=float(value),
+        argmax=PureState.normalized(vec),
+        provenance=Provenance.EXACT,
+        starts_used=0,
+    )
 
 
 def directional_incompatibility(
@@ -219,11 +286,18 @@ def directional_incompatibility(
     with and without a preceding measurement of first.
 
     Observables act through their eigenprojector instrument, POVMs through
-    their positive-square-root instrument. The returned value is an exact
-    evaluation at the best state found and hence a lower bound on the
-    supremum; the default seed set contains every state at which the known
-    closed-form values are attained.
+    their positive-square-root instrument. The Chebyshev value, and the L1
+    value when second has at most ``EXACT_L1_MAX_OUTCOMES`` outcomes, are
+    exact suprema computed from eigenvalues, with provenance ``exact``; they
+    ignore ``config`` and ``extra_seeds``. Otherwise the value is an exact
+    evaluation at the best state found by the seeded multistart search and
+    hence a lower bound on the supremum; the default seed set contains every
+    state at which the known closed-form values are attained.
     """
+    if measure is Measure.LINF or (
+        measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
+    ):
+        return _exact_directional(measure, first, second)
     objective = pair_distance_objective(measure, first, second)
     seeds = analytic_seed_states(first)
     for state in analytic_seed_states(second):
@@ -294,8 +368,11 @@ class IncompatReport:
 
     @property
     def gap_unknown(self) -> bool:
-        """True when no computed value sits on one of its bounds, in which case the
-        local search cannot certify that the supremum was reached."""
+        """True when the values may fall short of the suprema: they are not both
+        exact, and no computed value sits on one of its bounds, in which case
+        the local search cannot certify that the supremum was reached."""
+        if self.forward.provenance is self.backward.provenance is Provenance.EXACT:
+            return False
         return not any(
             abs(c.measured - c.bound) <= BOUND_SLACK for c in self.bound_checks
         )
@@ -446,6 +523,12 @@ class ScanRow:
     seed: int
     value: float
     argmax: PureState
+    provenance: tuple[Provenance, Provenance]  # forward, backward
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether the value is the symmetric supremum itself, not a lower bound."""
+        return all(p is Provenance.EXACT for p in self.provenance)
 
 
 @dataclass(frozen=True)
@@ -454,7 +537,9 @@ class ScanReport:
 
     The threshold is (1 - 1/d) / 2 + 1e-8, the conjectured ceiling; rows
     above it are collected as counterexamples rather than raising, since the
-    question is open.
+    question is open. A row whose ``is_exact`` holds carries the symmetric
+    supremum itself, so if it is flagged it is a counterexample up to
+    eigensolver round-off; any other row is a lower bound.
     """
 
     measure: Measure
@@ -484,6 +569,11 @@ def conjecture_scan(
 ) -> ScanReport:
     """Probe Haar-random non-degenerate pairs for symmetric values above (1 - 1/d)/2.
 
+    Each row's value comes from :func:`directional_incompatibility` in both
+    directions, so it is exact whenever both directions are (always for the
+    Chebyshev measure, and for L1 up to ``EXACT_L1_MAX_OUTCOMES`` outcomes);
+    each row records the provenance of its two directions.
+
     Injected fixtures (``"mub"``, ``"commuting"``) occupy the first trial
     slots with the sentinel seed -1; random trials record the integer seed
     that regenerates the pair, so any row can be reproduced in isolation.
@@ -499,7 +589,15 @@ def conjecture_scan(
         report = pair_incompatibility(measure, first, second, config, with_bounds=False)
         fwd, bwd = report.forward, report.backward
         argmax = fwd.argmax if fwd.value >= bwd.value else bwd.argmax
-        rows.append(ScanRow(trial=trial, seed=seed, value=report.symmetric, argmax=argmax))
+        rows.append(
+            ScanRow(
+                trial=trial,
+                seed=seed,
+                value=report.symmetric,
+                argmax=argmax,
+                provenance=(fwd.provenance, bwd.provenance),
+            )
+        )
 
     trial = 0
     for label in inject:

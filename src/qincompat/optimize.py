@@ -4,7 +4,11 @@ Objectives defined on the state space are maximized by evaluating a set of
 analytic candidate states exactly and then running a derivative-free
 simplex search from Haar-random starts. The returned value is therefore a
 certified lower bound on the true supremum; equality claims downstream rest
-on candidate states at which the optimum is known to be attained.
+on candidate states at which the optimum is known to be attained. This
+search serves the fidelity measure, the maximal disturbance and the L1
+directional value of a second measurement with too many outcomes; the
+other L1 and all Chebyshev directional values are exact suprema computed
+from eigenvalues in :mod:`qincompat.incompatibility` and never come here.
 
 Restricting the search to pure states loses nothing for the objectives used
 here: outcome distributions are affine in the density operator, the L1 and
@@ -45,10 +49,15 @@ class OptimizerConfig:
 
 
 class Provenance(str, enum.Enum):
-    """How the best state of an optimization run was found."""
+    """How the best state of a supremum was found.
+
+    ``EXACT`` marks a value computed in closed spectral form rather than by
+    :func:`maximize_over_pure_states`; it is the supremum itself.
+    """
 
     ANALYTIC_SEED = "analytic-seed"
     RANDOM_START = "random-start"
+    EXACT = "exact"
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,30 @@ def test_scan_csv_format_and_determinism(tmp_path, capsys):
     assert out.read_text() == second.read_text()
 
 
+def test_exact_values_say_so_in_reports_and_scan_summary(tmp_path, capsys, monkeypatch):
+    import qincompat.incompatibility as incompatibility
+
+    assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
+    report_path = tmp_path / "report.json"
+    code = run(["compute", "--measure", "1", "--pair", tmp_path / "mub_d3_a.json",
+                tmp_path / "mub_d3_b.json", "--out", report_path, *FAST])
+    assert code == 0
+    doc = json.loads(report_path.read_text())
+    for direction in ("forward", "backward"):
+        assert doc["results"][direction]["provenance"] == "exact"
+        assert doc["results"][direction]["starts_used"] == 0
+    assert doc["gap_unknown"] is False
+
+    capsys.readouterr()
+    scan_args = ["scan", "--measure", "1", "--dim", 3, "--trials", 2, "--inject", "mub",
+                 "--out", tmp_path / "scan.csv", *FAST]
+    assert run(scan_args) == 0
+    assert "(3 exact suprema, 0 lower bounds)" in capsys.readouterr().out
+    monkeypatch.setattr(incompatibility, "EXACT_L1_MAX_OUTCOMES", 2)
+    assert run(scan_args) == 0
+    assert "(0 exact suprema, 3 lower bounds)" in capsys.readouterr().out
+
+
 def test_verify_suite_selector_and_report(tmp_path, capsys):
     report_path = tmp_path / "verify.json"
     code = run(["verify", "--suite", "accessible", "--out", report_path])

@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qincompat.incompatibility as incompatibility
 from qincompat import (
+    DimensionMismatchError,
     Instrument,
     Measure,
+    NumericalFailureError,
     OptimizerConfig,
     ParamOutOfRangeError,
+    Provenance,
+    PureState,
+    analytic_seed_states,
     check_bounds,
+    commuting_subspace_pair,
     closed_form,
     commutator_maxnorm,
     commuting_fixture,
@@ -16,9 +25,12 @@ from qincompat import (
     directional_incompatibility,
     fourier_mub_pair,
     maximal_disturbance,
+    maximize_over_pure_states,
     mub_triple_qubit,
+    pair_distance_objective,
     pair_incompatibility,
     random_observable,
+    random_povm,
     set_incompatibility,
     spectral_decompose,
     z_channel,
@@ -223,3 +235,120 @@ def test_check_bounds_standalone():
     by_name = {c.name: c for c in checks}
     assert by_name["disturbance-forward"].satisfied
     assert by_name["disturbance-forward"].bound == pytest.approx(0.5, abs=1e-9)
+
+
+EXACT_MEASURES = (Measure.L1, Measure.LINF)
+
+
+def _random_pairs(n, seed):
+    """Observable->observable, POVM->observable and POVM->POVM pairs at d=2..4."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(n):
+        d = 2 + k % 3
+        kind = k % 3
+        first = random_observable(d, rng) if kind == 0 else random_povm(d, 3, rng)
+        if kind == 2:
+            second = random_povm(d, int(rng.integers(2, 5)), rng)
+        else:
+            second = random_observable(d, rng)
+        pairs.append((first, second))
+    return pairs
+
+
+def test_exact_path_is_an_attained_supremum():
+    cfg = OptimizerConfig(n_random_starts=3, max_iterations=300, rng_seed=4)
+    for first, second in _random_pairs(24, 2024):
+        seeds = analytic_seed_states(first) + analytic_seed_states(second)
+        for measure in EXACT_MEASURES:
+            exact = directional_incompatibility(measure, first, second)
+            assert exact.provenance is Provenance.EXACT
+            assert exact.starts_used == 0
+            objective = pair_distance_objective(measure, first, second)
+            assert objective(exact.argmax.amplitudes) == pytest.approx(exact.value, abs=1e-12)
+            searched = maximize_over_pure_states(objective, first.dim, seeds, cfg)
+            assert searched.value <= exact.value + 1e-12
+
+
+_HYPOTHESIS_PAIRS = _random_pairs(6, 77)
+_HYPOTHESIS_EXACT = [
+    {m: directional_incompatibility(m, a, b).value for m in EXACT_MEASURES}
+    for a, b in _HYPOTHESIS_PAIRS
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, len(_HYPOTHESIS_PAIRS) - 1), st.data())
+def test_no_state_beats_the_exact_value(index, data):
+    first, second = _HYPOTHESIS_PAIRS[index]
+    coords = data.draw(
+        st.lists(
+            st.floats(min_value=-1.0, max_value=1.0),
+            min_size=2 * first.dim,
+            max_size=2 * first.dim,
+        )
+    )
+    vec = np.array(coords[: first.dim]) + 1j * np.array(coords[first.dim :])
+    if np.linalg.norm(vec) < 1e-6:
+        vec = np.eye(first.dim, dtype=complex)[0]
+    state = PureState.normalized(vec)
+    for measure in EXACT_MEASURES:
+        value = pair_distance_objective(measure, first, second)(state.amplitudes)
+        assert value <= _HYPOTHESIS_EXACT[index][measure] + 1e-12
+
+
+def test_l1_falls_back_to_search_above_the_outcome_cap(monkeypatch):
+    obs_a, obs_b = fourier_mub_pair(3)
+    monkeypatch.setattr(incompatibility, "EXACT_L1_MAX_OUTCOMES", 2)
+    result = directional_incompatibility(Measure.L1, obs_a, obs_b, TINY)
+    assert result.provenance is not Provenance.EXACT
+    assert result.value == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert directional_incompatibility(Measure.LINF, obs_a, obs_b).provenance is Provenance.EXACT
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_mub_exact_values(d):
+    obs_a, obs_b = fourier_mub_pair(d)
+    for measure in EXACT_MEASURES:
+        result = directional_incompatibility(measure, obs_a, obs_b)
+        assert result.provenance is Provenance.EXACT
+        assert result.value == pytest.approx(1.0 - 1.0 / d, abs=1e-12)
+
+
+def test_exact_path_rejects_dimension_mismatch():
+    obs_2, obs_3 = random_observable(2, 1), random_observable(3, 2)
+    for measure in EXACT_MEASURES:
+        with pytest.raises(DimensionMismatchError, match="dimensions differ: 2 vs 3"):
+            directional_incompatibility(measure, obs_2, obs_3)
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
+def test_eigensolver_failure_is_a_numerical_failure(monkeypatch, solver):
+    obs_a, obs_b = fourier_mub_pair(3)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericalFailureError):
+        directional_incompatibility(Measure.L1, obs_a, obs_b)
+
+
+def test_gap_is_known_for_exact_reports_only():
+    rng = np.random.default_rng(31)
+    report = pair_incompatibility(
+        Measure.L1, random_observable(3, rng), random_observable(3, rng), TINY
+    )
+    assert report.gap_unknown is False
+    shared = pair_incompatibility(Measure.FIDELITY, *commuting_subspace_pair(4, 1), TINY)
+    assert shared.gap_unknown is True
+
+
+def test_scan_rows_record_provenance(monkeypatch):
+    report = conjecture_scan(Measure.LINF, 3, 2, config=TINY, inject=("mub",))
+    assert all(row.provenance == (Provenance.EXACT, Provenance.EXACT) for row in report.rows)
+    assert all(row.is_exact for row in report.rows)
+    monkeypatch.setattr(incompatibility, "EXACT_L1_MAX_OUTCOMES", 2)
+    fallback = conjecture_scan(Measure.L1, 3, 1, config=TINY)
+    assert not fallback.rows[0].is_exact
+    assert Provenance.EXACT not in fallback.rows[0].provenance
