@@ -65,11 +65,13 @@ def _config_from_args(args) -> OptimizerConfig:
     )
 
 
+_KIND = {HermitianObservable: "observable", Povm: "povm", Instrument: "instrument"}
+# The only kind of file each compute mode accepts.
+_MODE_KIND = {"pair": "observable", "luders": "povm"}
+
+
 def _describe_input(path: str, obj) -> dict:
-    kind = {HermitianObservable: "observable", Povm: "povm", Instrument: "instrument"}[
-        type(obj)
-    ]
-    return {"path": path, "kind": kind, "dim": obj.dim}
+    return {"path": path, "kind": _KIND[type(obj)], "dim": obj.dim}
 
 
 def _opt_result_json(result) -> dict:
@@ -92,12 +94,13 @@ def cmd_compute(args) -> int:
     second = load_observable_file(args.inputs[1])
     measure = Measure.from_flag(args.measure)
     config = _config_from_args(args)
-    if args.mode == "luders":
-        for name, obj in (("first", first), ("second", second)):
-            if isinstance(obj, HermitianObservable):
-                raise ValidationError(
-                    f"--luders expects POVM files, {name} input is an observable"
-                )
+    wanted = _MODE_KIND[args.mode]
+    for path, obj in zip(args.inputs, (first, second)):
+        if _KIND[type(obj)] != wanted:
+            raise ValidationError(
+                f"--{args.mode} accepts only {wanted} files; {path} is of kind "
+                f"{_KIND[type(obj)]}"
+            )
     report = pair_incompatibility(measure, first, second, config)
     doc = {
         "report_version": REPORT_VERSION,

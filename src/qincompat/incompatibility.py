@@ -38,13 +38,22 @@ from .constructions import (
     random_observable,
 )
 from .errors import DimensionMismatchError, NumericalFailureError, ParamOutOfRangeError
-from .optimize import OptimizerConfig, OptResult, Provenance, maximize_over_pure_states
+from .optimize import (
+    OptimizerConfig,
+    OptResult,
+    Provenance,
+    best_seed,
+    maximize_over_pure_states,
+)
 from .probdist import chebyshev_distance, fidelity_distance, variational_distance
 
 BOUND_SLACK = 1e-8
 # Above this many outcomes of the second measurement the exact L1 path would
 # solve more than 2^11 eigenproblems, and the multistart search runs instead.
 EXACT_L1_MAX_OUTCOMES = 12
+# A seed within this distance of a proven ceiling is taken as the supremum,
+# and the multistart search is skipped.
+CEILING_TOL = 1e-12
 
 
 class Measure(enum.Enum):
@@ -188,11 +197,8 @@ def analytic_seed_states(meas) -> list[PureState]:
     seeds: list[PureState] = []
     if isinstance(meas, HermitianObservable):
         _basis_seed_family(seeds, meas.basis)
-        reps = np.stack(
-            [meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1
-        )
-        if reps.shape[1] > 1:
-            _add_seed(seeds, PureState.normalized(reps.sum(axis=1)))
+        if meas.n_outcomes > 1:
+            _add_seed(seeds, _eigenspace_superposition(meas))
         return seeds
     if isinstance(meas, Povm):
         for elem in meas.elements:
@@ -204,6 +210,12 @@ def analytic_seed_states(meas) -> list[PureState]:
             _basis_seed_family(seeds, _normal_basis(kraus))
         return seeds
     raise TypeError(f"cannot derive seed states from {type(meas).__name__}")
+
+
+def _eigenspace_superposition(obs: HermitianObservable) -> PureState:
+    """Uniform superposition of one eigenvector per eigenspace of an observable."""
+    reps = np.stack([obs.basis[:, sl.start] for sl in obs.block_slices()], axis=1)
+    return PureState.normalized(reps.sum(axis=1))
 
 
 def _normal_basis(kraus: np.ndarray) -> np.ndarray:
@@ -293,6 +305,12 @@ def directional_incompatibility(
     evaluation at the best state found by the seeded multistart search and
     hence a lower bound on the supremum; the default seed set contains every
     state at which the known closed-form values are attained.
+
+    The seeds are evaluated first. If first has a proven ceiling (1 - 1/r
+    for an observable with r distinct eigenvalues, its maximal disturbance;
+    1 - 1/N for an N-outcome POVM under the fidelity measure) and the best
+    seed comes within ``CEILING_TOL`` of it, that seed is the supremum up to
+    round-off and is returned with ``starts_used=0`` and no search.
     """
     if measure is Measure.LINF or (
         measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
@@ -304,7 +322,26 @@ def directional_incompatibility(
         _add_seed(seeds, state)
     for state in extra_seeds:
         _add_seed(seeds, state)
+    ceiling = _proven_ceiling(measure, first)
+    if ceiling is not None:
+        value, state = best_seed(objective, seeds)
+        if value >= ceiling - CEILING_TOL:
+            return OptResult(value, state, Provenance.ANALYTIC_SEED, starts_used=0)
     return maximize_over_pure_states(objective, first.dim, seeds, config)
+
+
+def _proven_ceiling(measure: Measure, first) -> float | None:
+    """An upper bound on the L1 or fidelity value of Q(first -> B) for every B.
+
+    For an observable it is its maximal disturbance, which bounds every
+    directional value; for a POVM under the fidelity measure it is the
+    outcome bound of its Lueders instrument. Elsewhere none is known.
+    """
+    if isinstance(first, HermitianObservable):
+        return closed_form("degenerate_disturbance", n_distinct=first.n_outcomes)
+    if isinstance(first, Povm) and measure is Measure.FIDELITY:
+        return closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes)
+    return None
 
 
 def maximal_disturbance(
@@ -319,7 +356,26 @@ def maximal_disturbance(
     Phi(rho) and rho; for the fidelity measure it is 1 - (inf F)^2, realized
     as the supremum of 1 - F^2 over pure states. The Chebyshev measure has
     no disturbance analogue here.
+
+    For an observable with r distinct eigenvalues both values are exactly
+    1 - 1/r, attained at the uniform superposition of one eigenvector per
+    eigenspace; they are returned with provenance ``exact``, ignoring
+    ``config`` and ``extra_seeds``. Proof: write psi = sum_k sqrt(p_k) e_k
+    with e_k a unit vector in the k-th eigenspace. The fidelity objective
+    is 1 - sum_k p_k^2 <= 1 - 1/r by Cauchy-Schwarz. In the span of the
+    e_k, Phi(psi) - psi is diag(p) - sqrt(p) sqrt(p)^T: traceless, with one
+    negative eigenvalue -t, so its trace distance is t, the root of
+    sum_k p_k / (p_k + t) = 1. Each term is concave in p_k, so by Jensen the
+    sum is at most r / (1 + r t), which gives t <= 1 - 1/r, with equality
+    at uniform p. POVMs and instruments are searched from seeds.
     """
+    if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
+        return OptResult(
+            value=closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes),
+            argmax=_eigenspace_superposition(meas),
+            provenance=Provenance.EXACT,
+            starts_used=0,
+        )
     inst = canonical_instrument(meas)
     objective = _disturbance_objective(measure, inst)
     seeds = analytic_seed_states(meas)
@@ -386,8 +442,9 @@ def check_bounds(
 ) -> tuple[BoundCheck, ...]:
     """Evaluate every bound applicable to a pair report.
 
-    Disturbance bounds are recomputed numerically; the disturbance searches
-    are seeded with the report's own maximizers, which makes the ordering
+    The disturbance bound of an observable is its exact value 1 - 1/r (see
+    :func:`maximal_disturbance`). For a POVM or instrument it is searched,
+    seeded with the report's own maximizers, which makes the ordering
     ``incompatibility <= disturbance`` hold state-by-state and not just in
     the limit of perfect optimization.
     """

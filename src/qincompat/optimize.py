@@ -5,10 +5,13 @@ analytic candidate states exactly and then running a derivative-free
 simplex search from Haar-random starts. The returned value is therefore a
 certified lower bound on the true supremum; equality claims downstream rest
 on candidate states at which the optimum is known to be attained. This
-search serves the fidelity measure, the maximal disturbance and the L1
-directional value of a second measurement with too many outcomes; the
-other L1 and all Chebyshev directional values are exact suprema computed
-from eigenvalues in :mod:`qincompat.incompatibility` and never come here.
+search serves the fidelity directional values, the maximal disturbance of
+POVMs and instruments, and the L1 directional value of a second measurement
+with too many outcomes. It is skipped where the answer is known: the other
+L1 and all Chebyshev directional values, and the disturbance of every
+observable, are exact suprema computed in :mod:`qincompat.incompatibility`,
+and a directional value whose best seed (see :func:`best_seed`) already
+reaches a proven ceiling is returned without a search.
 
 Restricting the search to pure states loses nothing for the objectives used
 here: outcome distributions are affine in the density operator, the L1 and
@@ -51,8 +54,8 @@ class OptimizerConfig:
 class Provenance(str, enum.Enum):
     """How the best state of a supremum was found.
 
-    ``EXACT`` marks a value computed in closed spectral form rather than by
-    :func:`maximize_over_pure_states`; it is the supremum itself.
+    ``EXACT`` marks a value computed in closed or spectral form rather than
+    by :func:`maximize_over_pure_states`; it is the supremum itself.
     """
 
     ANALYTIC_SEED = "analytic-seed"
@@ -68,6 +71,29 @@ class OptResult:
     argmax: PureState
     provenance: Provenance
     starts_used: int
+
+
+def _checked(value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ObjectiveNaNError(f"objective returned {value!r}")
+    return value
+
+
+def best_seed(
+    objective: Callable[[np.ndarray], float], seeds: Iterable[PureState]
+) -> tuple[float, PureState | None]:
+    """Exact value and state of the best seed, the first one on ties.
+
+    Every seed is evaluated, and a non-finite value at any of them raises
+    :class:`ObjectiveNaNError`. With no seeds the result is ``(-inf, None)``.
+    """
+    best_value, best_state = -np.inf, None
+    for seed in seeds:
+        value = _checked(objective(seed.amplitudes))
+        if value > best_value:
+            best_value, best_state = value, seed
+    return best_value, best_state
 
 
 def maximize_over_pure_states(
@@ -95,12 +121,6 @@ def maximize_over_pure_states(
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
 
-    def evaluate(vec: np.ndarray) -> float:
-        value = float(objective(vec))
-        if not np.isfinite(value):
-            raise ObjectiveNaNError(f"objective returned {value!r}")
-        return value
-
     def unit_vector(coords: np.ndarray) -> np.ndarray | None:
         vec = coords[:dim] + 1j * coords[dim:]
         norm = np.linalg.norm(vec)
@@ -108,19 +128,14 @@ def maximize_over_pure_states(
             return None
         return vec / norm
 
-    best_value = -np.inf
-    best_state: PureState | None = None
+    best_value, best_state = best_seed(objective, seeds)
     best_prov = Provenance.ANALYTIC_SEED
-    for seed in seeds:
-        value = evaluate(seed.amplitudes)
-        if value > best_value:
-            best_value, best_state, best_prov = value, seed, Provenance.ANALYTIC_SEED
 
     def neg_objective(coords: np.ndarray) -> float:
         vec = unit_vector(coords)
         if vec is None:
             return _ZERO_NORM_PENALTY
-        return -evaluate(vec)
+        return -_checked(objective(vec))
 
     rng = np.random.default_rng(cfg.rng_seed)
     starts_used = 0
@@ -140,7 +155,7 @@ def maximize_over_pure_states(
         if vec is None:
             continue
         starts_used += 1
-        value = evaluate(vec)
+        value = _checked(objective(vec))
         if value > best_value:
             best_value, best_state, best_prov = value, PureState(vec), Provenance.RANDOM_START
 

@@ -33,12 +33,13 @@ def _vector_to_json(vec: np.ndarray) -> list:
     return [_complex_to_pair(z) for z in np.asarray(vec, dtype=complex).ravel()]
 
 
+def _is_number(x) -> bool:
+    """A JSON number; booleans are excluded although Python counts them as ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _pair_from_json(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_is_number, obj)):
         raise ParseError(f"{where}: expected a [re, im] pair, got {obj!r}")
     return complex(obj[0], obj[1])
 
@@ -85,7 +86,7 @@ def from_payload(payload: dict, dim: int):
     if kind == "basis":
         values = payload.get("eigenvalues")
         vectors = payload.get("vectors")
-        if not isinstance(values, list) or len(values) != dim:
+        if not isinstance(values, list) or len(values) != dim or not all(map(_is_number, values)):
             raise ParseError(f"payload.eigenvalues: expected {dim} numbers")
         if not isinstance(vectors, list) or len(vectors) != dim:
             raise ParseError(f"payload.vectors: expected {dim} vectors")
@@ -154,7 +155,7 @@ def load_observable_file(path):
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{path}: dim must be a positive integer, got {dim!r}")
     try:
         return from_payload(doc.get("payload"), dim)

@@ -84,6 +84,19 @@ def test_compute_luders_rejects_observable_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "mode, first, second",
+    [("--luders", "zchannel_p0.5.json", "trine.json"), ("--pair", "trine.json", "mub_d2_a.json")],
+)
+def test_compute_mode_accepts_only_its_kind_of_file(tmp_path, capsys, mode, first, second):
+    for family in (["mub", "--dim", 2], ["trine"], ["zchannel"]):
+        assert run(["construct", *family, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    code = run(["compute", "--measure", "F", mode, tmp_path / first, tmp_path / second] + FAST)
+    assert code == 2
+    assert str(tmp_path / first) in capsys.readouterr().err
+
+
 def test_compute_rejects_files_of_different_dimension(tmp_path, capsys):
     assert run(["construct", "mub", "--dim", 2, "--out", tmp_path]) == 0
     assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qincompat.incompatibility as incompatibility
+import qincompat.optimize as optimize
 from qincompat import (
     DimensionMismatchError,
     Instrument,
     Measure,
     NumericalFailureError,
+    ObjectiveNaNError,
     OptimizerConfig,
     ParamOutOfRangeError,
+    Povm,
     Provenance,
     PureState,
     analytic_seed_states,
+    canonical_instrument,
     check_bounds,
     commuting_subspace_pair,
     closed_form,
@@ -33,6 +37,7 @@ from qincompat import (
     random_povm,
     set_incompatibility,
     spectral_decompose,
+    trine_povm,
     z_channel,
 )
 from qincompat.constructions import degenerate_observable, random_unitary
@@ -352,3 +357,101 @@ def test_scan_rows_record_provenance(monkeypatch):
     fallback = conjecture_scan(Measure.L1, 3, 1, config=TINY)
     assert not fallback.rows[0].is_exact
     assert Provenance.EXACT not in fallback.rows[0].provenance
+
+
+def _disturbance_observables():
+    """A Haar-random and a degenerate observable at each d=2..6."""
+    out = []
+    for d in range(2, 7):
+        out.append(random_observable(d, 500 + d))
+        out.append(degenerate_observable((d - d // 2, d // 2), random_unitary(d, 600 + d)))
+    return out
+
+
+def test_observable_disturbance_is_exact():
+    cfg = OptimizerConfig(n_random_starts=2, max_iterations=300, rng_seed=6)
+    for obs in _disturbance_observables():
+        inst = canonical_instrument(obs)
+        seeds = analytic_seed_states(obs) + analytic_seed_states(inst)
+        for measure in (Measure.L1, Measure.FIDELITY):
+            exact = maximal_disturbance(measure, obs, cfg)
+            assert exact.provenance is Provenance.EXACT
+            assert exact.starts_used == 0
+            assert exact.value == closed_form("degenerate_disturbance", n_distinct=obs.n_outcomes)
+            objective = incompatibility._disturbance_objective(measure, inst)
+            assert objective(exact.argmax.amplitudes) == pytest.approx(exact.value, abs=1e-12)
+            searched = maximize_over_pure_states(objective, obs.dim, seeds, cfg)
+            assert searched.value <= exact.value + 1e-12
+
+
+def test_observable_disturbance_edge_cases():
+    trivial = degenerate_observable((3,))
+    assert trivial.n_outcomes == 1
+    for measure in (Measure.L1, Measure.FIDELITY):
+        result = maximal_disturbance(measure, trivial)
+        assert result.value == 0.0
+        assert result.provenance is Provenance.EXACT
+    with pytest.raises(ParamOutOfRangeError):
+        maximal_disturbance(Measure.LINF, random_observable(3, 1))
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    calls = []
+    real = optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_seeds_on_the_ceiling_skip_the_search(d, minimize_calls):
+    obs_a, obs_b = fourier_mub_pair(d)
+    for measure in (Measure.FIDELITY, Measure.L1):
+        report = pair_incompatibility(measure, obs_a, obs_b, LIGHT)
+        assert report.bound_violations == ()
+        assert report.forward.starts_used == report.backward.starts_used == 0
+    assert report.forward.value == pytest.approx(1.0 - 1.0 / d, abs=1e-12)
+    luders = directional_incompatibility(
+        Measure.FIDELITY, Povm.from_observable(obs_a), Povm.from_observable(obs_b), LIGHT
+    )
+    assert luders.provenance is Provenance.ANALYTIC_SEED
+    assert luders.starts_used == 0
+    assert luders.value == pytest.approx(1.0 - 1.0 / d, abs=1e-12)
+    assert minimize_calls == []
+
+
+def _search_without_ceiling(measure, first, second, config):
+    """The seeded multistart search with every random start, as run below the ceiling."""
+    seeds = analytic_seed_states(first)
+    for state in analytic_seed_states(second):
+        incompatibility._add_seed(seeds, state)
+    objective = pair_distance_objective(measure, first, second)
+    return maximize_over_pure_states(objective, first.dim, seeds, config)
+
+
+def test_seeds_below_the_ceiling_search_as_before():
+    pairs = [commuting_subspace_pair(4, 1), (trine_povm(), random_povm(2, 4, seed=3))]
+    for first, second in pairs:
+        report = pair_incompatibility(Measure.FIDELITY, first, second, LIGHT)
+        for result, a, b in ((report.forward, first, second), (report.backward, second, first)):
+            expected = _search_without_ceiling(Measure.FIDELITY, a, b, LIGHT)
+            assert result.starts_used == LIGHT.n_random_starts
+            assert result.value == expected.value
+            assert result.provenance is expected.provenance
+            np.testing.assert_array_equal(result.argmax.amplitudes, expected.argmax.amplitudes)
+
+
+def test_non_finite_seed_value_raises_despite_the_ceiling(monkeypatch):
+    values = iter([1.0])  # the first seed tops every ceiling, the next one is NaN
+
+    def objective_factory(*args):
+        return lambda vec: next(values, float("nan"))
+
+    monkeypatch.setattr(incompatibility, "pair_distance_objective", objective_factory)
+    with pytest.raises(ObjectiveNaNError):
+        directional_incompatibility(Measure.FIDELITY, *fourier_mub_pair(3), TINY)

@@ -119,3 +119,21 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
     assert leftovers == []
     assert (tmp_path / "trine.json").exists()
+
+
+def test_booleans_are_not_numbers(tmp_path):
+    path = tmp_path / "bool.json"
+
+    def load(dim, eigenvalues, first_entry):
+        vectors = [[first_entry, [0, 0]], [[0, 0], [1, 0]]]
+        payload = {"type": "basis", "eigenvalues": eigenvalues, "vectors": vectors}
+        path.write_text(json.dumps({"format_version": "1", "dim": dim, "payload": payload}))
+        return load_observable_file(path)
+
+    assert load(2, [0, 1], [1, 0]).n_outcomes == 2
+    with pytest.raises(ParseError, match=r"payload\.vectors\[0\]\[0\]"):
+        load(2, [0, 1], [True, 0])
+    with pytest.raises(ParseError, match="payload.eigenvalues"):
+        load(2, [False, True], [1, 0])
+    with pytest.raises(ParseError, match="dim must be a positive integer, got True"):
+        load(True, [0, 1], [1, 0])
