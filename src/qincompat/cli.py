@@ -290,11 +290,13 @@ def cmd_verify(args) -> int:
 
 def _add_optimizer_flags(parser, starts=8, iterations=600) -> None:
     parser.add_argument("--starts", type=int, default=starts,
-                        help="random optimizer starts per supremum")
+                        help="random optimizer starts per supremum; as many of the "
+                             "best candidate states are refined as well")
     parser.add_argument("--iterations", type=int, default=iterations,
-                        help="local-search iteration cap per start")
+                        help="L-BFGS-B iteration cap per start")
     parser.add_argument("--tol", type=float, default=1e-10,
-                        help="optimizer convergence tolerance")
+                        help="convergence tolerance: a start stops once an iteration "
+                             "improves the value by less than tol * 1e-5")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 

@@ -39,13 +39,13 @@ from .constructions import (
 )
 from .errors import DimensionMismatchError, NumericalFailureError, ParamOutOfRangeError
 from .optimize import (
+    Objective,
     OptimizerConfig,
     OptResult,
     Provenance,
-    best_seed,
     maximize_over_pure_states,
+    rank_seeds,
 )
-from .probdist import chebyshev_distance, fidelity_distance, variational_distance
 
 BOUND_SLACK = 1e-8
 # Above this many outcomes of the second measurement the exact L1 path would
@@ -69,13 +69,6 @@ class Measure(enum.Enum):
             if member.value == text:
                 return member
         raise ParamOutOfRangeError(f"unknown measure flag {text!r}; use 1, F or inf")
-
-
-_DISTANCE: dict[Measure, Callable] = {
-    Measure.L1: variational_distance,
-    Measure.FIDELITY: fidelity_distance,
-    Measure.LINF: chebyshev_distance,
-}
 
 
 def _solve(solver, mat: np.ndarray, what: str):
@@ -112,17 +105,67 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack(columns), np.asarray(offsets)
 
 
-def pair_distance_objective(measure: Measure, first, second) -> Callable[[np.ndarray], float]:
+# Square roots of block probabilities are floored before dividing by them.
+# A block whose p_j underflows to 0 has amplitudes below 1e-161, so its
+# floored weight times those amplitudes is 0 up to round-off.
+_ROOT_FLOOR = 1e-150
+
+
+def _fidelity_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
+    """1 - F^2 with F = sum_j sqrt(p_j q_j), and twice its derivative in p and q.
+
+    ``sums`` holds p in row 0 and q in row 1. Where p_j = 0 the derivative
+    dF/dp_j = sqrt(q_j / p_j) / 2 is infinite, but every amplitude of that
+    block vanishes, so the block adds nothing to the gradient (and likewise
+    for q_j).
+    """
+    root = np.sqrt(sums)
+    fid = float(root[1] @ root[0])
+    return 1.0 - fid * fid, (-2.0 * fid) * (root[::-1] / np.maximum(root, _ROOT_FLOOR))
+
+
+_SIGNS = np.array([[-1.0], [1.0]])
+
+
+def _l1_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_j |q_j - p_j| / 2 and twice its derivative in p and q."""
+    diff = sums[1] - sums[0]
+    return float(0.5 * np.abs(diff).sum()), _SIGNS * np.sign(diff)
+
+
+def _chebyshev_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
+    """max_j |q_j - p_j| and twice its derivative in p and q at the arg-max outcome."""
+    diff = sums[1] - sums[0]
+    j = int(np.argmax(np.abs(diff)))
+    weights = np.zeros_like(sums)
+    weights[:, j] = 2.0 * np.sign(diff[j]) * _SIGNS[:, 0]
+    return float(abs(diff[j])), weights
+
+
+_WEIGHTS: dict[Measure, Callable[[np.ndarray], tuple[float, np.ndarray]]] = {
+    Measure.L1: _l1_weights,
+    Measure.FIDELITY: _fidelity_weights,
+    Measure.LINF: _chebyshev_weights,
+}
+
+
+def pair_distance_objective(measure: Measure, first, second) -> Objective:
     """State objective: distance between second's statistics with and without first.
 
     The objective takes a unit ``complex128`` amplitude vector psi of shape
-    ``(dim,)`` and does not validate it; pass ``state.amplitudes`` to
-    evaluate a :class:`PureState`. The undisturbed probabilities are
-    p_j = sum_w |<w|psi>|^2 over the j-th effect's factors; the sequential
-    ones push psi through every Kraus operator of first's canonical
-    instrument before the same contraction, q_j = sum_kw |<w|K_k psi>|^2.
-    Both match the public distribution functions up to round-off while
-    staying exactly nonnegative.
+    ``(dim,)``, does not validate it, and returns the distance and its
+    gradient (the contract of :mod:`qincompat.optimize`); pass
+    ``state.amplitudes`` to evaluate a :class:`PureState`. With W the
+    columns factoring second's effects (E_j = sum of |w><w| over block j)
+    and K_k the Kraus operators of first's canonical instrument, one column
+    matrix ``cols = [conj(W) | K_k^T conj(W) for every k]`` is built per
+    ordered pair, grouped by outcome, so ``amp = psi @ cols`` holds every
+    <w|psi> and <w|K_k psi>. The undisturbed and sequential probabilities
+    p_j and q_j are sums of |amp|^2 over blocks, one ``np.add.reduceat``,
+    so both stay exactly nonnegative and match the public distribution
+    functions up to round-off. The gradient is
+    ``conj(cols) @ (weights * amp)``, with each column weighted by twice the
+    derivative of the distance in its block's probability.
     """
     inst = canonical_instrument(first)
     factors, offsets = _effect_factors(second)
@@ -130,40 +173,59 @@ def pair_distance_objective(measure: Measure, first, second) -> Callable[[np.nda
         raise DimensionMismatchError(
             f"dimensions differ: {inst.dim} vs {factors.shape[0]}"
         )
-    kraus_stack = np.stack(inst.kraus_flat())
+    kraus = inst.kraus_flat()
     factors_conj = factors.conj()
-    distance = _DISTANCE[measure]
+    blocks = np.split(factors_conj, offsets[1:], axis=1)
+    cols = np.hstack([factors_conj] + [k.T @ block for block in blocks for k in kraus])
+    cols_conj = cols.conj()
+    sizes = np.array([block.shape[1] for block in blocks])
+    widths = np.concatenate((sizes, len(kraus) * sizes))
+    starts = np.cumsum(widths) - widths
+    column_block = np.repeat(np.arange(widths.size), widths)
+    weigh = _WEIGHTS[measure]
 
-    def objective(vec: np.ndarray) -> float:
-        images = kraus_stack @ vec
-        direct_cols = np.abs(vec @ factors_conj) ** 2
-        seq_cols = (np.abs(images @ factors_conj) ** 2).sum(axis=0)
-        direct = np.add.reduceat(direct_cols, offsets)
-        seq = np.add.reduceat(seq_cols, offsets)
-        return distance(seq, direct)
+    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        amp = vec @ cols
+        sums = np.add.reduceat(np.abs(amp) ** 2, starts).reshape(2, -1)
+        value, weights = weigh(sums)
+        return value, cols_conj @ (weights.ravel()[column_block] * amp)
 
     return objective
 
 
-def _disturbance_objective(measure: Measure, inst: Instrument) -> Callable[[np.ndarray], float]:
-    kraus = inst.kraus_flat()
-    if measure is Measure.FIDELITY:
+def _disturbance_objective(measure: Measure, inst: Instrument) -> Objective:
+    """State objective of :func:`maximal_disturbance`, with its gradient.
 
-        def objective(vec: np.ndarray) -> float:
-            total = 0.0
-            for k in kraus:
-                total += float(abs(vec.conj() @ (k @ vec))) ** 2
-            return 1.0 - float(np.clip(total, 0.0, 1.0))
+    With a_k = <psi|K_k|psi>, the fidelity objective is 1 - sum_k |a_k|^2
+    and its gradient -2 sum_k (conj(a_k) K_k psi + a_k K_k^dag psi). The L1
+    objective is half the trace norm of M = sum_k K_k|psi><psi|K_k^dag -
+    |psi><psi|; with S = sign(M) from the same ``eigh``, its gradient is
+    sum_k K_k^dag S K_k psi - S psi.
+    """
+    kraus = np.stack(inst.kraus_flat())
+    n, dim, _ = kraus.shape
+    adjoints = kraus.conj().transpose(0, 2, 1)
+    if measure is Measure.FIDELITY:
+        both = np.concatenate((kraus, adjoints)).reshape(2 * n * dim, dim)
+
+        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+            images, adj_images = (both @ vec).reshape(2, n, dim)
+            amps = images @ vec.conj()
+            total = float((np.abs(amps) ** 2).sum())
+            grad = -2.0 * (amps.conj() @ images + amps @ adj_images)
+            return 1.0 - float(np.clip(total, 0.0, 1.0)), grad
 
     elif measure is Measure.L1:
+        rows = kraus.reshape(n * dim, dim)
+        adjoint_row = np.hstack(list(adjoints))
 
-        def objective(vec: np.ndarray) -> float:
-            out = -np.outer(vec, vec.conj())
-            for k in kraus:
-                img = k @ vec
-                out += np.outer(img, img.conj())
-            lam = _solve(np.linalg.eigvalsh, (out + out.conj().T) / 2.0, "a state difference")
-            return float(0.5 * np.abs(lam).sum())
+        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+            images = (rows @ vec).reshape(n, dim)
+            diff = images.T @ images.conj() - np.outer(vec, vec.conj())
+            lam, vecs = _solve(np.linalg.eigh, diff, "a state difference")
+            sign = (vecs * np.sign(lam)) @ vecs.conj().T
+            grad = adjoint_row @ (images @ sign.T).ravel() - sign @ vec
+            return float(0.5 * np.abs(lam).sum()), grad
 
     else:
         raise ParamOutOfRangeError("disturbance is defined for the L1 and fidelity measures")
@@ -324,7 +386,7 @@ def directional_incompatibility(
         _add_seed(seeds, state)
     ceiling = _proven_ceiling(measure, first)
     if ceiling is not None:
-        value, state = best_seed(objective, seeds)
+        value, state = rank_seeds(objective, seeds)[0]
         if value >= ceiling - CEILING_TOL:
             return OptResult(value, state, Provenance.ANALYTIC_SEED, starts_used=0)
     return maximize_over_pure_states(objective, first.dim, seeds, config)

@@ -34,8 +34,18 @@ def _vector_to_json(vec: np.ndarray) -> list:
 
 
 def _is_number(x) -> bool:
-    """A JSON number; booleans are excluded although Python counts them as ints."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that a float can hold.
+
+    Booleans are excluded although Python counts them as ints, and so are
+    integers too large to convert to a float.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _pair_from_json(obj, where: str) -> complex:
@@ -149,6 +159,8 @@ def load_observable_file(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer beyond Python's limit on digits
+        raise ParseError(f"{path}: unreadable JSON number: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     version = doc.get("format_version")

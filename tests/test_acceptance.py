@@ -69,11 +69,11 @@ def test_criterion_01_mub_directional_attainment():
         )
         assert result.value == pytest.approx(expected, abs=1e-9)
         objective = pair_distance_objective(Measure.FIDELITY, obs_a, obs_b)
-        seed_value = objective(PureState(obs_b.basis[:, 0]).amplitudes)
+        seed_value = objective(PureState(obs_b.basis[:, 0]).amplitudes)[0]
         assert seed_value == pytest.approx(expected, abs=1e-12)
         rng = np.random.default_rng(1000 + d)
         for _ in range(200):
-            probe = objective(random_pure_state(d, rng).amplitudes)
+            probe = objective(random_pure_state(d, rng).amplitudes)[0]
             assert probe <= expected + 1e-9
     report(1, "fidelity forward value = 1 - 1/d for d=2..8, 200 probes per d below bound")
 

@@ -117,6 +117,28 @@ def test_compute_rejects_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "eigenvalues, first_entry, field",
+    [
+        ("[0, 1" + "0" * 400 + "]", "[1, 0]", "payload.eigenvalues"),
+        ("[0, 1]", "[1" + "0" * 400 + ", 0]", "payload.vectors[0][0]"),
+        ("[0, 1" + "0" * 5000 + "]", "[1, 0]", "unreadable JSON number"),
+    ],
+    ids=["eigenvalue", "vector-entry", "digit-limit"],
+)
+def test_disturbance_rejects_numbers_beyond_float_range(
+    tmp_path, capsys, eigenvalues, first_entry, field
+):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"format_version": "1", "dim": 2, "payload": {"type": "basis", '
+        f'"eigenvalues": {eigenvalues}, "vectors": [[{first_entry}, [0, 0]], [[0, 0], [1, 0]]]}}}}'
+    )
+    assert run(["disturbance", path] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
 def test_scan_csv_format_and_determinism(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = run(

@@ -101,7 +101,7 @@ def test_asymmetric_pair_seed_state_fidelity_value():
     direct = outcome_distribution(obs_b, b1.density())
     assert classical_fidelity(seq, direct) ** 2 == pytest.approx(m / d, abs=1e-7)
     objective = pair_distance_objective(Measure.FIDELITY, obs_a, obs_b)
-    assert objective(b1.amplitudes) == pytest.approx(1.0 - m / d, abs=1e-12)
+    assert objective(b1.amplitudes)[0] == pytest.approx(1.0 - m / d, abs=1e-12)
 
 
 def test_asymmetric_pair_degenerate_disturbance():

@@ -228,7 +228,7 @@ def test_objective_matches_public_distribution_route():
         direct = outcome_distribution(second, state.density())
         for measure, distance in pairs.items():
             objective = pair_distance_objective(measure, first, second)
-            assert objective(state.amplitudes) == pytest.approx(
+            assert objective(state.amplitudes)[0] == pytest.approx(
                 distance(seq, direct), abs=1e-10
             )
 
@@ -270,7 +270,7 @@ def test_exact_path_is_an_attained_supremum():
             assert exact.provenance is Provenance.EXACT
             assert exact.starts_used == 0
             objective = pair_distance_objective(measure, first, second)
-            assert objective(exact.argmax.amplitudes) == pytest.approx(exact.value, abs=1e-12)
+            assert objective(exact.argmax.amplitudes)[0] == pytest.approx(exact.value, abs=1e-12)
             searched = maximize_over_pure_states(objective, first.dim, seeds, cfg)
             assert searched.value <= exact.value + 1e-12
 
@@ -298,7 +298,7 @@ def test_no_state_beats_the_exact_value(index, data):
         vec = np.eye(first.dim, dtype=complex)[0]
     state = PureState.normalized(vec)
     for measure in EXACT_MEASURES:
-        value = pair_distance_objective(measure, first, second)(state.amplitudes)
+        value = pair_distance_objective(measure, first, second)(state.amplitudes)[0]
         assert value <= _HYPOTHESIS_EXACT[index][measure] + 1e-12
 
 
@@ -379,7 +379,7 @@ def test_observable_disturbance_is_exact():
             assert exact.starts_used == 0
             assert exact.value == closed_form("degenerate_disturbance", n_distinct=obs.n_outcomes)
             objective = incompatibility._disturbance_objective(measure, inst)
-            assert objective(exact.argmax.amplitudes) == pytest.approx(exact.value, abs=1e-12)
+            assert objective(exact.argmax.amplitudes)[0] == pytest.approx(exact.value, abs=1e-12)
             searched = maximize_over_pure_states(objective, obs.dim, seeds, cfg)
             assert searched.value <= exact.value + 1e-12
 
@@ -450,7 +450,7 @@ def test_non_finite_seed_value_raises_despite_the_ceiling(monkeypatch):
     values = iter([1.0])  # the first seed tops every ceiling, the next one is NaN
 
     def objective_factory(*args):
-        return lambda vec: next(values, float("nan"))
+        return lambda vec: (next(values, float("nan")), np.zeros_like(vec))
 
     monkeypatch.setattr(incompatibility, "pair_distance_objective", objective_factory)
     with pytest.raises(ObjectiveNaNError):

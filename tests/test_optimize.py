@@ -13,20 +13,25 @@ from qincompat import (
     Provenance,
     PureState,
     ValidationError,
+    asymmetric_pair,
     directional_incompatibility,
     fourier_mub_pair,
     maximize_over_pure_states,
     pair_distance_objective,
     random_observable,
+    random_povm,
     maximal_disturbance,
+    trine_povm,
+    z_channel,
 )
+from qincompat.incompatibility import _disturbance_objective
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
 
 def quadratic_form(matrix):
     def objective(vec):
-        return float((vec.conj() @ matrix @ vec).real)
+        return float((vec.conj() @ matrix @ vec).real), 2.0 * (matrix @ vec)
 
     return objective
 
@@ -39,7 +44,7 @@ def test_largest_eigenvalue_of_diagonal_form():
 
 def test_constant_objective_prefers_seed():
     seed = PureState(np.array([1.0, 0.0], dtype=complex))
-    result = maximize_over_pure_states(lambda s: 0.3, 2, (seed,), LIGHT)
+    result = maximize_over_pure_states(lambda s: (0.3, np.zeros_like(s)), 2, (seed,), LIGHT)
     assert result.value == 0.3
     assert result.provenance is Provenance.ANALYTIC_SEED
     assert result.starts_used == LIGHT.n_random_starts
@@ -52,7 +57,7 @@ def test_starts_used_skips_collapsed_starts(monkeypatch):
     monkeypatch.setattr("qincompat.optimize.minimize", collapse)
     seed = PureState(np.array([1.0, 0.0], dtype=complex))
     cfg = OptimizerConfig(n_random_starts=3, max_iterations=10, rng_seed=0)
-    result = maximize_over_pure_states(lambda vec: 0.3, 2, (seed,), cfg)
+    result = maximize_over_pure_states(lambda vec: (0.3, np.zeros_like(vec)), 2, (seed,), cfg)
     assert result.starts_used == 0
     assert result.provenance is Provenance.ANALYTIC_SEED
 
@@ -62,9 +67,10 @@ def test_objective_receives_unit_complex_vectors():
 
     def objective(vec):
         seen.append(vec)
-        return float(abs(vec[0]) ** 2)
+        return float(abs(vec[0]) ** 2), np.array([2.0 * vec[0], 0.0])
 
-    seeds = (PureState(np.array([0.6, 0.8j])),)
+    # The seed is the minimum of the objective, so refining it cannot win.
+    seeds = (PureState(np.array([0.0, 0.8 + 0.6j])),)
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=3)
     result = maximize_over_pure_states(objective, 2, seeds, cfg)
     assert len(seen) > len(seeds)
@@ -107,8 +113,8 @@ def test_adding_seeds_never_decreases_value():
 
 
 def test_objective_nan_raises():
-    def broken(state):
-        return float("nan")
+    def broken(vec):
+        return float("nan"), np.zeros_like(vec)
 
     with pytest.raises(ObjectiveNaNError):
         maximize_over_pure_states(broken, 2, (), LIGHT)
@@ -118,7 +124,7 @@ def test_value_matches_objective_at_argmax():
     obs_a, obs_b = fourier_mub_pair(3)
     objective = pair_distance_objective(Measure.LINF, obs_a, obs_b)
     result = directional_incompatibility(Measure.LINF, obs_a, obs_b, LIGHT)
-    assert objective(result.argmax.amplitudes) == pytest.approx(result.value, abs=1e-12)
+    assert objective(result.argmax.amplitudes)[0] == pytest.approx(result.value, abs=1e-12)
 
 
 def test_config_validation():
@@ -183,3 +189,71 @@ def test_disturbance_rejects_chebyshev():
 
     with pytest.raises(ParamOutOfRangeError):
         maximal_disturbance(Measure.LINF, z_channel(0.5), LIGHT)
+
+
+CLI_BUDGET = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
+
+# Values of the Nelder-Mead search that the gradient search replaced, at
+# CLI_BUDGET. The gradient search must match or beat every one of them.
+NELDER_MEAD_VALUES = {
+    "asymmetric-backward": 0.49931811145759064,
+    "trine-povm4-forward": 0.05894314295786751,
+    "trine-povm4-backward": 0.10949330522934209,
+    "povm3-povm4-forward": 0.049939421291479436,
+    "povm3-povm4-backward": 0.053590082876339706,
+    "zchannel-0.1": 0.10000000000000087,
+    "zchannel-0.5": 0.5000000000000004,
+    "zchannel-0.9": 0.9000000000000001,
+}
+
+
+def _searched_value(case):
+    if case.startswith("zchannel"):
+        channel = z_channel(float(case.split("-")[1]))
+        return maximal_disturbance(Measure.FIDELITY, channel, CLI_BUDGET).value
+    if case == "asymmetric-backward":
+        first, second = asymmetric_pair(4, 1)[::-1]
+    else:
+        if case.startswith("trine"):
+            first, second = trine_povm(), random_povm(2, 4, seed=0)
+        else:
+            first, second = random_povm(3, 3, seed=0), random_povm(3, 4, seed=1)
+        if case.endswith("backward"):
+            first, second = second, first
+    return directional_incompatibility(Measure.FIDELITY, first, second, CLI_BUDGET).value
+
+
+@pytest.mark.parametrize("case", sorted(NELDER_MEAD_VALUES))
+def test_search_matches_or_beats_the_nelder_mead_values(case):
+    assert _searched_value(case) >= NELDER_MEAD_VALUES[case] - 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_seedless_search_reaches_the_mub_fidelity_value(d):
+    objective = pair_distance_objective(Measure.FIDELITY, *fourier_mub_pair(d))
+    result = maximize_over_pure_states(objective, d, (), CLI_BUDGET)
+    assert result.provenance is Provenance.RANDOM_START
+    assert result.value == pytest.approx(1.0 - 1.0 / d, abs=1e-12)
+
+
+@pytest.mark.parametrize("measure", [Measure.FIDELITY, Measure.L1], ids=lambda m: m.name)
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_seedless_search_reaches_the_zchannel_disturbance(measure, p):
+    objective = _disturbance_objective(measure, z_channel(p))
+    result = maximize_over_pure_states(objective, 2, (), CLI_BUDGET)
+    assert result.value == pytest.approx(p, abs=1e-12)
+
+
+def test_refined_seeds_reach_the_basin_the_random_starts_miss():
+    """The Lueders claim d=2, N_A=3 of verify's suite at rng_seed 1049.
+
+    All 4 random starts end in lower local maxima (0.003645, 0.003718); the
+    Nelder-Mead search found 0.0038628252519541384.
+    """
+    rng = np.random.default_rng(91)
+    first = random_povm(2, 3, rng)
+    second = random_povm(2, int(rng.integers(2, 5)), rng)
+    cfg = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1049)
+    result = directional_incompatibility(Measure.FIDELITY, first, second, cfg)
+    assert result.value >= 0.0038628252519541384 - 1e-12
+    assert result.provenance is Provenance.ANALYTIC_SEED

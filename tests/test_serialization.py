@@ -137,3 +137,37 @@ def test_booleans_are_not_numbers(tmp_path):
         load(2, [False, True], [1, 0])
     with pytest.raises(ParseError, match="dim must be a positive integer, got True"):
         load(True, [0, 1], [1, 0])
+
+
+def test_numbers_beyond_float_range_are_parse_errors(tmp_path):
+    path = tmp_path / "huge.json"
+    huge = 10**400
+
+    def load(payload):
+        doc = {"format_version": "1", "dim": 2, "payload": payload}
+        path.write_text(json.dumps(doc))
+        return load_observable_file(path)
+
+    vectors = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    with pytest.raises(ParseError, match="payload.eigenvalues"):
+        load({"type": "basis", "eigenvalues": [0, huge], "vectors": vectors})
+    vectors[1][0] = [0, huge]
+    with pytest.raises(ParseError, match=r"payload\.vectors\[1\]\[0\]"):
+        load({"type": "basis", "eigenvalues": [0, 1], "vectors": vectors})
+    matrix = [[[huge, 0], [0, 0]], [[0, 0], [0, 0]]]
+    with pytest.raises(ParseError, match=r"payload\.matrix\[0\]\[0\]"):
+        load({"type": "hermitian", "matrix": matrix})
+    with pytest.raises(ParseError, match=r"payload\.elements\[0\]\[0\]\[0\]"):
+        load({"type": "povm", "elements": [matrix]})
+    with pytest.raises(ParseError, match=r"payload\.outcomes\[0\]\[0\]\[0\]\[0\]"):
+        load({"type": "instrument", "outcomes": [[matrix]]})
+
+
+def test_integers_beyond_the_digit_limit_are_parse_errors(tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text(
+        '{"format_version": "1", "dim": 2, "payload": {"type": "basis", '
+        '"eigenvalues": [0, 1' + "0" * 5000 + '], "vectors": []}}'
+    )
+    with pytest.raises(ParseError, match="unreadable JSON number"):
+        load_observable_file(path)
