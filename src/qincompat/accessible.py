@@ -15,15 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HermitianObservable, PureState, as_complex_matrix, max_abs
+from .core import COMPLETENESS_TOL, HermitianObservable, PureState, as_complex_matrix, max_abs
 from .constructions import fourier_basis, random_unitary
 from .errors import (
     DegenerateObservableError,
     DimensionMismatchError,
     ValidationError,
 )
-
-COMPLETENESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)

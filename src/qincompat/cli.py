@@ -1,9 +1,8 @@
 """Command-line interface: compute, verify, construct, scan.
 
 Exit codes: 0 on success, 2 on input/validation problems, 3 when a
-scientific check fails (a bound violation in ``compute`` or a failed claim
-in ``verify``). ``scan`` always exits 0 and reports counterexamples in its
-summary instead, since the bound it probes is an open conjecture.
+scientific check fails: a bound violation in ``compute``, a scan row above
+the proven (1 - 1/d)/2 ceiling in ``scan``, or a failed claim in ``verify``.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ def _config_from_args(args) -> OptimizerConfig:
 
 
 _KIND = {HermitianObservable: "observable", Povm: "povm", Instrument: "instrument"}
-# The only kind of file each compute mode accepts.
-_MODE_KIND = {"pair": "observable", "luders": "povm"}
 
 
 def _describe_input(path: str, obj) -> dict:
@@ -90,16 +87,18 @@ def _emit_report(args, report: dict) -> None:
 
 
 def cmd_compute(args) -> int:
-    first = load_observable_file(args.inputs[0])
-    second = load_observable_file(args.inputs[1])
+    if args.pair:
+        mode, wanted, paths = "pair", "observable", args.pair
+    else:
+        mode, wanted, paths = "luders", "povm", args.luders
+    first = load_observable_file(paths[0])
+    second = load_observable_file(paths[1])
     measure = Measure.from_flag(args.measure)
     config = _config_from_args(args)
-    wanted = _MODE_KIND[args.mode]
-    for path, obj in zip(args.inputs, (first, second)):
+    for path, obj in zip(paths, (first, second)):
         if _KIND[type(obj)] != wanted:
             raise ValidationError(
-                f"--{args.mode} accepts only {wanted} files; {path} is of kind "
-                f"{_KIND[type(obj)]}"
+                f"--{mode} accepts only {wanted} files; {path} is of kind {_KIND[type(obj)]}"
             )
     report = pair_incompatibility(measure, first, second, config)
     doc = {
@@ -107,8 +106,8 @@ def cmd_compute(args) -> int:
         "command": "compute",
         "measure": measure.value,
         "inputs": {
-            "first": _describe_input(args.inputs[0], first),
-            "second": _describe_input(args.inputs[1], second),
+            "first": _describe_input(paths[0], first),
+            "second": _describe_input(paths[1], second),
         },
         "optimizer": {
             "n_random_starts": config.n_random_starts,
@@ -238,24 +237,14 @@ def cmd_scan(args) -> int:
           f"({n_exact} exact suprema, {len(report.rows) - n_exact} lower bounds)")
     if n_bad:
         trials = ", ".join(str(r.trial) for r in report.counterexamples)
-        print(
-            f"*** {n_bad} value(s) ABOVE the conjectured bound (trials {trials}); "
-            "keep the CSV and seeds!",
-            file=sys.stderr,
-        )
-    else:
-        print("no counterexample found")
+        print(f"{n_bad} value(s) above the proven bound (trials {trials})", file=sys.stderr)
+        return EXIT_SCIENCE
+    print("no counterexample found")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    results = run_suites(
-        selectors=args.suite,
-        rng_seed=args.seed,
-        tol_scale=args.tol_scale,
-        starts=args.starts,
-        convergence_tol=args.tol,
-    )
+    results = run_suites(selectors=args.suite, rng_seed=args.seed)
     n_fail = 0
     for claim in results:
         status = "PASS" if claim.passed else "FAIL"
@@ -312,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compute", help="incompatibility of a pair from observable/POVM files"
     )
     group = p_compute.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pair", dest="inputs", nargs=2, metavar="FILE",
+    group.add_argument("--pair", nargs=2, metavar="FILE",
                        help="two observable files (projective measurements)")
-    group.add_argument("--luders", dest="luders_inputs", nargs=2, metavar="FILE",
+    group.add_argument("--luders", nargs=2, metavar="FILE",
                        help="two POVM files measured through their square-root instruments")
     p_compute.add_argument("--measure", required=True, choices=["1", "F", "inf"])
     p_compute.add_argument("--out", help="write a JSON report here")
@@ -358,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.set_defaults(func=cmd_construct)
 
     p_scan = sub.add_parser(
-        "scan", help="randomized search for symmetric values above (1-1/d)/2"
+        "scan", help="randomized check of the proven (1-1/d)/2 ceiling on symmetric values"
     )
     p_scan.add_argument("--measure", required=True, choices=["1", "inf"])
     p_scan.add_argument("--dim", type=int, required=True)
@@ -375,11 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["all"] + list(SUITES),
                           help="suite selector (repeatable; default all)")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--starts", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="optimizer convergence tolerance override")
-    p_verify.add_argument("--tol-scale", type=float, default=1.0,
-                          help="multiply every claim tolerance by this factor")
     p_verify.add_argument("--out", help="write a JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -389,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compute":
-        if args.inputs is None:
-            args.inputs = args.luders_inputs
-            args.mode = "luders"
-        else:
-            args.mode = "pair"
     if args.command == "verify" and args.suite is None:
         args.suite = ["all"]
     try:

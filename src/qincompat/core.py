@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
-
 import numpy as np
 
 from .errors import (
@@ -54,6 +52,12 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return max_abs(mat - mat.conj().T)
 
 
+def zero_floor(eigvals: np.ndarray) -> np.ndarray:
+    """Zero out round-off-scale eigenvalues; sqrt would blow 1e-16 up to 1e-8."""
+    floor = 1e-14 * max(float(eigvals.max()), 1.0)
+    return np.where(eigvals > floor, eigvals, 0.0)
+
+
 def sqrt_psd(mat: np.ndarray, name: str = "operator") -> np.ndarray:
     """Positive square root of a positive semidefinite matrix.
 
@@ -72,9 +76,7 @@ def sqrt_psd(mat: np.ndarray, name: str = "operator") -> np.ndarray:
         raise NotPositiveError(
             f"{name} has eigenvalue {eigvals.min():.3e} below -{POVM_EIG_TOL}"
         )
-    floor = 1e-14 * max(float(eigvals.max()), 1.0)
-    eigvals = np.where(eigvals > floor, eigvals, 0.0)
-    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+    root = (eigvecs * np.sqrt(zero_floor(eigvals))) @ eigvecs.conj().T
     return (root + root.conj().T) / 2.0
 
 
@@ -220,11 +222,6 @@ class HermitianObservable:
     @property
     def is_nondegenerate(self) -> bool:
         return all(r == 1 for r in self.ranks)
-
-    def spectrum(self) -> Iterator[tuple[float, np.ndarray, int]]:
-        """Iterate over (eigenvalue, projector, rank) triples."""
-        for val, proj, rank in zip(self.eigenvalues, self.projectors, self.ranks):
-            yield float(val), proj, rank
 
     def block_slices(self) -> list[slice]:
         """Column ranges of ``basis`` belonging to each eigenspace."""

@@ -368,11 +368,10 @@ def directional_incompatibility(
     hence a lower bound on the supremum; the default seed set contains every
     state at which the known closed-form values are attained.
 
-    The seeds are evaluated first. If first has a proven ceiling (1 - 1/r
-    for an observable with r distinct eigenvalues, its maximal disturbance;
-    1 - 1/N for an N-outcome POVM under the fidelity measure) and the best
-    seed comes within ``CEILING_TOL`` of it, that seed is the supremum up to
-    round-off and is returned with ``starts_used=0`` and no search.
+    The seeds are evaluated first. If the best seed comes within
+    ``CEILING_TOL`` of the lowest of first's :func:`proven_ceilings`, that
+    seed is the supremum up to round-off and is returned with
+    ``starts_used=0`` and no search.
     """
     if measure is Measure.LINF or (
         measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
@@ -384,26 +383,34 @@ def directional_incompatibility(
         _add_seed(seeds, state)
     for state in extra_seeds:
         _add_seed(seeds, state)
-    ceiling = _proven_ceiling(measure, first)
-    if ceiling is not None:
+    ceilings = proven_ceilings(measure, first)
+    if ceilings:
         value, state = rank_seeds(objective, seeds)[0]
-        if value >= ceiling - CEILING_TOL:
+        if value >= min(ceilings.values()) - CEILING_TOL:
             return OptResult(value, state, Provenance.ANALYTIC_SEED, starts_used=0)
     return maximize_over_pure_states(objective, first.dim, seeds, config)
 
 
-def _proven_ceiling(measure: Measure, first) -> float | None:
-    """An upper bound on the L1 or fidelity value of Q(first -> B) for every B.
+def proven_ceilings(measure: Measure, first) -> dict[str, float]:
+    """Proven upper bounds on Q(first -> B) for every B, by bound-check name.
 
-    For an observable it is its maximal disturbance, which bounds every
-    directional value; for a POVM under the fidelity measure it is the
-    outcome bound of its Lueders instrument. Elsewhere none is known.
+    An observable with r distinct eigenvalues has ``disturbance`` 1 - 1/r
+    under every measure (its exact maximal disturbance, and Q_inf <= Q_1
+    because the q_j - p_j sum to zero) and, under the fidelity measure,
+    ``fidelity-dim`` 1 - 1/d. An N-outcome POVM under the fidelity measure
+    has ``luders-outcomes`` 1 - 1/N. Nothing is proven elsewhere.
     """
     if isinstance(first, HermitianObservable):
-        return closed_form("degenerate_disturbance", n_distinct=first.n_outcomes)
+        r = first.n_outcomes
+        ceilings = {"disturbance": closed_form("degenerate_disturbance", n_distinct=r)}
+        if measure is Measure.FIDELITY:
+            ceilings["fidelity-dim"] = 1.0 - 1.0 / first.dim  # closed_form rejects d = 1
+        return ceilings
     if isinstance(first, Povm) and measure is Measure.FIDELITY:
-        return closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes)
-    return None
+        return {
+            "luders-outcomes": closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes)
+        }
+    return {}
 
 
 def maximal_disturbance(
@@ -464,12 +471,18 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class IncompatReport:
-    """Both directions of a pair's incompatibility plus applicable bounds."""
+    """Both directions of a pair's incompatibility plus applicable bounds.
+
+    ``gap_unknown`` is False only when each direction is ``exact`` or within
+    ``BOUND_SLACK`` of one of the :func:`proven_ceilings` of its first
+    measurement. A searched disturbance is a lower bound and certifies nothing.
+    """
 
     measure: Measure
     forward: OptResult
     backward: OptResult
     bound_checks: tuple[BoundCheck, ...] = ()
+    gap_unknown: bool = True
 
     @property
     def symmetric(self) -> float:
@@ -477,23 +490,8 @@ class IncompatReport:
         return (self.forward.value + self.backward.value) / 4.0
 
     @property
-    def upper_bounds(self) -> tuple[tuple[str, float], ...]:
-        return tuple((c.name, c.bound) for c in self.bound_checks)
-
-    @property
     def bound_violations(self) -> tuple[BoundCheck, ...]:
         return tuple(c for c in self.bound_checks if not c.satisfied)
-
-    @property
-    def gap_unknown(self) -> bool:
-        """True when the values may fall short of the suprema: they are not both
-        exact, and no computed value sits on one of its bounds, in which case
-        the local search cannot certify that the supremum was reached."""
-        if self.forward.provenance is self.backward.provenance is Provenance.EXACT:
-            return False
-        return not any(
-            abs(c.measured - c.bound) <= BOUND_SLACK for c in self.bound_checks
-        )
 
 
 def check_bounds(
@@ -504,50 +502,43 @@ def check_bounds(
 ) -> tuple[BoundCheck, ...]:
     """Evaluate every bound applicable to a pair report.
 
-    The disturbance bound of an observable is its exact value 1 - 1/r (see
-    :func:`maximal_disturbance`). For a POVM or instrument it is searched,
-    seeded with the report's own maximizers, which makes the ordering
+    Forward checks come first, then backward ones: one ``<name>-<direction>``
+    check per entry of the first measurement's :func:`proven_ceilings`. A
+    POVM or instrument's ``disturbance`` bound is searched instead, seeded
+    with the report's own maximizer, which makes the ordering
     ``incompatibility <= disturbance`` hold state-by-state and not just in
-    the limit of perfect optimization.
+    the limit of perfect optimization. A fidelity report of two observables
+    ends with ``fidelity-dim-symmetric``.
     """
-    checks: list[BoundCheck] = []
-    dim = first.dim
-    if report.measure is Measure.FIDELITY:
-        dim_bound = 1.0 - 1.0 / dim
-        if isinstance(first, HermitianObservable):
-            checks.append(BoundCheck("fidelity-dim-forward", dim_bound, report.forward.value))
-        if isinstance(second, HermitianObservable):
-            checks.append(BoundCheck("fidelity-dim-backward", dim_bound, report.backward.value))
-        if isinstance(first, HermitianObservable) and isinstance(second, HermitianObservable):
-            checks.append(
-                BoundCheck("fidelity-dim-symmetric", 0.5 * dim_bound, report.symmetric)
-            )
-        if isinstance(first, Povm):
-            checks.append(
-                BoundCheck(
-                    "luders-outcomes-forward",
-                    1.0 - 1.0 / first.n_outcomes,
-                    report.forward.value,
-                )
-            )
-        if isinstance(second, Povm):
-            checks.append(
-                BoundCheck(
-                    "luders-outcomes-backward",
-                    1.0 - 1.0 / second.n_outcomes,
-                    report.backward.value,
-                )
-            )
     disturbance_kind = Measure.FIDELITY if report.measure is Measure.FIDELITY else Measure.L1
-    dist_first = maximal_disturbance(
-        disturbance_kind, first, config, extra_seeds=(report.forward.argmax,)
-    )
-    dist_second = maximal_disturbance(
-        disturbance_kind, second, config, extra_seeds=(report.backward.argmax,)
-    )
-    checks.append(BoundCheck("disturbance-forward", dist_first.value, report.forward.value))
-    checks.append(BoundCheck("disturbance-backward", dist_second.value, report.backward.value))
+    checks: list[BoundCheck] = []
+    dim_bounds = []
+    for direction, meas, result in (
+        ("forward", first, report.forward),
+        ("backward", second, report.backward),
+    ):
+        ceilings = proven_ceilings(report.measure, meas)
+        for name, bound in ceilings.items():
+            checks.append(BoundCheck(f"{name}-{direction}", bound, result.value))
+        if "disturbance" not in ceilings:
+            searched = maximal_disturbance(
+                disturbance_kind, meas, config, extra_seeds=(result.argmax,)
+            )
+            checks.append(BoundCheck(f"disturbance-{direction}", searched.value, result.value))
+        dim_bounds.append(ceilings.get("fidelity-dim"))
+    if None not in dim_bounds:
+        checks.append(
+            BoundCheck("fidelity-dim-symmetric", sum(dim_bounds) / 4.0, report.symmetric)
+        )
     return tuple(checks)
+
+
+def _certified(measure: Measure, result: OptResult, first) -> bool:
+    """Whether a directional value is its supremum: exact, or on a proven ceiling."""
+    return result.provenance is Provenance.EXACT or any(
+        abs(result.value - bound) <= BOUND_SLACK
+        for bound in proven_ceilings(measure, first).values()
+    )
 
 
 def pair_incompatibility(
@@ -560,7 +551,8 @@ def pair_incompatibility(
     """Both directional values and the symmetric average (forward + backward) / 4."""
     forward = directional_incompatibility(measure, first, second, config)
     backward = directional_incompatibility(measure, second, first, config)
-    report = IncompatReport(measure=measure, forward=forward, backward=backward)
+    certified = _certified(measure, forward, first) and _certified(measure, backward, second)
+    report = IncompatReport(measure, forward, backward, gap_unknown=not certified)
     if with_bounds:
         report = replace(report, bound_checks=check_bounds(report, first, second, config))
     return report
@@ -652,13 +644,13 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Evidence from a randomized scan of the symmetric L1 / Chebyshev values.
+    """A randomized scan of the symmetric L1 / Chebyshev values.
 
-    The threshold is (1 - 1/d) / 2 + 1e-8, the conjectured ceiling; rows
-    above it are collected as counterexamples rather than raising, since the
-    question is open. A row whose ``is_exact`` holds carries the symmetric
-    supremum itself, so if it is flagged it is a counterexample up to
-    eigensolver round-off; any other row is a lower bound.
+    The threshold is (1 - 1/d) / 2 + ``BOUND_SLACK``, a proven ceiling
+    (Q_inf <= Q_1 <= D_1_max = 1 - 1/r <= 1 - 1/d, see
+    :func:`proven_ceilings`), so rows above it (``counterexamples``) are
+    bound violations, from round-off or a defect. A row whose ``is_exact``
+    holds carries the symmetric supremum itself; any other row is a lower bound.
     """
 
     measure: Measure
@@ -686,7 +678,7 @@ def conjecture_scan(
     base_seed: int = 0,
     inject: Sequence[str] = (),
 ) -> ScanReport:
-    """Probe Haar-random non-degenerate pairs for symmetric values above (1 - 1/d)/2.
+    """Check Haar-random non-degenerate pairs against the ceiling (1 - 1/d)/2.
 
     Each row's value comes from :func:`directional_incompatibility` in both
     directions, so it is exact whenever both directions are (always for the
@@ -701,7 +693,7 @@ def conjecture_scan(
         raise ParamOutOfRangeError("the scan covers the L1 and Chebyshev measures only")
     if n_trials < 1:
         raise ParamOutOfRangeError("need at least one trial")
-    threshold = 0.5 * (1.0 - 1.0 / dim) + 1e-8
+    threshold = 0.5 * (1.0 - 1.0 / dim) + BOUND_SLACK
     rows: list[ScanRow] = []
 
     def record(trial: int, seed: int, first, second) -> None:

@@ -10,14 +10,10 @@ from .core import (
     PureState,
     canonical_instrument,
     measurement_effects,
+    zero_floor,
 )
 from .errors import DimensionMismatchError, NumericalFailureError
 from .probdist import ProbDist
-
-def _zero_floor(eigvals: np.ndarray) -> np.ndarray:
-    """Zero out round-off-scale eigenvalues; sqrt would blow 1e-16 up to 1e-8."""
-    floor = 1e-14 * max(float(eigvals.max()), 1.0)
-    return np.where(eigvals > floor, eigvals, 0.0)
 
 
 def _density_of(state) -> np.ndarray:
@@ -84,12 +80,12 @@ def quantum_fidelity(rho, sigma) -> float:
     _check_dims(a.shape[0], b.shape[0])
     try:
         eigvals, eigvecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-        root = (eigvecs * np.sqrt(_zero_floor(eigvals))) @ eigvecs.conj().T
+        root = (eigvecs * np.sqrt(zero_floor(eigvals))) @ eigvecs.conj().T
         inner = root @ b @ root
         lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError("fidelity eigendecomposition failed") from exc
-    fid = float(np.sqrt(_zero_floor(lam)).sum())
+    fid = float(np.sqrt(zero_floor(lam)).sum())
     return min(fid, 1.0)
 
 

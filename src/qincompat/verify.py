@@ -75,15 +75,6 @@ class ClaimResult:
         return self.measured >= self.expected - self.tol
 
 
-def _light_config(seed: int, starts: int | None, tol: float | None) -> OptimizerConfig:
-    return OptimizerConfig(
-        n_random_starts=starts if starts is not None else 4,
-        max_iterations=400,
-        convergence_tol=tol if tol is not None else 1e-10,
-        rng_seed=seed,
-    )
-
-
 def _symmetric(measure, obs_a, obs_b, config) -> float:
     return pair_incompatibility(measure, obs_a, obs_b, config, with_bounds=False).symmetric
 
@@ -318,18 +309,12 @@ _SUITE_RUNNERS: dict[str, Callable] = {
 }
 
 
-def run_suites(
-    selectors: Iterable[str] = ("all",),
-    rng_seed: int = 0,
-    tol_scale: float = 1.0,
-    starts: int | None = None,
-    convergence_tol: float | None = None,
-) -> list[ClaimResult]:
+def run_suites(selectors: Iterable[str] = ("all",), rng_seed: int = 0) -> list[ClaimResult]:
     """Run the selected claim suites and return their results.
 
-    ``tol_scale`` multiplies every claim tolerance (useful for stress runs);
-    ``starts`` and ``convergence_tol`` override the optimizer defaults.
-    Deterministic for fixed arguments.
+    Each supremum uses a 4-start, 400-iteration search seeded from
+    ``rng_seed`` plus the fixture's dimension. Deterministic for fixed
+    arguments.
     """
     chosen: list[str] = []
     for sel in selectors:
@@ -343,19 +328,6 @@ def run_suites(
         chosen.append(sel)
 
     def config_for(dim: int) -> OptimizerConfig:
-        return _light_config(rng_seed + dim, starts, convergence_tol)
+        return OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=rng_seed + dim)
 
-    results: list[ClaimResult] = []
-    for suite in chosen:
-        for claim in _SUITE_RUNNERS[suite](config_for):
-            if tol_scale != 1.0:
-                claim = ClaimResult(
-                    claim.suite,
-                    claim.name,
-                    claim.comparator,
-                    claim.measured,
-                    claim.expected,
-                    claim.tol * tol_scale,
-                )
-            results.append(claim)
-    return results
+    return [claim for suite in chosen for claim in _SUITE_RUNNERS[suite](config_for)]

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file round-trips."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -197,11 +198,34 @@ def test_verify_suite_selector_and_report(tmp_path, capsys):
     assert all(claim["passed"] for claim in doc["claims"])
 
 
-def test_verify_fails_under_impossible_tolerance(capsys):
-    code = run(["verify", "--suite", "zchannel", "--tol-scale", "1e-12",
-                "--starts", "1"])
-    assert code == 3
+def test_verify_fails_under_impossible_tolerance(capsys, monkeypatch):
+    import qincompat.verify as verify
+
+    def impossible(config_for):
+        for claim in verify._suite_zchannel(config_for):
+            yield dataclasses.replace(claim, tol=-1.0)
+
+    monkeypatch.setitem(verify._SUITE_RUNNERS, "zchannel", impossible)
+    assert run(["verify", "--suite", "zchannel"]) == 3
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_scan_exits_3_on_a_row_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    import qincompat.cli as cli
+
+    real_scan = cli.conjecture_scan
+
+    def inflated(*args, **kwargs):
+        report = real_scan(*args, **kwargs)
+        row = dataclasses.replace(report.rows[-1], value=report.threshold + 1e-9)
+        return dataclasses.replace(report, rows=report.rows[:-1] + (row,))
+
+    monkeypatch.setattr(cli, "conjecture_scan", inflated)
+    out = tmp_path / "scan.csv"
+    code = run(["scan", "--measure", "inf", "--dim", 2, "--trials", 2, "--out", out])
+    assert code == 3
+    assert "1 value(s) above the proven bound (trials 1)" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -19,6 +19,7 @@ from qincompat import (
     Provenance,
     PureState,
     analytic_seed_states,
+    asymmetric_pair,
     canonical_instrument,
     check_bounds,
     commuting_subspace_pair,
@@ -347,6 +348,45 @@ def test_gap_is_known_for_exact_reports_only():
     assert report.gap_unknown is False
     shared = pair_incompatibility(Measure.FIDELITY, *commuting_subspace_pair(4, 1), TINY)
     assert shared.gap_unknown is True
+
+
+def test_gap_is_known_only_when_each_direction_is_on_its_own_ceiling():
+    config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
+    for d in (3, 4):
+        # forward reaches 1 - 1/d; backward stays below 1/2 from a random start
+        report = pair_incompatibility(Measure.FIDELITY, *asymmetric_pair(d, 1), config)
+        assert report.forward.value >= 1.0 - 1.0 / d - 1e-9
+        assert report.backward.value < 0.5 - 1e-8
+        assert report.gap_unknown is True
+    for d in range(2, 7):
+        for measure in (Measure.FIDELITY, Measure.L1):
+            report = pair_incompatibility(measure, *fourier_mub_pair(d), config)
+            assert report.gap_unknown is False
+    shared = pair_incompatibility(Measure.FIDELITY, *commuting_subspace_pair(4, 1), config)
+    assert shared.gap_unknown is True
+
+
+def test_check_bounds_searches_only_povm_disturbances(monkeypatch):
+    searched = []
+    real = incompatibility.maximal_disturbance
+
+    def recording(measure, meas, *args, **kwargs):
+        searched.append(type(meas))
+        return real(measure, meas, *args, **kwargs)
+
+    monkeypatch.setattr(incompatibility, "maximal_disturbance", recording)
+    report = pair_incompatibility(Measure.FIDELITY, *fourier_mub_pair(3), TINY)
+    assert searched == []
+    assert [c.name for c in report.bound_checks] == [
+        "disturbance-forward", "fidelity-dim-forward",
+        "disturbance-backward", "fidelity-dim-backward", "fidelity-dim-symmetric",
+    ]
+    report = pair_incompatibility(Measure.FIDELITY, trine_povm(), random_povm(2, 3, 4), TINY)
+    assert searched == [Povm, Povm]
+    assert [c.name for c in report.bound_checks] == [
+        "luders-outcomes-forward", "disturbance-forward",
+        "luders-outcomes-backward", "disturbance-backward",
+    ]
 
 
 def test_scan_rows_record_provenance(monkeypatch):
