@@ -76,6 +76,7 @@ def _opt_result_json(result) -> dict:
         "value": result.value,
         "provenance": result.provenance.value,
         "starts_used": result.starts_used,
+        "upper_bound": result.upper_bound,
         "argmax": [[float(z.real), float(z.imag)] for z in result.argmax.amplitudes],
     }
 

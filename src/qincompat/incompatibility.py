@@ -54,6 +54,12 @@ EXACT_L1_MAX_OUTCOMES = 12
 # A seed within this distance of a proven ceiling is taken as the supremum,
 # and the multistart search is skipped.
 CEILING_TOL = 1e-12
+# Eigenvalues of the commutant map below this count as zero, and eigenvalues
+# of a commutant element closer than this (relative to its norm) share a block.
+COMMUTANT_TOL = 1e-9
+# A split into blocks is accepted only if no generator couples two blocks by
+# more than this; otherwise the pair is one block.
+BLOCK_TOL = 1e-10
 
 
 class Measure(enum.Enum):
@@ -346,6 +352,7 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
         argmax=PureState.normalized(vec),
         provenance=Provenance.EXACT,
         starts_used=0,
+        upper_bound=float(value),
     )
 
 
@@ -371,7 +378,19 @@ def directional_incompatibility(
     The seeds are evaluated first. If the best seed comes within
     ``CEILING_TOL`` of the lowest of first's :func:`proven_ceilings`, that
     seed is the supremum up to round-off and is returned with
-    ``starts_used=0`` and no search.
+    ``starts_used=0`` and no search. Otherwise the pair is split into the
+    irreducible blocks it leaves invariant (:func:`_invariant_blocks`). If
+    every Kraus operator of first and every effect of second is block
+    diagonal on ``H = ⊕_b H_b``, a state with weights ``w_b`` on the blocks
+    has ``p = sum_b w_b p_b`` and ``q = sum_b w_b q_b``; the L1 and Chebyshev
+    distances are jointly convex and F is jointly concave, so
+    ``Q(first -> second) = max_b Q(first_b -> second_b)``, which is at most
+    the largest over blocks of the lowest ceiling of first restricted to the
+    block. With more than one block, a best seed within ``CEILING_TOL`` of
+    that block ceiling is returned the same way. Otherwise the search runs
+    as it would without the split. The result's ``upper_bound`` is the
+    ceiling it was checked against, block or table, and ``None`` where first
+    has no proven ceiling.
     """
     if measure is Measure.LINF or (
         measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
@@ -384,11 +403,85 @@ def directional_incompatibility(
     for state in extra_seeds:
         _add_seed(seeds, state)
     ceilings = proven_ceilings(measure, first)
-    if ceilings:
-        value, state = rank_seeds(objective, seeds)[0]
-        if value >= min(ceilings.values()) - CEILING_TOL:
-            return OptResult(value, state, Provenance.ANALYTIC_SEED, starts_used=0)
-    return maximize_over_pure_states(objective, first.dim, seeds, config)
+    if not ceilings:
+        return maximize_over_pure_states(objective, first.dim, seeds, config)
+    bound = min(ceilings.values())
+    value, state = rank_seeds(objective, seeds)[0]
+    if value < bound - CEILING_TOL:
+        blocks = _invariant_blocks(first, second)
+        if len(blocks) > 1:
+            bound = max(
+                min(proven_ceilings(measure, _restricted(first, block)).values())
+                for block in blocks
+            )
+    if value >= bound - CEILING_TOL:
+        return OptResult(value, state, Provenance.ANALYTIC_SEED, 0, upper_bound=bound)
+    result = maximize_over_pure_states(objective, first.dim, seeds, config)
+    return replace(result, upper_bound=bound)
+
+
+def _invariant_blocks(first, second) -> list[np.ndarray]:
+    """Orthonormal bases of the irreducible subspaces the pair leaves invariant.
+
+    The generators are the Hermitian and anti-Hermitian parts of first's
+    canonical Kraus operators and second's effects. Their commutant is the
+    null space of the positive semidefinite map ``X -> sum_h [h, [h, X]]``,
+    whose form on ``vec(X)`` is one ``eigh`` of a ``d^2 x d^2`` matrix. The
+    eigenspaces of a Hermitian commutant element, built with fixed weights
+    so the split is deterministic, are invariant under every generator; a
+    generic element makes them irreducible. The split is accepted only if
+    every generator's off-block part is at most ``BLOCK_TOL``; otherwise,
+    and whenever the commutant holds only multiples of the identity, the
+    whole space is returned as one block.
+    """
+    kraus = np.stack(canonical_instrument(first).kraus_flat())
+    kraus_adj = kraus.conj().transpose(0, 2, 1)
+    gens = np.concatenate(
+        ((kraus + kraus_adj) / 2.0, (kraus - kraus_adj) / 2.0j, measurement_effects(second))
+    )
+    dim = gens.shape[1]
+    eye = np.eye(dim)
+    square = (gens @ gens).sum(axis=0)
+    double_commutator = (
+        np.kron(square, eye)
+        + np.kron(eye, square.T)
+        - 2.0 * np.einsum("hac,hdb->abcd", gens, gens).reshape(dim * dim, dim * dim)
+    )
+    lam, vecs = _solve(np.linalg.eigh, double_commutator, "the commutant map")
+    null = vecs[:, lam <= COMMUTANT_TOL].T.reshape(-1, dim, dim)
+    if len(null) <= 1:
+        return [eye]
+    weights = np.exp(1j * np.arange(1, len(null) + 1)) / np.arange(1, len(null) + 1)
+    element = np.tensordot(weights, null, axes=1)
+    mu, basis = _solve(np.linalg.eigh, element + element.conj().T, "a commutant element")
+    gaps = np.diff(mu) > COMMUTANT_TOL * np.abs(mu).max()
+    cuts = np.flatnonzero(gaps) + 1
+    labels = np.concatenate(([0], np.cumsum(gaps)))
+    coupled = labels[:, None] != labels[None, :]
+    if not cuts.size or max_abs((basis.conj().T @ gens @ basis)[:, coupled]) > BLOCK_TOL:
+        return [eye]
+    return np.split(basis, cuts, axis=1)
+
+
+def _restricted(meas, basis: np.ndarray):
+    """An observable or POVM compressed to an invariant subspace.
+
+    ``basis`` holds orthonormal columns spanning a subspace that every
+    eigenprojector or effect of ``meas`` leaves invariant. An observable
+    keeps the eigenvalues whose eigenspaces meet the subspace.
+    """
+    adjoint = basis.conj().T
+    if isinstance(meas, Povm):
+        return Povm(tuple(adjoint @ effect @ basis for effect in meas.elements))
+    values, ranks, columns = [], [], []
+    for value, sl in zip(meas.eigenvalues, meas.block_slices()):
+        left, sing, _ = _solve(np.linalg.svd, adjoint @ meas.basis[:, sl], "an eigenspace")
+        rank = int(np.count_nonzero(sing > 0.5))
+        if rank:
+            values.append(value)
+            ranks.append(rank)
+            columns.append(left[:, :rank])
+    return HermitianObservable(np.array(values), tuple(ranks), np.hstack(columns))
 
 
 def proven_ceilings(measure: Measure, first) -> dict[str, float]:
@@ -398,7 +491,20 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
     under every measure (its exact maximal disturbance, and Q_inf <= Q_1
     because the q_j - p_j sum to zero) and, under the fidelity measure,
     ``fidelity-dim`` 1 - 1/d. An N-outcome POVM under the fidelity measure
-    has ``luders-outcomes`` 1 - 1/N. Nothing is proven elsewhere.
+    has ``luders-outcomes`` 1 - 1/N and ``luders-norm`` 1 - 1/s with
+    s = sum_k ||E_k||. Nothing is proven elsewhere. Dimension 1 is allowed:
+    every entry is then 0, which :func:`directional_incompatibility` uses
+    for the one-dimensional blocks of a reducible pair.
+
+    Proof of ``luders-norm``: the Lueders Kraus operators K_k = sqrt(E_k)
+    satisfy K_k^2 <= ||K_k|| K_k. For a pure state psi with
+    a_k = <psi|K_k|psi> this gives p_k <= ||K_k|| a_k, and Cauchy-Schwarz
+    gives 1 = sum_k p_k <= sqrt(sum_k ||K_k||^2) sqrt(sum_k a_k^2), with
+    ||K_k||^2 = ||E_k||. So the fidelity disturbance 1 - sum_k a_k^2 is at
+    most 1 - 1/s, and no measurement B raises the fidelity of the two
+    outcome distributions above that of the states. The entry equals
+    1 - 1/r for a projective POVM and is below 1 - 1/N whenever N > d,
+    since s <= min(N, d).
     """
     if isinstance(first, HermitianObservable):
         r = first.n_outcomes
@@ -407,8 +513,10 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
             ceilings["fidelity-dim"] = 1.0 - 1.0 / first.dim  # closed_form rejects d = 1
         return ceilings
     if isinstance(first, Povm) and measure is Measure.FIDELITY:
+        norms = _solve(np.linalg.eigvalsh, np.stack(first.elements), "the POVM effects")[:, -1]
         return {
-            "luders-outcomes": closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes)
+            "luders-outcomes": closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes),
+            "luders-norm": 1.0 - 1.0 / float(norms.sum()),
         }
     return {}
 
@@ -439,11 +547,13 @@ def maximal_disturbance(
     at uniform p. POVMs and instruments are searched from seeds.
     """
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
+        value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
         return OptResult(
-            value=closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes),
+            value=value,
             argmax=_eigenspace_superposition(meas),
             provenance=Provenance.EXACT,
             starts_used=0,
+            upper_bound=value,
         )
     inst = canonical_instrument(meas)
     objective = _disturbance_objective(measure, inst)
@@ -473,9 +583,11 @@ class BoundCheck:
 class IncompatReport:
     """Both directions of a pair's incompatibility plus applicable bounds.
 
-    ``gap_unknown`` is False only when each direction is ``exact`` or within
-    ``BOUND_SLACK`` of one of the :func:`proven_ceilings` of its first
-    measurement. A searched disturbance is a lower bound and certifies nothing.
+    ``gap_unknown`` is False only when each direction is within
+    ``BOUND_SLACK`` of its ``upper_bound``: an ``exact`` value, or one on
+    the proven ceiling, table or block, that
+    :func:`directional_incompatibility` checked it against. A searched
+    disturbance is a lower bound and certifies nothing.
     """
 
     measure: Measure
@@ -533,12 +645,9 @@ def check_bounds(
     return tuple(checks)
 
 
-def _certified(measure: Measure, result: OptResult, first) -> bool:
-    """Whether a directional value is its supremum: exact, or on a proven ceiling."""
-    return result.provenance is Provenance.EXACT or any(
-        abs(result.value - bound) <= BOUND_SLACK
-        for bound in proven_ceilings(measure, first).values()
-    )
+def _certified(result: OptResult) -> bool:
+    """Whether a directional value is its supremum: within slack of its upper bound."""
+    return result.upper_bound is not None and abs(result.value - result.upper_bound) <= BOUND_SLACK
 
 
 def pair_incompatibility(
@@ -551,7 +660,7 @@ def pair_incompatibility(
     """Both directional values and the symmetric average (forward + backward) / 4."""
     forward = directional_incompatibility(measure, first, second, config)
     backward = directional_incompatibility(measure, second, first, config)
-    certified = _certified(measure, forward, first) and _certified(measure, backward, second)
+    certified = _certified(forward) and _certified(backward)
     report = IncompatReport(measure, forward, backward, gap_unknown=not certified)
     if with_bounds:
         report = replace(report, bound_checks=check_bounds(report, first, second, config))
@@ -594,7 +703,11 @@ def closed_form(name: str, **params) -> float:
       bound in dimension d, attained by mutually unbiased pairs.
     - ``fidelity_shared_eigenvectors(d, d_c)``: (1 - 1/(d - d_c)) / 2, the
       symmetric fidelity value of a non-degenerate pair sharing d_c
-      eigenvectors and unbiased on the rest.
+      eigenvectors and unbiased on the rest. It follows from the block
+      ceiling of :func:`directional_incompatibility`: each shared
+      eigenvector is a one-dimensional block with ceiling 0, and the
+      unbiased rest is one block with ceiling 1 - 1/(d - d_c), which the
+      seeds reach in both directions.
     - ``luders_fidelity_max(n_outcomes)``: 1 - 1/N, the directional
       fidelity bound for a Lueders instrument with N outcomes.
     - ``degenerate_disturbance(n_distinct)``: 1 - 1/r, the maximal fidelity

@@ -76,12 +76,19 @@ class Provenance(str, enum.Enum):
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best value found for a supremum, with the achieving state."""
+    """Best value found for a supremum, with the achieving state.
+
+    ``upper_bound`` is the lowest proven ceiling the value was checked
+    against: the value itself for an ``exact`` result, and ``None`` where
+    nothing is proven, as for every result of
+    :func:`maximize_over_pure_states` itself.
+    """
 
     value: float
     argmax: PureState
     provenance: Provenance
     starts_used: int
+    upper_bound: float | None = None
 
 
 def _checked(value) -> float:

@@ -188,6 +188,24 @@ def test_exact_values_say_so_in_reports_and_scan_summary(tmp_path, capsys, monke
     assert "(0 exact suprema, 3 lower bounds)" in capsys.readouterr().out
 
 
+def test_reports_carry_the_proven_upper_bound(tmp_path):
+    assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
+    assert run(["construct", "commuting-subspace", "--dim", 6, "--dc", 3,
+                "--out", tmp_path]) == 0
+    assert run(["construct", "zchannel", "--p", 0.3, "--out", tmp_path]) == 0
+    report_path = tmp_path / "report.json"
+    for stem in ("mub_d3", "shared_d6_c3"):
+        assert run(["compute", "--measure", "F", "--pair", tmp_path / f"{stem}_a.json",
+                    tmp_path / f"{stem}_b.json", "--out", report_path, *FAST]) == 0
+        doc = json.loads(report_path.read_text())
+        for direction in ("forward", "backward"):
+            assert doc["results"][direction]["upper_bound"] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert doc["gap_unknown"] is False
+    assert run(["disturbance", tmp_path / "zchannel_p0.3.json", "--measure", "F",
+                "--out", report_path, *FAST]) == 0
+    assert json.loads(report_path.read_text())["result"]["upper_bound"] is None
+
+
 def test_verify_suite_selector_and_report(tmp_path, capsys):
     report_path = tmp_path / "verify.json"
     code = run(["verify", "--suite", "accessible", "--out", report_path])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ import qincompat.incompatibility as incompatibility
 import qincompat.optimize as optimize
 from qincompat import (
     DimensionMismatchError,
+    HermitianObservable,
     Instrument,
     Measure,
     NumericalFailureError,
@@ -347,7 +349,7 @@ def test_gap_is_known_for_exact_reports_only():
     )
     assert report.gap_unknown is False
     shared = pair_incompatibility(Measure.FIDELITY, *commuting_subspace_pair(4, 1), TINY)
-    assert shared.gap_unknown is True
+    assert shared.gap_unknown is False  # on the ceiling of its 3-dimensional block
 
 
 def test_gap_is_known_only_when_each_direction_is_on_its_own_ceiling():
@@ -363,7 +365,7 @@ def test_gap_is_known_only_when_each_direction_is_on_its_own_ceiling():
             report = pair_incompatibility(measure, *fourier_mub_pair(d), config)
             assert report.gap_unknown is False
     shared = pair_incompatibility(Measure.FIDELITY, *commuting_subspace_pair(4, 1), config)
-    assert shared.gap_unknown is True
+    assert shared.gap_unknown is False
 
 
 def test_check_bounds_searches_only_povm_disturbances(monkeypatch):
@@ -384,8 +386,8 @@ def test_check_bounds_searches_only_povm_disturbances(monkeypatch):
     report = pair_incompatibility(Measure.FIDELITY, trine_povm(), random_povm(2, 3, 4), TINY)
     assert searched == [Povm, Povm]
     assert [c.name for c in report.bound_checks] == [
-        "luders-outcomes-forward", "disturbance-forward",
-        "luders-outcomes-backward", "disturbance-backward",
+        "luders-outcomes-forward", "luders-norm-forward", "disturbance-forward",
+        "luders-outcomes-backward", "luders-norm-backward", "disturbance-backward",
     ]
 
 
@@ -475,7 +477,10 @@ def _search_without_ceiling(measure, first, second, config):
 
 
 def test_seeds_below_the_ceiling_search_as_before():
-    pairs = [commuting_subspace_pair(4, 1), (trine_povm(), random_povm(2, 4, seed=3))]
+    pairs = [
+        (random_observable(4, 41), random_observable(4, 42)),
+        (trine_povm(), random_povm(2, 4, seed=3)),
+    ]
     for first, second in pairs:
         report = pair_incompatibility(Measure.FIDELITY, first, second, LIGHT)
         for result, a, b in ((report.forward, first, second), (report.backward, second, first)):
@@ -495,3 +500,118 @@ def test_non_finite_seed_value_raises_despite_the_ceiling(monkeypatch):
     monkeypatch.setattr(incompatibility, "pair_distance_objective", objective_factory)
     with pytest.raises(ObjectiveNaNError):
         directional_incompatibility(Measure.FIDELITY, *fourier_mub_pair(3), TINY)
+
+
+def _conjugated(obs, unitary):
+    return HermitianObservable(obs.eigenvalues, obs.ranks, unitary @ obs.basis)
+
+
+@pytest.mark.parametrize("d, d_c", [(4, 1), (4, 2), (6, 3), (8, 5)])
+def test_shared_eigenvector_pairs_stop_at_the_block_ceiling(d, d_c, minimize_calls):
+    unitary = random_unitary(d, 10 * d + d_c)
+    obs_a, obs_b = (_conjugated(obs, unitary) for obs in commuting_subspace_pair(d, d_c))
+    report = pair_incompatibility(Measure.FIDELITY, obs_a, obs_b, LIGHT, with_bounds=False)
+    ceiling = 1.0 - 1.0 / (d - d_c)
+    for result in (report.forward, report.backward):
+        assert result.provenance is Provenance.ANALYTIC_SEED
+        assert result.starts_used == 0
+        assert result.upper_bound == pytest.approx(ceiling, abs=1e-15)
+    expected = closed_form("fidelity_shared_eigenvectors", d=d, d_c=d_c)
+    assert report.symmetric == pytest.approx(expected, abs=1e-12)
+    assert report.gap_unknown is False
+    assert minimize_calls == []
+
+
+def _direct_sum(upper, lower):
+    """Effects of two qubit measurements placed on the summands of C^2 ⊕ C^2."""
+    elements = []
+    for top, bottom in zip(upper, lower):
+        elem = np.zeros((4, 4), dtype=complex)
+        elem[:2, :2], elem[2:, 2:] = top, bottom
+        elements.append(elem)
+    return elements
+
+
+def test_direct_sum_povm_pair_stops_at_the_largest_block_ceiling(minimize_calls):
+    """A projective MUB pair on one qubit summand, random POVMs on the other.
+
+    The first POVM has three outcomes, so its own ceilings lie above 1/2, while
+    each summand has luders-norm ceiling at most 1/2, reached on the first.
+    """
+    z_basis, x_basis = (obs.basis for obs in fourier_mub_pair(2))
+    qubit = random_unitary(2, 8)
+    first_upper = [qubit @ np.outer(v, v.conj()) @ qubit.conj().T for v in z_basis.T]
+    second_upper = [qubit @ np.outer(v, v.conj()) @ qubit.conj().T for v in x_basis.T]
+    first_upper.append(np.zeros((2, 2)))
+    first_lower, second_lower = random_povm(2, 3, seed=5), random_povm(2, 2, seed=6)
+    unitary = random_unitary(4, 9)
+    first, second = (
+        Povm(tuple(unitary @ e @ unitary.conj().T for e in _direct_sum(up, low.elements)))
+        for up, low in ((first_upper, first_lower), (second_upper, second_lower))
+    )
+    assert min(incompatibility.proven_ceilings(Measure.FIDELITY, first).values()) > 0.5 + 1e-3
+    result = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
+    assert minimize_calls == []
+    assert result.starts_used == 0
+    assert result.upper_bound == pytest.approx(0.5, abs=1e-15)
+    per_block = [
+        directional_incompatibility(Measure.FIDELITY, Povm(tuple(a)), Povm(tuple(b)), LIGHT).value
+        for a, b in ((first_upper, second_upper), (first_lower.elements, second_lower.elements))
+    ]
+    assert per_block[0] == pytest.approx(0.5, abs=1e-12)
+    assert per_block[1] < 0.5
+    assert result.value == pytest.approx(max(per_block), abs=1e-12)
+
+
+def test_commuting_fixtures_reach_ceiling_zero_without_a_search(minimize_calls):
+    base = random_observable(3, 202)
+    fixtures = [
+        commuting_fixture(3),
+        (base, spectral_decompose(base.matrix @ base.matrix)),
+        commuting_subspace_pair(3, 2),
+    ]
+    for obs_a, obs_b in fixtures:
+        for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
+            result = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
+            assert result.upper_bound == 0.0
+            assert result.starts_used == 0
+            assert abs(result.value) <= 1e-12
+    assert minimize_calls == []
+
+
+def _weakly_coupled_shared_pair():
+    """commuting_subspace_pair(4, 1) with its shared eigenvector rotated by 1e-6 into the rest."""
+    obs_a, obs_b = commuting_subspace_pair(4, 1)
+    generator = np.zeros((4, 4), dtype=complex)
+    generator[0, 1] = generator[1, 0] = 1e-6
+    return obs_a, _conjugated(obs_b, scipy.linalg.expm(1j * generator))
+
+
+def test_irreducible_pairs_are_one_block_and_search_as_before():
+    pairs = [(random_observable(4, 43), random_observable(4, 44)), _weakly_coupled_shared_pair()]
+    for obs_a, obs_b in pairs:
+        for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
+            assert len(incompatibility._invariant_blocks(first, second)) == 1
+            result = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
+            expected = _search_without_ceiling(Measure.FIDELITY, first, second, LIGHT)
+            assert result.starts_used == LIGHT.n_random_starts
+            assert result.value == expected.value
+            assert result.provenance is expected.provenance
+            np.testing.assert_array_equal(result.argmax.amplitudes, expected.argmax.amplitudes)
+
+
+def test_lueders_norm_ceiling():
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5):
+        for _ in range(20):
+            gauss = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            kraus = gauss @ gauss.conj().T
+            gap = np.linalg.norm(kraus, 2) * kraus - kraus @ kraus  # ||K|| K - K^2 >= 0
+            assert np.linalg.eigvalsh(gap).min() >= -1e-12 * np.linalg.norm(kraus, 2) ** 2
+    trine = incompatibility.proven_ceilings(Measure.FIDELITY, trine_povm())
+    assert trine["luders-norm"] == pytest.approx(0.5, abs=1e-15)
+    assert trine["luders-outcomes"] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    projective = Povm.from_observable(degenerate_observable((2, 1, 1)))
+    assert incompatibility.proven_ceilings(Measure.FIDELITY, projective)["luders-norm"] == (
+        pytest.approx(2.0 / 3.0, abs=1e-15)
+    )
