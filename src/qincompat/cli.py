@@ -77,6 +77,7 @@ def _opt_result_json(result) -> dict:
         "provenance": result.provenance.value,
         "starts_used": result.starts_used,
         "upper_bound": result.upper_bound,
+        "evaluations": result.evaluations,
         "argmax": [[float(z.real), float(z.imag)] for z in result.argmax.amplitudes],
     }
 

@@ -120,14 +120,15 @@ _ROOT_FLOOR = 1e-150
 def _fidelity_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
     """1 - F^2 with F = sum_j sqrt(p_j q_j), and twice its derivative in p and q.
 
-    ``sums`` holds p in row 0 and q in row 1. Where p_j = 0 the derivative
-    dF/dp_j = sqrt(q_j / p_j) / 2 is infinite, but every amplitude of that
-    block vanishes, so the block adds nothing to the gradient (and likewise
-    for q_j).
+    ``sums`` holds p in row 0 and q in row 1. Where p = q, F can exceed 1
+    by round-off, so the value is clamped at 0; the derivative is not. Where
+    p_j = 0 the derivative dF/dp_j = sqrt(q_j / p_j) / 2 is infinite, but
+    every amplitude of that block vanishes, so the block adds nothing to the
+    gradient (and likewise for q_j).
     """
     root = np.sqrt(sums)
     fid = float(root[1] @ root[0])
-    return 1.0 - fid * fid, (-2.0 * fid) * (root[::-1] / np.maximum(root, _ROOT_FLOOR))
+    return max(0.0, 1.0 - fid * fid), (-2.0 * fid) * (root[::-1] / np.maximum(root, _ROOT_FLOOR))
 
 
 _SIGNS = np.array([[-1.0], [1.0]])
@@ -415,9 +416,11 @@ def directional_incompatibility(
                 for block in blocks
             )
     if value >= bound - CEILING_TOL:
-        return OptResult(value, state, Provenance.ANALYTIC_SEED, 0, upper_bound=bound)
+        return OptResult(
+            value, state, Provenance.ANALYTIC_SEED, 0, upper_bound=bound, evaluations=len(seeds)
+        )
     result = maximize_over_pure_states(objective, first.dim, seeds, config)
-    return replace(result, upper_bound=bound)
+    return replace(result, upper_bound=bound, evaluations=result.evaluations + len(seeds))
 
 
 def _invariant_blocks(first, second) -> list[np.ndarray]:

@@ -7,6 +7,11 @@ the exact gradient of the objective at its normalization) from the best
 candidates and from Haar-random starts. The returned value is therefore a
 certified lower bound on the true supremum; equality claims downstream
 rest on candidate states at which the optimum is known to be attained.
+Each run drives scipy's compiled L-BFGS-B routine through a direct loop,
+:func:`minimize`, instead of ``scipy.optimize.minimize``, whose
+per-evaluation bookkeeping cost more than the objectives;
+``tests/test_optimize.py`` checks that both give the same iterates and
+the same iteration and evaluation counts, bit for bit.
 This search serves the fidelity directional values, the maximal
 disturbance of POVMs and instruments, and the L1 directional value of a
 second measurement with too many outcomes. It is skipped where the answer
@@ -33,15 +38,78 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .core import PureState
 from .errors import ObjectiveNaNError, ParamOutOfRangeError, ValidationError
 
 _ZERO_NORM_PENALTY = 1e6
+
+# scipy's defaults for method="L-BFGS-B": stored corrections, line-search
+# steps per iteration, and objective evaluations per run.
+_MAXCOR = 10
+_MAXLS = 20
+_MAXFUN = 15000
+
+
+class LocalSearch(NamedTuple):
+    """End point of one L-BFGS-B run, with its iteration and evaluation counts."""
+
+    x: np.ndarray
+    nit: int
+    nfev: int
+
+
+def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
+    """Minimize ``fun(x) -> (f, grad)`` over R^n from ``x0`` with L-BFGS-B, unbounded.
+
+    Drives scipy's compiled routine ``setulb`` (Byrd, Lu, Nocedal & Zhu,
+    SIAM J. Sci. Comput. 16, 1190 (1995)) through the reverse-communication
+    loop of ``scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
+    jac=True, options=options)``, with its defaults for everything but
+    ``options``: ``maxiter``, ``ftol`` (relative reduction of ``f``) and
+    ``gtol`` (largest gradient component). It stops with the same codes
+    after ``maxiter`` iterations or more than ``_MAXFUN`` evaluations, and
+    like scipy's ``ScalarFunction`` it keeps the last ``(x, f, grad)``, so
+    a request at an unchanged ``x`` is not evaluated again. The iterates,
+    ``nit`` and ``nfev`` therefore equal scipy's bit for bit;
+    ``tests/test_optimize.py`` checks this against scipy itself.
+    """
+    m, n = _MAXCOR, x0.size
+    x = np.array(x0, dtype=np.float64)
+    bounds = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = options["ftol"] / np.finfo(float).eps
+    pgtol = options["gtol"]
+    maxiter = options["maxiter"]
+    f, g, at = 0.0, np.zeros(n), None
+    nit = nfev = 0
+    while True:
+        _lbfgsb.setulb(m, x, bounds, bounds, nbd, f, g, factr, pgtol, wa, iwa, task,
+                       lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:  # FG: the routine asks for f and grad at x
+            if at is None or not (x == at).all():
+                at = x.copy()
+                f, g = fun(at)
+                nfev += 1
+        elif task[0] == 1:  # NEW_X: an iteration is complete
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:  # converged, stopped, or abnormal
+            return LocalSearch(x, nit, nfev)
 
 
 @dataclass(frozen=True)
@@ -81,7 +149,8 @@ class OptResult:
     ``upper_bound`` is the lowest proven ceiling the value was checked
     against: the value itself for an ``exact`` result, and ``None`` where
     nothing is proven, as for every result of
-    :func:`maximize_over_pure_states` itself.
+    :func:`maximize_over_pure_states` itself. ``evaluations`` counts the
+    objective calls behind the value: 0 for an ``exact`` result.
     """
 
     value: float
@@ -89,6 +158,7 @@ class OptResult:
     provenance: Provenance
     starts_used: int
     upper_bound: float | None = None
+    evaluations: int = 0
 
 
 def _checked(value) -> float:
@@ -108,6 +178,35 @@ def rank_seeds(objective: Objective, seeds: Iterable[PureState]) -> list[tuple[f
     """
     scored = [(_checked(objective(seed.amplitudes)[0]), seed) for seed in seeds]
     return sorted(scored, key=lambda pair: -pair[0])
+
+
+def _unit_vector(coords: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``z/|z|`` for the interleaved real coordinates of ``z``, or None near 0."""
+    norm = math.sqrt(coords @ coords)
+    if norm < 1e-12:
+        return None, norm
+    return coords.view(np.complex128) / norm, norm
+
+
+def _folded_objective(objective: Objective, dim: int) -> Objective:
+    """The function L-BFGS-B minimizes: ``-objective(z/|z|)`` on real coordinates.
+
+    The 2*dim coordinates interleave the real and imaginary parts of ``z``.
+    The gradient folds in the normalization,
+    ``-(grad - Re(v^H grad) v) / |z|`` at ``v = z/|z|``; a vector of norm
+    below 1e-12 gets a constant penalty and zero gradient.
+    """
+
+    def negated(coords: np.ndarray) -> tuple[float, np.ndarray]:
+        vec, norm = _unit_vector(coords)
+        if vec is None:
+            return _ZERO_NORM_PENALTY, np.zeros(2 * dim)
+        value, grad = objective(vec)
+        value = _checked(value)
+        grad = (np.vdot(vec, grad).real * vec - grad) / norm
+        return -value, grad.view(np.float64)
+
+    return negated
 
 
 def maximize_over_pure_states(
@@ -132,7 +231,9 @@ def maximize_over_pure_states(
     matters because a gradient search only climbs its own basin: from 4
     random starts alone it ended below the best known value in about one
     Lueders fidelity search in ten, and never once the 4 best seeds were
-    refined too (900 searches at d=2,3).
+    refined too (900 searches at d=2,3). Each run is :func:`minimize`, the
+    direct loop over scipy's compiled L-BFGS-B routine, which matches
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` bit for bit.
 
     A start stops after ``max_iterations`` iterations, once an iteration
     improves the value by less than ``convergence_tol * 1e-5`` (relative
@@ -147,33 +248,21 @@ def maximize_over_pure_states(
     improvement, so with identical inputs and ``rng_seed`` the result is
     bitwise reproducible. A state refined from a seed keeps provenance
     ``analytic-seed``. ``starts_used`` counts the random starts that ended
-    at a nonzero vector. Raises :class:`ObjectiveNaNError` if the objective
+    at a nonzero vector, and ``evaluations`` every objective call: the
+    seeds, each run's evaluations and the exact re-evaluation of each
+    nonzero end point. Raises :class:`ObjectiveNaNError` if the objective
     returns a non-finite value at any probed state.
     """
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
 
-    def unit_vector(coords: np.ndarray) -> tuple[np.ndarray | None, float]:
-        norm = math.sqrt(coords @ coords)
-        if norm < 1e-12:
-            return None, norm
-        return coords.view(np.complex128) / norm, norm
-
     ranked = rank_seeds(objective, seeds)
+    evaluations = len(ranked)
     best_value, best_state = ranked[0] if ranked else (-np.inf, None)
     best_prov = Provenance.ANALYTIC_SEED
 
-    def neg_objective(coords: np.ndarray) -> tuple[float, np.ndarray]:
-        vec, norm = unit_vector(coords)
-        if vec is None:
-            return _ZERO_NORM_PENALTY, np.zeros(2 * dim)
-        value, grad = objective(vec)
-        value = _checked(value)
-        # Gradient in z of value(z/|z|), negated for minimization.
-        grad = (np.vdot(vec, grad).real * vec - grad) / norm
-        return -value, grad.view(np.float64)
-
+    search_objective = _folded_objective(objective, dim)
     options = {
         "maxiter": cfg.max_iterations,
         "ftol": cfg.convergence_tol * 1e-5,
@@ -181,10 +270,13 @@ def maximize_over_pure_states(
     }
 
     def refine(x0: np.ndarray) -> tuple[float, np.ndarray] | None:
-        result = minimize(neg_objective, x0, method="L-BFGS-B", jac=True, options=options)
-        vec, _ = unit_vector(np.ascontiguousarray(result.x, dtype=float))
+        nonlocal evaluations
+        result = minimize(search_objective, x0, options=options)
+        evaluations += result.nfev
+        vec, _ = _unit_vector(result.x)
         if vec is None:
             return None
+        evaluations += 1
         return _checked(objective(vec)[0]), vec
 
     for _, seed in ranked[: cfg.n_random_starts]:
@@ -208,4 +300,5 @@ def maximize_over_pure_states(
         argmax=best_state,
         provenance=best_prov,
         starts_used=starts_used,
+        evaluations=evaluations,
     )

@@ -89,9 +89,12 @@ def classical_fidelity(p, q) -> float:
 
 
 def fidelity_distance(p, q) -> float:
-    """1 - F(p, q)^2 with F the classical fidelity."""
+    """1 - F(p, q)^2 with F the classical fidelity, clamped at 0.
+
+    F can exceed 1 by round-off when p = q.
+    """
     fid = classical_fidelity(p, q)
-    return float(1.0 - fid * fid)
+    return max(0.0, 1.0 - fid * fid)
 
 
 def chebyshev_distance(p, q) -> float:

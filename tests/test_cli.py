@@ -188,6 +188,25 @@ def test_exact_values_say_so_in_reports_and_scan_summary(tmp_path, capsys, monke
     assert "(0 exact suprema, 3 lower bounds)" in capsys.readouterr().out
 
 
+def test_reports_count_objective_evaluations(tmp_path):
+    assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
+    assert run(["construct", "zchannel", "--p", 0.3, "--out", tmp_path]) == 0
+    pair = [tmp_path / "mub_d3_a.json", tmp_path / "mub_d3_b.json"]
+    report_path = tmp_path / "report.json"
+    counts = {}
+    for measure in ("1", "F"):
+        assert run(["compute", "--measure", measure, "--pair", *pair,
+                    "--out", report_path, *FAST]) == 0
+        results = json.loads(report_path.read_text())["results"]
+        counts[measure] = [results[d]["evaluations"] for d in ("forward", "backward")]
+    assert counts["1"] == [0, 0]  # exact
+    assert min(counts["F"]) > 0  # seeds ranked for the ceiling exit
+    for path, expected_zero in ((pair[0], True), (tmp_path / "zchannel_p0.3.json", False)):
+        assert run(["disturbance", path, "--measure", "F", "--out", report_path, *FAST]) == 0
+        evaluations = json.loads(report_path.read_text())["result"]["evaluations"]
+        assert (evaluations == 0) is expected_zero
+
+
 def test_reports_carry_the_proven_upper_bound(tmp_path):
     assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
     assert run(["construct", "commuting-subspace", "--dim", 6, "--dc", 3,

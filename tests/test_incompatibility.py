@@ -467,13 +467,18 @@ def test_seeds_on_the_ceiling_skip_the_search(d, minimize_calls):
     assert minimize_calls == []
 
 
-def _search_without_ceiling(measure, first, second, config):
-    """The seeded multistart search with every random start, as run below the ceiling."""
+def _pair_seeds(first, second):
+    """The default seeds of a directional value."""
     seeds = analytic_seed_states(first)
     for state in analytic_seed_states(second):
         incompatibility._add_seed(seeds, state)
+    return seeds
+
+
+def _search_without_ceiling(measure, first, second, config):
+    """The seeded multistart search with every random start, as run below the ceiling."""
     objective = pair_distance_objective(measure, first, second)
-    return maximize_over_pure_states(objective, first.dim, seeds, config)
+    return maximize_over_pure_states(objective, first.dim, _pair_seeds(first, second), config)
 
 
 def test_seeds_below_the_ceiling_search_as_before():
@@ -577,6 +582,25 @@ def test_commuting_fixtures_reach_ceiling_zero_without_a_search(minimize_calls):
             assert result.starts_used == 0
             assert abs(result.value) <= 1e-12
     assert minimize_calls == []
+
+
+def test_fidelity_value_of_equal_statistics_is_exactly_zero():
+    base = random_observable(3, 202)
+    second = spectral_decompose(base.matrix @ base.matrix)
+    assert directional_incompatibility(Measure.FIDELITY, base, second).value == 0.0
+
+
+def test_directional_evaluations_count_the_seeds_and_the_search():
+    obs_a, obs_b = commuting_fixture(3)
+    on_ceiling = directional_incompatibility(Measure.FIDELITY, obs_a, obs_b, LIGHT)
+    assert on_ceiling.evaluations == len(_pair_seeds(obs_a, obs_b))
+
+    first, second = random_observable(4, 43), random_observable(4, 44)
+    searched = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
+    expected = _search_without_ceiling(Measure.FIDELITY, first, second, LIGHT)
+    # The seeds are ranked once for the ceiling exit and once by the search.
+    assert searched.evaluations == expected.evaluations + len(_pair_seeds(first, second))
+    assert directional_incompatibility(Measure.L1, first, second, LIGHT).evaluations == 0
 
 
 def _weakly_coupled_shared_pair():

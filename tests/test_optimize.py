@@ -10,6 +10,7 @@ from qincompat import (
     Measure,
     ObjectiveNaNError,
     OptimizerConfig,
+    OptResult,
     Provenance,
     PureState,
     ValidationError,
@@ -24,7 +25,8 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
-from qincompat.incompatibility import _disturbance_objective
+from qincompat.incompatibility import _disturbance_objective, canonical_instrument
+from qincompat.optimize import _folded_objective, minimize
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
@@ -52,7 +54,7 @@ def test_constant_objective_prefers_seed():
 
 def test_starts_used_skips_collapsed_starts(monkeypatch):
     def collapse(fun, x0, **kwargs):
-        return SimpleNamespace(x=np.zeros_like(x0))
+        return SimpleNamespace(x=np.zeros_like(x0), nit=0, nfev=0)
 
     monkeypatch.setattr("qincompat.optimize.minimize", collapse)
     seed = PureState(np.array([1.0, 0.0], dtype=complex))
@@ -60,6 +62,21 @@ def test_starts_used_skips_collapsed_starts(monkeypatch):
     result = maximize_over_pure_states(lambda vec: (0.3, np.zeros_like(vec)), 2, (seed,), cfg)
     assert result.starts_used == 0
     assert result.provenance is Provenance.ANALYTIC_SEED
+
+
+def test_evaluations_count_every_objective_call():
+    calls = []
+    quadratic = quadratic_form(np.diag([0.2, 0.5, 0.9]))
+
+    def counted(vec):
+        calls.append(1)
+        return quadratic(vec)
+
+    seeds = [PureState(np.eye(3, dtype=complex)[:, k]) for k in range(3)]
+    cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=4)
+    result = maximize_over_pure_states(counted, 3, seeds, cfg)
+    assert result.evaluations == len(calls) > len(seeds)
+    assert OptResult(0.0, seeds[0], Provenance.EXACT, 0).evaluations == 0
 
 
 def test_objective_receives_unit_complex_vectors():
@@ -257,3 +274,70 @@ def test_refined_seeds_reach_the_basin_the_random_starts_miss():
     result = directional_incompatibility(Measure.FIDELITY, first, second, cfg)
     assert result.value >= 0.0038628252519541384 - 1e-12
     assert result.provenance is Provenance.ANALYTIC_SEED
+
+
+def _oracle_case(case):
+    """A search objective of ``maximize_over_pure_states`` and its dimension."""
+    if case.startswith("pair"):
+        measure = {"F": Measure.FIDELITY, "L1": Measure.L1, "Chebyshev": Measure.LINF}[
+            case.split("-")[1]
+        ]
+        objective = pair_distance_objective(
+            measure, random_povm(3, 3, seed=0), random_povm(3, 4, seed=1)
+        )
+        return _folded_objective(objective, 3), 3
+    _, measure, kind = case.split("-")
+    measure = Measure.FIDELITY if measure == "F" else Measure.L1
+    inst = canonical_instrument(random_povm(3, 4, seed=2)) if kind == "povm" else z_channel(0.3)
+    return _folded_objective(_disturbance_objective(measure, inst), inst.dim), inst.dim
+
+
+ORACLE_OPTIONS = {"maxiter": 600, "ftol": 1e-15, "gtol": 1e-12}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "pair-F",
+        "pair-L1",
+        "pair-Chebyshev",
+        "disturbance-F-povm",
+        "disturbance-L1-povm",
+        "disturbance-F-instrument",
+        "disturbance-L1-instrument",
+    ],
+)
+@pytest.mark.parametrize("maxiter", [5, 600])
+def test_lbfgsb_loop_matches_scipy_minimize_bit_for_bit(case, maxiter):
+    """The direct loop over scipy's compiled L-BFGS-B routine is scipy's search.
+
+    A scipy release that changes the private routine or its wrapper fails here.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    fun, dim = _oracle_case(case)
+    options = {**ORACLE_OPTIONS, "maxiter": maxiter}
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    # Eight starts per case include runs that change if the line-search
+    # limit drops from 20 to 5 steps, or if a repeated request for f at the
+    # same point is evaluated again instead of served from the cache.
+    for _ in range(8):
+        x0 = rng.standard_normal(2 * dim)
+        ours = minimize(fun, x0, options=options)
+        theirs = scipy_minimize(fun, x0, method="L-BFGS-B", jac=True, options=options)
+        assert ours.x.tobytes() == theirs.x.tobytes()
+        assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
+        assert ours.nit <= maxiter
+
+
+def test_lbfgsb_loop_matches_scipy_minimize_at_a_stationary_point():
+    from scipy.optimize import minimize as scipy_minimize
+
+    # |0> is left unchanged by the z-channel: value 0 and a zero gradient.
+    fun = _folded_objective(_disturbance_objective(Measure.FIDELITY, z_channel(0.3)), 2)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert not fun(x0)[1].any()
+    ours = minimize(fun, x0, options=ORACLE_OPTIONS)
+    theirs = scipy_minimize(fun, x0, method="L-BFGS-B", jac=True, options=ORACLE_OPTIONS)
+    assert ours.x.tobytes() == theirs.x.tobytes() == x0.tobytes()
+    assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)

@@ -51,6 +51,14 @@ def test_fidelity_distance_frozen_values():
     assert fidelity_distance((1.0, 0.0), (0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_fidelity_distance_of_equal_distributions_is_never_negative():
+    # F(p, p) exceeds 1 by round-off for about one p in six; the clamp makes those 0.
+    rng = np.random.default_rng(7)
+    values = [fidelity_distance(p, p) for p in (random_dist(rng, 5) for _ in range(200))]
+    assert min(values) == 0.0
+    assert max(values) <= 1e-15
+
+
 def test_chebyshev_frozen_values():
     assert chebyshev_distance((0.5, 0.5), (0.5, 0.5)) == 0.0
     assert chebyshev_distance((1.0, 0.0), (0.0, 1.0)) == 1.0
