@@ -78,6 +78,7 @@ def _opt_result_json(result) -> dict:
         "starts_used": result.starts_used,
         "upper_bound": result.upper_bound,
         "evaluations": result.evaluations,
+        "iterations": result.iterations,
         "argmax": [[float(z.real), float(z.imag)] for z in result.argmax.amplitudes],
     }
 

@@ -117,39 +117,42 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
 _ROOT_FLOOR = 1e-150
 
 
-def _fidelity_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
-    """1 - F^2 with F = sum_j sqrt(p_j q_j), and twice its derivative in p and q.
+def _fidelity_weights(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1 - F^2 with F = sum_j sqrt(p_j q_j) per row, and twice its derivative in p and q.
 
-    ``sums`` holds p in row 0 and q in row 1. Where p = q, F can exceed 1
-    by round-off, so the value is clamped at 0; the derivative is not. Where
-    p_j = 0 the derivative dF/dp_j = sqrt(q_j / p_j) / 2 is infinite, but
-    every amplitude of that block vanishes, so the block adds nothing to the
-    gradient (and likewise for q_j).
+    ``sums`` has shape ``(S, 2, n)`` and holds p in ``[:, 0]`` and q in
+    ``[:, 1]``. Where p = q, F can exceed 1 by round-off, so the value is
+    clamped at 0; the derivative is not. Where p_j = 0 the derivative
+    dF/dp_j = sqrt(q_j / p_j) / 2 is infinite, but every amplitude of that
+    block vanishes, so the block adds nothing to the gradient (and likewise
+    for q_j).
     """
     root = np.sqrt(sums)
-    fid = float(root[1] @ root[0])
-    return max(0.0, 1.0 - fid * fid), (-2.0 * fid) * (root[::-1] / np.maximum(root, _ROOT_FLOOR))
+    fid = np.vecdot(root[:, 1], root[:, 0])
+    weights = (-2.0 * fid[:, None, None]) * (root[:, ::-1] / np.maximum(root, _ROOT_FLOOR))
+    return np.maximum(0.0, 1.0 - fid * fid), weights
 
 
 _SIGNS = np.array([[-1.0], [1.0]])
 
 
-def _l1_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_j |q_j - p_j| / 2 and twice its derivative in p and q."""
-    diff = sums[1] - sums[0]
-    return float(0.5 * np.abs(diff).sum()), _SIGNS * np.sign(diff)
+def _l1_weights(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j |q_j - p_j| / 2 per row and twice its derivative in p and q."""
+    diff = sums[:, 1] - sums[:, 0]
+    return 0.5 * np.abs(diff).sum(axis=1), _SIGNS * np.sign(diff)[:, None, :]
 
 
-def _chebyshev_weights(sums: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_j |q_j - p_j| and twice its derivative in p and q at the arg-max outcome."""
-    diff = sums[1] - sums[0]
-    j = int(np.argmax(np.abs(diff)))
+def _chebyshev_weights(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max_j |q_j - p_j| per row and twice its derivative in p and q at the arg-max outcome."""
+    diff = sums[:, 1] - sums[:, 0]
+    rows = np.arange(len(diff))
+    j = np.argmax(np.abs(diff), axis=1)
     weights = np.zeros_like(sums)
-    weights[:, j] = 2.0 * np.sign(diff[j]) * _SIGNS[:, 0]
-    return float(abs(diff[j])), weights
+    weights[rows, :, j] = 2.0 * np.sign(diff[rows, j])[:, None] * _SIGNS[:, 0]
+    return np.abs(diff[rows, j]), weights
 
 
-_WEIGHTS: dict[Measure, Callable[[np.ndarray], tuple[float, np.ndarray]]] = {
+_WEIGHTS: dict[Measure, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = {
     Measure.L1: _l1_weights,
     Measure.FIDELITY: _fidelity_weights,
     Measure.LINF: _chebyshev_weights,
@@ -159,10 +162,10 @@ _WEIGHTS: dict[Measure, Callable[[np.ndarray], tuple[float, np.ndarray]]] = {
 def pair_distance_objective(measure: Measure, first, second) -> Objective:
     """State objective: distance between second's statistics with and without first.
 
-    The objective takes a unit ``complex128`` amplitude vector psi of shape
-    ``(dim,)``, does not validate it, and returns the distance and its
-    gradient (the contract of :mod:`qincompat.optimize`); pass
-    ``state.amplitudes`` to evaluate a :class:`PureState`. With W the
+    The objective takes an ``(S, dim)`` stack of unit ``complex128``
+    amplitude vectors psi, does not validate them, and returns the distances
+    and their gradients (the contract of :mod:`qincompat.optimize`); pass
+    ``state.amplitudes[None]`` to evaluate a :class:`PureState`. With W the
     columns factoring second's effects (E_j = sum of |w><w| over block j)
     and K_k the Kraus operators of first's canonical instrument, one column
     matrix ``cols = [conj(W) | K_k^T conj(W) for every k]`` is built per
@@ -172,7 +175,8 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     so both stay exactly nonnegative and match the public distribution
     functions up to round-off. The gradient is
     ``conj(cols) @ (weights * amp)``, with each column weighted by twice the
-    derivative of the distance in its block's probability.
+    derivative of the distance in its block's probability. Both products
+    are stacked matrix-vector products, one per state.
     """
     inst = canonical_instrument(first)
     factors, offsets = _effect_factors(second)
@@ -191,11 +195,12 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     column_block = np.repeat(np.arange(widths.size), widths)
     weigh = _WEIGHTS[measure]
 
-    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        amp = vec @ cols
-        sums = np.add.reduceat(np.abs(amp) ** 2, starts).reshape(2, -1)
-        value, weights = weigh(sums)
-        return value, cols_conj @ (weights.ravel()[column_block] * amp)
+    def objective(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amp = (vecs[:, None, :] @ cols)[:, 0]
+        sums = np.add.reduceat(np.abs(amp) ** 2, starts, axis=1).reshape(len(vecs), 2, -1)
+        values, weights = weigh(sums)
+        scaled = weights.reshape(len(vecs), -1)[:, column_block] * amp
+        return values, (cols_conj @ scaled[:, :, None])[:, :, 0]
 
     return objective
 
@@ -207,7 +212,8 @@ def _disturbance_objective(measure: Measure, inst: Instrument) -> Objective:
     and its gradient -2 sum_k (conj(a_k) K_k psi + a_k K_k^dag psi). The L1
     objective is half the trace norm of M = sum_k K_k|psi><psi|K_k^dag -
     |psi><psi|; with S = sign(M) from the same ``eigh``, its gradient is
-    sum_k K_k^dag S K_k psi - S psi.
+    sum_k K_k^dag S K_k psi - S psi. Both take and return stacks, like the
+    pair objective, with one matrix product or ``eigh`` per state.
     """
     kraus = np.stack(inst.kraus_flat())
     n, dim, _ = kraus.shape
@@ -215,24 +221,29 @@ def _disturbance_objective(measure: Measure, inst: Instrument) -> Objective:
     if measure is Measure.FIDELITY:
         both = np.concatenate((kraus, adjoints)).reshape(2 * n * dim, dim)
 
-        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-            images, adj_images = (both @ vec).reshape(2, n, dim)
-            amps = images @ vec.conj()
-            total = float((np.abs(amps) ** 2).sum())
-            grad = -2.0 * (amps.conj() @ images + amps @ adj_images)
-            return 1.0 - float(np.clip(total, 0.0, 1.0)), grad
+        def objective(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            stacked = (both @ vecs[:, :, None]).reshape(len(vecs), 2, n, dim)
+            images, adj_images = stacked[:, 0], stacked[:, 1]
+            amps = (images @ vecs.conj()[:, :, None])[:, :, 0]
+            total = (np.abs(amps) ** 2).sum(axis=1)
+            grad = -2.0 * (
+                (amps.conj()[:, None, :] @ images) + (amps[:, None, :] @ adj_images)
+            )[:, 0]
+            return 1.0 - np.clip(total, 0.0, 1.0), grad
 
     elif measure is Measure.L1:
         rows = kraus.reshape(n * dim, dim)
         adjoint_row = np.hstack(list(adjoints))
 
-        def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-            images = (rows @ vec).reshape(n, dim)
-            diff = images.T @ images.conj() - np.outer(vec, vec.conj())
-            lam, vecs = _solve(np.linalg.eigh, diff, "a state difference")
-            sign = (vecs * np.sign(lam)) @ vecs.conj().T
-            grad = adjoint_row @ (images @ sign.T).ravel() - sign @ vec
-            return float(0.5 * np.abs(lam).sum()), grad
+        def objective(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            images = (rows @ vecs[:, :, None]).reshape(len(vecs), n, dim)
+            outer = vecs[:, :, None] * vecs.conj()[:, None, :]
+            diff = images.transpose(0, 2, 1) @ images.conj() - outer
+            lam, basis = _solve(np.linalg.eigh, diff, "a state difference")
+            sign = (basis * np.sign(lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+            pulled = (images @ sign.transpose(0, 2, 1)).reshape(len(vecs), n * dim, 1)
+            grad = (adjoint_row @ pulled - sign @ vecs[:, :, None])[:, :, 0]
+            return 0.5 * np.abs(lam).sum(axis=1), grad
 
     else:
         raise ParamOutOfRangeError("disturbance is defined for the L1 and fidelity measures")

@@ -7,11 +7,14 @@ the exact gradient of the objective at its normalization) from the best
 candidates and from Haar-random starts. The returned value is therefore a
 certified lower bound on the true supremum; equality claims downstream
 rest on candidate states at which the optimum is known to be attained.
-Each run drives scipy's compiled L-BFGS-B routine through a direct loop,
-:func:`minimize`, instead of ``scipy.optimize.minimize``, whose
-per-evaluation bookkeeping cost more than the objectives;
-``tests/test_optimize.py`` checks that both give the same iterates and
-the same iteration and evaluation counts, bit for bit.
+All starts of a supremum run as one lockstep L-BFGS-B search,
+:func:`minimize`: each start drives scipy's compiled routine in its own
+workspace, and each step evaluates the points every start asks for in one
+call of the objective, so the per-call cost of numpy and of the Python
+glue is paid once per step rather than once per start. Each start's
+iterates and its iteration and evaluation counts equal those of
+``scipy.optimize.minimize`` from the same start, bit for bit, which
+``tests/test_optimize.py`` checks.
 This search serves the fidelity directional values, the maximal
 disturbance of POVMs and instruments, and the L1 directional value of a
 second measurement with too many outcomes. It is skipped where the answer
@@ -21,10 +24,15 @@ disturbance of every observable, are exact suprema computed in
 (see :func:`rank_seeds`) already reaches a proven ceiling is returned
 without a search.
 
-Every objective maps a unit ``complex128`` vector ``v`` of shape ``(dim,)``
-to ``(value, grad)``: ``grad`` is complex of shape ``(dim,)`` with
-``df = Re(grad^H dv)`` to first order. Seeds and the final comparison use
-only ``value``.
+Every objective maps an ``(S, dim)`` stack of unit ``complex128`` vectors
+to ``(values, grads)``: ``values`` has shape ``(S,)`` and ``grads`` is
+complex of shape ``(S, dim)``, with ``df = Re(grad^H dv)`` to first order
+in each row. Row ``s`` of the result depends on row ``s`` of the stack
+alone, bit for bit: the kernels use elementwise operations, reductions
+along the last axis, row-by-row dot products (``np.vecdot``) and stacked
+products such as ``(S, 1, d) @ (d, m)`` or per-matrix ``eigh``, never one
+2-D product across the stack, whose rows BLAS may round differently
+depending on ``S``. A single state is a stack of one. Seeds and the final comparison use only ``values``.
 
 Restricting the search to pure states loses nothing for the objectives used
 here: outcome distributions are affine in the density operator, the L1 and
@@ -36,7 +44,6 @@ of states sit at its extreme points.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -56,60 +63,99 @@ _MAXFUN = 15000
 
 
 class LocalSearch(NamedTuple):
-    """End point of one L-BFGS-B run, with its iteration and evaluation counts."""
+    """End points of a stack of L-BFGS-B runs, with each run's iteration and evaluation counts."""
 
     x: np.ndarray
-    nit: int
-    nfev: int
+    nits: np.ndarray
+    nfevs: np.ndarray
+
+    @property
+    def nit(self) -> int:
+        """The most iterations any start took."""
+        return int(self.nits.max())
+
+    @property
+    def nfev(self) -> int:
+        """The evaluations of all starts."""
+        return int(self.nfevs.sum())
 
 
 def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
-    """Minimize ``fun(x) -> (f, grad)`` over R^n from ``x0`` with L-BFGS-B, unbounded.
+    """Minimize ``fun`` over R^n with L-BFGS-B, unbounded, from each row of ``x0``.
 
-    Drives scipy's compiled routine ``setulb`` (Byrd, Lu, Nocedal & Zhu,
-    SIAM J. Sci. Comput. 16, 1190 (1995)) through the reverse-communication
-    loop of ``scipy.optimize.minimize(fun, x0, method="L-BFGS-B",
-    jac=True, options=options)``, with its defaults for everything but
-    ``options``: ``maxiter``, ``ftol`` (relative reduction of ``f``) and
-    ``gtol`` (largest gradient component). It stops with the same codes
-    after ``maxiter`` iterations or more than ``_MAXFUN`` evaluations, and
-    like scipy's ``ScalarFunction`` it keeps the last ``(x, f, grad)``, so
-    a request at an unchanged ``x`` is not evaluated again. The iterates,
-    ``nit`` and ``nfev`` therefore equal scipy's bit for bit;
-    ``tests/test_optimize.py`` checks this against scipy itself.
+    ``x0`` is an ``(S, n)`` stack of starts, and ``fun`` maps a ``(k, n)``
+    stack of points to ``(values (k,), grads (k, n))``. Each start runs
+    scipy's compiled routine ``setulb`` (Byrd, Lu, Nocedal & Zhu, SIAM J.
+    Sci. Comput. 16, 1190 (1995)) in its own workspace, through the
+    reverse-communication loop of ``scipy.optimize.minimize(fun, x0,
+    method="L-BFGS-B", jac=True, options=options)``, with its defaults for
+    everything but ``options``: ``maxiter``, ``ftol`` (relative reduction of
+    ``f``) and ``gtol`` (largest gradient component). A start stops with
+    the same codes after ``maxiter`` iterations or more than ``_MAXFUN``
+    evaluations, and like scipy's ``ScalarFunction`` it keeps its last
+    ``(x, f, grad)``, so a request at an unchanged ``x`` is not evaluated
+    again. The starts advance in lockstep: each step advances every running
+    start to its next request at a new point, and evaluates those points in
+    one call of ``fun``. Each row of ``fun``'s result depends on that row's
+    point alone, so each start's iterates, iterations and evaluations equal
+    scipy's from the same start, bit for bit; ``tests/test_optimize.py``
+    checks this against scipy itself.
     """
-    m, n = _MAXCOR, x0.size
     x = np.array(x0, dtype=np.float64)
+    starts, n = x.shape
+    m = _MAXCOR
     bounds = np.zeros(n)
     nbd = np.zeros(n, np.int32)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
+    g = np.zeros((starts, n))
+    rows = list(zip(
+        x,
+        g,
+        np.zeros((starts, 2 * m * n + 5 * n + 11 * m * m + 8 * m)),  # wa
+        np.zeros((starts, 3 * n), np.int32),  # iwa
+        np.zeros((starts, 2), np.int32),  # task
+        np.zeros((starts, 4), np.int32),  # lsave
+        np.zeros((starts, 44), np.int32),  # isave
+        np.zeros((starts, 29)),  # dsave
+        np.zeros((starts, 2), np.int32),  # ln_task
+    ))
     factr = options["ftol"] / np.finfo(float).eps
     pgtol = options["gtol"]
     maxiter = options["maxiter"]
-    f, g, at = 0.0, np.zeros(n), None
-    nit = nfev = 0
-    while True:
-        _lbfgsb.setulb(m, x, bounds, bounds, nbd, f, g, factr, pgtol, wa, iwa, task,
-                       lsave, isave, dsave, _MAXLS, ln_task)
-        if task[0] == 3:  # FG: the routine asks for f and grad at x
-            if at is None or not (x == at).all():
-                at = x.copy()
-                f, g = fun(at)
-                nfev += 1
-        elif task[0] == 1:  # NEW_X: an iteration is complete
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504  # STOP: iteration limit
-            elif nfev > _MAXFUN:
-                task[:] = 5, 502  # STOP: evaluation limit
-        else:  # converged, stopped, or abnormal
-            return LocalSearch(x, nit, nfev)
+    # Per start: the last value and the point it was evaluated at, as a list
+    # (list equality of floats is the elementwise == of scipy's cache check).
+    f = [0.0] * starts
+    at = [None] * starts
+    nits = [0] * starts
+    nfevs = [0] * starts
+    running = range(starts)
+    while running:
+        pending = []
+        for i in running:
+            xi, gi, wa, iwa, task, lsave, isave, dsave, ln_task = rows[i]
+            while True:
+                _lbfgsb.setulb(m, xi, bounds, bounds, nbd, f[i], gi, factr, pgtol, wa, iwa,
+                               task, lsave, isave, dsave, _MAXLS, ln_task)
+                if task[0] == 3:  # FG: the routine asks for f and grad at x
+                    if xi.tolist() != at[i]:
+                        pending.append(i)
+                        break
+                elif task[0] == 1:  # NEW_X: an iteration is complete
+                    nits[i] += 1
+                    if nits[i] >= maxiter:
+                        task[:] = 5, 504  # STOP: iteration limit
+                    elif nfevs[i] > _MAXFUN:
+                        task[:] = 5, 502  # STOP: evaluation limit
+                else:  # converged, stopped, or abnormal
+                    break
+        if pending:
+            points = x[pending]
+            values, grads = fun(points)
+            g[pending] = grads
+            for i, point, value in zip(pending, points.tolist(), values.tolist()):
+                at[i], f[i] = point, value
+                nfevs[i] += 1
+        running = pending
+    return LocalSearch(x, np.array(nits), np.array(nfevs))
 
 
 @dataclass(frozen=True)
@@ -150,7 +196,9 @@ class OptResult:
     against: the value itself for an ``exact`` result, and ``None`` where
     nothing is proven, as for every result of
     :func:`maximize_over_pure_states` itself. ``evaluations`` counts the
-    objective calls behind the value: 0 for an ``exact`` result.
+    states at which the objective was evaluated to obtain the value, and
+    ``iterations`` the L-BFGS-B iterations of all its starts; both are 0 for
+    an ``exact`` result, and ``iterations`` is 0 for a seed on a ceiling.
     """
 
     value: float
@@ -159,52 +207,58 @@ class OptResult:
     starts_used: int
     upper_bound: float | None = None
     evaluations: int = 0
+    iterations: int = 0
 
 
-def _checked(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ObjectiveNaNError(f"objective returned {value!r}")
-    return value
+def _checked(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ObjectiveNaNError(f"objective returned {values[~np.isfinite(values)][0]!r}")
+    return values
 
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def rank_seeds(objective: Objective, seeds: Iterable[PureState]) -> list[tuple[float, PureState]]:
     """Every seed with its exact value, best first; ties keep the given order.
 
-    A non-finite value at any seed raises :class:`ObjectiveNaNError`.
+    All seeds are evaluated in one call. A non-finite value at any seed
+    raises :class:`ObjectiveNaNError`.
     """
-    scored = [(_checked(objective(seed.amplitudes)[0]), seed) for seed in seeds]
-    return sorted(scored, key=lambda pair: -pair[0])
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    values = _checked(objective(np.stack([seed.amplitudes for seed in seeds]))[0])
+    return sorted(zip(values.tolist(), seeds), key=lambda pair: -pair[0])
 
 
-def _unit_vector(coords: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """``z/|z|`` for the interleaved real coordinates of ``z``, or None near 0."""
-    norm = math.sqrt(coords @ coords)
-    if norm < 1e-12:
-        return None, norm
-    return coords.view(np.complex128) / norm, norm
+def _norms(coords: np.ndarray) -> np.ndarray:
+    """The norm of each row, one dot product per row."""
+    return np.sqrt(np.vecdot(coords, coords))
 
 
 def _folded_objective(objective: Objective, dim: int) -> Objective:
     """The function L-BFGS-B minimizes: ``-objective(z/|z|)`` on real coordinates.
 
-    The 2*dim coordinates interleave the real and imaginary parts of ``z``.
-    The gradient folds in the normalization,
-    ``-(grad - Re(v^H grad) v) / |z|`` at ``v = z/|z|``; a vector of norm
+    Each row's 2*dim coordinates interleave the real and imaginary parts of
+    ``z``. The gradient folds in the normalization,
+    ``-(grad - Re(v^H grad) v) / |z|`` at ``v = z/|z|``; a row of norm
     below 1e-12 gets a constant penalty and zero gradient.
     """
 
-    def negated(coords: np.ndarray) -> tuple[float, np.ndarray]:
-        vec, norm = _unit_vector(coords)
-        if vec is None:
-            return _ZERO_NORM_PENALTY, np.zeros(2 * dim)
-        value, grad = objective(vec)
-        value = _checked(value)
-        grad = (np.vdot(vec, grad).real * vec - grad) / norm
-        return -value, grad.view(np.float64)
+    def negated(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        norms = _norms(coords)
+        kept = norms >= 1e-12
+        if not kept.all():
+            values = np.full(len(coords), _ZERO_NORM_PENALTY)
+            grads = np.zeros_like(coords)
+            if kept.any():
+                values[kept], grads[kept] = negated(coords[kept])
+            return values, grads
+        vecs = coords.view(np.complex128) / norms[:, None]
+        found, grad = objective(vecs)
+        along = np.vecdot(vecs, grad).real[:, None]  # Re(v^H grad), row by row
+        return -_checked(found), ((along * vecs - grad) / norms[:, None]).view(np.float64)
 
     return negated
 
@@ -217,8 +271,8 @@ def maximize_over_pure_states(
 ) -> OptResult:
     """Maximize ``objective`` over unit vectors in C^dim.
 
-    ``objective`` receives a unit ``complex128`` amplitude vector ``v`` of
-    shape ``(dim,)`` and returns ``(value, grad)`` as described in the
+    ``objective`` receives an ``(S, dim)`` stack of unit ``complex128``
+    amplitude vectors and returns ``(values, grads)`` as described in the
     module docstring: seeds are validated once, as :class:`PureState`
     objects, and the search hands the objective plain arrays, so nothing is
     re-validated per evaluation. Every seed is evaluated exactly. Then
@@ -231,9 +285,10 @@ def maximize_over_pure_states(
     matters because a gradient search only climbs its own basin: from 4
     random starts alone it ended below the best known value in about one
     Lueders fidelity search in ten, and never once the 4 best seeds were
-    refined too (900 searches at d=2,3). Each run is :func:`minimize`, the
-    direct loop over scipy's compiled L-BFGS-B routine, which matches
-    ``scipy.optimize.minimize(method="L-BFGS-B")`` bit for bit.
+    refined too (900 searches at d=2,3). All starts are one call of
+    :func:`minimize`, which advances them in lockstep with one objective
+    call per step; each start follows the iterates of
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` from it, bit for bit.
 
     A start stops after ``max_iterations`` iterations, once an iteration
     improves the value by less than ``convergence_tol * 1e-5`` (relative
@@ -248,57 +303,45 @@ def maximize_over_pure_states(
     improvement, so with identical inputs and ``rng_seed`` the result is
     bitwise reproducible. A state refined from a seed keeps provenance
     ``analytic-seed``. ``starts_used`` counts the random starts that ended
-    at a nonzero vector, and ``evaluations`` every objective call: the
-    seeds, each run's evaluations and the exact re-evaluation of each
-    nonzero end point. Raises :class:`ObjectiveNaNError` if the objective
-    returns a non-finite value at any probed state.
+    at a nonzero vector, ``evaluations`` every state evaluated (the seeds,
+    each start's evaluations and the exact re-evaluation of each nonzero
+    end point, in one call), and ``iterations`` the iterations of all
+    starts. Raises :class:`ObjectiveNaNError` if the objective returns a
+    non-finite value at any probed state.
     """
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
 
     ranked = rank_seeds(objective, seeds)
-    evaluations = len(ranked)
     best_value, best_state = ranked[0] if ranked else (-np.inf, None)
     best_prov = Provenance.ANALYTIC_SEED
 
-    search_objective = _folded_objective(objective, dim)
+    refined = [seed.amplitudes.view(np.float64) for _, seed in ranked[: cfg.n_random_starts]]
+    rng = np.random.default_rng(cfg.rng_seed)
+    starts = np.vstack(refined + [rng.standard_normal((cfg.n_random_starts, 2 * dim))])
     options = {
         "maxiter": cfg.max_iterations,
         "ftol": cfg.convergence_tol * 1e-5,
         "gtol": 1e-12,
     }
-
-    def refine(x0: np.ndarray) -> tuple[float, np.ndarray] | None:
-        nonlocal evaluations
-        result = minimize(search_objective, x0, options=options)
-        evaluations += result.nfev
-        vec, _ = _unit_vector(result.x)
-        if vec is None:
-            return None
-        evaluations += 1
-        return _checked(objective(vec)[0]), vec
-
-    for _, seed in ranked[: cfg.n_random_starts]:
-        found = refine(np.ascontiguousarray(seed.amplitudes).view(np.float64))
-        if found is not None and found[0] > best_value:
-            best_value, best_state = found[0], PureState(found[1])
-    rng = np.random.default_rng(cfg.rng_seed)
-    starts_used = 0
-    for _ in range(cfg.n_random_starts):
-        found = refine(rng.standard_normal(2 * dim))
-        if found is None:
-            continue
-        starts_used += 1
-        if found[0] > best_value:
-            best_value, best_state, best_prov = found[0], PureState(found[1]), Provenance.RANDOM_START
+    result = minimize(_folded_objective(objective, dim), starts, options=options)
+    norms = _norms(result.x)
+    kept = norms >= 1e-12
+    vecs = result.x[kept].view(np.complex128) / norms[kept, None]
+    values = _checked(objective(vecs)[0]) if len(vecs) else ()
+    for row, value, vec in zip(np.flatnonzero(kept), values, vecs):
+        if value > best_value:
+            best_value, best_state = value, PureState(vec)
+            best_prov = Provenance.ANALYTIC_SEED if row < len(refined) else Provenance.RANDOM_START
 
     if best_state is None:  # pragma: no cover - requires every start to collapse to 0
         raise ObjectiveNaNError("no valid state was probed")
     return OptResult(
-        value=best_value,
+        value=float(best_value),
         argmax=best_state,
         provenance=best_prov,
-        starts_used=starts_used,
-        evaluations=evaluations,
+        starts_used=int(kept[len(refined):].sum()),
+        evaluations=len(ranked) + result.nfev + len(vecs),
+        iterations=int(result.nits.sum()),
     )

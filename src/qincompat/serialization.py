@@ -150,7 +150,8 @@ def load_observable_file(path):
 
     Raises :class:`ParseError` with a field diagnostic for malformed input
     and the relevant :class:`ValidationError` subclass when the parsed
-    object breaks a quantum invariant.
+    object breaks a quantum invariant, including entries so large that
+    checking the invariants overflows.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -159,6 +160,8 @@ def load_observable_file(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # an integer beyond Python's limit on digits
         raise ParseError(f"{path}: unreadable JSON number: {exc}") from exc
     if not isinstance(doc, dict):
@@ -170,11 +173,14 @@ def load_observable_file(path):
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{path}: dim must be a positive integer, got {dim!r}")
     try:
-        return from_payload(doc.get("payload"), dim)
+        with np.errstate(over="raise"):
+            return from_payload(doc.get("payload"), dim)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except QincompatError:
         raise
+    except FloatingPointError as exc:
+        raise ValidationError(f"{path}: entries too large to validate ({exc})") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

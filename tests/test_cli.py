@@ -207,6 +207,25 @@ def test_reports_count_objective_evaluations(tmp_path):
         assert (evaluations == 0) is expected_zero
 
 
+def test_reports_count_lbfgsb_iterations(tmp_path):
+    assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
+    save_observable_file(trine_povm(), tmp_path / "trine.json")
+    save_observable_file(random_povm(2, 4, seed=0), tmp_path / "povm4.json")
+    report_path = tmp_path / "report.json"
+    iterations = {}
+    for mode, pair in (("--pair", ["mub_d3_a.json", "mub_d3_b.json"]),
+                       ("--luders", ["trine.json", "povm4.json"])):
+        assert run(["compute", "--measure", "F", mode, *(tmp_path / p for p in pair),
+                    "--out", report_path, *FAST]) == 0
+        results = json.loads(report_path.read_text())["results"]
+        iterations[mode] = [results[d]["iterations"] for d in ("forward", "backward")]
+    assert iterations["--pair"] == [0, 0]  # seeds on the ceiling, no search
+    assert min(iterations["--luders"]) > 0
+    assert run(["disturbance", tmp_path / "trine.json", "--measure", "F",
+                "--out", report_path, *FAST]) == 0
+    assert json.loads(report_path.read_text())["result"]["iterations"] > 0
+
+
 def test_reports_carry_the_proven_upper_bound(tmp_path):
     assert run(["construct", "mub", "--dim", 3, "--out", tmp_path]) == 0
     assert run(["construct", "commuting-subspace", "--dim", 6, "--dc", 3,

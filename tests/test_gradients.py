@@ -78,21 +78,21 @@ def _state_away_from_kinks(rng, dim, kink_distance):
 
 
 def _central_difference(objective, vec):
-    """Complex g with df = Re(g^H dv), one real and one imaginary step per entry."""
-    grad = np.zeros(vec.size, dtype=complex)
-    for i in range(vec.size):
-        for unit in (1.0, 1j):
-            step = np.zeros(vec.size, dtype=complex)
-            step[i] = STEP * unit
-            slope = (objective(vec + step)[0] - objective(vec - step)[0]) / (2.0 * STEP)
-            grad[i] += slope * unit
-    return grad
+    """Complex g with df = Re(g^H dv), one real and one imaginary step per entry.
+
+    All 4 * dim probe states are one stack.
+    """
+    steps = STEP * np.concatenate((np.eye(vec.size), 1j * np.eye(vec.size)))
+    values = objective(np.concatenate((vec + steps, vec - steps)))[0]
+    slopes = (values[: len(steps)] - values[len(steps) :]) / (2.0 * STEP)
+    return slopes[: vec.size] + 1j * slopes[vec.size :]
 
 
 def _assert_exact_gradient(objective, vec):
-    value, grad = objective(vec)
-    assert isinstance(value, float)
-    assert grad.dtype == np.complex128 and grad.shape == vec.shape
+    values, grads = objective(vec[None])
+    assert values.dtype == np.float64 and values.shape == (1,)
+    assert grads.dtype == np.complex128 and grads.shape == (1, vec.size)
+    grad = grads[0]
     numeric = _central_difference(objective, vec)
     assert np.abs(grad - numeric).max() <= RTOL * np.abs(numeric).max()
     # The objectives ignore the global phase, so the gradient has no component along i*v.

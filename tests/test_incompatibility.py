@@ -231,7 +231,7 @@ def test_objective_matches_public_distribution_route():
         direct = outcome_distribution(second, state.density())
         for measure, distance in pairs.items():
             objective = pair_distance_objective(measure, first, second)
-            assert objective(state.amplitudes)[0] == pytest.approx(
+            assert objective(state.amplitudes[None])[0][0] == pytest.approx(
                 distance(seq, direct), abs=1e-10
             )
 
@@ -273,7 +273,8 @@ def test_exact_path_is_an_attained_supremum():
             assert exact.provenance is Provenance.EXACT
             assert exact.starts_used == 0
             objective = pair_distance_objective(measure, first, second)
-            assert objective(exact.argmax.amplitudes)[0] == pytest.approx(exact.value, abs=1e-12)
+            value = objective(exact.argmax.amplitudes[None])[0][0]
+            assert value == pytest.approx(exact.value, abs=1e-12)
             searched = maximize_over_pure_states(objective, first.dim, seeds, cfg)
             assert searched.value <= exact.value + 1e-12
 
@@ -301,7 +302,7 @@ def test_no_state_beats_the_exact_value(index, data):
         vec = np.eye(first.dim, dtype=complex)[0]
     state = PureState.normalized(vec)
     for measure in EXACT_MEASURES:
-        value = pair_distance_objective(measure, first, second)(state.amplitudes)[0]
+        value = pair_distance_objective(measure, first, second)(state.amplitudes[None])[0][0]
         assert value <= _HYPOTHESIS_EXACT[index][measure] + 1e-12
 
 
@@ -421,7 +422,8 @@ def test_observable_disturbance_is_exact():
             assert exact.starts_used == 0
             assert exact.value == closed_form("degenerate_disturbance", n_distinct=obs.n_outcomes)
             objective = incompatibility._disturbance_objective(measure, inst)
-            assert objective(exact.argmax.amplitudes)[0] == pytest.approx(exact.value, abs=1e-12)
+            value = objective(exact.argmax.amplitudes[None])[0][0]
+            assert value == pytest.approx(exact.value, abs=1e-12)
             searched = maximize_over_pure_states(objective, obs.dim, seeds, cfg)
             assert searched.value <= exact.value + 1e-12
 
@@ -497,10 +499,13 @@ def test_seeds_below_the_ceiling_search_as_before():
 
 
 def test_non_finite_seed_value_raises_despite_the_ceiling(monkeypatch):
-    values = iter([1.0])  # the first seed tops every ceiling, the next one is NaN
-
     def objective_factory(*args):
-        return lambda vec: (next(values, float("nan")), np.zeros_like(vec))
+        def objective(vecs):
+            values = np.full(len(vecs), np.nan)
+            values[0] = 1.0  # the first seed tops every ceiling, the others are NaN
+            return values, np.zeros_like(vecs)
+
+        return objective
 
     monkeypatch.setattr(incompatibility, "pair_distance_objective", objective_factory)
     with pytest.raises(ObjectiveNaNError):

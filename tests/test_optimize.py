@@ -1,7 +1,6 @@
 """Multistart pure-state optimizer: correctness, determinism, soundness."""
 
 import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,16 +25,21 @@ from qincompat import (
     z_channel,
 )
 from qincompat.incompatibility import _disturbance_objective, canonical_instrument
-from qincompat.optimize import _folded_objective, minimize
+from qincompat.optimize import LocalSearch, _folded_objective, minimize
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
 
 def quadratic_form(matrix):
-    def objective(vec):
-        return float((vec.conj() @ matrix @ vec).real), 2.0 * (matrix @ vec)
+    def objective(vecs):
+        images = (matrix @ vecs[:, :, None])[:, :, 0]
+        return (vecs.conj() * images).sum(axis=1).real, 2.0 * images
 
     return objective
+
+
+def constant(value):
+    return lambda vecs: (np.full(len(vecs), value), np.zeros_like(vecs))
 
 
 def test_largest_eigenvalue_of_diagonal_form():
@@ -46,7 +50,7 @@ def test_largest_eigenvalue_of_diagonal_form():
 
 def test_constant_objective_prefers_seed():
     seed = PureState(np.array([1.0, 0.0], dtype=complex))
-    result = maximize_over_pure_states(lambda s: (0.3, np.zeros_like(s)), 2, (seed,), LIGHT)
+    result = maximize_over_pure_states(constant(0.3), 2, (seed,), LIGHT)
     assert result.value == 0.3
     assert result.provenance is Provenance.ANALYTIC_SEED
     assert result.starts_used == LIGHT.n_random_starts
@@ -54,12 +58,12 @@ def test_constant_objective_prefers_seed():
 
 def test_starts_used_skips_collapsed_starts(monkeypatch):
     def collapse(fun, x0, **kwargs):
-        return SimpleNamespace(x=np.zeros_like(x0), nit=0, nfev=0)
+        return LocalSearch(np.zeros_like(x0), np.zeros(len(x0), int), np.zeros(len(x0), int))
 
     monkeypatch.setattr("qincompat.optimize.minimize", collapse)
     seed = PureState(np.array([1.0, 0.0], dtype=complex))
     cfg = OptimizerConfig(n_random_starts=3, max_iterations=10, rng_seed=0)
-    result = maximize_over_pure_states(lambda vec: (0.3, np.zeros_like(vec)), 2, (seed,), cfg)
+    result = maximize_over_pure_states(constant(0.3), 2, (seed,), cfg)
     assert result.starts_used == 0
     assert result.provenance is Provenance.ANALYTIC_SEED
 
@@ -68,33 +72,54 @@ def test_evaluations_count_every_objective_call():
     calls = []
     quadratic = quadratic_form(np.diag([0.2, 0.5, 0.9]))
 
-    def counted(vec):
-        calls.append(1)
-        return quadratic(vec)
+    def counted(vecs):
+        calls.append(len(vecs))
+        return quadratic(vecs)
 
     seeds = [PureState(np.eye(3, dtype=complex)[:, k]) for k in range(3)]
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=4)
     result = maximize_over_pure_states(counted, 3, seeds, cfg)
-    assert result.evaluations == len(calls) > len(seeds)
+    assert result.evaluations == sum(calls) > len(seeds)
+    # The seeds, one call per lockstep step, and the end points.
+    assert calls[0] == len(seeds) and calls[-1] == 2 * cfg.n_random_starts
+    assert max(calls[1:-1]) <= 2 * cfg.n_random_starts
     assert OptResult(0.0, seeds[0], Provenance.EXACT, 0).evaluations == 0
+
+
+def test_iterations_sum_over_starts(monkeypatch):
+    runs = []
+
+    def recorded(fun, x0, **kwargs):
+        runs.append(minimize(fun, x0, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("qincompat.optimize.minimize", recorded)
+    objective = quadratic_form(np.diag([0.2, 0.5, 0.9]))
+    cfg = OptimizerConfig(n_random_starts=3, max_iterations=50, rng_seed=4)
+    result = maximize_over_pure_states(objective, 3, (), cfg)
+    assert len(runs) == 1 and runs[0].nits.shape == (cfg.n_random_starts,)
+    assert result.iterations == runs[0].nits.sum() > runs[0].nit > 0
+    assert OptResult(0.0, result.argmax, Provenance.EXACT, 0).iterations == 0
 
 
 def test_objective_receives_unit_complex_vectors():
     seen = []
 
-    def objective(vec):
-        seen.append(vec)
-        return float(abs(vec[0]) ** 2), np.array([2.0 * vec[0], 0.0])
+    def objective(vecs):
+        seen.append(vecs)
+        grads = np.zeros_like(vecs)
+        grads[:, 0] = 2.0 * vecs[:, 0]
+        return np.abs(vecs[:, 0]) ** 2, grads
 
     # The seed is the minimum of the objective, so refining it cannot win.
     seeds = (PureState(np.array([0.0, 0.8 + 0.6j])),)
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=3)
     result = maximize_over_pure_states(objective, 2, seeds, cfg)
     assert len(seen) > len(seeds)
-    for vec in seen:
-        assert type(vec) is np.ndarray
-        assert vec.dtype == np.complex128 and vec.shape == (2,)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    for vecs in seen:
+        assert type(vecs) is np.ndarray
+        assert vecs.dtype == np.complex128 and vecs.ndim == 2 and vecs.shape[1] == 2
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
     assert result.provenance is Provenance.RANDOM_START
     assert isinstance(result.argmax, PureState)
 
@@ -130,18 +155,30 @@ def test_adding_seeds_never_decreases_value():
 
 
 def test_objective_nan_raises():
-    def broken(vec):
-        return float("nan"), np.zeros_like(vec)
-
     with pytest.raises(ObjectiveNaNError):
-        maximize_over_pure_states(broken, 2, (), LIGHT)
+        maximize_over_pure_states(constant(float("nan")), 2, (), LIGHT)
+
+
+def test_one_non_finite_row_raises():
+    def one_broken(vecs):
+        values = np.abs(vecs[:, 0]) ** 2
+        values[-1] = np.inf
+        return values, np.zeros_like(vecs)
+
+    seed = PureState(np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ObjectiveNaNError):
+        maximize_over_pure_states(one_broken, 2, (seed,), LIGHT)
+    with pytest.raises(ObjectiveNaNError):
+        _folded_objective(one_broken, 2)(np.eye(3, 4))
 
 
 def test_value_matches_objective_at_argmax():
     obs_a, obs_b = fourier_mub_pair(3)
     objective = pair_distance_objective(Measure.LINF, obs_a, obs_b)
     result = directional_incompatibility(Measure.LINF, obs_a, obs_b, LIGHT)
-    assert objective(result.argmax.amplitudes)[0] == pytest.approx(result.value, abs=1e-12)
+    assert objective(result.argmax.amplitudes[None])[0][0] == pytest.approx(
+        result.value, abs=1e-12
+    )
 
 
 def test_config_validation():
@@ -292,24 +329,39 @@ def _oracle_case(case):
     return _folded_objective(_disturbance_objective(measure, inst), inst.dim), inst.dim
 
 
+def _one_at_a_time(fun):
+    """``fun`` on a single point, a stack of one, in scipy's calling convention."""
+
+    def single(x):
+        values, grads = fun(x[None])
+        return values[0], grads[0]
+
+    return single
+
+
 ORACLE_OPTIONS = {"maxiter": 600, "ftol": 1e-15, "gtol": 1e-12}
+ORACLE_CASES = [
+    "pair-F",
+    "pair-L1",
+    "pair-Chebyshev",
+    "disturbance-F-povm",
+    "disturbance-L1-povm",
+    "disturbance-F-instrument",
+    "disturbance-L1-instrument",
+]
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "pair-F",
-        "pair-L1",
-        "pair-Chebyshev",
-        "disturbance-F-povm",
-        "disturbance-L1-povm",
-        "disturbance-F-instrument",
-        "disturbance-L1-instrument",
-    ],
-)
+def _oracle_starts(case, dim):
+    # Eight starts per case include runs that change if the line-search
+    # limit drops from 20 to 5 steps, or if a repeated request for f at the
+    # same point is evaluated again instead of served from the cache.
+    return np.random.default_rng(zlib.crc32(case.encode())).standard_normal((8, 2 * dim))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
 @pytest.mark.parametrize("maxiter", [5, 600])
 def test_lbfgsb_loop_matches_scipy_minimize_bit_for_bit(case, maxiter):
-    """The direct loop over scipy's compiled L-BFGS-B routine is scipy's search.
+    """Each row of the lockstep search over scipy's compiled L-BFGS-B routine is scipy's search.
 
     A scipy release that changes the private routine or its wrapper fails here.
     """
@@ -317,17 +369,16 @@ def test_lbfgsb_loop_matches_scipy_minimize_bit_for_bit(case, maxiter):
 
     fun, dim = _oracle_case(case)
     options = {**ORACLE_OPTIONS, "maxiter": maxiter}
-    rng = np.random.default_rng(zlib.crc32(case.encode()))
-    # Eight starts per case include runs that change if the line-search
-    # limit drops from 20 to 5 steps, or if a repeated request for f at the
-    # same point is evaluated again instead of served from the cache.
-    for _ in range(8):
-        x0 = rng.standard_normal(2 * dim)
-        ours = minimize(fun, x0, options=options)
-        theirs = scipy_minimize(fun, x0, method="L-BFGS-B", jac=True, options=options)
-        assert ours.x.tobytes() == theirs.x.tobytes()
-        assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
-        assert ours.nit <= maxiter
+    starts = _oracle_starts(case, dim)
+    ours = minimize(fun, starts, options=options)
+    assert ours.x.shape == starts.shape
+    for x0, x, nit, nfev in zip(starts, ours.x, ours.nits, ours.nfevs):
+        theirs = scipy_minimize(_one_at_a_time(fun), x0, method="L-BFGS-B", jac=True,
+                                options=options)
+        assert x.tobytes() == theirs.x.tobytes()
+        assert (nit, nfev) == (theirs.nit, theirs.nfev)
+        assert nit <= maxiter
+    assert (ours.nit, ours.nfev) == (ours.nits.max(), ours.nfevs.sum())
 
 
 def test_lbfgsb_loop_matches_scipy_minimize_at_a_stationary_point():
@@ -336,8 +387,68 @@ def test_lbfgsb_loop_matches_scipy_minimize_at_a_stationary_point():
     # |0> is left unchanged by the z-channel: value 0 and a zero gradient.
     fun = _folded_objective(_disturbance_objective(Measure.FIDELITY, z_channel(0.3)), 2)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
-    assert not fun(x0)[1].any()
-    ours = minimize(fun, x0, options=ORACLE_OPTIONS)
-    theirs = scipy_minimize(fun, x0, method="L-BFGS-B", jac=True, options=ORACLE_OPTIONS)
-    assert ours.x.tobytes() == theirs.x.tobytes() == x0.tobytes()
-    assert (ours.nit, ours.nfev) == (theirs.nit, theirs.nfev)
+    assert not fun(x0[None])[1].any()
+    ours = minimize(fun, x0[None], options=ORACLE_OPTIONS)
+    theirs = scipy_minimize(
+        _one_at_a_time(fun), x0, method="L-BFGS-B", jac=True, options=ORACLE_OPTIONS
+    )
+    assert ours.x[0].tobytes() == theirs.x.tobytes() == x0.tobytes()
+    assert (ours.nits[0], ours.nfevs[0]) == (theirs.nit, theirs.nfev)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_lockstep_rows_equal_each_start_run_alone(case):
+    """Starts that stop early, at once or late do not change the other rows."""
+    fun, dim = _oracle_case(case)
+    starts = _oracle_starts(case, dim)
+    starts[3] = 0.0  # a collapsed start: the zero-norm penalty, with zero gradient
+    batch = minimize(fun, starts, options=ORACLE_OPTIONS)
+    for row, x0 in enumerate(starts):
+        alone = minimize(fun, x0[None], options=ORACLE_OPTIONS)
+        assert batch.x[row].tobytes() == alone.x[0].tobytes()
+        assert (batch.nits[row], batch.nfevs[row]) == (alone.nits[0], alone.nfevs[0])
+    assert batch.nits[3] == 0 and batch.nfevs[3] == 1
+
+
+def _stack_objectives(dim):
+    """Every search objective at ``dim``, by name, with the stack width it takes."""
+    rng = np.random.default_rng(dim)
+    firsts = {
+        "observable": random_observable(dim, rng),
+        "povm": random_povm(dim, 3, rng),
+        "instrument": canonical_instrument(random_povm(dim, 4, rng)),
+    }
+    second = random_povm(dim, 5, rng)
+    objectives = {}
+    for measure in (Measure.FIDELITY, Measure.L1, Measure.LINF):
+        for kind, first in firsts.items():
+            objectives[f"pair-{measure.name}-{kind}"] = pair_distance_objective(
+                measure, first, second
+            )
+    for measure in (Measure.FIDELITY, Measure.L1):
+        for kind in ("povm", "instrument"):
+            objectives[f"disturbance-{measure.name}-{kind}"] = _disturbance_objective(
+                measure, canonical_instrument(firsts[kind])
+            )
+    folded = {f"folded-{name}": _folded_objective(fn, dim) for name, fn in objectives.items()}
+    return {name: (fn, dim) for name, fn in objectives.items()} | {
+        name: (fn, 2 * dim) for name, fn in folded.items()
+    }
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_objective_rows_equal_stacks_of_one_bit_for_bit(dim):
+    rng = np.random.default_rng(100 + dim)
+    for name, (fn, width) in _stack_objectives(dim).items():
+        if name.startswith("folded"):
+            stack = rng.standard_normal((7, width))
+            stack[2] = 0.0  # below the zero-norm threshold
+        else:
+            stack = rng.standard_normal((7, width)) + 1j * rng.standard_normal((7, width))
+            stack /= np.linalg.norm(stack, axis=1)[:, None]
+        values, grads = fn(stack)
+        assert values.shape == (7,) and grads.shape == stack.shape, name
+        for row in range(len(stack)):
+            value, grad = fn(stack[row : row + 1].copy())
+            assert value.tobytes() == values[row : row + 1].tobytes(), name
+            assert grad.tobytes() == grads[row : row + 1].tobytes(), name

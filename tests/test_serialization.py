@@ -1,12 +1,19 @@
 """File formats: exact round-trips and diagnostics."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qincompat import (
+    DimensionMismatchError,
     HermitianObservable,
     Instrument,
     ParseError,
@@ -20,6 +27,7 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
+from qincompat.serialization import to_payload
 
 
 def roundtrip(obj, path):
@@ -171,3 +179,113 @@ def test_integers_beyond_the_digit_limit_are_parse_errors(tmp_path):
     )
     with pytest.raises(ParseError, match="unreadable JSON number"):
         load_observable_file(path)
+
+
+def test_files_that_are_not_utf8_are_parse_errors(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_observable_file(path)
+
+
+_TEMPLATES = {
+    name: {"format_version": "1", "dim": obj.dim, "payload": to_payload(obj)}
+    for name, obj in (
+        ("observable", fourier_mub_pair(2)[0]),
+        ("povm", trine_povm()),
+        ("instrument", z_channel(0.3)),
+    )
+}
+_TEMPLATES["hermitian"] = {
+    "format_version": "1",
+    "dim": 2,
+    "payload": {"type": "hermitian", "matrix": [[[1.0, 0.0], [0.5, -0.5]],
+                                                [[0.5, 0.5], [-1.0, 0.0]]]},
+}
+# Scalars that no position of a valid file holds: every number must be finite
+# and fit a float, and the only strings are the version and the kind.
+_BAD_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])
+    | st.text(max_size=4).filter(lambda s: s not in {"1", "basis", "povm", "hermitian"})
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+)
+
+
+def _positions(doc, path=()):
+    """Every key and index path into a JSON document, parents first."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _positions(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _positions(value, path + (index,))
+
+
+def _value(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _malformed_files(draw) -> bytes:
+    """The bytes of an observable file that breaks its schema or a quantum invariant.
+
+    A valid file gets one edit: a value is replaced by a bad scalar, an
+    entry of a vector or operator by a huge number, or a key or list entry
+    is removed or repeated (each list holds entries that must match the
+    dimension or sum to the identity). Or the file is cut short, or is
+    arbitrary bytes.
+    """
+    kind = draw(st.sampled_from(sorted(_TEMPLATES) + ["truncated", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    doc = copy.deepcopy(_TEMPLATES["povm" if kind == "truncated" else kind])
+    if kind == "truncated":
+        text = json.dumps(doc).encode()
+        return text[: draw(st.integers(0, len(text) - 1))]
+    paths = list(_positions(doc))[1:]
+    # No number in a basis vector, an effect or a Kraus operator exceeds 1;
+    # eigenvalues and the entries of a Hermitian matrix may be any finite numbers.
+    entries = [p for p in paths if len(p) > 2 and p[1] in {"vectors", "elements", "outcomes"}
+               and isinstance(_value(doc, p), float)]
+    edit = draw(st.sampled_from(["replace", "remove", "repeat"] + ["huge"] * bool(entries)))
+    path = draw(st.sampled_from(entries if edit == "huge" else paths))
+    parent = _value(doc, path[:-1])
+    if edit == "replace":
+        parent[path[-1]] = draw(_BAD_SCALARS)
+    elif edit == "huge":
+        parent[path[-1]] = draw(st.sampled_from([1e300, -1e300, 1.7e308]))
+    elif edit == "remove":
+        del parent[path[-1]]
+    elif isinstance(parent, list):
+        parent.append(parent[path[-1]])
+    else:
+        parent[path[-1]] = [parent[path[-1]]] * 2
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_malformed_files(), st.sampled_from(["load", "compute", "disturbance"]))
+def test_malformed_files_exit_2_without_a_traceback(content, route):
+    from qincompat.cli import main
+
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "bad.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        if route == "load":
+            with pytest.raises((ParseError, ValidationError, DimensionMismatchError)):
+                load_observable_file(path)
+            return
+        good = os.path.join(work, "good.json")
+        save_observable_file(trine_povm(), good)
+        argv = [route, path, "--measure", "F", "--starts", "1", "--iterations", "5"]
+        if route == "compute":
+            argv[1:2] = ["--luders", good, path]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 2
+        assert err.getvalue().startswith("error: ")
