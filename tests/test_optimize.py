@@ -119,7 +119,7 @@ def test_objective_receives_unit_complex_vectors():
     for vecs in seen:
         assert type(vecs) is np.ndarray
         assert vecs.dtype == np.complex128 and vecs.ndim == 2 and vecs.shape[1] == 2
-        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
     assert result.provenance is Provenance.RANDOM_START
     assert isinstance(result.argmax, PureState)
 

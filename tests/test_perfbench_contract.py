@@ -4,10 +4,12 @@
 every loaded ``qincompat`` module that refers to them, and reads their
 results. A refactor that renames one, passes an argument the wrappers do
 not forward, or changes a result field they read breaks ``--trace 1``
-without failing anything else; these tests fail instead.
+without failing anything else; these tests install the harness's own
+wrappers and fail instead.
 """
 
-import sys
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -20,83 +22,79 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
-from qincompat import cli, constructions, incompatibility, optimize, serialization, verify
+# The harness reaches every module it wraps as an attribute of the package.
+from qincompat import cli, constructions, incompatibility, optimize, serialization, verify  # noqa: F401
 
 BUDGET = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=3)
 
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_instrument", Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+)
+instrument = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(instrument)
 
-def _wrap_everywhere(monkeypatch, module, name, make):
-    """Replace ``module.name`` in every qincompat module that holds it, as the harness does."""
-    original = getattr(module, name)
-    wrapper = make(original)
-    for modname, mod in list(sys.modules.items()):
-        if modname == "qincompat" or modname.startswith("qincompat."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
+
+@pytest.fixture
+def patches():
+    patches = instrument.Patches()
+    yield patches
+    patches.restore()
 
 
 def test_wrapped_names_exist():
-    for module, names in (
-        (cli, ["main"]),
-        (serialization, ["load_observable_file", "save_observable_file", "write_json_atomic"]),
-        (optimize, ["minimize", "maximize_over_pure_states"]),
-        (incompatibility, [
-            "pair_incompatibility", "directional_incompatibility", "maximal_disturbance",
-            "check_bounds", "conjecture_scan", "analytic_seed_states", "set_incompatibility",
-        ]),
-    ):
-        for name in names:
-            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
     assert any(callable(v) and not k.startswith("_") for k, v in vars(constructions).items())
     assert isinstance(verify._SUITE_RUNNERS, dict) and verify._SUITE_RUNNERS
     assert all(callable(runner) for runner in verify._SUITE_RUNNERS.values())
 
 
-def test_search_calls_keep_the_wrapped_shapes(monkeypatch):
-    searches, runs, objective_calls = [], [], []
-
-    def maximize(fn):
-        # Exactly the harness's signature: any other argument would fail here.
-        def traced(objective, dim, seeds=(), config=None):
-            def timed_objective(state):
-                objective_calls.append(1)
-                return objective(state)
-
-            result = fn(timed_objective, dim, list(seeds), config)
-            searches.append(result.provenance.value)
-            return result
-
-        return traced
-
-    def local_search(fn):
-        def counted(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            maxiter = kwargs["options"]["maxiter"]
-            runs.append((int(result.nit), int(result.nfev), result.nit >= maxiter))
-            return result
-
-        return counted
-
-    _wrap_everywhere(monkeypatch, optimize, "maximize_over_pure_states", maximize)
-    _wrap_everywhere(monkeypatch, optimize, "minimize", local_search)
+def test_the_tracer_counts_the_searches(patches):
+    tracer = instrument.Tracer()
+    tracer.install(qincompat, patches)
     directional = incompatibility.directional_incompatibility(
         Measure.FIDELITY, trine_povm(), random_povm(2, 4, seed=0), BUDGET
     )
     disturbance = incompatibility.maximal_disturbance(Measure.FIDELITY, z_channel(0.3), BUDGET)
+    metrics = tracer.layer_metrics([])
     for result in (directional, disturbance):
         assert isinstance(result, OptResult)
-        assert isinstance(result.provenance.value, str)
-    assert searches == [directional.provenance.value, disturbance.provenance.value]
-    assert len(runs) == 2 and all(nfev > 0 for _, nfev, _ in runs)
-    assert objective_calls
+    assert [prov for _, prov in tracer.suprema] == [
+        directional.provenance.value, disturbance.provenance.value
+    ]
+    assert metrics["incompatibility.directional_calls"] == 1
+    assert metrics["incompatibility.disturbance_calls"] == 1
+    assert metrics["optimize.calls"] == 2
+    assert metrics["optimize.nm_runs"] == 2
+    assert 0 < metrics["optimize.nm_nfev"] < directional.evaluations + disturbance.evaluations
+    assert 0 < metrics["optimize.nm_nit_mean"] <= BUDGET.max_iterations
+    assert metrics["objective.pair_evals"] > 0
+    assert metrics["objective.disturbance_evals"] > 0
+    assert metrics["optimize.nm_maxiter_frac"] == 0.0
 
 
-def test_suite_runners_yield_claims_from_a_config_factory():
-    runner = verify._SUITE_RUNNERS["zchannel"]
-    claims = runner(lambda dim: BUDGET)
-    claim = next(iter(claims))
+def test_the_tracer_reads_the_iteration_cap(patches):
+    # The cap reaches the tracer only as the ``options=`` keyword of minimize.
+    tracer = instrument.Tracer()
+    tracer.install(qincompat, patches)
+    capped = OptimizerConfig(n_random_starts=2, max_iterations=1, rng_seed=3)
+    incompatibility.maximal_disturbance(Measure.FIDELITY, z_channel(0.3), capped)
+    assert tracer.layer_metrics([])["optimize.nm_maxiter_frac"] == 1.0
+
+
+def test_the_recorder_notes_every_supremum(patches):
+    clock = instrument.Clock()
+    recorder = instrument.Recorder(clock)
+    recorder.install(qincompat, patches)
+    result = incompatibility.maximal_disturbance(Measure.FIDELITY, z_channel(0.3), BUDGET)
+    assert [prov for _, prov in recorder.suprema] == [result.provenance.value]
+    assert clock.kernel_s
+
+
+def test_suite_runners_yield_claims_under_the_tracer(patches):
+    tracer = instrument.Tracer()
+    tracer.install(qincompat, patches)
+    claim = next(iter(verify._SUITE_RUNNERS["zchannel"](lambda dim: BUDGET)))
     assert claim.suite == "zchannel"
+    assert tracer.claims == 1
 
 
 @pytest.mark.parametrize("name", ["directional_incompatibility", "maximal_disturbance"])
