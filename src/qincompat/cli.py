@@ -1,13 +1,15 @@
 """Command-line interface: compute, verify, construct, scan.
 
-Exit codes: 0 on success, 2 on input/validation problems, 3 when a
-scientific check fails: a bound violation in ``compute``, a scan row above
-the proven (1 - 1/d)/2 ceiling in ``scan``, or a failed claim in ``verify``.
+Exit codes: 0 on success, 2 on input/validation problems, bad parameters
+and output paths that cannot be written, 3 when a scientific check fails: a
+bound violation in ``compute``, a scan row above the proven (1 - 1/d)/2
+ceiling in ``scan``, or a failed claim in ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -83,9 +85,19 @@ def _opt_result_json(result) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an output path that cannot be written as a bad parameter (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParamOutOfRangeError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit_report(args, report: dict) -> None:
     if args.out:
-        write_json_atomic(args.out, report)
+        with _writing(args.out):
+            write_json_atomic(args.out, report)
         print(f"report written to {args.out}")
 
 
@@ -206,11 +218,12 @@ def _construct_objects(args) -> list[tuple[str, object]]:
 def cmd_construct(args) -> int:
     objects = _construct_objects(args)
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    for filename, obj in objects:
-        path = os.path.join(out_dir, filename)
-        save_observable_file(obj, path)
-        print(f"wrote {path}")
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        for filename, obj in objects:
+            path = os.path.join(out_dir, filename)
+            save_observable_file(obj, path)
+            print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -225,7 +238,7 @@ def cmd_scan(args) -> int:
         base_seed=args.seed,
         inject=args.inject,
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trial", "seed", "value", "argmax_state"])
         for row in report.rows:
@@ -258,26 +271,31 @@ def cmd_verify(args) -> int:
             f"{_fmt(claim.measured)} {rel} {_fmt(claim.expected)} (tol {claim.tol:g})"
         )
     print(f"{len(results) - n_fail}/{len(results)} claims passed")
-    if args.out:
-        doc = {
-            "report_version": REPORT_VERSION,
-            "command": "verify",
-            "claims": [
-                {
-                    "suite": c.suite,
-                    "name": c.name,
-                    "comparator": c.comparator,
-                    "measured": c.measured,
-                    "expected": c.expected,
-                    "tol": c.tol,
-                    "passed": c.passed,
-                }
-                for c in results
-            ],
-        }
-        write_json_atomic(args.out, doc)
-        print(f"report written to {args.out}")
+    doc = {
+        "report_version": REPORT_VERSION,
+        "command": "verify",
+        "claims": [
+            {
+                "suite": c.suite,
+                "name": c.name,
+                "comparator": c.comparator,
+                "measured": c.measured,
+                "expected": c.expected,
+                "tol": c.tol,
+                "passed": c.passed,
+            }
+            for c in results
+        ],
+    }
+    _emit_report(args, doc)
     return EXIT_SCIENCE if n_fail else EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """The type of every ``--seed``: numpy's generators take only seeds >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_optimizer_flags(parser, starts=8, iterations=600) -> None:
@@ -289,7 +307,7 @@ def _add_optimizer_flags(parser, starts=8, iterations=600) -> None:
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="convergence tolerance: a start stops once an iteration "
                              "improves the value by less than tol * 1e-5")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="mixing probability for zchannel")
     p_construct.add_argument("--outcomes", type=int, default=2,
                              help="outcome count for random-povm")
-    p_construct.add_argument("--seed", type=int, default=0)
+    p_construct.add_argument("--seed", type=_seed, default=0)
     p_construct.add_argument("--out", help="output directory (default: current)")
     p_construct.set_defaults(func=cmd_construct)
 
@@ -366,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", action="append", default=None,
                           choices=["all"] + list(SUITES),
                           help="suite selector (repeatable; default all)")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--out", help="write a JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -30,7 +30,7 @@ class NumericalFailureError(QincompatError):
 
 
 class ParamOutOfRangeError(QincompatError):
-    """A construction or closed-form parameter is outside its valid range."""
+    """A construction, closed-form or command-line parameter is outside its valid range."""
 
 
 class ObjectiveNaNError(QincompatError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -369,11 +369,7 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
 
 
 def directional_incompatibility(
-    measure: Measure,
-    first,
-    second,
-    config: OptimizerConfig | None = None,
-    extra_seeds: Iterable[PureState] = (),
+    measure: Measure, first, second, config: OptimizerConfig | None = None
 ) -> OptResult:
     """Supremum over states of the chosen distance between second's statistics
     with and without a preceding measurement of first.
@@ -382,10 +378,10 @@ def directional_incompatibility(
     their positive-square-root instrument. The Chebyshev value, and the L1
     value when second has at most ``EXACT_L1_MAX_OUTCOMES`` outcomes, are
     exact suprema computed from eigenvalues, with provenance ``exact``; they
-    ignore ``config`` and ``extra_seeds``. Otherwise the value is an exact
-    evaluation at the best state found by the seeded multistart search and
-    hence a lower bound on the supremum; the default seed set contains every
-    state at which the known closed-form values are attained.
+    ignore ``config``. Otherwise the value is an exact evaluation at the
+    best state found by the seeded multistart search and hence a lower bound
+    on the supremum; the seed set contains every state at which the known
+    closed-form values are attained.
 
     The seeds are evaluated first. If the best seed comes within
     ``CEILING_TOL`` of the lowest of first's :func:`proven_ceilings`, that
@@ -411,8 +407,6 @@ def directional_incompatibility(
     objective = pair_distance_objective(measure, first, second)
     seeds = analytic_seed_states(first)
     for state in analytic_seed_states(second):
-        _add_seed(seeds, state)
-    for state in extra_seeds:
         _add_seed(seeds, state)
     ceilings = proven_ceilings(measure, first)
     if not ceilings:
@@ -536,10 +530,7 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
 
 
 def maximal_disturbance(
-    measure: Measure,
-    meas,
-    config: OptimizerConfig | None = None,
-    extra_seeds: Iterable[PureState] = (),
+    measure: Measure, meas, config: OptimizerConfig | None = None
 ) -> OptResult:
     """Largest distance, over states, between a state and its post-measurement image.
 
@@ -551,14 +542,15 @@ def maximal_disturbance(
     For an observable with r distinct eigenvalues both values are exactly
     1 - 1/r, attained at the uniform superposition of one eigenvector per
     eigenspace; they are returned with provenance ``exact``, ignoring
-    ``config`` and ``extra_seeds``. Proof: write psi = sum_k sqrt(p_k) e_k
+    ``config``. Proof: write psi = sum_k sqrt(p_k) e_k
     with e_k a unit vector in the k-th eigenspace. The fidelity objective
     is 1 - sum_k p_k^2 <= 1 - 1/r by Cauchy-Schwarz. In the span of the
     e_k, Phi(psi) - psi is diag(p) - sqrt(p) sqrt(p)^T: traceless, with one
     negative eigenvalue -t, so its trace distance is t, the root of
     sum_k p_k / (p_k + t) = 1. Each term is concave in p_k, so by Jensen the
     sum is at most r / (1 + r t), which gives t <= 1 - 1/r, with equality
-    at uniform p. POVMs and instruments are searched from seeds.
+    at uniform p. POVMs and instruments are searched from their analytic
+    seed states, so their value is a lower bound on the supremum.
     """
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
@@ -575,8 +567,6 @@ def maximal_disturbance(
     if not isinstance(meas, Instrument):
         for state in analytic_seed_states(inst):
             _add_seed(seeds, state)
-    for state in extra_seeds:
-        _add_seed(seeds, state)
     return maximize_over_pure_states(objective, meas.dim, seeds, config)
 
 
@@ -600,8 +590,9 @@ class IncompatReport:
     ``gap_unknown`` is False only when each direction is within
     ``BOUND_SLACK`` of its ``upper_bound``: an ``exact`` value, or one on
     the proven ceiling, table or block, that
-    :func:`directional_incompatibility` checked it against. A searched
-    disturbance is a lower bound and certifies nothing.
+    :func:`directional_incompatibility` checked it against. The
+    ``disturbance`` check of a POVM or an instrument is the disturbance at
+    the direction's own maximizer, not a supremum, so it certifies nothing.
     """
 
     measure: Measure
@@ -620,21 +611,20 @@ class IncompatReport:
         return tuple(c for c in self.bound_checks if not c.satisfied)
 
 
-def check_bounds(
-    report: IncompatReport,
-    first,
-    second,
-    config: OptimizerConfig | None = None,
-) -> tuple[BoundCheck, ...]:
+def check_bounds(report: IncompatReport, first, second) -> tuple[BoundCheck, ...]:
     """Evaluate every bound applicable to a pair report.
 
     Forward checks come first, then backward ones: one ``<name>-<direction>``
     check per entry of the first measurement's :func:`proven_ceilings`. A
-    POVM or instrument's ``disturbance`` bound is searched instead, seeded
-    with the report's own maximizer, which makes the ordering
-    ``incompatibility <= disturbance`` hold state-by-state and not just in
-    the limit of perfect optimization. A fidelity report of two observables
-    ends with ``fidelity-dim-symmetric``.
+    POVM or instrument has no proven ``disturbance`` entry; its
+    ``disturbance`` check is the disturbance objective (F for the fidelity
+    measure, L1 otherwise) of its canonical instrument, evaluated once at
+    the direction's ``argmax``. That is the ordering
+    ``incompatibility <= disturbance`` state by state: the classical
+    fidelity of two outcome distributions is at least the Uhlmann fidelity
+    of the states behind them, their total variation is at most the trace
+    distance, and the Chebyshev distance is at most the total variation.
+    A fidelity report of two observables ends with ``fidelity-dim-symmetric``.
     """
     disturbance_kind = Measure.FIDELITY if report.measure is Measure.FIDELITY else Measure.L1
     checks: list[BoundCheck] = []
@@ -647,10 +637,9 @@ def check_bounds(
         for name, bound in ceilings.items():
             checks.append(BoundCheck(f"{name}-{direction}", bound, result.value))
         if "disturbance" not in ceilings:
-            searched = maximal_disturbance(
-                disturbance_kind, meas, config, extra_seeds=(result.argmax,)
-            )
-            checks.append(BoundCheck(f"disturbance-{direction}", searched.value, result.value))
+            objective = _disturbance_objective(disturbance_kind, canonical_instrument(meas))
+            bound = float(objective(result.argmax.amplitudes[None])[0][0])
+            checks.append(BoundCheck(f"disturbance-{direction}", bound, result.value))
         dim_bounds.append(ceilings.get("fidelity-dim"))
     if None not in dim_bounds:
         checks.append(
@@ -677,7 +666,7 @@ def pair_incompatibility(
     certified = _certified(forward) and _certified(backward)
     report = IncompatReport(measure, forward, backward, gap_unknown=not certified)
     if with_bounds:
-        report = replace(report, bound_checks=check_bounds(report, first, second, config))
+        report = replace(report, bound_checks=check_bounds(report, first, second))
     return report
 
 
@@ -816,6 +805,8 @@ def conjecture_scan(
     slots with the sentinel seed -1; random trials record the integer seed
     that regenerates the pair, so any row can be reproduced in isolation.
     """
+    if dim < 2:
+        raise ParamOutOfRangeError("dimension must be at least 2")
     if measure not in (Measure.L1, Measure.LINF):
         raise ParamOutOfRangeError("the scan covers the L1 and Chebyshev measures only")
     if n_trials < 1:

@@ -299,3 +299,59 @@ def test_construct_asymmetric_and_random_families(tmp_path):
     ) == 0
     povm = load_observable_file(tmp_path / "random_povm_d2_n3_s5.json")
     assert povm.n_outcomes == 3
+
+
+def test_scan_rejects_dimension_below_two(tmp_path, capsys):
+    code = run(["scan", "--measure", "1", "--dim", 0, "--trials", 1, "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: dimension must be at least 2\n"
+
+
+def _fixture_files(tmp_path):
+    for family in (["mub", "--dim", 2], ["trine"]):
+        assert run(["construct", *family, "--out", tmp_path]) == 0
+    return tmp_path / "mub_d2_a.json", tmp_path / "mub_d2_b.json", tmp_path / "trine.json"
+
+
+# Every subcommand that takes --seed or --out, with fixture files from _fixture_files.
+_COMMANDS = {
+    "construct-random-observable": lambda a, b, t: ["construct", "random-observable"],
+    "construct-random-povm": lambda a, b, t: ["construct", "random-povm", "--outcomes", 3],
+    "scan": lambda a, b, t: ["scan", "--measure", "1", "--dim", 2, "--trials", 1],
+    "disturbance": lambda a, b, t: ["disturbance", t, *FAST],
+    "compute-luders": lambda a, b, t: ["compute", "--measure", "F", "--luders", t, t, *FAST],
+    "compute-pair": lambda a, b, t: ["compute", "--measure", "F", "--pair", a, b, *FAST],
+    "verify": lambda a, b, t: ["verify", "--suite", "luders"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    argv = _COMMANDS[command](*_fixture_files(tmp_path))
+    out = ["--out", tmp_path / "out.csv"] if command == "scan" else []
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + out + ["--seed", -1])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err
+
+
+_WRITERS = ["construct-random-observable", "scan", "disturbance", "compute-pair", "verify"]
+
+
+# A path below a regular file fails for every writer; a missing directory fails
+# for all but construct, which creates its output directory.
+@pytest.mark.parametrize(
+    "command, parent",
+    [(c, "file") for c in _WRITERS] + [(c, "missing") for c in _WRITERS[1:]],
+)
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command, parent):
+    argv = _COMMANDS[command](*_fixture_files(tmp_path))
+    (tmp_path / "file").write_text("")
+    bad = tmp_path / parent / "out"
+    capsys.readouterr()
+    assert run(argv + ["--out", bad]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {bad}: ")

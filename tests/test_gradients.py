@@ -1,4 +1,5 @@
-"""Analytic gradients of the search objectives against central differences."""
+"""The search objectives: analytic gradients against central differences,
+and the pointwise ordering of the pair and disturbance objectives."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qincompat import (
     random_pure_state,
     random_unitary,
     sequential_distribution,
+    trine_povm,
 )
 from qincompat.incompatibility import _disturbance_objective
 
@@ -124,3 +126,28 @@ def test_disturbance_objective_gradient(measure, kind):
             rng, dim, lambda s: _disturbance_kink_distance(measure, inst, s)
         )
         _assert_exact_gradient(_disturbance_objective(measure, inst), vec)
+
+
+@pytest.mark.parametrize("kind", ("povm", "trine", "instrument"))
+def test_pair_distance_never_exceeds_the_disturbance_at_the_same_state(kind):
+    """The state-by-state form of Q(A -> B) <= D_max(A) that check_bounds evaluates.
+
+    At every state, the classical fidelity of B's statistics with and without
+    A is at least the Uhlmann fidelity of psi and Phi_A(psi); their total
+    variation is at most the trace distance, and the Chebyshev distance is at
+    most the total variation.
+    """
+    rng = np.random.default_rng([13, ("povm", "trine", "instrument").index(kind)])
+    for dim in (2,) if kind == "trine" else DIMS:
+        first = trine_povm() if kind == "trine" else _first_measurement(kind, dim, rng)
+        inst = canonical_instrument(first)
+        gauss = rng.standard_normal((64, dim)) + 1j * rng.standard_normal((64, dim))
+        states = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+        disturbance = {
+            m: _disturbance_objective(m, inst)(states)[0] for m in (Measure.FIDELITY, Measure.L1)
+        }
+        for second in (random_observable(dim, rng), random_povm(dim, 4, rng)):
+            for measure in PAIR_MEASURES:
+                values = pair_distance_objective(measure, first, second)(states)[0]
+                paired = Measure.FIDELITY if measure is Measure.FIDELITY else Measure.L1
+                assert np.all(values <= disturbance[paired] + 1e-12)

@@ -1,5 +1,7 @@
 """Incompatibility measures: closed-form values, bounds, scans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -239,7 +241,7 @@ def test_objective_matches_public_distribution_route():
 def test_check_bounds_standalone():
     obs_a, obs_b = fourier_mub_pair(2)
     report = pair_incompatibility(Measure.L1, obs_a, obs_b, LIGHT, with_bounds=False)
-    checks = check_bounds(report, obs_a, obs_b, LIGHT)
+    checks = check_bounds(report, obs_a, obs_b)
     by_name = {c.name: c for c in checks}
     assert by_name["disturbance-forward"].satisfied
     assert by_name["disturbance-forward"].bound == pytest.approx(0.5, abs=1e-9)
@@ -369,27 +371,42 @@ def test_gap_is_known_only_when_each_direction_is_on_its_own_ceiling():
     assert shared.gap_unknown is False
 
 
-def test_check_bounds_searches_only_povm_disturbances(monkeypatch):
-    searched = []
-    real = incompatibility.maximal_disturbance
-
-    def recording(measure, meas, *args, **kwargs):
-        searched.append(type(meas))
-        return real(measure, meas, *args, **kwargs)
-
-    monkeypatch.setattr(incompatibility, "maximal_disturbance", recording)
-    report = pair_incompatibility(Measure.FIDELITY, *fourier_mub_pair(3), TINY)
-    assert searched == []
-    assert [c.name for c in report.bound_checks] == [
-        "disturbance-forward", "fidelity-dim-forward",
-        "disturbance-backward", "fidelity-dim-backward", "fidelity-dim-symmetric",
+def test_check_bounds_runs_no_search(monkeypatch):
+    povm_a, povm_b = trine_povm(), random_povm(2, 3, 4)
+    inputs = [
+        (Measure.FIDELITY, povm_a, povm_b),
+        (Measure.L1, povm_a, povm_b),
+        (Measure.FIDELITY, *fourier_mub_pair(3)),
     ]
-    report = pair_incompatibility(Measure.FIDELITY, trine_povm(), random_povm(2, 3, 4), TINY)
-    assert searched == [Povm, Povm]
-    assert [c.name for c in report.bound_checks] == [
+    reports = [pair_incompatibility(m, a, b, TINY, with_bounds=False) for m, a, b in inputs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_bounds ran a search")
+
+    monkeypatch.setattr(optimize, "minimize", forbidden)
+    monkeypatch.setattr(incompatibility, "maximal_disturbance", forbidden)
+    checks = [check_bounds(r, a, b) for r, (_, a, b) in zip(reports, inputs)]
+    assert [c.name for c in checks[0]] == [
         "luders-outcomes-forward", "luders-norm-forward", "disturbance-forward",
         "luders-outcomes-backward", "luders-norm-backward", "disturbance-backward",
     ]
+    assert [c.name for c in checks[1]] == ["disturbance-forward", "disturbance-backward"]
+    assert [c.name for c in checks[2]] == [
+        "disturbance-forward", "fidelity-dim-forward",
+        "disturbance-backward", "fidelity-dim-backward", "fidelity-dim-symmetric",
+    ]
+    for report, report_checks in zip(reports[:2], checks[:2]):
+        by_name = {c.name: c for c in report_checks}
+        kind = Measure.FIDELITY if report.measure is Measure.FIDELITY else Measure.L1
+        for direction, meas in (("forward", povm_a), ("backward", povm_b)):
+            result = getattr(report, direction)
+            check = by_name[f"disturbance-{direction}"]
+            objective = incompatibility._disturbance_objective(kind, canonical_instrument(meas))
+            assert check.bound == objective(result.argmax.amplitudes[None])[0][0]
+            assert check.satisfied
+            raised = replace(report, **{direction: replace(result, value=check.bound + 1e-6)})
+            flagged = replace(raised, bound_checks=check_bounds(raised, povm_a, povm_b))
+            assert f"disturbance-{direction}" in {c.name for c in flagged.bound_violations}
 
 
 def test_scan_rows_record_provenance(monkeypatch):
