@@ -51,6 +51,10 @@ from .verify import SUITES, run_suites
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCIENCE = 3
+# The largest --dim. A pair's block split solves a d^2 x d^2 eigenproblem,
+# 268 MB of complex128 at d = 64, so a larger value exits 2 before anything
+# is allocated.
+MAX_DIM = 64
 
 
 def _fmt(value: float) -> str:
@@ -298,6 +302,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _dim(text: str) -> int:
+    """The type of every ``--dim``: an integer up to ``MAX_DIM``; each family checks its floor."""
+    try:
+        dim = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if dim > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"at most {MAX_DIM}, got {dim}")
+    return dim
+
+
 def _add_optimizer_flags(parser, starts=8, iterations=600) -> None:
     parser.add_argument("--starts", type=int, default=starts,
                         help="random optimizer starts per supremum; as many of the "
@@ -354,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
             "random-povm",
         ],
     )
-    p_construct.add_argument("--dim", type=int, default=2)
+    p_construct.add_argument("--dim", type=_dim, default=2)
     p_construct.add_argument("--dc", type=int, default=None,
                              help="shared-eigenvector count for commuting-subspace")
     p_construct.add_argument("--m", type=int, default=1,
@@ -371,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scan", help="randomized check of the proven (1-1/d)/2 ceiling on symmetric values"
     )
     p_scan.add_argument("--measure", required=True, choices=["1", "inf"])
-    p_scan.add_argument("--dim", type=int, required=True)
+    p_scan.add_argument("--dim", type=_dim, required=True)
     p_scan.add_argument("--trials", type=int, required=True)
     p_scan.add_argument("--inject", action="append", default=[],
                         choices=["mub", "commuting"],

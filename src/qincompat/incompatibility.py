@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     HermitianObservable,
@@ -298,16 +297,26 @@ def _eigenspace_superposition(obs: HermitianObservable) -> PureState:
     return PureState.normalized(reps.sum(axis=1))
 
 
+# The weight c of _normal_basis. Being transcendental, it separates any two
+# distinct eigenvalues whose real and imaginary parts are algebraic numbers.
+_NORMAL_MIX = np.e
+
+
 def _normal_basis(kraus: np.ndarray) -> np.ndarray:
-    """Orthonormal basis adapted to a Kraus operator's invariant directions."""
+    """Orthonormal basis adapted to a Kraus operator's invariant directions.
+
+    A normal ``K`` has commuting Hermitian parts ``H1 = (K + K^dag)/2`` and
+    ``H2 = (K - K^dag)/2i``, and an eigenbasis of ``H1 + c H2`` at
+    ``c = _NORMAL_MIX`` is a joint one, which diagonalizes ``K``, unless two
+    distinct eigenvalues ``a + ib`` of ``K`` have ``a + cb`` in common.
+    """
     if hermiticity_defect(kraus) <= 1e-9:
         _, vecs = _solve(np.linalg.eigh, (kraus + kraus.conj().T) / 2.0, "a Kraus operator")
         return vecs
     commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
     if max_abs(commut) <= 1e-9:
-        _, vecs = _solve(
-            lambda k: scipy.linalg.schur(k, output="complex"), kraus, "a Kraus operator"
-        )
+        mixed = (kraus + kraus.conj().T) / 2.0 + _NORMAL_MIX * (kraus - kraus.conj().T) / 2.0j
+        _, vecs = _solve(np.linalg.eigh, mixed, "a Kraus operator")
         return vecs
     _, vecs = _solve(np.linalg.eigh, kraus.conj().T @ kraus, "a Kraus operator")
     return vecs
@@ -408,11 +417,12 @@ def directional_incompatibility(
     seeds = analytic_seed_states(first)
     for state in analytic_seed_states(second):
         _add_seed(seeds, state)
+    ranked = rank_seeds(objective, seeds)
     ceilings = proven_ceilings(measure, first)
     if not ceilings:
-        return maximize_over_pure_states(objective, first.dim, seeds, config)
+        return maximize_over_pure_states(objective, first.dim, ranked, config)
     bound = min(ceilings.values())
-    value, state = rank_seeds(objective, seeds)[0]
+    value, state = ranked[0]
     if value < bound - CEILING_TOL:
         blocks = _invariant_blocks(first, second)
         if len(blocks) > 1:
@@ -424,8 +434,8 @@ def directional_incompatibility(
         return OptResult(
             value, state, Provenance.ANALYTIC_SEED, 0, upper_bound=bound, evaluations=len(seeds)
         )
-    result = maximize_over_pure_states(objective, first.dim, seeds, config)
-    return replace(result, upper_bound=bound, evaluations=result.evaluations + len(seeds))
+    result = maximize_over_pure_states(objective, first.dim, ranked, config)
+    return replace(result, upper_bound=bound)
 
 
 def _invariant_blocks(first, second) -> list[np.ndarray]:

@@ -15,6 +15,10 @@ glue is paid once per step rather than once per start. Each start's
 iterates and its iteration and evaluation counts equal those of
 ``scipy.optimize.minimize`` from the same start, bit for bit, which
 ``tests/test_optimize.py`` checks.
+That routine, ``setulb``, is all the package uses of scipy at run time, and
+:func:`_load_lbfgsb` loads its compiled extension alone: importing
+``scipy.optimize`` would add 0.5-0.6 s and 49 MB to every process (scipy
+1.17 on a 2-vCPU Xeon), even to commands that never search.
 This search serves the fidelity directional values, the maximal
 disturbance of POVMs and instruments, and the L1 directional value of a
 second measurement with too many outcomes. It is skipped where the answer
@@ -44,14 +48,47 @@ of states sit at its extreme points.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import _lbfgsb
 
 from .core import PureState
 from .errors import ObjectiveNaNError, ParamOutOfRangeError, ValidationError
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B extension, without importing ``scipy.optimize``.
+
+    ``find_spec("scipy")`` locates the package without running its
+    ``__init__``, and the extension is loaded from its directory under its
+    own name, so a later ``import scipy.optimize`` finds it in
+    ``sys.modules`` and there is one module object either way.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("qincompat needs scipy for its compiled L-BFGS-B routine")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "optimize"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.origin} has no compiled {name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 _ZERO_NORM_PENALTY = 1e6
 
@@ -170,8 +207,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.n_random_starts < 1 or self.max_iterations < 1:
             raise ValidationError("optimizer counts must be positive")
-        if not self.convergence_tol > 0:
-            raise ValidationError("convergence tolerance must be positive")
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValidationError("convergence tolerance must be positive and finite")
 
 
 class Provenance(str, enum.Enum):
@@ -275,7 +312,9 @@ def maximize_over_pure_states(
     amplitude vectors and returns ``(values, grads)`` as described in the
     module docstring: seeds are validated once, as :class:`PureState`
     objects, and the search hands the objective plain arrays, so nothing is
-    re-validated per evaluation. Every seed is evaluated exactly. Then
+    re-validated per evaluation. Every seed is evaluated exactly, once:
+    ``seeds`` may also be the list that :func:`rank_seeds` returned for
+    this objective, whose values are then used as they are. Then
     L-BFGS-B runs from each of the ``n_random_starts`` best seeds and from
     ``n_random_starts`` Haar-random starts. It works on the 2*dim real
     coordinates of an unnormalized ``z`` (real and imaginary parts
@@ -313,7 +352,8 @@ def maximize_over_pure_states(
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
 
-    ranked = rank_seeds(objective, seeds)
+    seeds = list(seeds)
+    ranked = seeds if seeds and isinstance(seeds[0], tuple) else rank_seeds(objective, seeds)
     best_value, best_state = ranked[0] if ranked else (-np.inf, None)
     best_prov = Provenance.ANALYTIC_SEED
 

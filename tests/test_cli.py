@@ -3,12 +3,17 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qincompat
 from qincompat import load_observable_file, random_povm, save_observable_file, trine_povm
-from qincompat.cli import main
+from qincompat.cli import MAX_DIM, main
 
 FAST = ["--starts", "2", "--iterations", "200"]
 
@@ -355,3 +360,57 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, command, parent):
     assert run(argv + ["--out", bad]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["disturbance", "compute-luders", "scan"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, command, tol):
+    argv = _COMMANDS[command](*_fixture_files(tmp_path))
+    out = ["--out", tmp_path / "out.csv"] if command == "scan" else []
+    capsys.readouterr()
+    assert run(argv + out + ["--tol", tol]) == 2
+    assert capsys.readouterr().err == "error: convergence tolerance must be positive and finite\n"
+
+
+# Every subcommand that takes --dim, writing into the directory it is given.
+_DIM_COMMANDS = {
+    "construct-mub": lambda out: ["construct", "mub", "--out", out],
+    "construct-random-povm": lambda out: ["construct", "random-povm", "--out", out],
+    "scan": lambda out: ["scan", "--measure", "1", "--trials", 1, "--out", out / "s.csv"],
+}
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 100000])
+@pytest.mark.parametrize("command", list(_DIM_COMMANDS))
+def test_dimension_above_the_limit_is_a_usage_error(tmp_path, capsys, command, dim):
+    with pytest.raises(SystemExit) as exit_info:
+        run(_DIM_COMMANDS[command](tmp_path) + ["--dim", dim])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --dim: at most {MAX_DIM}, got {dim}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dimension_at_the_limit_is_accepted(tmp_path):
+    assert run(["construct", "random-observable", "--dim", MAX_DIM, "--out", tmp_path]) == 0
+
+
+# Imports the package and runs an exact and a searched command through main,
+# then prints every scipy module loaded.
+_FOOTPRINT = """
+import sys
+import qincompat, qincompat.cli, qincompat.verify
+a, b, trine = sys.argv[1:]
+assert qincompat.cli.main(["compute", "--measure", "1", "--pair", a, b]) == 0
+assert qincompat.cli.main(["disturbance", trine, "--starts", "2", "--iterations", "200"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_no_scipy_module_but_the_lbfgsb_extension(tmp_path):
+    src = Path(qincompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *map(str, _fixture_files(tmp_path))],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "['scipy.optimize._lbfgsb']"

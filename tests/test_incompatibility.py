@@ -486,6 +486,24 @@ def test_seeds_on_the_ceiling_skip_the_search(d, minimize_calls):
     assert minimize_calls == []
 
 
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_normal_kraus_basis_diagonalizes_the_operator(dim):
+    rng = np.random.default_rng(dim)
+    unitary = random_unitary(dim, seed=dim)
+    spectra = [
+        rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+        np.exp(2j * np.pi * (np.arange(dim) + 0.25) / dim),
+        1.0 + 1j * np.arange(dim),  # the Hermitian part is the identity
+        np.array([0.5j] * (dim - 1) + [2.0]),  # a degenerate eigenvalue
+    ]
+    for spectrum in spectra:
+        kraus = unitary @ np.diag(spectrum) @ unitary.conj().T
+        basis = incompatibility._normal_basis(kraus)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-9)
+        rotated = basis.conj().T @ kraus @ basis
+        assert np.abs(rotated - np.diag(np.diagonal(rotated))).max() <= 1e-9
+
+
 def _pair_seeds(first, second):
     """The default seeds of a directional value."""
     seeds = analytic_seed_states(first)
@@ -620,8 +638,8 @@ def test_directional_evaluations_count_the_seeds_and_the_search():
     first, second = random_observable(4, 43), random_observable(4, 44)
     searched = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
     expected = _search_without_ceiling(Measure.FIDELITY, first, second, LIGHT)
-    # The seeds are ranked once for the ceiling exit and once by the search.
-    assert searched.evaluations == expected.evaluations + len(_pair_seeds(first, second))
+    # The ranking read for the ceiling exit is the one the search starts from.
+    assert searched.evaluations == expected.evaluations
     assert directional_incompatibility(Measure.L1, first, second, LIGHT).evaluations == 0
 
 

@@ -1,5 +1,6 @@
 """Multistart pure-state optimizer: correctness, determinism, soundness."""
 
+import importlib
 import zlib
 
 import numpy as np
@@ -25,7 +26,7 @@ from qincompat import (
     z_channel,
 )
 from qincompat.incompatibility import _disturbance_objective, canonical_instrument
-from qincompat.optimize import LocalSearch, _folded_objective, minimize
+from qincompat.optimize import LocalSearch, _folded_objective, _lbfgsb, minimize, rank_seeds
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
@@ -84,6 +85,17 @@ def test_evaluations_count_every_objective_call():
     assert calls[0] == len(seeds) and calls[-1] == 2 * cfg.n_random_starts
     assert max(calls[1:-1]) <= 2 * cfg.n_random_starts
     assert OptResult(0.0, seeds[0], Provenance.EXACT, 0).evaluations == 0
+
+    # A ranking from rank_seeds is searched without evaluating the seeds again.
+    searched = calls[:]
+    ranking = rank_seeds(counted, seeds)
+    calls.clear()
+    again = maximize_over_pure_states(counted, 3, ranking, cfg)
+    assert calls == searched[1:]
+    assert (again.value, again.provenance, again.evaluations) == (
+        result.value, result.provenance, result.evaluations
+    )
+    assert again.argmax.amplitudes.tobytes() == result.argmax.amplitudes.tobytes()
 
 
 def test_iterations_sum_over_starts(monkeypatch):
@@ -184,8 +196,9 @@ def test_value_matches_objective_at_argmax():
 def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(n_random_starts=0)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(convergence_tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            OptimizerConfig(convergence_tol=tol)
 
 
 def test_sound_lower_bound_against_known_optimum():
@@ -394,6 +407,11 @@ def test_lbfgsb_loop_matches_scipy_minimize_at_a_stationary_point():
     )
     assert ours.x[0].tobytes() == theirs.x.tobytes() == x0.tobytes()
     assert (ours.nits[0], ours.nfevs[0]) == (theirs.nit, theirs.nfev)
+
+
+def test_the_search_drives_the_extension_scipy_optimize_imports():
+    """The L-BFGS-B extension loaded without ``scipy.optimize`` is the one scipy itself uses."""
+    assert _lbfgsb is importlib.import_module("scipy.optimize._lbfgsb")
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
