@@ -51,10 +51,14 @@ from .verify import SUITES, run_suites
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCIENCE = 3
-# The largest --dim. A pair's block split solves a d^2 x d^2 eigenproblem,
-# 268 MB of complex128 at d = 64, so a larger value exits 2 before anything
+# The largest --dim. A pair's block split solves a d^2 x d^2 eigenproblem:
+# one split of a random pair takes 1.3 s and 126 MB at d = 32 and 14.8 s and
+# 459 MB at d = 48 (2-vCPU Xeon), so a larger value exits 2 before anything
 # is allocated.
-MAX_DIM = 64
+MAX_DIM = 32
+# The largest --starts and --outcomes: ``disturbance`` of the trine then takes
+# under 1 s and 52 MB, a d = 32 random POVM 11 s and 243 MB.
+MAX_COUNT = 1024
 
 
 def _fmt(value: float) -> str:
@@ -302,19 +306,23 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _dim(text: str) -> int:
-    """The type of every ``--dim``: an integer up to ``MAX_DIM``; each family checks its floor."""
-    try:
-        dim = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if dim > MAX_DIM:
-        raise argparse.ArgumentTypeError(f"at most {MAX_DIM}, got {dim}")
-    return dim
+def _at_most(limit: int):
+    """The argparse type of an integer up to ``limit``; the command checks its floor."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"at most {limit}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_optimizer_flags(parser, starts=8, iterations=600) -> None:
-    parser.add_argument("--starts", type=int, default=starts,
+    parser.add_argument("--starts", type=_at_most(MAX_COUNT), default=starts,
                         help="random optimizer starts per supremum; as many of the "
                              "best candidate states are refined as well")
     parser.add_argument("--iterations", type=int, default=iterations,
@@ -369,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
             "random-povm",
         ],
     )
-    p_construct.add_argument("--dim", type=_dim, default=2)
+    p_construct.add_argument("--dim", type=_at_most(MAX_DIM), default=2)
     p_construct.add_argument("--dc", type=int, default=None,
                              help="shared-eigenvector count for commuting-subspace")
     p_construct.add_argument("--m", type=int, default=1,
                              help="degenerate block size for asymmetric")
     p_construct.add_argument("--p", type=float, default=0.5,
                              help="mixing probability for zchannel")
-    p_construct.add_argument("--outcomes", type=int, default=2,
+    p_construct.add_argument("--outcomes", type=_at_most(MAX_COUNT), default=2,
                              help="outcome count for random-povm")
     p_construct.add_argument("--seed", type=_seed, default=0)
     p_construct.add_argument("--out", help="output directory (default: current)")
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scan", help="randomized check of the proven (1-1/d)/2 ceiling on symmetric values"
     )
     p_scan.add_argument("--measure", required=True, choices=["1", "inf"])
-    p_scan.add_argument("--dim", type=_dim, required=True)
+    p_scan.add_argument("--dim", type=_at_most(MAX_DIM), required=True)
     p_scan.add_argument("--trials", type=int, required=True)
     p_scan.add_argument("--inject", action="append", default=[],
                         choices=["mub", "commuting"],

@@ -27,7 +27,6 @@ from .core import (
     Povm,
     PureState,
     canonical_instrument,
-    hermiticity_defect,
     max_abs,
     measurement_effects,
 )
@@ -42,8 +41,8 @@ from .optimize import (
     OptimizerConfig,
     OptResult,
     Provenance,
+    _checked,
     maximize_over_pure_states,
-    rank_seeds,
 )
 
 BOUND_SLACK = 1e-8
@@ -249,52 +248,47 @@ def _disturbance_objective(measure: Measure, inst: Instrument) -> Objective:
     return objective
 
 
-def _add_seed(seeds: list[PureState], state: PureState) -> None:
-    for existing in seeds:
-        if existing.dim == state.dim and existing.overlap(state) > 1.0 - 1e-9:
-            return
-    seeds.append(state)
+def _seed_columns(meas) -> np.ndarray:
+    """One measurement's candidates for :func:`analytic_seed_states`, unnormalized, as columns.
 
-
-def _basis_seed_family(seeds: list[PureState], columns: np.ndarray) -> None:
-    for col in columns.T:
-        _add_seed(seeds, PureState.normalized(col))
-    if columns.shape[1] > 1:
-        _add_seed(seeds, PureState.normalized(columns.sum(axis=1)))
-
-
-def analytic_seed_states(meas) -> list[PureState]:
-    """Candidate extremal states for suprema involving a measurement.
-
-    Observables contribute every eigenvector, the uniform superposition of
-    the full eigenbasis, and the uniform superposition of one representative
-    vector per eigenspace (the state that equidistributes probability over
-    the distinct outcomes of a degenerate spectrum). POVMs and instruments
-    contribute the eigenbases of their effects and Kraus operators plus the
-    same superpositions.
+    Each basis gives its columns and their sum. An observable's second basis
+    holds one eigenvector per eigenspace: its columns repeat the first's,
+    and only its sum is new.
     """
-    seeds: list[PureState] = []
     if isinstance(meas, HermitianObservable):
-        _basis_seed_family(seeds, meas.basis)
-        if meas.n_outcomes > 1:
-            _add_seed(seeds, _eigenspace_superposition(meas))
-        return seeds
-    if isinstance(meas, Povm):
-        for elem in meas.elements:
-            _, vecs = _solve(np.linalg.eigh, elem, "a POVM element")
-            _basis_seed_family(seeds, vecs)
-        return seeds
-    if isinstance(meas, Instrument):
-        for kraus in meas.kraus_flat():
-            _basis_seed_family(seeds, _normal_basis(kraus))
-        return seeds
-    raise TypeError(f"cannot derive seed states from {type(meas).__name__}")
+        bases = [meas.basis, _eigenspace_representatives(meas)]
+    elif isinstance(meas, Povm):
+        bases = [_solve(np.linalg.eigh, elem, "a POVM element")[1] for elem in meas.elements]
+    elif isinstance(meas, Instrument):
+        bases = [_normal_basis(kraus) for kraus in meas.kraus_flat()]
+    else:
+        raise TypeError(f"cannot derive seed states from {type(meas).__name__}")
+    return np.hstack([col for basis in bases for col in (basis, basis.sum(axis=1)[:, None])])
 
 
-def _eigenspace_superposition(obs: HermitianObservable) -> PureState:
-    """Uniform superposition of one eigenvector per eigenspace of an observable."""
-    reps = np.stack([obs.basis[:, sl.start] for sl in obs.block_slices()], axis=1)
-    return PureState.normalized(reps.sum(axis=1))
+def _eigenspace_representatives(obs: HermitianObservable) -> np.ndarray:
+    """The first eigenvector of each eigenspace of an observable, as columns."""
+    return np.stack([obs.basis[:, sl.start] for sl in obs.block_slices()], axis=1)
+
+
+def analytic_seed_states(*measurements) -> np.ndarray:
+    """Candidate extremal states for suprema involving the measurements.
+
+    Returns an ``(S, dim)`` ``complex128`` array of unit rows: the
+    candidates of each measurement in turn. Observables contribute every
+    eigenvector, the uniform superposition of the full eigenbasis, and the
+    uniform superposition of one representative vector per eigenspace (the
+    state that equidistributes probability over the distinct outcomes of a
+    degenerate spectrum). POVMs and instruments contribute the eigenbases
+    of their effects and Kraus operators plus the same superpositions. Each
+    row is normalized as :meth:`PureState.normalized` would normalize it,
+    and a row whose overlap ``|<u|v>|`` with an earlier row exceeds
+    ``1 - 1e-9``, the same state up to phase, is dropped.
+    """
+    rows = np.ascontiguousarray(np.hstack([_seed_columns(meas) for meas in measurements]).T)
+    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+    duplicate = np.triu(np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9, 1).any(axis=0)
+    return rows[~duplicate]
 
 
 # The weight c of _normal_basis. Being transcendental, it separates any two
@@ -308,11 +302,10 @@ def _normal_basis(kraus: np.ndarray) -> np.ndarray:
     A normal ``K`` has commuting Hermitian parts ``H1 = (K + K^dag)/2`` and
     ``H2 = (K - K^dag)/2i``, and an eigenbasis of ``H1 + c H2`` at
     ``c = _NORMAL_MIX`` is a joint one, which diagonalizes ``K``, unless two
-    distinct eigenvalues ``a + ib`` of ``K`` have ``a + cb`` in common.
+    distinct eigenvalues ``a + ib`` of ``K`` have ``a + cb`` in common. An
+    exactly Hermitian ``K``, as every Kraus operator the package builds is,
+    has ``H2 = 0``, so this is an eigenbasis of ``K`` itself.
     """
-    if hermiticity_defect(kraus) <= 1e-9:
-        _, vecs = _solve(np.linalg.eigh, (kraus + kraus.conj().T) / 2.0, "a Kraus operator")
-        return vecs
     commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
     if max_abs(commut) <= 1e-9:
         mixed = (kraus + kraus.conj().T) / 2.0 + _NORMAL_MIX * (kraus - kraus.conj().T) / 2.0j
@@ -405,7 +398,8 @@ def directional_incompatibility(
     the largest over blocks of the lowest ceiling of first restricted to the
     block. With more than one block, a best seed within ``CEILING_TOL`` of
     that block ceiling is returned the same way. Otherwise the search runs
-    as it would without the split. The result's ``upper_bound`` is the
+    as it would without the split, from the same seeds, which it evaluates
+    again; ``evaluations`` counts both passes. The result's ``upper_bound`` is the
     ceiling it was checked against, block or table, and ``None`` where first
     has no proven ceiling.
     """
@@ -414,15 +408,14 @@ def directional_incompatibility(
     ):
         return _exact_directional(measure, first, second)
     objective = pair_distance_objective(measure, first, second)
-    seeds = analytic_seed_states(first)
-    for state in analytic_seed_states(second):
-        _add_seed(seeds, state)
-    ranked = rank_seeds(objective, seeds)
+    seeds = analytic_seed_states(first, second)
     ceilings = proven_ceilings(measure, first)
     if not ceilings:
-        return maximize_over_pure_states(objective, first.dim, ranked, config)
+        return maximize_over_pure_states(objective, first.dim, seeds, config)
     bound = min(ceilings.values())
-    value, state = ranked[0]
+    values = _checked(objective(seeds)[0])
+    best = int(np.argmax(values))
+    value = float(values[best])
     if value < bound - CEILING_TOL:
         blocks = _invariant_blocks(first, second)
         if len(blocks) > 1:
@@ -431,11 +424,12 @@ def directional_incompatibility(
                 for block in blocks
             )
     if value >= bound - CEILING_TOL:
+        argmax = PureState(seeds[best])
         return OptResult(
-            value, state, Provenance.ANALYTIC_SEED, 0, upper_bound=bound, evaluations=len(seeds)
+            value, argmax, Provenance.ANALYTIC_SEED, 0, upper_bound=bound, evaluations=len(seeds)
         )
-    result = maximize_over_pure_states(objective, first.dim, ranked, config)
-    return replace(result, upper_bound=bound)
+    result = maximize_over_pure_states(objective, first.dim, seeds, config)
+    return replace(result, upper_bound=bound, evaluations=result.evaluations + len(seeds))
 
 
 def _invariant_blocks(first, second) -> list[np.ndarray]:
@@ -566,18 +560,14 @@ def maximal_disturbance(
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
         return OptResult(
             value=value,
-            argmax=_eigenspace_superposition(meas),
+            argmax=PureState.normalized(_eigenspace_representatives(meas).sum(axis=1)),
             provenance=Provenance.EXACT,
             starts_used=0,
             upper_bound=value,
         )
     inst = canonical_instrument(meas)
     objective = _disturbance_objective(measure, inst)
-    seeds = analytic_seed_states(meas)
-    if not isinstance(meas, Instrument):
-        for state in analytic_seed_states(inst):
-            _add_seed(seeds, state)
-    return maximize_over_pure_states(objective, meas.dim, seeds, config)
+    return maximize_over_pure_states(objective, meas.dim, analytic_seed_states(meas, inst), config)
 
 
 @dataclass(frozen=True)

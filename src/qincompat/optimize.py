@@ -25,8 +25,7 @@ second measurement with too many outcomes. It is skipped where the answer
 is known: the other L1 and all Chebyshev directional values, and the
 disturbance of every observable, are exact suprema computed in
 :mod:`qincompat.incompatibility`, and a directional value whose best seed
-(see :func:`rank_seeds`) already reaches a proven ceiling is returned
-without a search.
+already reaches a proven ceiling is returned without a search.
 
 Every objective maps an ``(S, dim)`` stack of unit ``complex128`` vectors
 to ``(values, grads)``: ``values`` has shape ``(S,)`` and ``grads`` is
@@ -53,11 +52,11 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import PureState
+from .core import STATE_NORM_TOL, PureState
 from .errors import ObjectiveNaNError, ParamOutOfRangeError, ValidationError
 
 
@@ -256,19 +255,6 @@ def _checked(values: np.ndarray) -> np.ndarray:
 Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def rank_seeds(objective: Objective, seeds: Iterable[PureState]) -> list[tuple[float, PureState]]:
-    """Every seed with its exact value, best first; ties keep the given order.
-
-    All seeds are evaluated in one call. A non-finite value at any seed
-    raises :class:`ObjectiveNaNError`.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    values = _checked(objective(np.stack([seed.amplitudes for seed in seeds]))[0])
-    return sorted(zip(values.tolist(), seeds), key=lambda pair: -pair[0])
-
-
 def _norms(coords: np.ndarray) -> np.ndarray:
     """The norm of each row, one dot product per row."""
     return np.sqrt(np.vecdot(coords, coords))
@@ -303,19 +289,20 @@ def _folded_objective(objective: Objective, dim: int) -> Objective:
 def maximize_over_pure_states(
     objective: Objective,
     dim: int,
-    seeds: Iterable[PureState] = (),
+    seeds: np.ndarray | Sequence[np.ndarray] = (),
     config: OptimizerConfig | None = None,
 ) -> OptResult:
     """Maximize ``objective`` over unit vectors in C^dim.
 
     ``objective`` receives an ``(S, dim)`` stack of unit ``complex128``
     amplitude vectors and returns ``(values, grads)`` as described in the
-    module docstring: seeds are validated once, as :class:`PureState`
-    objects, and the search hands the objective plain arrays, so nothing is
-    re-validated per evaluation. Every seed is evaluated exactly, once:
-    ``seeds`` may also be the list that :func:`rank_seeds` returned for
-    this objective, whose values are then used as they are. Then
-    L-BFGS-B runs from each of the ``n_random_starts`` best seeds and from
+    module docstring; nothing is validated per evaluation. ``seeds`` are
+    candidate states as unit rows, an ``(S, dim)`` array or a list of
+    ``dim``-vectors, such as
+    :func:`~qincompat.incompatibility.analytic_seed_states` returns; they
+    are checked once, for shape and norm. Every seed is evaluated exactly,
+    in one call, and they are ranked best first, ties in the given order.
+    Then L-BFGS-B runs from each of the ``n_random_starts`` best seeds and from
     ``n_random_starts`` Haar-random starts. It works on the 2*dim real
     coordinates of an unnormalized ``z`` (real and imaginary parts
     interleaved, so ``z`` is a complex view of them), evaluates the
@@ -352,14 +339,21 @@ def maximize_over_pure_states(
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
 
-    seeds = list(seeds)
-    ranked = seeds if seeds and isinstance(seeds[0], tuple) else rank_seeds(objective, seeds)
-    best_value, best_state = ranked[0] if ranked else (-np.inf, None)
+    seeds = np.asarray(seeds, dtype=np.complex128)
+    if seeds.size == 0:
+        seeds = seeds.reshape(0, dim)
+    if seeds.shape[1:] != (dim,) or not np.all(
+        np.abs(np.vecdot(seeds, seeds).real - 1.0) <= STATE_NORM_TOL
+    ):
+        raise ValidationError(f"seeds must be unit vectors of length {dim}, as rows")
+    values = _checked(objective(seeds)[0]) if len(seeds) else np.empty(0)
+    ranked = seeds[np.argsort(-values, kind="stable")]
+    best_value, best_vec = (values.max(), ranked[0]) if len(seeds) else (-np.inf, None)
     best_prov = Provenance.ANALYTIC_SEED
 
-    refined = [seed.amplitudes.view(np.float64) for _, seed in ranked[: cfg.n_random_starts]]
+    refined = ranked[: cfg.n_random_starts].view(np.float64)
     rng = np.random.default_rng(cfg.rng_seed)
-    starts = np.vstack(refined + [rng.standard_normal((cfg.n_random_starts, 2 * dim))])
+    starts = np.vstack((refined, rng.standard_normal((cfg.n_random_starts, 2 * dim))))
     options = {
         "maxiter": cfg.max_iterations,
         "ftol": cfg.convergence_tol * 1e-5,
@@ -372,16 +366,16 @@ def maximize_over_pure_states(
     values = _checked(objective(vecs)[0]) if len(vecs) else ()
     for row, value, vec in zip(np.flatnonzero(kept), values, vecs):
         if value > best_value:
-            best_value, best_state = value, PureState(vec)
+            best_value, best_vec = value, vec
             best_prov = Provenance.ANALYTIC_SEED if row < len(refined) else Provenance.RANDOM_START
 
-    if best_state is None:  # pragma: no cover - requires every start to collapse to 0
+    if best_vec is None:  # pragma: no cover - requires every start to collapse to 0
         raise ObjectiveNaNError("no valid state was probed")
     return OptResult(
         value=float(best_value),
-        argmax=best_state,
+        argmax=PureState(best_vec),
         provenance=best_prov,
         starts_used=int(kept[len(refined):].sum()),
-        evaluations=len(ranked) + result.nfev + len(vecs),
+        evaluations=len(seeds) + result.nfev + len(vecs),
         iterations=int(result.nits.sum()),
     )

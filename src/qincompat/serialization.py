@@ -186,10 +186,17 @@ def load_observable_file(path):
 
 
 def write_json_atomic(path, data: Any) -> None:
-    """Serialize ``data`` to JSON at ``path`` via a temp file in the same directory."""
+    """Serialize ``data`` to JSON at ``path`` via a temp file in the same directory.
+
+    The file gets the mode a plain ``open`` would create it with,
+    ``0o666`` less the umask, rather than the ``0o600`` of ``mkstemp``.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0o022)  # reading the umask means setting it, so it is set back
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(data, handle, indent=1)
             handle.write("\n")

@@ -13,7 +13,7 @@ import pytest
 
 import qincompat
 from qincompat import load_observable_file, random_povm, save_observable_file, trine_povm
-from qincompat.cli import MAX_DIM, main
+from qincompat.cli import MAX_COUNT, MAX_DIM, main
 
 FAST = ["--starts", "2", "--iterations", "200"]
 
@@ -394,6 +394,30 @@ def test_dimension_above_the_limit_is_a_usage_error(tmp_path, capsys, command, d
 
 def test_dimension_at_the_limit_is_accepted(tmp_path):
     assert run(["construct", "random-observable", "--dim", MAX_DIM, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("value", [MAX_COUNT + 1, 10**12])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--starts") for c in ("disturbance", "compute-pair", "scan")]
+    + [("construct-random-povm", "--outcomes")],
+)
+def test_counts_above_the_limit_are_usage_errors(tmp_path, capsys, command, flag, value):
+    argv = _COMMANDS[command](*_fixture_files(tmp_path))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + ["--out", out, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: at most {MAX_COUNT}, got {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_outcomes_at_the_limit_are_accepted(tmp_path):
+    argv = ["construct", "random-povm", "--dim", 2, "--outcomes", MAX_COUNT, "--out", tmp_path]
+    assert run(argv) == 0
 
 
 # Imports the package and runs an exact and a searched command through main,

@@ -269,7 +269,7 @@ def _random_pairs(n, seed):
 def test_exact_path_is_an_attained_supremum():
     cfg = OptimizerConfig(n_random_starts=3, max_iterations=300, rng_seed=4)
     for first, second in _random_pairs(24, 2024):
-        seeds = analytic_seed_states(first) + analytic_seed_states(second)
+        seeds = analytic_seed_states(first, second)
         for measure in EXACT_MEASURES:
             exact = directional_incompatibility(measure, first, second)
             assert exact.provenance is Provenance.EXACT
@@ -432,7 +432,7 @@ def test_observable_disturbance_is_exact():
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=300, rng_seed=6)
     for obs in _disturbance_observables():
         inst = canonical_instrument(obs)
-        seeds = analytic_seed_states(obs) + analytic_seed_states(inst)
+        seeds = analytic_seed_states(obs, inst)
         for measure in (Measure.L1, Measure.FIDELITY):
             exact = maximal_disturbance(measure, obs, cfg)
             assert exact.provenance is Provenance.EXACT
@@ -486,6 +486,51 @@ def test_seeds_on_the_ceiling_skip_the_search(d, minimize_calls):
     assert minimize_calls == []
 
 
+def _candidate_columns(meas):
+    """A measurement's candidate vectors, unnormalized, in the documented order."""
+    if isinstance(meas, HermitianObservable):
+        bases = [meas.basis]
+    elif isinstance(meas, Povm):
+        bases = [np.linalg.eigh(elem)[1] for elem in meas.elements]
+    else:
+        bases = [incompatibility._normal_basis(kraus) for kraus in meas.kraus_flat()]
+    columns = [col for basis in bases for col in (*basis.T, basis.sum(axis=1))]
+    if isinstance(meas, HermitianObservable) and meas.n_outcomes > 1:
+        reps = np.stack([meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1)
+        columns.append(reps.sum(axis=1))
+    return columns
+
+
+_SEEDED_MEASUREMENTS = {
+    "observable": random_observable(4, 71),
+    "degenerate": degenerate_observable((2, 1, 1), random_unitary(4, 72)),
+    "povm": random_povm(3, 4, seed=73),
+    "instrument": z_channel(0.3),
+    "luders": canonical_instrument(random_povm(3, 3, seed=74)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SEEDED_MEASUREMENTS))
+def test_seed_rows_are_the_normalized_candidates(kind):
+    meas = _SEEDED_MEASUREMENTS[kind]
+    kept = []
+    for col in _candidate_columns(meas):
+        state = PureState.normalized(col)
+        if all(abs(np.vdot(k.amplitudes, state.amplitudes)) <= 1.0 - 1e-9 for k in kept):
+            kept.append(state)
+    rows = analytic_seed_states(meas)
+    assert rows.dtype == np.complex128 and rows.flags.c_contiguous
+    assert rows.tobytes() == np.stack([k.amplitudes for k in kept]).tobytes()
+    assert analytic_seed_states(meas, meas).tobytes() == rows.tobytes()
+
+
+def test_the_package_builds_exactly_hermitian_kraus_operators():
+    # _normal_basis relies on it: such an operator's anti-Hermitian part is exactly zero.
+    for meas in (random_observable(3, 75), random_povm(3, 4, seed=76)):
+        for kraus in canonical_instrument(meas).kraus_flat():
+            assert np.array_equal(kraus, kraus.conj().T)
+
+
 @pytest.mark.parametrize("dim", range(2, 6))
 def test_normal_kraus_basis_diagonalizes_the_operator(dim):
     rng = np.random.default_rng(dim)
@@ -504,18 +549,12 @@ def test_normal_kraus_basis_diagonalizes_the_operator(dim):
         assert np.abs(rotated - np.diag(np.diagonal(rotated))).max() <= 1e-9
 
 
-def _pair_seeds(first, second):
-    """The default seeds of a directional value."""
-    seeds = analytic_seed_states(first)
-    for state in analytic_seed_states(second):
-        incompatibility._add_seed(seeds, state)
-    return seeds
-
-
 def _search_without_ceiling(measure, first, second, config):
     """The seeded multistart search with every random start, as run below the ceiling."""
     objective = pair_distance_objective(measure, first, second)
-    return maximize_over_pure_states(objective, first.dim, _pair_seeds(first, second), config)
+    return maximize_over_pure_states(
+        objective, first.dim, analytic_seed_states(first, second), config
+    )
 
 
 def test_seeds_below_the_ceiling_search_as_before():
@@ -633,13 +672,14 @@ def test_fidelity_value_of_equal_statistics_is_exactly_zero():
 def test_directional_evaluations_count_the_seeds_and_the_search():
     obs_a, obs_b = commuting_fixture(3)
     on_ceiling = directional_incompatibility(Measure.FIDELITY, obs_a, obs_b, LIGHT)
-    assert on_ceiling.evaluations == len(_pair_seeds(obs_a, obs_b))
+    assert on_ceiling.evaluations == len(analytic_seed_states(obs_a, obs_b))
 
     first, second = random_observable(4, 43), random_observable(4, 44)
     searched = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
     expected = _search_without_ceiling(Measure.FIDELITY, first, second, LIGHT)
-    # The ranking read for the ceiling exit is the one the search starts from.
-    assert searched.evaluations == expected.evaluations
+    # The seeds are evaluated for the ceiling exit, then again by the search.
+    seeds = analytic_seed_states(first, second)
+    assert searched.evaluations == expected.evaluations + len(seeds)
     assert directional_incompatibility(Measure.L1, first, second, LIGHT).evaluations == 0
 
 

@@ -26,7 +26,7 @@ from qincompat import (
     z_channel,
 )
 from qincompat.incompatibility import _disturbance_objective, canonical_instrument
-from qincompat.optimize import LocalSearch, _folded_objective, _lbfgsb, minimize, rank_seeds
+from qincompat.optimize import LocalSearch, _folded_objective, _lbfgsb, minimize
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
@@ -50,7 +50,7 @@ def test_largest_eigenvalue_of_diagonal_form():
 
 
 def test_constant_objective_prefers_seed():
-    seed = PureState(np.array([1.0, 0.0], dtype=complex))
+    seed = np.array([1.0, 0.0], dtype=complex)
     result = maximize_over_pure_states(constant(0.3), 2, (seed,), LIGHT)
     assert result.value == 0.3
     assert result.provenance is Provenance.ANALYTIC_SEED
@@ -62,7 +62,7 @@ def test_starts_used_skips_collapsed_starts(monkeypatch):
         return LocalSearch(np.zeros_like(x0), np.zeros(len(x0), int), np.zeros(len(x0), int))
 
     monkeypatch.setattr("qincompat.optimize.minimize", collapse)
-    seed = PureState(np.array([1.0, 0.0], dtype=complex))
+    seed = np.array([1.0, 0.0], dtype=complex)
     cfg = OptimizerConfig(n_random_starts=3, max_iterations=10, rng_seed=0)
     result = maximize_over_pure_states(constant(0.3), 2, (seed,), cfg)
     assert result.starts_used == 0
@@ -77,25 +77,31 @@ def test_evaluations_count_every_objective_call():
         calls.append(len(vecs))
         return quadratic(vecs)
 
-    seeds = [PureState(np.eye(3, dtype=complex)[:, k]) for k in range(3)]
+    seeds = np.eye(3, dtype=complex)
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=4)
     result = maximize_over_pure_states(counted, 3, seeds, cfg)
     assert result.evaluations == sum(calls) > len(seeds)
     # The seeds, one call per lockstep step, and the end points.
     assert calls[0] == len(seeds) and calls[-1] == 2 * cfg.n_random_starts
     assert max(calls[1:-1]) <= 2 * cfg.n_random_starts
-    assert OptResult(0.0, seeds[0], Provenance.EXACT, 0).evaluations == 0
+    assert OptResult(0.0, result.argmax, Provenance.EXACT, 0).evaluations == 0
 
-    # A ranking from rank_seeds is searched without evaluating the seeds again.
+    # The same seeds as a list of rows are searched the same way.
     searched = calls[:]
-    ranking = rank_seeds(counted, seeds)
     calls.clear()
-    again = maximize_over_pure_states(counted, 3, ranking, cfg)
-    assert calls == searched[1:]
+    again = maximize_over_pure_states(counted, 3, list(seeds), cfg)
+    assert calls == searched
     assert (again.value, again.provenance, again.evaluations) == (
         result.value, result.provenance, result.evaluations
     )
     assert again.argmax.amplitudes.tobytes() == result.argmax.amplitudes.tobytes()
+
+
+def test_seeds_must_be_unit_rows_of_the_dimension():
+    objective = quadratic_form(np.diag([0.2, 0.5, 0.9]))
+    for seeds in (np.eye(2, dtype=complex), np.eye(3)[0], 2.0 * np.eye(3), [[np.nan, 0, 0]]):
+        with pytest.raises(ValidationError):
+            maximize_over_pure_states(objective, 3, seeds, LIGHT)
 
 
 def test_iterations_sum_over_starts(monkeypatch):
@@ -124,7 +130,7 @@ def test_objective_receives_unit_complex_vectors():
         return np.abs(vecs[:, 0]) ** 2, grads
 
     # The seed is the minimum of the objective, so refining it cannot win.
-    seeds = (PureState(np.array([0.0, 0.8 + 0.6j])),)
+    seeds = np.array([[0.0, 0.8 + 0.6j]])
     cfg = OptimizerConfig(n_random_starts=2, max_iterations=50, rng_seed=3)
     result = maximize_over_pure_states(objective, 2, seeds, cfg)
     assert len(seen) > len(seeds)
@@ -139,7 +145,7 @@ def test_objective_receives_unit_complex_vectors():
 def test_mub_fidelity_objective_attained_at_basis_seed():
     obs_a, obs_b = fourier_mub_pair(2)
     objective = pair_distance_objective(Measure.FIDELITY, obs_a, obs_b)
-    seeds = [PureState(obs_b.basis[:, j]) for j in range(2)]
+    seeds = obs_b.basis.T
     result = maximize_over_pure_states(objective, 2, seeds, LIGHT)
     assert result.value == pytest.approx(0.5, abs=1e-12)
 
@@ -160,7 +166,7 @@ def test_adding_seeds_never_decreases_value():
     cfg = OptimizerConfig(n_random_starts=1, max_iterations=40, rng_seed=5)
     bare = maximize_over_pure_states(objective, 3, (), cfg)
     seeded = maximize_over_pure_states(
-        objective, 3, (PureState(np.eye(3, dtype=complex)[:, 2]),), cfg
+        objective, 3, np.eye(3, dtype=complex)[2:], cfg
     )
     assert seeded.value >= bare.value
     assert seeded.value == pytest.approx(0.9, abs=1e-12)
@@ -177,7 +183,7 @@ def test_one_non_finite_row_raises():
         values[-1] = np.inf
         return values, np.zeros_like(vecs)
 
-    seed = PureState(np.array([1.0, 0.0], dtype=complex))
+    seed = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ObjectiveNaNError):
         maximize_over_pure_states(one_broken, 2, (seed,), LIGHT)
     with pytest.raises(ObjectiveNaNError):

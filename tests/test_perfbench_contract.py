@@ -47,19 +47,40 @@ def test_wrapped_names_exist():
     assert all(callable(runner) for runner in verify._SUITE_RUNNERS.values())
 
 
+def _searches():
+    """A searched directional value and disturbance, with their seed row counts."""
+    first, second, channel = trine_povm(), random_povm(2, 4, seed=0), z_channel(0.3)
+    seed_rows = [
+        len(incompatibility.analytic_seed_states(first, second)),
+        len(incompatibility.analytic_seed_states(channel, channel)),
+    ]
+    results = (
+        incompatibility.directional_incompatibility(Measure.FIDELITY, first, second, BUDGET),
+        incompatibility.maximal_disturbance(Measure.FIDELITY, channel, BUDGET),
+    )
+    return results, seed_rows
+
+
+def _fields(result):
+    return (result.value, result.argmax.amplitudes.tobytes(), result.provenance,
+            result.starts_used, result.evaluations, result.iterations)
+
+
 def test_the_tracer_counts_the_searches(patches):
+    untraced, _ = _searches()
     tracer = instrument.Tracer()
     tracer.install(qincompat, patches)
-    directional = incompatibility.directional_incompatibility(
-        Measure.FIDELITY, trine_povm(), random_povm(2, 4, seed=0), BUDGET
-    )
-    disturbance = incompatibility.maximal_disturbance(Measure.FIDELITY, z_channel(0.3), BUDGET)
+    (directional, disturbance), seed_rows = _searches()
     metrics = tracer.layer_metrics([])
     for result in (directional, disturbance):
         assert isinstance(result, OptResult)
     assert [prov for _, prov in tracer.suprema] == [
         directional.provenance.value, disturbance.provenance.value
     ]
+    # The tracer counts the seed rows and forwards them as a list of 1-D
+    # rows, which is searched exactly as the array it was made from.
+    assert [n for n, _ in tracer.suprema] == seed_rows
+    assert [_fields(r) for r in (directional, disturbance)] == [_fields(r) for r in untraced]
     assert metrics["incompatibility.directional_calls"] == 1
     assert metrics["incompatibility.disturbance_calls"] == 1
     assert metrics["optimize.calls"] == 2

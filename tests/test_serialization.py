@@ -27,7 +27,7 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
-from qincompat.serialization import to_payload
+from qincompat.serialization import to_payload, write_json_atomic
 
 
 def roundtrip(obj, path):
@@ -127,6 +127,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
     assert leftovers == []
     assert (tmp_path / "trine.json").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_writes_get_the_mode_of_a_plain_open(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "plain.txt").write_text("")
+        save_observable_file(trine_povm(), tmp_path / "trine.json")
+        write_json_atomic(tmp_path / "report.json", {"value": 1.0})
+    finally:
+        os.umask(previous)
+    modes = {name: os.stat(tmp_path / name).st_mode & 0o777
+             for name in ("plain.txt", "trine.json", "report.json")}
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
 
 
 def test_booleans_are_not_numbers(tmp_path):
