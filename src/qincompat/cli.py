@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -59,6 +60,10 @@ MAX_DIM = 32
 # The largest --starts and --outcomes: ``disturbance`` of the trine then takes
 # under 1 s and 52 MB, a d = 32 random POVM 11 s and 243 MB.
 MAX_COUNT = 1024
+# The largest scan --trials: every row is kept until the CSV is written. A
+# --dim 2 scan then takes 119 s and 108 MB (2-vCPU Xeon); one d = 32 trial
+# takes about 6 s, so there the cap bounds memory rather than time.
+MAX_TRIALS = 100_000
 
 
 def _fmt(value: float) -> str:
@@ -185,11 +190,18 @@ def cmd_disturbance(args) -> int:
     return EXIT_OK
 
 
+# Families that exist only on a qubit, for which --dim must be absent or 2.
+_QUBIT_FAMILIES = ("mub-triple", "zchannel", "trine")
+
+
 def _construct_objects(args) -> list[tuple[str, object]]:
     family = args.family
+    if family in _QUBIT_FAMILIES and args.dim not in (None, 2):
+        raise ParamOutOfRangeError(f"{family} is a qubit family; --dim must be 2, got {args.dim}")
+    dim = 2 if args.dim is None else args.dim
     if family == "mub":
-        obs_a, obs_b = fourier_mub_pair(args.dim)
-        return [(f"mub_d{args.dim}_a.json", obs_a), (f"mub_d{args.dim}_b.json", obs_b)]
+        obs_a, obs_b = fourier_mub_pair(dim)
+        return [(f"mub_d{dim}_a.json", obs_a), (f"mub_d{dim}_b.json", obs_b)]
     if family == "mub-triple":
         names = ("x", "y", "z")
         return [
@@ -198,12 +210,12 @@ def _construct_objects(args) -> list[tuple[str, object]]:
     if family == "commuting-subspace":
         if args.dc is None:
             raise ParamOutOfRangeError("commuting-subspace needs --dc")
-        obs_a, obs_b = commuting_subspace_pair(args.dim, args.dc)
-        stem = f"shared_d{args.dim}_c{args.dc}"
+        obs_a, obs_b = commuting_subspace_pair(dim, args.dc)
+        stem = f"shared_d{dim}_c{args.dc}"
         return [(f"{stem}_a.json", obs_a), (f"{stem}_b.json", obs_b)]
     if family == "asymmetric":
-        obs_a, obs_b = asymmetric_pair(args.dim, args.m)
-        stem = f"asym_d{args.dim}_m{args.m}"
+        obs_a, obs_b = asymmetric_pair(dim, args.m)
+        stem = f"asym_d{dim}_m{args.m}"
         return [(f"{stem}_a.json", obs_a), (f"{stem}_b.json", obs_b)]
     if family == "zchannel":
         return [(f"zchannel_p{args.p:g}.json", z_channel(args.p))]
@@ -211,13 +223,13 @@ def _construct_objects(args) -> list[tuple[str, object]]:
         return [("trine.json", trine_povm())]
     if family == "random-observable":
         return [
-            (f"random_obs_d{args.dim}_s{args.seed}.json", random_observable(args.dim, args.seed))
+            (f"random_obs_d{dim}_s{args.seed}.json", random_observable(dim, args.seed))
         ]
     if family == "random-povm":
         return [
             (
-                f"random_povm_d{args.dim}_n{args.outcomes}_s{args.seed}.json",
-                random_povm(args.dim, args.outcomes, args.seed),
+                f"random_povm_d{dim}_n{args.outcomes}_s{args.seed}.json",
+                random_povm(dim, args.outcomes, args.seed),
             )
         ]
     raise ParamOutOfRangeError(f"unknown family {family!r}")
@@ -352,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--measure", required=True, choices=["1", "F", "inf"])
     p_compute.add_argument("--out", help="write a JSON report here")
     _add_optimizer_flags(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
 
     p_dist = sub.add_parser(
         "disturbance", help="maximal disturbance of a measurement file"
@@ -361,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--measure", default="F", choices=["1", "F"])
     p_dist.add_argument("--out")
     _add_optimizer_flags(p_dist)
-    p_dist.set_defaults(func=cmd_disturbance)
 
     p_construct = sub.add_parser("construct", help="emit observable/POVM/instrument files")
     p_construct.add_argument(
@@ -377,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
             "random-povm",
         ],
     )
-    p_construct.add_argument("--dim", type=_at_most(MAX_DIM), default=2)
+    p_construct.add_argument("--dim", type=_at_most(MAX_DIM), default=None,
+                             help="dimension (default 2; the qubit families accept only 2)")
     p_construct.add_argument("--dc", type=int, default=None,
                              help="shared-eigenvector count for commuting-subspace")
     p_construct.add_argument("--m", type=int, default=1,
@@ -388,20 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
                              help="outcome count for random-povm")
     p_construct.add_argument("--seed", type=_seed, default=0)
     p_construct.add_argument("--out", help="output directory (default: current)")
-    p_construct.set_defaults(func=cmd_construct)
 
     p_scan = sub.add_parser(
         "scan", help="randomized check of the proven (1-1/d)/2 ceiling on symmetric values"
     )
     p_scan.add_argument("--measure", required=True, choices=["1", "inf"])
     p_scan.add_argument("--dim", type=_at_most(MAX_DIM), required=True)
-    p_scan.add_argument("--trials", type=int, required=True)
+    p_scan.add_argument("--trials", type=_at_most(MAX_TRIALS), required=True)
     p_scan.add_argument("--inject", action="append", default=[],
                         choices=["mub", "commuting"],
                         help="prepend a known fixture as an extra trial")
     p_scan.add_argument("--out", required=True, help="CSV output path")
     _add_optimizer_flags(p_scan, starts=2, iterations=200)
-    p_scan.set_defaults(func=cmd_scan)
 
     p_verify = sub.add_parser("verify", help="run the claim suites")
     p_verify.add_argument("--suite", action="append", default=None,
@@ -409,18 +418,25 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite selector (repeatable; default all)")
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--out", help="write a JSON report here")
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
     if args.command == "verify" and args.suite is None:
         args.suite = ["all"]
+    # Looked up per call, so a handler replaced after the first call is the one run.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ParseError, ValidationError, ParamOutOfRangeError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -165,8 +165,8 @@ class HermitianObservable:
     ``basis`` holds an orthonormal eigenvector basis whose columns are
     grouped by eigenspace in the same order, ``ranks[i]`` columns for
     ``eigenvalues[i]``. These three fields are validated once, when the
-    observable is built; ``matrix`` and ``projectors`` are derived from them
-    on first access and are read-only.
+    observable is built; ``matrix``, ``projectors`` and ``instrument`` are
+    derived from them on first access and are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -210,6 +210,11 @@ class HermitianObservable:
         matrix = (matrix + matrix.conj().T) / 2.0
         _freeze(matrix)
         return matrix
+
+    @cached_property
+    def instrument(self) -> "Instrument":
+        """The projective instrument, built on first access and shared afterwards."""
+        return projective_instrument(self)
 
     @property
     def dim(self) -> int:
@@ -287,6 +292,11 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def instrument(self) -> "Instrument":
+        """The Lüders instrument, built and validated on first access and shared afterwards."""
+        return luders_from_povm(self)
 
     @classmethod
     def from_observable(cls, obs: HermitianObservable) -> "Povm":
@@ -410,13 +420,13 @@ def canonical_instrument(meas) -> Instrument:
 
     Observables collapse via their eigenprojectors, POVMs act through
     their positive square roots, and instruments pass through unchanged.
+    An observable or a POVM builds its instrument once and returns that
+    same object on every later call.
     """
     if isinstance(meas, Instrument):
         return meas
-    if isinstance(meas, HermitianObservable):
-        return projective_instrument(meas)
-    if isinstance(meas, Povm):
-        return luders_from_povm(meas)
+    if isinstance(meas, (HermitianObservable, Povm)):
+        return meas.instrument
     raise TypeError(f"cannot build an instrument from {type(meas).__name__}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from typing import Any
 
@@ -190,17 +191,29 @@ def write_json_atomic(path, data: Any) -> None:
 
     The file gets the mode a plain ``open`` would create it with,
     ``0o666`` less the umask, rather than the ``0o600`` of ``mkstemp``.
+    A symlink is followed: its final target is replaced and the link kept.
+    An existing target that is not a regular file, such as a FIFO or a
+    device, cannot be replaced without destroying it, so it is written
+    through with a plain ``open`` instead.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    text = json.dumps(data, indent=1) + "\n"
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:  # a new file, or the missing target of a symlink
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)
     umask = os.umask(0o022)  # reading the umask means setting it, so it is set back
     os.umask(umask)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
     try:
         os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=1)
-            handle.write("\n")
-        os.replace(tmp_path, path)
+            handle.write(text)
+        os.replace(tmp_path, target)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, file round-trips."""
 
+import argparse
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -13,7 +15,8 @@ import pytest
 
 import qincompat
 from qincompat import load_observable_file, random_povm, save_observable_file, trine_povm
-from qincompat.cli import MAX_COUNT, MAX_DIM, main
+from qincompat.cli import MAX_COUNT, MAX_DIM, MAX_TRIALS, main
+from qincompat.verify import SUITES
 
 FAST = ["--starts", "2", "--iterations", "200"]
 
@@ -418,6 +421,121 @@ def test_counts_above_the_limit_are_usage_errors(tmp_path, capsys, command, flag
 def test_outcomes_at_the_limit_are_accepted(tmp_path):
     argv = ["construct", "random-povm", "--dim", 2, "--outcomes", MAX_COUNT, "--out", tmp_path]
     assert run(argv) == 0
+
+
+@pytest.mark.parametrize("value", [MAX_TRIALS + 1, 10**12])
+def test_trials_above_the_limit_are_usage_errors(tmp_path, capsys, monkeypatch, value):
+    import qincompat.cli as cli
+
+    monkeypatch.setattr(cli, "conjecture_scan", None)  # a trial would raise TypeError
+    out = tmp_path / "scan.csv"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run(["scan", "--measure", "1", "--dim", 2, "--trials", value, "--out", out])
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"qincompat scan: error: argument --trials: at most {MAX_TRIALS}, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["trine", "zchannel", "mub-triple"])
+def test_qubit_families_reject_another_dimension(tmp_path, capsys, family):
+    capsys.readouterr()
+    assert run(["construct", family, "--dim", 5, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {family} is a qubit family; --dim must be 2, got 5\n"
+    )
+    assert not list(tmp_path.iterdir())
+    assert run(["construct", family, "--dim", 2, "--out", tmp_path]) == 0
+    for path in tmp_path.iterdir():
+        assert json.loads(path.read_text())["dim"] == 2
+
+
+def test_a_failed_write_through_exits_2(tmp_path, capsys, monkeypatch):
+    import qincompat.serialization as serialization
+
+    def full(path, mode="r", **kwargs):  # a device that accepts no data, for writers
+        if "w" in mode:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return open(path, mode, **kwargs)
+
+    a, b, _ = _fixture_files(tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(serialization, "open", full, raising=False)
+    capsys.readouterr()
+    assert run(["compute", "--measure", "F", "--pair", a, b, "--out", fifo, *FAST]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {fifo}: {os.strerror(errno.ENOSPC)}\n"
+
+
+# main keeps one parser for the process; nothing from one call may reach the next.
+def test_a_usage_error_leaves_the_next_report_as_a_fresh_process_writes_it(tmp_path):
+    a, b, trine = _fixture_files(tmp_path)
+    argv = ["compute", "--measure", "F", "--luders", trine, trine, *FAST, "--seed", 4]
+    with pytest.raises(SystemExit):
+        run(["compute", "--measure", "F", "--pair", a])
+    assert run(argv + ["--out", tmp_path / "here.json"]) == 0
+    src = Path(qincompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-m", "qincompat.cli", *map(str, argv),
+                    "--out", str(tmp_path / "fresh.json")],
+                   capture_output=True, env=env, timeout=120, check=True)
+    assert (tmp_path / "here.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_scan_inject_does_not_carry_over_to_the_next_call(tmp_path):
+    out = tmp_path / "scan.csv"
+    base = ["scan", "--measure", "1", "--dim", 2, "--trials", 2, "--out", out]
+    assert run(base + ["--inject", "mub"]) == 0
+    assert run(base) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert "-1" not in [row[1] for row in rows]
+
+
+def test_bare_verify_after_a_selected_suite_runs_every_suite(tmp_path):
+    report = tmp_path / "verify.json"
+    assert run(["verify", "--suite", "triple", "--out", report]) == 0
+    assert {c["suite"] for c in json.loads(report.read_text())["claims"]} == {"triple"}
+    assert run(["verify", "--out", report]) == 0
+    assert {c["suite"] for c in json.loads(report.read_text())["claims"]} == set(SUITES)
+
+
+def test_a_second_main_builds_no_parser_and_runs_the_current_handler(tmp_path, monkeypatch):
+    import qincompat.cli as cli
+
+    assert run(["construct", "trine", "--out", tmp_path]) == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["construct", "trine", "--out", tmp_path]) == 0
+    assert built == []
+    monkeypatch.setattr(cli, "cmd_construct", lambda args: 7)
+    assert run(["construct", "trine", "--out", tmp_path]) == 7
+
+
+def test_a_luders_report_builds_each_instrument_once(tmp_path, monkeypatch):
+    import qincompat.core as core
+
+    save_observable_file(trine_povm(), tmp_path / "trine.json")
+    save_observable_file(random_povm(2, 4, seed=0), tmp_path / "povm4.json")
+    built = []
+    real = core.luders_from_povm
+
+    def counting(povm):
+        built.append(povm)
+        return real(povm)
+
+    monkeypatch.setattr(core, "luders_from_povm", counting)
+    assert run(["compute", "--measure", "F", "--luders", tmp_path / "trine.json",
+                tmp_path / "povm4.json", *FAST]) == 0
+    assert [povm.n_outcomes for povm in built] == [3, 4]
 
 
 # Imports the package and runs an exact and a searched command through main,

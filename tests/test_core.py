@@ -199,6 +199,9 @@ def test_canonical_instrument_dispatch():
     assert canonical_instrument(obs).n_outcomes == 2
     povm = random_povm(2, 3, 4)
     assert canonical_instrument(povm).n_outcomes == 3
+    # Built once per object: every later call returns the same instrument.
+    assert canonical_instrument(obs) is canonical_instrument(obs)
+    assert canonical_instrument(povm) is canonical_instrument(povm)
     inst = projective_instrument(obs)
     assert canonical_instrument(inst) is inst
     with pytest.raises(TypeError):

@@ -5,7 +5,9 @@ import copy
 import io
 import json
 import os
+import stat
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -141,6 +143,40 @@ def test_atomic_writes_get_the_mode_of_a_plain_open(tmp_path, umask):
     modes = {name: os.stat(tmp_path / name).st_mode & 0o777
              for name in ("plain.txt", "trine.json", "report.json")}
     assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_atomic_write_through_a_symlink_replaces_its_target(tmp_path, target_exists):
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "report.json"
+    if target_exists:
+        target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(os.path.join("sub", "report.json"))
+    write_json_atomic(link, {"value": 1.0})
+    assert link.is_symlink() and os.readlink(link) == os.path.join("sub", "report.json")
+    assert target.read_text() == json.dumps({"value": 1.0}, indent=1) + "\n"
+    leftovers = [p.name for p in tmp_path.rglob("*.tmp")]
+    assert leftovers == []
+
+
+def test_atomic_write_to_a_fifo_writes_through_it(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    write_json_atomic(fifo, {"value": 1.0})
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [json.dumps({"value": 1.0}, indent=1) + "\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
 
 def test_booleans_are_not_numbers(tmp_path):
