@@ -42,6 +42,7 @@ from .incompatibility import (
 )
 from .optimize import OptimizerConfig
 from .serialization import (
+    MAX_DIM,
     REPORT_VERSION,
     load_observable_file,
     save_observable_file,
@@ -52,11 +53,6 @@ from .verify import SUITES, run_suites
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCIENCE = 3
-# The largest --dim. A pair's block split solves a d^2 x d^2 eigenproblem:
-# one split of a random pair takes 1.3 s and 126 MB at d = 32 and 14.8 s and
-# 459 MB at d = 48 (2-vCPU Xeon), so a larger value exits 2 before anything
-# is allocated.
-MAX_DIM = 32
 # The largest --starts and --outcomes: ``disturbance`` of the trine then takes
 # under 1 s and 52 MB, a d = 32 random POVM 11 s and 243 MB.
 MAX_COUNT = 1024

@@ -53,31 +53,9 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 
 
 def zero_floor(eigvals: np.ndarray) -> np.ndarray:
-    """Zero out round-off-scale eigenvalues; sqrt would blow 1e-16 up to 1e-8."""
+    """Zero out negative and round-off-scale eigenvalues; sqrt would blow 1e-16 up to 1e-8."""
     floor = 1e-14 * max(float(eigvals.max()), 1.0)
     return np.where(eigvals > floor, eigvals, 0.0)
-
-
-def sqrt_psd(mat: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Positive square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-1e-10, 0) are treated as round-off and clamped to zero;
-    anything more negative raises :class:`NotPositiveError`. Eigenvalues at
-    the round-off floor are zeroed rather than clipped because the square
-    root would amplify them from 1e-16 to 1e-8 (visible, for example, as a
-    spurious perturbation of sqrt(P) for an exact projector P).
-    """
-    sym = (mat + mat.conj().T) / 2.0
-    try:
-        eigvals, eigvecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise NumericalFailureError(f"eigendecomposition of {name} failed") from exc
-    if eigvals.min() < -POVM_EIG_TOL:
-        raise NotPositiveError(
-            f"{name} has eigenvalue {eigvals.min():.3e} below -{POVM_EIG_TOL}"
-        )
-    root = (eigvecs * np.sqrt(zero_floor(eigvals))) @ eigvecs.conj().T
-    return (root + root.conj().T) / 2.0
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -259,7 +237,11 @@ class HermitianObservable:
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive-operator-valued measure: effects summing to the identity."""
+    """A positive-operator-valued measure: effects summing to the identity.
+
+    Each effect is eigendecomposed once, into ``spectra``, when the POVM is
+    validated; everything that needs an effect's spectrum reads it there.
+    """
 
     elements: tuple[np.ndarray, ...]
 
@@ -273,7 +255,8 @@ class Povm:
                 raise DimensionMismatchError("POVM elements have inconsistent dimensions")
             if hermiticity_defect(elem) > HERMITIAN_TOL:
                 raise NotHermitianError(f"POVM element {i} is not self-adjoint")
-            eigvals = np.linalg.eigvalsh((elem + elem.conj().T) / 2.0)
+        object.__setattr__(self, "elements", elems)
+        for i, (eigvals, _) in enumerate(self.spectra):
             if eigvals.min() < -POVM_EIG_TOL or eigvals.max() > 1.0 + POVM_EIG_TOL:
                 raise NotPositiveError(
                     f"POVM element {i} has eigenvalues outside [0, 1]: "
@@ -282,8 +265,14 @@ class Povm:
         total = sum(elems)
         if max_abs(total - np.eye(d)) > COMPLETENESS_TOL:
             raise ValidationError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", elems)
         _freeze(*elems)
+
+    @cached_property
+    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only ``(eigenvalues, eigenvectors)`` of ``eigh((E + E^H)/2)`` per effect E."""
+        spectra = tuple(np.linalg.eigh((e + e.conj().T) / 2.0) for e in self.elements)
+        _freeze(*(arr for spectrum in spectra for arr in spectrum))
+        return spectra
 
     @property
     def dim(self) -> int:
@@ -405,9 +394,13 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
 
 
 def luders_from_povm(povm: Povm) -> Instrument:
-    """The instrument whose Kraus operators are the positive roots of the effects."""
-    outcomes = tuple((sqrt_psd(e, f"POVM element {i}"),) for i, e in enumerate(povm.elements))
-    return Instrument(outcomes)
+    """The instrument whose Kraus operators are the positive roots of the effects.
+
+    Each root is built from the effect's ``spectra`` entry, with the negative
+    and round-off eigenvalues zeroed by :func:`zero_floor` rather than rooted.
+    """
+    roots = [(vecs * np.sqrt(zero_floor(vals))) @ vecs.conj().T for vals, vecs in povm.spectra]
+    return Instrument(tuple(((root + root.conj().T) / 2.0,) for root in roots))
 
 
 def projective_instrument(obs: HermitianObservable) -> Instrument:

@@ -86,27 +86,26 @@ def _solve(solver, mat: np.ndarray, what: str):
 def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
-    Observables factor exactly through their stored eigenbasis; POVM
-    elements factor through their eigendecompositions with round-off
-    negatives clamped. Evaluating probabilities as sums of |<w|psi>|^2
-    keeps near-zero outcomes at the square of the round-off level, which
-    matters because the fidelity distance takes square roots of them.
+    Observables factor exactly through their stored eigenbasis; a POVM's
+    effects factor through its ``spectra``, keeping the eigenvalues above
+    1e-14, so round-off negatives are dropped. Evaluating probabilities as
+    sums of |<w|psi>|^2 keeps near-zero outcomes at the square of the
+    round-off level, which matters because the fidelity distance takes
+    square roots of them. Any other kind of measurement raises
+    :class:`TypeError`.
     """
     if isinstance(meas, HermitianObservable):
         offsets = np.cumsum((0,) + meas.ranks[:-1])
         return meas.basis, offsets
-    columns: list[np.ndarray] = []
-    offsets = []
-    dim = meas.dim
-    for effect in measurement_effects(meas):
-        offsets.append(sum(c.shape[1] for c in columns))
-        eigvals, eigvecs = _solve(np.linalg.eigh, effect, "a POVM effect")
+    if not isinstance(meas, Povm):
+        raise TypeError(f"second must be an observable or a POVM, not {type(meas).__name__}")
+    columns = []
+    for eigvals, eigvecs in meas.spectra:
         keep = eigvals > 1e-14
-        if not np.any(keep):
-            columns.append(np.zeros((dim, 1), dtype=np.complex128))
-        else:
-            columns.append(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
-    return np.hstack(columns), np.asarray(offsets)
+        columns.append(eigvecs[:, keep] * np.sqrt(eigvals[keep]) if keep.any()
+                       else np.zeros((meas.dim, 1), dtype=np.complex128))
+    widths = [c.shape[1] for c in columns]
+    return np.hstack(columns), np.cumsum([0] + widths[:-1])
 
 
 # Square roots of block probabilities are floored before dividing by them.
@@ -163,7 +162,9 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     The objective takes an ``(S, dim)`` stack of unit ``complex128``
     amplitude vectors psi, does not validate them, and returns the distances
     and their gradients (the contract of :mod:`qincompat.optimize`); pass
-    ``state.amplitudes[None]`` to evaluate a :class:`PureState`. With W the
+    ``state.amplitudes[None]`` to evaluate a :class:`PureState`. First may be
+    an observable, a POVM or an instrument; second must be an observable or
+    a POVM, and anything else raises :class:`TypeError`. With W the
     columns factoring second's effects (E_j = sum of |w><w| over block j)
     and K_k the Kraus operators of first's canonical instrument, one column
     matrix ``cols = [conj(W) | K_k^T conj(W) for every k]`` is built per
@@ -258,7 +259,7 @@ def _seed_columns(meas) -> np.ndarray:
     if isinstance(meas, HermitianObservable):
         bases = [meas.basis, _eigenspace_representatives(meas)]
     elif isinstance(meas, Povm):
-        bases = [_solve(np.linalg.eigh, elem, "a POVM element")[1] for elem in meas.elements]
+        bases = [eigvecs for _, eigvecs in meas.spectra]
     elif isinstance(meas, Instrument):
         bases = [_normal_basis(kraus) for kraus in meas.kraus_flat()]
     else:
@@ -377,7 +378,8 @@ def directional_incompatibility(
     with and without a preceding measurement of first.
 
     Observables act through their eigenprojector instrument, POVMs through
-    their positive-square-root instrument. The Chebyshev value, and the L1
+    their positive-square-root instrument; second must be an observable or a
+    POVM, and anything else raises :class:`TypeError`. The Chebyshev value, and the L1
     value when second has at most ``EXACT_L1_MAX_OUTCOMES`` outcomes, are
     exact suprema computed from eigenvalues, with provenance ``exact``; they
     ignore ``config``. Otherwise the value is an exact evaluation at the
@@ -403,6 +405,8 @@ def directional_incompatibility(
     ceiling it was checked against, block or table, and ``None`` where first
     has no proven ceiling.
     """
+    if not isinstance(second, (HermitianObservable, Povm)):
+        raise TypeError(f"second must be an observable or a POVM, not {type(second).__name__}")
     if measure is Measure.LINF or (
         measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
     ):
@@ -435,22 +439,19 @@ def directional_incompatibility(
 def _invariant_blocks(first, second) -> list[np.ndarray]:
     """Orthonormal bases of the irreducible subspaces the pair leaves invariant.
 
-    The generators are the Hermitian and anti-Hermitian parts of first's
-    canonical Kraus operators and second's effects. Their commutant is the
-    null space of the positive semidefinite map ``X -> sum_h [h, [h, X]]``,
-    whose form on ``vec(X)`` is one ``eigh`` of a ``d^2 x d^2`` matrix. The
-    eigenspaces of a Hermitian commutant element, built with fixed weights
-    so the split is deterministic, are invariant under every generator; a
-    generic element makes them irreducible. The split is accepted only if
-    every generator's off-block part is at most ``BLOCK_TOL``; otherwise,
-    and whenever the commutant holds only multiples of the identity, the
-    whole space is returned as one block.
+    The generators are first's canonical Kraus operators, as they are, and
+    second's effects. Only observables and POVMs have proven ceilings and
+    reach the split, and their Kraus operators are exactly Hermitian, so the
+    commutant is the null space of the positive semidefinite map
+    ``X -> sum_h [h, [h, X]]``, whose form on ``vec(X)`` is one ``eigh`` of a
+    ``d^2 x d^2`` matrix. The eigenspaces of a Hermitian commutant element,
+    built with fixed weights so the split is deterministic, are invariant
+    under every generator; a generic element makes them irreducible. The
+    split is accepted only if every generator's off-block part is at most
+    ``BLOCK_TOL``; otherwise, and whenever the commutant holds only
+    multiples of the identity, the whole space is returned as one block.
     """
-    kraus = np.stack(canonical_instrument(first).kraus_flat())
-    kraus_adj = kraus.conj().transpose(0, 2, 1)
-    gens = np.concatenate(
-        ((kraus + kraus_adj) / 2.0, (kraus - kraus_adj) / 2.0j, measurement_effects(second))
-    )
+    gens = np.concatenate((canonical_instrument(first).kraus_flat(), measurement_effects(second)))
     dim = gens.shape[1]
     eye = np.eye(dim)
     square = (gens @ gens).sum(axis=0)
@@ -504,7 +505,7 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
     because the q_j - p_j sum to zero) and, under the fidelity measure,
     ``fidelity-dim`` 1 - 1/d. An N-outcome POVM under the fidelity measure
     has ``luders-outcomes`` 1 - 1/N and ``luders-norm`` 1 - 1/s with
-    s = sum_k ||E_k||. Nothing is proven elsewhere. Dimension 1 is allowed:
+    s = sum_k ||E_k||, the top eigenvalues in its ``spectra``. Nothing is proven elsewhere. Dimension 1 is allowed:
     every entry is then 0, which :func:`directional_incompatibility` uses
     for the one-dimensional blocks of a reducible pair.
 
@@ -525,10 +526,10 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
             ceilings["fidelity-dim"] = 1.0 - 1.0 / first.dim  # closed_form rejects d = 1
         return ceilings
     if isinstance(first, Povm) and measure is Measure.FIDELITY:
-        norms = _solve(np.linalg.eigvalsh, np.stack(first.elements), "the POVM effects")[:, -1]
+        norm_sum = float(np.sum([eigvals[-1] for eigvals, _ in first.spectra]))
         return {
             "luders-outcomes": closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes),
-            "luders-norm": 1.0 - 1.0 / float(norms.sum()),
+            "luders-norm": 1.0 - 1.0 / norm_sum,
         }
     return {}
 

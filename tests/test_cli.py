@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -395,6 +396,35 @@ def test_dimension_above_the_limit_is_a_usage_error(tmp_path, capsys, command, d
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["compute-pair", "compute-luders", "disturbance"])
+def test_an_input_file_above_the_dimension_limit_exits_2_before_its_payload_is_read(
+    tmp_path, capsys, command
+):
+    big = tmp_path / "big.json"
+    payload = {"type": "povm", "elements": "not a list"}
+    big.write_text(json.dumps({"format_version": "1", "dim": MAX_DIM + 1, "payload": payload}))
+    argv = _COMMANDS[command](big, big, big)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {big}: dim {MAX_DIM + 1} is above the limit of {MAX_DIM}\n"
+    )
+
+
+def test_out_keeps_the_mode_of_the_report_it_replaces(tmp_path):
+    assert run(["construct", "zchannel", "--p", "0.3", "--out", tmp_path]) == 0
+    report = tmp_path / "secret.json"
+    report.write_text("{}")
+    report.chmod(0o600)
+    previous = os.umask(0o022)
+    try:
+        assert run(["disturbance", tmp_path / "zchannel_p0.3.json", "--out", report, *FAST]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(report).st_mode) == 0o600
+    assert json.loads(report.read_text())["command"] == "disturbance"
+
+
 def test_dimension_at_the_limit_is_accepted(tmp_path):
     assert run(["construct", "random-observable", "--dim", MAX_DIM, "--out", tmp_path]) == 0
 
@@ -536,6 +566,28 @@ def test_a_luders_report_builds_each_instrument_once(tmp_path, monkeypatch):
     assert run(["compute", "--measure", "F", "--luders", tmp_path / "trine.json",
                 tmp_path / "povm4.json", *FAST]) == 0
     assert [povm.n_outcomes for povm in built] == [3, 4]
+
+
+def test_a_luders_report_decomposes_each_effect_once(tmp_path, monkeypatch):
+    trine, povm4 = trine_povm(), random_povm(2, 4, seed=0)
+    save_observable_file(trine, tmp_path / "trine.json")
+    save_observable_file(povm4, tmp_path / "povm4.json")
+    effects = trine.elements + povm4.elements
+    decomposed = []
+
+    def counting(solver):
+        def solve(mat, *args, **kwargs):
+            mat = np.asarray(mat)
+            decomposed.extend(i for i, e in enumerate(effects)
+                              if mat.shape == e.shape and np.allclose(mat, e, rtol=0, atol=1e-12))
+            return solver(mat, *args, **kwargs)
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    assert run(["compute", "--measure", "F", "--luders", tmp_path / "trine.json",
+                tmp_path / "povm4.json", *FAST]) == 0
+    assert sorted(decomposed) == list(range(7))
 
 
 # Imports the package and runs an exact and a searched command through main,

@@ -22,9 +22,11 @@ from qincompat import (
     random_observable,
     random_povm,
     random_pure_state,
+    random_unitary,
     spectral_decompose,
     trine_povm,
 )
+from qincompat.core import zero_floor
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -147,6 +149,39 @@ def test_luders_trine_rank_one_and_trace_preserving():
         assert np.linalg.matrix_rank(kraus, tol=1e-8) == 1
         total += kraus.conj().T @ kraus
     np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+
+
+def test_povm_spectra_are_the_read_only_eigh_of_each_symmetrized_effect():
+    assert [f.name for f in dataclasses.fields(Povm)] == ["elements"]
+    skew = np.array([[0.0, 1e-12], [-1e-12, 0.0]])  # within the Hermitian tolerance
+    lopsided = Povm((PROJ_X_PLUS + skew, PROJ_X_MINUS - skew))
+    for povm in (trine_povm(), random_povm(3, 4, seed=12), lopsided):
+        spectra = povm.spectra
+        assert povm.spectra is spectra and len(spectra) == povm.n_outcomes
+        for (eigvals, eigvecs), effect in zip(spectra, povm.elements):
+            expected_vals, expected_vecs = np.linalg.eigh((effect + effect.conj().T) / 2.0)
+            assert eigvals.tobytes() == expected_vals.tobytes()
+            assert eigvecs.tobytes() == expected_vecs.tobytes()
+            assert not eigvals.flags.writeable and not eigvecs.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            povm.spectra = ()
+    assert not np.array_equal(lopsided.elements[0], lopsided.elements[0].conj().T)
+
+
+def test_luders_roots_are_the_psd_roots_of_the_symmetrized_effects_bit_for_bit():
+    # One effect has a round-off eigenvalue of -1e-11, inside the POVM tolerance.
+    unitary = random_unitary(2, seed=21)
+    below = unitary @ np.diag([-1e-11, 0.6]) @ unitary.conj().T
+    for povm in (trine_povm(), random_povm(3, 4, seed=22), Povm((below, np.eye(2) - below))):
+        for (root,), effect in zip(luders_from_povm(povm).outcomes, povm.elements):
+            sym = (effect + effect.conj().T) / 2.0
+            eigvals, eigvecs = np.linalg.eigh(sym)
+            expected = (eigvecs * np.sqrt(zero_floor(eigvals))) @ eigvecs.conj().T
+            assert root.tobytes() == ((expected + expected.conj().T) / 2.0).tobytes()
+    # The negative eigenvalue is zeroed, not rooted as sqrt(1e-11) ~ 3e-6.
+    root = luders_from_povm(Povm((below, np.eye(2) - below))).outcomes[0][0]
+    assert np.linalg.norm(root @ unitary[:, 0]) < 1e-15
+    np.testing.assert_allclose(root @ unitary[:, 1], np.sqrt(0.6) * unitary[:, 1], atol=1e-15)
 
 
 def test_luders_rejects_negative_element():

@@ -531,6 +531,16 @@ def test_the_package_builds_exactly_hermitian_kraus_operators():
             assert np.array_equal(kraus, kraus.conj().T)
 
 
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("first", [trine_povm(), random_observable(2, 77)])
+def test_a_second_instrument_is_a_type_error(measure, first):
+    channel = z_channel(0.3)
+    with pytest.raises(TypeError, match="observable or a POVM, not Instrument"):
+        directional_incompatibility(measure, first, channel)
+    with pytest.raises(TypeError, match="observable or a POVM, not Instrument"):
+        pair_distance_objective(measure, first, channel)
+
+
 @pytest.mark.parametrize("dim", range(2, 6))
 def test_normal_kraus_basis_diagonalizes_the_operator(dim):
     rng = np.random.default_rng(dim)

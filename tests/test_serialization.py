@@ -29,7 +29,7 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
-from qincompat.serialization import to_payload, write_json_atomic
+from qincompat.serialization import MAX_DIM, to_payload, write_json_atomic
 
 
 def roundtrip(obj, path):
@@ -143,6 +143,29 @@ def test_atomic_writes_get_the_mode_of_a_plain_open(tmp_path, umask):
     modes = {name: os.stat(tmp_path / name).st_mode & 0o777
              for name in ("plain.txt", "trine.json", "report.json")}
     assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o604])
+def test_replacing_a_regular_file_keeps_its_permission_bits(tmp_path, mode):
+    path = tmp_path / "report.json"
+    path.write_text("old")
+    path.chmod(mode)
+    previous = os.umask(0o022)
+    try:
+        write_json_atomic(path, {"value": 1.0})
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert json.loads(path.read_text()) == {"value": 1.0}
+
+
+def test_a_declared_dim_above_the_limit_is_refused_before_the_payload(tmp_path):
+    path = tmp_path / "big.json"
+    for dim, message in ((MAX_DIM, r"payload\.elements"), (MAX_DIM + 1, "above the limit of 32")):
+        doc = {"format_version": "1", "dim": dim, "payload": {"type": "povm", "elements": 1}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load_observable_file(path)
 
 
 @pytest.mark.parametrize("target_exists", [True, False])
