@@ -37,6 +37,7 @@ from .constructions import (
 )
 from .errors import DimensionMismatchError, NumericalFailureError, ParamOutOfRangeError
 from .optimize import (
+    Faces,
     Objective,
     OptimizerConfig,
     OptResult,
@@ -176,6 +177,15 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     ``conj(cols) @ (weights * amp)``, with each column weighted by twice the
     derivative of the distance in its block's probability. Both products
     are stacked matrix-vector products, one per state.
+
+    Under the fidelity measure, when an effect of second is rank-deficient,
+    a p_j or q_j can vanish, and F has a square-root kink there. The
+    objective then returns a third item, :class:`~qincompat.optimize.Faces`:
+    the 2n block probabilities of each row, p_1..p_n then q_1..q_n, and the
+    column blocks of ``cols`` that define them, since a block vanishes at psi
+    exactly where ``psi @ cols_b = 0``. The search finishes starts that
+    approach such a face on it. With full-rank effects, and under the L1
+    and Chebyshev measures, it returns ``(values, grads)`` alone.
     """
     inst = canonical_instrument(first)
     factors, offsets = _effect_factors(second)
@@ -193,13 +203,19 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     starts = np.cumsum(widths) - widths
     column_block = np.repeat(np.arange(widths.size), widths)
     weigh = _WEIGHTS[measure]
+    columns = None
+    if measure is Measure.FIDELITY and (sizes < inst.dim).any():
+        columns = tuple(np.split(cols, starts[1:], axis=1))
 
-    def objective(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(vecs: np.ndarray) -> tuple:
         amp = (vecs[:, None, :] @ cols)[:, 0]
         sums = np.add.reduceat(np.abs(amp) ** 2, starts, axis=1).reshape(len(vecs), 2, -1)
         values, weights = weigh(sums)
         scaled = weights.reshape(len(vecs), -1)[:, column_block] * amp
-        return values, (cols_conj @ scaled[:, :, None])[:, :, 0]
+        grads = (cols_conj @ scaled[:, :, None])[:, :, 0]
+        if columns is None:
+            return values, grads
+        return values, grads, Faces(sums.reshape(len(vecs), -1), columns)
 
     return objective
 
@@ -418,21 +434,38 @@ def directional_incompatibility(
         return maximize_over_pure_states(objective, first.dim, seeds, config)
     bound = min(ceilings.values())
     values = _checked(objective(seeds)[0])
-    best = int(np.argmax(values))
-    value = float(values[best])
-    if value < bound - CEILING_TOL:
+    if values.max() < bound - CEILING_TOL:
         blocks = _invariant_blocks(first, second)
         if len(blocks) > 1:
             bound = max(
                 min(proven_ceilings(measure, _restricted(first, block)).values())
                 for block in blocks
             )
-    if value >= bound - CEILING_TOL:
-        argmax = PureState(seeds[best])
+    return _seed_or_search(objective, first.dim, seeds, values, bound, config)
+
+
+def _seed_or_search(
+    objective: Objective,
+    dim: int,
+    seeds: np.ndarray,
+    values: np.ndarray,
+    bound: float,
+    config: OptimizerConfig | None,
+) -> OptResult:
+    """The best seed if its value is within ``CEILING_TOL`` of ``bound``, else the search.
+
+    ``values`` are the objective at the seeds. A seed on the ceiling is
+    returned with ``starts_used=0``; the search evaluates the seeds again,
+    and ``evaluations`` counts both passes. Either result carries
+    ``upper_bound=bound``.
+    """
+    best = int(np.argmax(values))
+    if values[best] >= bound - CEILING_TOL:
         return OptResult(
-            value, argmax, Provenance.ANALYTIC_SEED, 0, upper_bound=bound, evaluations=len(seeds)
+            float(values[best]), PureState(seeds[best]), Provenance.ANALYTIC_SEED, 0,
+            upper_bound=bound, evaluations=len(seeds),
         )
-    result = maximize_over_pure_states(objective, first.dim, seeds, config)
+    result = maximize_over_pure_states(objective, dim, seeds, config)
     return replace(result, upper_bound=bound, evaluations=result.evaluations + len(seeds))
 
 
@@ -555,7 +588,11 @@ def maximal_disturbance(
     sum_k p_k / (p_k + t) = 1. Each term is concave in p_k, so by Jensen the
     sum is at most r / (1 + r t), which gives t <= 1 - 1/r, with equality
     at uniform p. POVMs and instruments are searched from their analytic
-    seed states, so their value is a lower bound on the supremum.
+    seed states, so their value is a lower bound on the supremum. Under the
+    fidelity measure a POVM's disturbance is at most its ``luders-norm``
+    entry of :func:`proven_ceilings`, which is its result's
+    ``upper_bound``; a seed within ``CEILING_TOL`` of it is returned
+    without a search, as in :func:`directional_incompatibility`.
     """
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
@@ -568,7 +605,12 @@ def maximal_disturbance(
         )
     inst = canonical_instrument(meas)
     objective = _disturbance_objective(measure, inst)
-    return maximize_over_pure_states(objective, meas.dim, analytic_seed_states(meas, inst), config)
+    seeds = analytic_seed_states(meas, inst)
+    if isinstance(meas, Povm) and measure is Measure.FIDELITY:
+        bound = proven_ceilings(measure, meas)["luders-norm"]
+        return _seed_or_search(objective, meas.dim, seeds, _checked(objective(seeds)[0]), bound,
+                               config)
+    return maximize_over_pure_states(objective, meas.dim, seeds, config)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ call of the objective, so the per-call cost of numpy and of the Python
 glue is paid once per step rather than once per start. Each start's
 iterates and its iteration and evaluation counts equal those of
 ``scipy.optimize.minimize`` from the same start, bit for bit, which
-``tests/test_optimize.py`` checks.
+``tests/test_optimize.py`` checks, until the start reaches a face where
+some outcome probability vanishes; it then restarts on that face (see
+:func:`minimize`).
 That routine, ``setulb``, is all the package uses of scipy at run time, and
 :func:`_load_lbfgsb` loads its compiled extension alone: importing
 ``scipy.optimize`` would add 0.5-0.6 s and 49 MB to every process (scipy
@@ -35,7 +37,13 @@ alone, bit for bit: the kernels use elementwise operations, reductions
 along the last axis, row-by-row dot products (``np.vecdot``) and stacked
 products such as ``(S, 1, d) @ (d, m)`` or per-matrix ``eigh``, never one
 2-D product across the stack, whose rows BLAS may round differently
-depending on ``S``. A single state is a stack of one. Seeds and the final comparison use only ``values``.
+depending on ``S``. A single state is a stack of one. Seeds and the final
+comparison use only ``values``. An objective whose value has a square-root
+kink where a block of outcome probability vanishes (the fidelity pair
+objective with a rank-deficient effect) returns a third item,
+:class:`Faces`: each row's block probabilities, and the columns that
+define each block. The face data travels in the return value, so a wrapper
+that passes the result on, such as a timer, keeps it.
 
 Restricting the search to pure states loses nothing for the objectives used
 here: outcome distributions are affine in the density operator, the L1 and
@@ -98,6 +106,44 @@ _MAXLS = 20
 _MAXFUN = 15000
 
 
+# A block probability below this at a completed iteration marks a face the
+# start is approaching, and the start is tried on that face.
+FACE_TOL = 1e-8
+
+
+class Faces(NamedTuple):
+    """Where an objective's evaluated states are close to a face.
+
+    ``probs`` is ``(S, B)``: the probability of each of the objective's
+    ``B`` blocks at each evaluated row. Block ``b`` vanishes at a state psi
+    exactly where ``psi @ columns[b] == 0``, so a face, a set of blocks, is
+    the subspace on which all of them vanish.
+    """
+
+    probs: np.ndarray
+    columns: tuple[np.ndarray, ...]
+
+
+def _face_projector(columns: Sequence[np.ndarray], blocks: tuple[int, ...]) -> np.ndarray | None:
+    """The projector onto a face, in the real coordinates of :func:`minimize`.
+
+    ``psi @ C = 0`` for the stacked columns ``C`` of the blocks puts psi
+    orthogonal to the range of ``conj(C)``, so the face is spanned by the
+    last left singular vectors of ``conj(C)``, with the rank cut of
+    ``np.linalg.matrix_rank``. A complex basis vector ``b`` spans the real
+    directions ``b`` and ``i b``; the projector on the interleaved real and
+    imaginary parts is symmetric. ``None`` if the face is ``{0}``.
+    """
+    stacked = np.hstack([columns[b] for b in blocks]).conj()
+    left, sing, _ = np.linalg.svd(stacked)
+    rank = int(np.count_nonzero(sing > sing.max() * max(stacked.shape) * np.finfo(float).eps))
+    if rank == len(left):
+        return None
+    basis = left[:, rank:]
+    real = np.ascontiguousarray(np.hstack((basis, 1j * basis)).T).view(np.float64)
+    return real.T @ real
+
+
 class LocalSearch(NamedTuple):
     """End points of a stack of L-BFGS-B runs, with each run's iteration and evaluation counts."""
 
@@ -136,6 +182,20 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     point alone, so each start's iterates, iterations and evaluations equal
     scipy's from the same start, bit for bit; ``tests/test_optimize.py``
     checks this against scipy itself.
+
+    ``fun`` may also return a third item, :class:`Faces`, reading each row
+    as the interleaved real and imaginary parts of a complex vector. When an
+    iteration of a start completes at a point where some blocks have
+    probability below ``FACE_TOL``, the start is evaluated at that point
+    projected onto the face where those blocks and the blocks of its
+    current face vanish, in the next step's call. If ``fun`` is no higher
+    there, the start's workspace restarts from the projected point, and from
+    then on it is evaluated at ``P x`` with gradient ``P grad``, which is
+    ``fun`` restricted to the face. A square-root kink at a vanishing
+    probability makes L-BFGS-B crawl toward the face; on it the problem is
+    smooth. A start that never meets a face follows scipy's iterates, a
+    face whose only point is 0 is skipped, each face's projector is made
+    once per call, and every evaluation, accepted or not, is counted.
     """
     x = np.array(x0, dtype=np.float64)
     starts, n = x.shape
@@ -163,6 +223,15 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     at = [None] * starts
     nits = [0] * starts
     nfevs = [0] * starts
+    # Per start: the blocks below FACE_TOL at its last evaluation (None if
+    # none), its face and that face's projector, and the face it is being
+    # tried on, with its gradient before the trial.
+    near = [None] * starts
+    face = [()] * starts
+    projector = [None] * starts
+    trial = {}
+    projectors = {}
+    columns = ()
     running = range(starts)
     while running:
         pending = []
@@ -181,16 +250,53 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                         task[:] = 5, 504  # STOP: iteration limit
                     elif nfevs[i] > _MAXFUN:
                         task[:] = 5, 502  # STOP: evaluation limit
+                    elif near[i] is not None:
+                        blocks = tuple(sorted(set(near[i]).union(face[i])))
+                        if blocks != face[i]:
+                            if blocks not in projectors:
+                                projectors[blocks] = _face_projector(columns, blocks)
+                            if projectors[blocks] is not None:
+                                trial[i] = blocks, gi.copy()
+                                pending.append(i)
+                                break
                 else:  # converged, stopped, or abnormal
                     break
         if pending:
             points = x[pending]
-            values, grads = fun(points)
+            listed = points.tolist()
+            through = [projectors[trial[i][0]] if i in trial else projector[i] for i in pending]
+            for k, proj in enumerate(through):
+                if proj is not None:
+                    points[k] = points[k] @ proj
+            found = fun(points)
+            values, grads = found[0], found[1]
+            for k, proj in enumerate(through):
+                if proj is not None:
+                    grads[k] = grads[k] @ proj
             g[pending] = grads
-            for i, point, value in zip(pending, points.tolist(), values.tolist()):
-                at[i], f[i] = point, value
+            hits = [False] * len(pending)
+            if len(found) > 2:
+                columns = found[2].columns
+                small = found[2].probs < FACE_TOL
+                hits = small.any(axis=1).tolist()
+            for k, (i, point, value) in enumerate(zip(pending, listed, values.tolist())):
                 nfevs[i] += 1
+                if i in trial:
+                    blocks, before = trial.pop(i)
+                    if value > f[i]:  # lower on the face: go on from x as before
+                        g[i] = before
+                        continue
+                    face[i], projector[i] = blocks, through[k]
+                    x[i] = points[k]
+                    point = points[k].tolist()
+                    for state in rows[i][2:]:
+                        state[:] = 0  # task START: restart the workspace at x
+                at[i], f[i] = point, value
+                near[i] = tuple(np.flatnonzero(small[k]).tolist()) if hits[k] else None
         running = pending
+    for i, proj in enumerate(projector):
+        if proj is not None:
+            x[i] = x[i] @ proj
     return LocalSearch(x, np.array(nits), np.array(nfevs))
 
 
@@ -266,22 +372,33 @@ def _folded_objective(objective: Objective, dim: int) -> Objective:
     Each row's 2*dim coordinates interleave the real and imaginary parts of
     ``z``. The gradient folds in the normalization,
     ``-(grad - Re(v^H grad) v) / |z|`` at ``v = z/|z|``; a row of norm
-    below 1e-12 gets a constant penalty and zero gradient.
+    below 1e-12 gets a constant penalty and zero gradient. The objective's
+    :class:`Faces`, if any, are passed on, with probability 1 in every block
+    of a penalized row. A face of ``v`` is a face of ``z``, because the
+    blocks vanish on a complex subspace.
     """
 
-    def negated(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def negated(coords: np.ndarray) -> tuple:
         norms = _norms(coords)
         kept = norms >= 1e-12
         if not kept.all():
             values = np.full(len(coords), _ZERO_NORM_PENALTY)
             grads = np.zeros_like(coords)
-            if kept.any():
-                values[kept], grads[kept] = negated(coords[kept])
-            return values, grads
+            if not kept.any():
+                return values, grads
+            found = negated(coords[kept])
+            values[kept], grads[kept] = found[:2]
+            if len(found) == 2:
+                return values, grads
+            probs = np.ones((len(coords), found[2].probs.shape[1]))
+            probs[kept] = found[2].probs
+            return values, grads, found[2]._replace(probs=probs)
         vecs = coords.view(np.complex128) / norms[:, None]
-        found, grad = objective(vecs)
+        found = objective(vecs)
+        grad = found[1]
         along = np.vecdot(vecs, grad).real[:, None]  # Re(v^H grad), row by row
-        return -_checked(found), ((along * vecs - grad) / norms[:, None]).view(np.float64)
+        folded = ((along * vecs - grad) / norms[:, None]).view(np.float64)
+        return (-_checked(found[0]), folded) + tuple(found[2:])
 
     return negated
 
@@ -314,7 +431,13 @@ def maximize_over_pure_states(
     refined too (900 searches at d=2,3). All starts are one call of
     :func:`minimize`, which advances them in lockstep with one objective
     call per step; each start follows the iterates of
-    ``scipy.optimize.minimize(method="L-BFGS-B")`` from it, bit for bit.
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` from it, bit for bit,
+    unless the objective reports :class:`Faces` and the start reaches one.
+    It then finishes on the face, where the objective is smooth, instead of
+    crawling into the square-root kink: there the value error scales as the
+    square root of the vanishing probability, and a random start of a
+    random observable pair took about 70 iterations to bring it to
+    round-off.
 
     A start stops after ``max_iterations`` iterations, once an iteration
     improves the value by less than ``convergence_tol * 1e-5`` (relative
@@ -330,10 +453,11 @@ def maximize_over_pure_states(
     bitwise reproducible. A state refined from a seed keeps provenance
     ``analytic-seed``. ``starts_used`` counts the random starts that ended
     at a nonzero vector, ``evaluations`` every state evaluated (the seeds,
-    each start's evaluations and the exact re-evaluation of each nonzero
-    end point, in one call), and ``iterations`` the iterations of all
-    starts. Raises :class:`ObjectiveNaNError` if the objective returns a
-    non-finite value at any probed state.
+    each start's evaluations, including its trials on faces, and the exact
+    re-evaluation of each nonzero end point, in one call), and
+    ``iterations`` the iterations of all starts. Raises
+    :class:`ObjectiveNaNError` if the objective returns a non-finite value
+    at any probed state.
     """
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")

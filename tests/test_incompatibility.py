@@ -357,12 +357,19 @@ def test_gap_is_known_for_exact_reports_only():
 
 def test_gap_is_known_only_when_each_direction_is_on_its_own_ceiling():
     config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
-    for d in (3, 4):
-        # forward reaches 1 - 1/d; backward stays below 1/2 from a random start
+    # Forward reaches 1 - 1/d. Backward ends on the face psi_0 = 0: on the
+    # ceiling 1/2 at d=4, and at d=3 at 4/9, the best of 256 face-free starts.
+    for d, backward in ((3, 4.0 / 9.0), (4, 0.5)):
         report = pair_incompatibility(Measure.FIDELITY, *asymmetric_pair(d, 1), config)
         assert report.forward.value >= 1.0 - 1.0 / d - 1e-9
-        assert report.backward.value < 0.5 - 1e-8
-        assert report.gap_unknown is True
+        assert abs(report.backward.value - backward) <= 1e-12
+        assert report.gap_unknown is (d == 3)
+    # A random pair's values lie far below the ceilings 1 - 1/3 of its directions.
+    random_pair = random_observable(3, 31), random_observable(3, 32)
+    report = pair_incompatibility(Measure.FIDELITY, *random_pair, config)
+    for result in (report.forward, report.backward):
+        assert result.value < result.upper_bound - 1e6 * incompatibility.BOUND_SLACK
+    assert report.gap_unknown is True
     for d in range(2, 7):
         for measure in (Measure.FIDELITY, Measure.L1):
             report = pair_incompatibility(measure, *fourier_mub_pair(d), config)
@@ -467,6 +474,49 @@ def minimize_calls(monkeypatch):
 
     monkeypatch.setattr(optimize, "minimize", counted)
     return calls
+
+
+def test_povm_fidelity_disturbance_carries_the_luders_norm_ceiling(minimize_calls):
+    trine = maximal_disturbance(Measure.FIDELITY, trine_povm(), LIGHT)
+    assert trine.upper_bound == 0.5
+    assert abs(trine.value - 0.5) <= 1e-12
+    assert minimize_calls == [1]
+    # A projective POVM's ceiling 1 - 1/3 is reached by the uniform superposition seed.
+    projective = Povm(tuple(np.diag(row).astype(complex) for row in np.eye(3)))
+    result = maximal_disturbance(Measure.FIDELITY, projective, LIGHT)
+    assert minimize_calls == [1]
+    ceilings = incompatibility.proven_ceilings(Measure.FIDELITY, projective)
+    assert result.upper_bound == ceilings["luders-norm"]
+    assert result.value == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert result.value >= result.upper_bound - incompatibility.CEILING_TOL
+    assert (result.provenance, result.starts_used, result.iterations) == (
+        Provenance.ANALYTIC_SEED, 0, 0
+    )
+    seeds = analytic_seed_states(projective, canonical_instrument(projective))
+    assert result.evaluations == len(seeds)
+    # Instruments and the L1 measure prove nothing.
+    for measure, meas in ((Measure.L1, trine_povm()),
+                          (Measure.FIDELITY, canonical_instrument(trine_povm()))):
+        assert maximal_disturbance(measure, meas, TINY).upper_bound is None
+
+
+def test_only_fidelity_objectives_whose_blocks_can_vanish_report_faces():
+    obs_a, obs_b = random_observable(3, 11), random_observable(3, 12)
+    full_rank = random_povm(3, 4, seed=13)
+    vecs = np.eye(3, dtype=complex)
+    for measure, first, second in (
+        (Measure.FIDELITY, full_rank, random_povm(3, 3, seed=14)),
+        (Measure.FIDELITY, obs_a, full_rank),
+        (Measure.L1, obs_a, obs_b),
+        (Measure.LINF, obs_a, obs_b),
+    ):
+        assert len(pair_distance_objective(measure, first, second)(vecs)) == 2
+    _, _, faces = pair_distance_objective(Measure.FIDELITY, obs_a, obs_b)(vecs)
+    # p_j, then q_j, for the three outcomes of obs_b
+    assert faces.probs.shape == (3, 6) and len(faces.columns) == 6
+    for block, columns in enumerate(faces.columns):
+        assert (np.abs(vecs @ columns) ** 2).sum(axis=1) == pytest.approx(faces.probs[:, block])
+    assert faces.probs[:, :3] == pytest.approx(np.abs(vecs.conj() @ obs_b.basis) ** 2)
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -14,6 +14,7 @@ from qincompat import (
     Provenance,
     PureState,
     ValidationError,
+    analytic_seed_states,
     asymmetric_pair,
     directional_incompatibility,
     fourier_mub_pair,
@@ -26,7 +27,7 @@ from qincompat import (
     z_channel,
 )
 from qincompat.incompatibility import _disturbance_objective, canonical_instrument
-from qincompat.optimize import LocalSearch, _folded_objective, _lbfgsb, minimize
+from qincompat.optimize import FACE_TOL, LocalSearch, _folded_objective, _lbfgsb, minimize
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
@@ -476,3 +477,65 @@ def test_objective_rows_equal_stacks_of_one_bit_for_bit(dim):
             value, grad = fn(stack[row : row + 1].copy())
             assert value.tobytes() == values[row : row + 1].tobytes(), name
             assert grad.tobytes() == grads[row : row + 1].tobytes(), name
+
+
+def _face_free(fun):
+    """``fun`` without its face data: :func:`minimize` then never restarts on a face."""
+    return lambda points: fun(points)[:2]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_asymmetric_backward_search_reaches_one_half(seed):
+    """Each of these searches stopped 6e-9 to 1.4e-5 short before starts restarted on faces."""
+    obs_a, obs_b = asymmetric_pair(4, 1)
+    config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=seed)
+    result = directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
+    assert abs(result.value - 0.5) <= 1e-12
+
+
+def _face_pairs():
+    """Random observable pairs and random POVMs before the trine: fidelity optima on faces."""
+    rng = np.random.default_rng(2024)
+    pairs = [(random_observable(d, rng), random_observable(d, rng)) for d in (2, 3, 4) * 8]
+    return pairs + [(random_povm(2, n, rng), trine_povm()) for n in (3, 4, 3, 4)]
+
+
+def test_face_search_matches_the_face_free_search_in_half_the_iterations():
+    for first, second in _face_pairs():
+        objective = pair_distance_objective(Measure.FIDELITY, first, second)
+        seeds = analytic_seed_states(first, second)
+        faces = maximize_over_pure_states(objective, first.dim, seeds, LIGHT)
+        free = maximize_over_pure_states(_face_free(objective), first.dim, seeds, LIGHT)
+        assert faces.value >= free.value - 1e-12
+        assert 2 * faces.iterations <= free.iterations
+
+
+def test_face_restricted_rows_equal_each_start_run_alone():
+    first, second = asymmetric_pair(4, 1)[::-1]
+    fun = _folded_objective(pair_distance_objective(Measure.FIDELITY, first, second), 4)
+    starts = np.random.default_rng(5).standard_normal((6, 8))
+    batch = minimize(fun, starts, options=ORACLE_OPTIONS)
+    free = minimize(_face_free(fun), starts, options=ORACLE_OPTIONS)
+    # Every start ends on a face, where some block probability is 0, and sooner than without.
+    assert (fun(batch.x)[2].probs.min(axis=1) < FACE_TOL**2).all()
+    assert (batch.nits < free.nits).all()
+    for row, x0 in enumerate(starts):
+        alone = minimize(fun, x0[None], options=ORACLE_OPTIONS)
+        assert batch.x[row].tobytes() == alone.x[0].tobytes()
+        assert (batch.nits[row], batch.nfevs[row]) == (alone.nits[0], alone.nfevs[0])
+
+
+def test_evaluations_count_every_face_trial():
+    first, second = asymmetric_pair(4, 1)[::-1]
+    objective = pair_distance_objective(Measure.FIDELITY, first, second)
+    rows = []
+
+    def counted(vecs):
+        rows.append(len(vecs))
+        return objective(vecs)
+
+    seeds = analytic_seed_states(first, second)
+    result = maximize_over_pure_states(counted, 4, seeds, CLI_BUDGET)
+    assert result.evaluations == sum(rows)
+    free = maximize_over_pure_states(_face_free(objective), 4, seeds, CLI_BUDGET)
+    assert result.value > free.value and result.evaluations < free.evaluations

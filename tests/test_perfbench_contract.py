@@ -18,6 +18,7 @@ from qincompat import (
     Measure,
     OptimizerConfig,
     OptResult,
+    asymmetric_pair,
     random_povm,
     trine_povm,
     z_channel,
@@ -90,6 +91,20 @@ def test_the_tracer_counts_the_searches(patches):
     assert metrics["objective.pair_evals"] > 0
     assert metrics["objective.disturbance_evals"] > 0
     assert metrics["optimize.nm_maxiter_frac"] == 0.0
+
+
+def test_a_face_search_is_the_same_under_the_tracer(patches):
+    # The face data travels in the objective's return value, which the
+    # tracer's objective wrapper passes on; an attribute would be lost.
+    obs_a, obs_b = asymmetric_pair(4, 1)
+    config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
+    untraced = incompatibility.directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
+    tracer = instrument.Tracer()
+    tracer.install(qincompat, patches)
+    traced = incompatibility.directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
+    assert _fields(traced) == _fields(untraced)
+    assert abs(traced.value - 0.5) <= 1e-12
+    assert tracer.layer_metrics([])["objective.pair_evals"] > 0
 
 
 def test_the_tracer_reads_the_iteration_cap(patches):
