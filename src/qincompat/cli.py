@@ -44,6 +44,7 @@ from .optimize import OptimizerConfig
 from .serialization import (
     MAX_DIM,
     REPORT_VERSION,
+    _vector_to_json,
     load_observable_file,
     save_observable_file,
     write_json_atomic,
@@ -90,7 +91,7 @@ def _opt_result_json(result) -> dict:
         "upper_bound": result.upper_bound,
         "evaluations": result.evaluations,
         "iterations": result.iterations,
-        "argmax": [[float(z.real), float(z.imag)] for z in result.argmax.amplitudes],
+        "argmax": _vector_to_json(result.argmax.amplitudes),
     }
 
 
@@ -258,9 +259,7 @@ def cmd_scan(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["trial", "seed", "value", "argmax_state"])
         for row in report.rows:
-            argmax = json.dumps(
-                [[float(z.real), float(z.imag)] for z in row.argmax.amplitudes]
-            )
+            argmax = json.dumps(_vector_to_json(row.argmax.amplitudes))
             writer.writerow([row.trial, row.seed, repr(row.value), argmax])
     n_bad = len(report.counterexamples)
     n_exact = sum(row.is_exact for row in report.rows)

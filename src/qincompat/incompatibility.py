@@ -53,11 +53,8 @@ EXACT_L1_MAX_OUTCOMES = 12
 # A seed within this distance of a proven ceiling is taken as the supremum,
 # and the multistart search is skipped.
 CEILING_TOL = 1e-12
-# Eigenvalues of the commutant map below this count as zero, and eigenvalues
-# of a commutant element closer than this (relative to its norm) share a block.
-COMMUTANT_TOL = 1e-9
-# A split into blocks is accepted only if no generator couples two blocks by
-# more than this; otherwise the pair is one block.
+# Two eigenvectors of the pair's generic element share a block when some
+# generator couples them by more than this.
 BLOCK_TOL = 1e-10
 
 
@@ -268,14 +265,17 @@ def _disturbance_objective(measure: Measure, inst: Instrument) -> Objective:
 def _seed_columns(meas) -> np.ndarray:
     """One measurement's candidates for :func:`analytic_seed_states`, unnormalized, as columns.
 
-    Each basis gives its columns and their sum. An observable's second basis
-    holds one eigenvector per eigenspace: its columns repeat the first's,
-    and only its sum is new.
+    Each basis gives its columns and their sum. An observable's last basis
+    holds one eigenvector per eigenspace, and a POVM's the top eigenvector
+    of each effect: its columns repeat earlier ones, and only its sum is
+    new. For a projective measurement that sum spreads the state evenly
+    over the outcomes, where the disturbance ceiling 1 - 1/r is attained.
     """
     if isinstance(meas, HermitianObservable):
         bases = [meas.basis, _eigenspace_representatives(meas)]
     elif isinstance(meas, Povm):
         bases = [eigvecs for _, eigvecs in meas.spectra]
+        bases.append(np.stack([eigvecs[:, -1] for eigvecs in bases], axis=1))
     elif isinstance(meas, Instrument):
         bases = [_normal_basis(kraus) for kraus in meas.kraus_flat()]
     else:
@@ -297,7 +297,8 @@ def analytic_seed_states(*measurements) -> np.ndarray:
     uniform superposition of one representative vector per eigenspace (the
     state that equidistributes probability over the distinct outcomes of a
     degenerate spectrum). POVMs and instruments contribute the eigenbases
-    of their effects and Kraus operators plus the same superpositions. Each
+    of their effects and Kraus operators plus the same superpositions, and
+    a POVM also the sum of its effects' top eigenvectors. Each
     row is normalized as :meth:`PureState.normalized` would normalize it,
     and a row whose overlap ``|<u|v>|`` with an earlier row exceeds
     ``1 - 1e-9``, the same state up to phase, is dropped.
@@ -407,7 +408,7 @@ def directional_incompatibility(
     ``CEILING_TOL`` of the lowest of first's :func:`proven_ceilings`, that
     seed is the supremum up to round-off and is returned with
     ``starts_used=0`` and no search. Otherwise the pair is split into the
-    irreducible blocks it leaves invariant (:func:`_invariant_blocks`). If
+    blocks it leaves invariant (:func:`_invariant_blocks`). If
     every Kraus operator of first and every effect of second is block
     diagonal on ``H = ⊕_b H_b``, a state with weights ``w_b`` on the blocks
     has ``p = sum_b w_b p_b`` and ``q = sum_b w_b q_b``; the L1 and Chebyshev
@@ -470,43 +471,31 @@ def _seed_or_search(
 
 
 def _invariant_blocks(first, second) -> list[np.ndarray]:
-    """Orthonormal bases of the irreducible subspaces the pair leaves invariant.
+    """Orthonormal bases of the subspaces the pair leaves invariant, one per block.
 
     The generators are first's canonical Kraus operators, as they are, and
-    second's effects. Only observables and POVMs have proven ceilings and
-    reach the split, and their Kraus operators are exactly Hermitian, so the
-    commutant is the null space of the positive semidefinite map
-    ``X -> sum_h [h, [h, X]]``, whose form on ``vec(X)`` is one ``eigh`` of a
-    ``d^2 x d^2`` matrix. The eigenspaces of a Hermitian commutant element,
-    built with fixed weights so the split is deterministic, are invariant
-    under every generator; a generic element makes them irreducible. The
-    split is accepted only if every generator's off-block part is at most
-    ``BLOCK_TOL``; otherwise, and whenever the commutant holds only
-    multiples of the identity, the whole space is returned as one block.
+    second's effects; only observables and POVMs have proven ceilings and
+    reach the split, and those are Hermitian. The projector onto an
+    invariant subspace commutes with every generator, so it commutes with
+    their sum ``H`` at fixed weights ``sqrt(2), sqrt(3), ...``. Where ``H``'s
+    spectrum is simple, every invariant subspace is therefore spanned by
+    eigenvectors of ``H``, and the blocks are the connected components of
+    the graph that links two eigenvectors when some generator couples them
+    by more than ``BLOCK_TOL``: exactly the irreducible blocks. A repeated
+    eigenvalue of ``H``, from a block that occurs more than once or from an
+    accident of the weights, only merges blocks, which stay invariant
+    because no generator couples two components. Copies of one block leave
+    the lowest of first's :func:`proven_ceilings` where one copy has it.
     """
     gens = np.concatenate((canonical_instrument(first).kraus_flat(), measurement_effects(second)))
-    dim = gens.shape[1]
-    eye = np.eye(dim)
-    square = (gens @ gens).sum(axis=0)
-    double_commutator = (
-        np.kron(square, eye)
-        + np.kron(eye, square.T)
-        - 2.0 * np.einsum("hac,hdb->abcd", gens, gens).reshape(dim * dim, dim * dim)
-    )
-    lam, vecs = _solve(np.linalg.eigh, double_commutator, "the commutant map")
-    null = vecs[:, lam <= COMMUTANT_TOL].T.reshape(-1, dim, dim)
-    if len(null) <= 1:
-        return [eye]
-    weights = np.exp(1j * np.arange(1, len(null) + 1)) / np.arange(1, len(null) + 1)
-    element = np.tensordot(weights, null, axes=1)
-    mu, basis = _solve(np.linalg.eigh, element + element.conj().T, "a commutant element")
-    gaps = np.diff(mu) > COMMUTANT_TOL * np.abs(mu).max()
-    cuts = np.flatnonzero(gaps) + 1
-    labels = np.concatenate(([0], np.cumsum(gaps)))
-    coupled = labels[:, None] != labels[None, :]
-    if not cuts.size or max_abs((basis.conj().T @ gens @ basis)[:, coupled]) > BLOCK_TOL:
-        return [eye]
-    return np.split(basis, cuts, axis=1)
+    weights = np.sqrt(np.arange(2.0, len(gens) + 2.0))
+    _, vecs = _solve(np.linalg.eigh, np.tensordot(weights, gens, axes=1), "a generic element")
+    linked = (np.abs(vecs.conj().T @ gens @ vecs) > BLOCK_TOL).any(axis=0)
+    np.fill_diagonal(linked, True)
+    labels = np.arange(len(vecs))
+    while not np.array_equal(labels, spread := np.where(linked, labels, len(vecs)).min(axis=1)):
+        labels = spread
+    return [vecs[:, labels == label] for label in np.unique(labels)]
 
 
 def _restricted(meas, basis: np.ndarray):

@@ -38,20 +38,6 @@ from .incompatibility import (
 )
 from .optimize import OptimizerConfig
 
-SUITES = (
-    "mub-directional",
-    "mub-symmetric",
-    "commutation",
-    "disturbance-ordering",
-    "shared-eigenvectors",
-    "triple",
-    "luders",
-    "zchannel",
-    "degenerate-disturbance",
-    "asymmetry",
-    "accessible",
-)
-
 _ALL_MEASURES = (Measure.L1, Measure.FIDELITY, Measure.LINF)
 
 
@@ -305,6 +291,7 @@ _SUITE_RUNNERS: dict[str, Callable] = {
     "asymmetry": _suite_asymmetry,
     "accessible": _suite_accessible,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def run_suites(selectors: Iterable[str] = ("all",), rng_seed: int = 0) -> list[ClaimResult]:

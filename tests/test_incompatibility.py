@@ -46,6 +46,7 @@ from qincompat import (
     z_channel,
 )
 from qincompat.constructions import degenerate_observable, random_unitary
+from qincompat.serialization import MAX_DIM
 
 LIGHT = OptimizerConfig(n_random_starts=3, max_iterations=300, rng_seed=0)
 TINY = OptimizerConfig(n_random_starts=1, max_iterations=120, rng_seed=0)
@@ -500,6 +501,18 @@ def test_povm_fidelity_disturbance_carries_the_luders_norm_ceiling(minimize_call
         assert maximal_disturbance(measure, meas, TINY).upper_bound is None
 
 
+def test_a_rotated_projective_povm_disturbance_stops_at_its_ceiling(minimize_calls):
+    # The top eigenvectors of its effects, summed, spread a state evenly over the outcomes.
+    povm = Povm.from_observable(degenerate_observable((2, 1, 1), random_unitary(4, 3)))
+    result = maximal_disturbance(Measure.FIDELITY, povm, LIGHT)
+    assert minimize_calls == []
+    assert result.upper_bound == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert result.value >= result.upper_bound - incompatibility.CEILING_TOL
+    assert (result.provenance, result.starts_used, result.iterations) == (
+        Provenance.ANALYTIC_SEED, 0, 0
+    )
+
+
 def test_only_fidelity_objectives_whose_blocks_can_vanish_report_faces():
     obs_a, obs_b = random_observable(3, 11), random_observable(3, 12)
     full_rank = random_povm(3, 4, seed=13)
@@ -548,6 +561,8 @@ def _candidate_columns(meas):
     if isinstance(meas, HermitianObservable) and meas.n_outcomes > 1:
         reps = np.stack([meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1)
         columns.append(reps.sum(axis=1))
+    if isinstance(meas, Povm):
+        columns.append(np.stack([basis[:, -1] for basis in bases], axis=1).sum(axis=1))
     return columns
 
 
@@ -762,6 +777,82 @@ def test_irreducible_pairs_are_one_block_and_search_as_before():
             assert result.value == expected.value
             assert result.provenance is expected.provenance
             np.testing.assert_array_equal(result.argmax.amplitudes, expected.argmax.amplitudes)
+
+
+def _rotated_sum(parts, unitary):
+    """The block-diagonal matrix with ``parts`` on its diagonal, conjugated by ``unitary``."""
+    return unitary @ scipy.linalg.block_diag(*parts) @ unitary.conj().T
+
+
+def _planted_pair(kind, sizes, seed):
+    """Two measurements on the summands of ⊕ C^size, rotated, and the summands' projectors.
+
+    ``kind`` is "observable" (random observables on every summand),
+    "degenerate" (first's last summand, of dimension 3, is degenerate) or
+    "povm" (random three-outcome POVMs on every summand).
+    """
+    rng = np.random.default_rng(seed)
+    unitary = random_unitary(sum(sizes), seed)
+    edges = np.cumsum((0,) + sizes)
+    projectors = [unitary[:, lo:hi] @ unitary[:, lo:hi].conj().T
+                  for lo, hi in zip(edges, edges[1:])]
+    if kind == "povm":
+        pair = []
+        for offset in (0, 100):
+            parts = [random_povm(k, 3, seed=seed + offset + k).elements for k in sizes]
+            pair.append(Povm(tuple(_rotated_sum(effects, unitary) for effects in zip(*parts))))
+        return pair, projectors
+    parts = []
+    for _ in range(2):
+        gauss = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in sizes]
+        parts.append([g + g.conj().T for g in gauss])
+    if kind == "degenerate":
+        parts[0][-1] = degenerate_observable((2, 1), random_unitary(3, seed)).matrix
+    return [spectral_decompose(_rotated_sum(p, unitary)) for p in parts], projectors
+
+
+@pytest.mark.parametrize("kind, sizes, seed", [
+    ("observable", (1, 2, 3), 21),
+    ("degenerate", (1, 2, 3), 22),
+    ("povm", (2, 3), 23),
+    ("observable", (5, 11, MAX_DIM - 16), 24),
+])
+def test_planted_direct_sums_split_into_their_summands(kind, sizes, seed):
+    (obs_a, obs_b), projectors = _planted_pair(kind, sizes, seed)
+    for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
+        blocks = incompatibility._invariant_blocks(first, second)
+        assert len(blocks) == len(projectors)
+        for proj in projectors:
+            assert min(np.abs(b @ b.conj().T - proj).max() for b in blocks) <= 1e-8
+
+
+@pytest.mark.parametrize("extra", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_repeated_blocks_merge_without_moving_the_ceiling(d, extra, minimize_calls):
+    """A MUB pair tensored with I_2 holds its one irreducible block twice.
+
+    The two copies cannot be told apart, so they come back as one block, with
+    the same lowest ceiling 1 - 1/d. With ``extra``, a one-dimensional summand
+    on which first takes a further value lifts first's own ceiling, so only
+    the split gives the exit.
+    """
+    parts = [np.kron(obs.matrix, np.eye(2)) for obs in fourier_mub_pair(d)]
+    if extra:
+        parts = [scipy.linalg.block_diag(m, [[value]]) for m, value in zip(parts, (9.0, 7.0))]
+    unitary = random_unitary(len(parts[0]), 5)
+    first, second = (spectral_decompose(_rotated_sum([m], unitary)) for m in parts)
+    blocks = incompatibility._invariant_blocks(first, second)
+    assert sorted(b.shape[1] for b in blocks) == [1] * extra + [2 * d]
+    ceiling = 1.0 - 1.0 / d
+    table = min(incompatibility.proven_ceilings(Measure.FIDELITY, first).values())
+    assert (table > ceiling + 1e-3) == extra
+    result = directional_incompatibility(Measure.FIDELITY, first, second, LIGHT)
+    assert minimize_calls == []
+    assert result.upper_bound == pytest.approx(ceiling, abs=1e-15)
+    assert result.value == pytest.approx(ceiling, abs=1e-14)
+    assert (result.provenance, result.starts_used, result.iterations) == (
+        Provenance.ANALYTIC_SEED, 0, 0
+    )
 
 
 def test_lueders_norm_ceiling():
