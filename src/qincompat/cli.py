@@ -84,11 +84,13 @@ def _describe_input(path: str, obj) -> dict:
 
 
 def _opt_result_json(result) -> dict:
+    bound = result.upper_bound
     return {
         "value": result.value,
         "provenance": result.provenance.value,
         "starts_used": result.starts_used,
-        "upper_bound": result.upper_bound,
+        "upper_bound": bound,
+        "gap": None if bound is None else max(0.0, bound - result.value),
         "evaluations": result.evaluations,
         "iterations": result.iterations,
         "argmax": _vector_to_json(result.argmax.amplitudes),

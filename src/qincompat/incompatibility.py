@@ -56,6 +56,9 @@ CEILING_TOL = 1e-12
 # Two eigenvectors of the pair's generic element share a block when some
 # generator couples them by more than this.
 BLOCK_TOL = 1e-10
+# The largest dimension whose 2^d - d - 2 subset superpositions are tried
+# for the ceiling exit of a degenerate first observable: 246 rows at d = 8.
+SUBSET_MAX_DIM = 8
 
 
 class Measure(enum.Enum):
@@ -303,10 +306,35 @@ def analytic_seed_states(*measurements) -> np.ndarray:
     and a row whose overlap ``|<u|v>|`` with an earlier row exceeds
     ``1 - 1e-9``, the same state up to phase, is dropped.
     """
-    rows = np.ascontiguousarray(np.hstack([_seed_columns(meas) for meas in measurements]).T)
-    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+    rows = _unit_rows(np.hstack([_seed_columns(meas) for meas in measurements]).T)
     duplicate = np.triu(np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9, 1).any(axis=0)
     return rows[~duplicate]
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``rows`` with each row divided by its norm."""
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+    return rows
+
+
+def _subset_superpositions(first, second) -> np.ndarray | None:
+    """Uniform superpositions of 2 to d - 1 of second's eigenvectors, as unit rows.
+
+    They are candidates for a degenerate observable ``first`` and an
+    observable ``second`` of dimension at most ``SUBSET_MAX_DIM``, and
+    ``None`` is returned for any other pair. The backward values of
+    :func:`~qincompat.constructions.asymmetric_pair` are attained there:
+    for (4, 1) at ``(|e_1> + |e_3>) / sqrt(2)``, with the ``e_j`` second's
+    eigenvectors. Row ``k`` sums the columns of ``second.basis`` picked by
+    the bits of the k-th such subset in increasing order of its bit mask.
+    """
+    if not (isinstance(first, HermitianObservable) and first.n_outcomes < first.dim
+            and isinstance(second, HermitianObservable) and second.dim <= SUBSET_MAX_DIM):
+        return None
+    masks = (np.arange(2**second.dim)[:, None] >> np.arange(second.dim)) & 1
+    sizes = masks.sum(axis=1)
+    return _unit_rows(masks[(sizes >= 2) & (sizes < second.dim)] @ second.basis.T)
 
 
 # The weight c of _normal_basis. Being transcendental, it separates any two
@@ -416,11 +444,18 @@ def directional_incompatibility(
     ``Q(first -> second) = max_b Q(first_b -> second_b)``, which is at most
     the largest over blocks of the lowest ceiling of first restricted to the
     block. With more than one block, a best seed within ``CEILING_TOL`` of
-    that block ceiling is returned the same way. Otherwise the search runs
-    as it would without the split, from the same seeds, which it evaluates
-    again; ``evaluations`` counts both passes. The result's ``upper_bound`` is the
-    ceiling it was checked against, block or table, and ``None`` where first
-    has no proven ceiling.
+    that block ceiling is returned the same way. When first is a degenerate
+    observable and second an observable of dimension at most
+    ``SUBSET_MAX_DIM`` (under the fidelity measure, the only one that
+    searches such a pair), the uniform superpositions of 2 to d - 1 of
+    second's eigenvectors (:func:`_subset_superpositions`) are then tried
+    for the same exit, and never as starts: the backward values of
+    :func:`~qincompat.constructions.asymmetric_pair` (4, 1), (6, 1), (6, 2),
+    (8, 1), (8, 2) and (8, 3) stop there at 1/2. Otherwise the search runs
+    as it would without the split and the subsets, from the same seeds,
+    which it evaluates again; ``evaluations`` counts every row evaluated.
+    The result's ``upper_bound`` is the ceiling it was checked against,
+    block or table, and ``None`` where first has no proven ceiling.
     """
     if not isinstance(second, (HermitianObservable, Povm)):
         raise TypeError(f"second must be an observable or a POVM, not {type(second).__name__}")
@@ -435,6 +470,7 @@ def directional_incompatibility(
         return maximize_over_pure_states(objective, first.dim, seeds, config)
     bound = min(ceilings.values())
     values = _checked(objective(seeds)[0])
+    extra = None
     if values.max() < bound - CEILING_TOL:
         blocks = _invariant_blocks(first, second)
         if len(blocks) > 1:
@@ -442,7 +478,8 @@ def directional_incompatibility(
                 min(proven_ceilings(measure, _restricted(first, block)).values())
                 for block in blocks
             )
-    return _seed_or_search(objective, first.dim, seeds, values, bound, config)
+        extra = _subset_superpositions(first, second)
+    return _seed_or_search(objective, first.dim, seeds, values, bound, config, extra)
 
 
 def _seed_or_search(
@@ -452,22 +489,32 @@ def _seed_or_search(
     values: np.ndarray,
     bound: float,
     config: OptimizerConfig | None,
+    extra: np.ndarray | None = None,
 ) -> OptResult:
-    """The best seed if its value is within ``CEILING_TOL`` of ``bound``, else the search.
+    """The best candidate if its value is within ``CEILING_TOL`` of ``bound``, else the search.
 
-    ``values`` are the objective at the seeds. A seed on the ceiling is
-    returned with ``starts_used=0``; the search evaluates the seeds again,
-    and ``evaluations`` counts both passes. Either result carries
+    ``values`` are the objective at the seeds. ``extra`` holds further
+    candidate rows, which are evaluated only when no seed reaches the
+    ceiling, and only for this exit: the search never starts from them. A
+    candidate on the ceiling, the best seed first and then the best extra
+    row (the first one on ties), is returned with ``starts_used=0`` and
+    ``iterations=0``. Otherwise the search runs from the seeds exactly as it
+    would without ``extra``; it evaluates the seeds again, and
+    ``evaluations`` counts every row evaluated. Either result carries
     ``upper_bound=bound``.
     """
-    best = int(np.argmax(values))
-    if values[best] >= bound - CEILING_TOL:
+    rows, found, evaluated = seeds, values, len(seeds)
+    if found.max() < bound - CEILING_TOL and extra is not None:
+        rows, found = extra, _checked(objective(extra)[0])
+        evaluated += len(extra)
+    best = int(np.argmax(found))
+    if found[best] >= bound - CEILING_TOL:
         return OptResult(
-            float(values[best]), PureState(seeds[best]), Provenance.ANALYTIC_SEED, 0,
-            upper_bound=bound, evaluations=len(seeds),
+            float(found[best]), PureState(rows[best]), Provenance.ANALYTIC_SEED, 0,
+            upper_bound=bound, evaluations=evaluated,
         )
     result = maximize_over_pure_states(objective, dim, seeds, config)
-    return replace(result, upper_bound=bound, evaluations=result.evaluations + len(seeds))
+    return replace(result, upper_bound=bound, evaluations=result.evaluations + evaluated)
 
 
 def _invariant_blocks(first, second) -> list[np.ndarray]:
@@ -578,10 +625,12 @@ def maximal_disturbance(
     sum is at most r / (1 + r t), which gives t <= 1 - 1/r, with equality
     at uniform p. POVMs and instruments are searched from their analytic
     seed states, so their value is a lower bound on the supremum. Under the
-    fidelity measure a POVM's disturbance is at most its ``luders-norm``
-    entry of :func:`proven_ceilings`, which is its result's
-    ``upper_bound``; a seed within ``CEILING_TOL`` of it is returned
-    without a search, as in :func:`directional_incompatibility`.
+    fidelity measure every POVM and instrument has a proven ``upper_bound``:
+    the weak-duality bound of :func:`_dual_ceiling`, and for a POVM the
+    lower of that and its ``luders-norm`` entry of :func:`proven_ceilings`.
+    A seed within ``CEILING_TOL`` of it is returned without a search, as in
+    :func:`directional_incompatibility`; the z channel stops there at p.
+    L1 disturbances have no bound and are always searched.
     """
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
@@ -595,11 +644,43 @@ def maximal_disturbance(
     inst = canonical_instrument(meas)
     objective = _disturbance_objective(measure, inst)
     seeds = analytic_seed_states(meas, inst)
-    if isinstance(meas, Povm) and measure is Measure.FIDELITY:
-        bound = proven_ceilings(measure, meas)["luders-norm"]
-        return _seed_or_search(objective, meas.dim, seeds, _checked(objective(seeds)[0]), bound,
-                               config)
-    return maximize_over_pure_states(objective, meas.dim, seeds, config)
+    if measure is Measure.L1:
+        return maximize_over_pure_states(objective, meas.dim, seeds, config)
+    bound = _dual_ceiling(inst)
+    if isinstance(meas, Povm):
+        bound = min(bound, proven_ceilings(measure, meas)["luders-norm"])
+    return _seed_or_search(objective, meas.dim, seeds, _checked(objective(seeds)[0]), bound, config)
+
+
+def _dual_ceiling(inst: Instrument) -> float:
+    """An upper bound on the fidelity disturbance of an instrument, by weak duality.
+
+    For a pure psi, ``1 - D_F(psi) = sum_k |a_k|^2`` with
+    ``a_k = <psi|K_k|psi>``, over the instrument's Kraus operators. Since
+    ``|a_k - c_k|^2 >= 0`` for every complex ``c_k``,
+    ``sum_k |a_k|^2 >= <psi|M|psi> - |c|^2`` with the Hermitian
+    ``M = sum_k conj(c_k) K_k + c_k K_k^dag``, which is at least
+    ``lambda_min(M) - |c|^2``. So ``D_F_max <= 1 - lambda_min(M) + |c|^2``,
+    here at ``c_k = Tr(K_k) / d``: one ``eigvalsh``, no iteration. The bound
+    is the disturbance itself for the z channel, the trine and a projective
+    measurement with outcomes of equal rank.
+
+    Round-off: M is formed with an error E, and ``eigvalsh`` returns the
+    exact eigenvalues of ``M + E + F`` with ``||F||`` a small multiple of
+    ``d eps ||M||``, so by Weyl's inequality the computed ``lambda_min``
+    is off by at most ``||E + F||``. The bound is raised by
+    ``8 d eps ||M||_F``, which covers that and stays below ``CEILING_TOL``:
+    ``|c| <= 1`` and ``sum_k |a_k|^2 <= 1`` give ``||M|| <= 2``, so the
+    padding is at most 6.4e-13 at d = 32.
+    """
+    kraus = np.stack(inst.kraus_flat())
+    dim = kraus.shape[1]
+    weights = np.trace(kraus, axis1=1, axis2=2) / dim
+    half = np.tensordot(weights.conj(), kraus, axes=1)
+    mat = half + half.conj().T
+    lowest = _solve(np.linalg.eigvalsh, mat, "the dual matrix")[0]
+    padding = 8 * dim * np.finfo(float).eps * np.linalg.norm(mat)
+    return float(1.0 - lowest + np.vdot(weights, weights).real + padding)
 
 
 @dataclass(frozen=True)

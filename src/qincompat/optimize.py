@@ -26,8 +26,9 @@ disturbance of POVMs and instruments, and the L1 directional value of a
 second measurement with too many outcomes. It is skipped where the answer
 is known: the other L1 and all Chebyshev directional values, and the
 disturbance of every observable, are exact suprema computed in
-:mod:`qincompat.incompatibility`, and a directional value whose best seed
-already reaches a proven ceiling is returned without a search.
+:mod:`qincompat.incompatibility`, and a directional value or fidelity
+disturbance whose best candidate state already reaches a proven ceiling is
+returned without a search.
 
 Every objective maps an ``(S, dim)`` stack of unit ``complex128`` vectors
 to ``(values, grads)``: ``values`` has shape ``(S,)`` and ``grads`` is
@@ -300,9 +301,19 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     return LocalSearch(x, np.array(nits), np.array(nfevs))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budget and reproducibility knobs for the multistart optimizer."""
+    """Search budget and reproducibility knobs for the multistart optimizer.
+
+    The counts must be positive integers and ``rng_seed`` a non-negative
+    integer (Python or numpy), checked here because a candidate state on a
+    ceiling returns before any random start would reject them.
+    """
 
     n_random_starts: int = 32
     max_iterations: int = 2000
@@ -310,8 +321,11 @@ class OptimizerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_random_starts < 1 or self.max_iterations < 1:
-            raise ValidationError("optimizer counts must be positive")
+        counts = (self.n_random_starts, self.max_iterations)
+        if not all(_is_integer(n) and n >= 1 for n in counts):
+            raise ValidationError("optimizer counts must be positive integers")
+        if not (_is_integer(self.rng_seed) and self.rng_seed >= 0):
+            raise ValidationError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if not 0 < self.convergence_tol < np.inf:
             raise ValidationError("convergence tolerance must be positive and finite")
 

@@ -250,7 +250,41 @@ def test_reports_carry_the_proven_upper_bound(tmp_path):
         assert doc["gap_unknown"] is False
     assert run(["disturbance", tmp_path / "zchannel_p0.3.json", "--measure", "F",
                 "--out", report_path, *FAST]) == 0
-    assert json.loads(report_path.read_text())["result"]["upper_bound"] is None
+    result = json.loads(report_path.read_text())["result"]
+    assert result["upper_bound"] == pytest.approx(0.3, abs=1e-12)
+    assert result["upper_bound"] >= result["value"]
+    assert result["iterations"] == 0
+
+
+def test_reports_carry_the_gap_to_the_upper_bound(tmp_path):
+    save_observable_file(random_povm(2, 4, seed=0), tmp_path / "povm4.json")
+    for family in ("mub", "zchannel", "trine"):
+        assert run(["construct", family, "--out", tmp_path]) == 0
+    report_path = tmp_path / "report.json"
+
+    def results(argv):
+        assert run([*argv, "--out", report_path, *FAST]) == 0
+        doc = json.loads(report_path.read_text())
+        return [doc["result"]] if "result" in doc else [
+            doc["results"]["forward"], doc["results"]["backward"]]
+
+    # Exact: the Chebyshev values of a MUB pair sit on their bounds.
+    for result in results(["compute", "--measure", "inf", "--pair", tmp_path / "mub_d2_a.json",
+                           tmp_path / "mub_d2_b.json"]):
+        assert (result["provenance"], result["gap"]) == ("exact", 0.0)
+    # Certified: the z channel's disturbance stops on its dual ceiling.
+    [result] = results(["disturbance", tmp_path / "zchannel_p0.5.json", "--measure", "F"])
+    assert result["provenance"] == "analytic-seed"
+    assert result["gap"] == max(0.0, result["upper_bound"] - result["value"])
+    assert 0.0 <= result["gap"] <= 1e-12
+    # Uncertified: Lueders values far below their ceilings.
+    for result in results(["compute", "--measure", "F", "--luders", tmp_path / "trine.json",
+                           tmp_path / "povm4.json"]):
+        assert result["gap"] == result["upper_bound"] - result["value"]
+        assert result["gap"] > 0.1
+    # Unbounded: an L1 disturbance proves no ceiling.
+    [result] = results(["disturbance", tmp_path / "zchannel_p0.5.json", "--measure", "1"])
+    assert result["upper_bound"] is None and result["gap"] is None
 
 
 def test_verify_suite_selector_and_report(tmp_path, capsys):

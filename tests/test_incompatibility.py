@@ -495,10 +495,12 @@ def test_povm_fidelity_disturbance_carries_the_luders_norm_ceiling(minimize_call
     )
     seeds = analytic_seed_states(projective, canonical_instrument(projective))
     assert result.evaluations == len(seeds)
-    # Instruments and the L1 measure prove nothing.
-    for measure, meas in ((Measure.L1, trine_povm()),
-                          (Measure.FIDELITY, canonical_instrument(trine_povm()))):
-        assert maximal_disturbance(measure, meas, TINY).upper_bound is None
+    # An instrument carries its dual ceiling, which is tight for the trine's
+    # Lueders instrument; the L1 measure proves nothing.
+    lueders = maximal_disturbance(Measure.FIDELITY, canonical_instrument(trine_povm()), TINY)
+    assert lueders.upper_bound == pytest.approx(0.5, abs=1e-12)
+    assert lueders.upper_bound >= 0.5
+    assert maximal_disturbance(Measure.L1, trine_povm(), TINY).upper_bound is None
 
 
 def test_a_rotated_projective_povm_disturbance_stops_at_its_ceiling(minimize_calls):
@@ -511,6 +513,87 @@ def test_a_rotated_projective_povm_disturbance_stops_at_its_ceiling(minimize_cal
     assert (result.provenance, result.starts_used, result.iterations) == (
         Provenance.ANALYTIC_SEED, 0, 0
     )
+
+
+def _random_instrument(dim: int, n_kraus: int, seed: int) -> Instrument:
+    """One Kraus operator per outcome, cut from a random isometry C^dim -> C^(n_kraus dim)."""
+    rng = np.random.default_rng(seed)
+    shape = (n_kraus * dim, dim)
+    isometry = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    return Instrument(tuple((kraus,) for kraus in isometry.reshape(n_kraus, dim, dim)))
+
+
+def test_the_dual_ceiling_bounds_every_searched_disturbance():
+    for k in range(20):
+        d = 2 + k % 3
+        for inst in (canonical_instrument(random_povm(d, 2 + k % 4, seed=100 + k)),
+                     _random_instrument(d, 2 + k % 3, seed=200 + k)):
+            objective = incompatibility._disturbance_objective(Measure.FIDELITY, inst)
+            seeds = analytic_seed_states(inst)
+            searched = maximize_over_pure_states(objective, d, seeds, LIGHT)
+            assert incompatibility._dual_ceiling(inst) >= searched.value - 1e-12
+
+
+def test_the_dual_ceiling_is_tight_for_the_trine_and_equal_rank_projective_povms():
+    assert abs(incompatibility._dual_ceiling(canonical_instrument(trine_povm())) - 0.5) <= 1e-12
+    for ranks in ((1, 1, 1), (2, 2), (1, 1, 1, 1), (2, 2, 2)):
+        povm = Povm.from_observable(degenerate_observable(ranks, random_unitary(sum(ranks), 9)))
+        ceiling = incompatibility._dual_ceiling(canonical_instrument(povm))
+        assert abs(ceiling - (1.0 - 1.0 / len(ranks))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_the_z_channel_disturbance_stops_at_its_dual_ceiling(k, minimize_calls):
+    result = maximal_disturbance(Measure.FIDELITY, z_channel(k / 10), LIGHT)
+    assert minimize_calls == []
+    assert abs(result.upper_bound - k / 10) <= 1e-12
+    assert abs(result.value - k / 10) <= 1e-12
+    assert result.upper_bound >= result.value
+    assert (result.provenance, result.starts_used, result.iterations) == (
+        Provenance.ANALYTIC_SEED, 0, 0
+    )
+
+
+@pytest.mark.parametrize("d, m", [(4, 1), (6, 1), (6, 2), (8, 1), (8, 2), (8, 3)])
+def test_asymmetric_backward_values_stop_at_a_subset_superposition(d, m, minimize_calls):
+    obs_a, obs_b = asymmetric_pair(d, m)
+    result = directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, LIGHT)
+    assert minimize_calls == []
+    assert abs(result.value - 0.5) <= 1e-12
+    assert result.upper_bound == 0.5
+    assert (result.provenance, result.starts_used, result.iterations) == (
+        Provenance.ANALYTIC_SEED, 0, 0
+    )
+    assert result.evaluations == len(analytic_seed_states(obs_b, obs_a)) + 2**d - d - 2
+
+
+@pytest.mark.parametrize("d, m", [(3, 1), (5, 2)])
+def test_asymmetric_backward_values_below_the_ceiling_search_as_before(d, m):
+    obs_a, obs_b = asymmetric_pair(d, m)
+    config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
+    result = directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
+    seeds = analytic_seed_states(obs_b, obs_a)
+    objective = pair_distance_objective(Measure.FIDELITY, obs_b, obs_a)
+    search = maximize_over_pure_states(objective, d, seeds, config)
+    assert result.value == search.value < 0.5 - incompatibility.CEILING_TOL
+    assert result.argmax.amplitudes.tobytes() == search.argmax.amplitudes.tobytes()
+    assert (result.provenance, result.starts_used, result.iterations) == (
+        search.provenance, search.starts_used, search.iterations
+    )
+    assert search.iterations > 0
+    assert result.evaluations == search.evaluations + len(seeds) + 2**d - d - 2
+
+
+def test_subset_superpositions_need_a_degenerate_first_and_a_small_observable_second():
+    obs_a, obs_b = asymmetric_pair(4, 1)
+    rows = incompatibility._subset_superpositions(obs_b, obs_a)
+    assert rows.shape == (10, 4)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-15)
+    # Bit masks in increasing order: 0b0011 first, then 0b0101.
+    np.testing.assert_allclose(rows[1], (obs_a.basis[:, 0] + obs_a.basis[:, 2]) / np.sqrt(2))
+    big_a, big_b = asymmetric_pair(9, 1)
+    for first, second in ((obs_a, obs_b), (obs_b, Povm.from_observable(obs_a)), (big_b, big_a)):
+        assert incompatibility._subset_superpositions(first, second) is None
 
 
 def test_only_fidelity_objectives_whose_blocks_can_vanish_report_faces():

@@ -203,6 +203,11 @@ def test_value_matches_objective_at_argmax():
 def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(n_random_starts=0)
+    for bad in ({"rng_seed": -1}, {"rng_seed": 1.5}, {"rng_seed": "3"}, {"rng_seed": True},
+                {"n_random_starts": 2.5}, {"max_iterations": 10.0}, {"n_random_starts": None}):
+        with pytest.raises(ValidationError):
+            OptimizerConfig(**bad)
+    assert OptimizerConfig(n_random_starts=np.int64(2), rng_seed=np.uint64(2**63)).rng_seed == 2**63
     for tol in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValidationError):
             OptimizerConfig(convergence_tol=tol)
@@ -486,10 +491,15 @@ def _face_free(fun):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_asymmetric_backward_search_reaches_one_half(seed):
-    """Each of these searches stopped 6e-9 to 1.4e-5 short before starts restarted on faces."""
+    """Each of these searches stopped 6e-9 to 1.4e-5 short before starts restarted on faces.
+
+    ``directional_incompatibility`` returns this value from a subset
+    superposition without a search, so the search is called directly.
+    """
     obs_a, obs_b = asymmetric_pair(4, 1)
     config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=seed)
-    result = directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
+    objective = pair_distance_objective(Measure.FIDELITY, obs_b, obs_a)
+    result = maximize_over_pure_states(objective, 4, analytic_seed_states(obs_b, obs_a), config)
     assert abs(result.value - 0.5) <= 1e-12
 
 

@@ -49,7 +49,11 @@ def test_wrapped_names_exist():
 
 
 def _searches():
-    """A searched directional value and disturbance, with their seed row counts."""
+    """A searched directional value and disturbance, with their seed row counts.
+
+    The z channel's fidelity disturbance stops at its dual ceiling without a
+    search, so the disturbance is the L1 one.
+    """
     first, second, channel = trine_povm(), random_povm(2, 4, seed=0), z_channel(0.3)
     seed_rows = [
         len(incompatibility.analytic_seed_states(first, second)),
@@ -57,7 +61,7 @@ def _searches():
     ]
     results = (
         incompatibility.directional_incompatibility(Measure.FIDELITY, first, second, BUDGET),
-        incompatibility.maximal_disturbance(Measure.FIDELITY, channel, BUDGET),
+        incompatibility.maximal_disturbance(Measure.L1, channel, BUDGET),
     )
     return results, seed_rows
 
@@ -95,15 +99,16 @@ def test_the_tracer_counts_the_searches(patches):
 
 def test_a_face_search_is_the_same_under_the_tracer(patches):
     # The face data travels in the objective's return value, which the
-    # tracer's objective wrapper passes on; an attribute would be lost.
-    obs_a, obs_b = asymmetric_pair(4, 1)
+    # tracer's objective wrapper passes on; an attribute would be lost. The
+    # backward search of asymmetric_pair(3, 1) builds 4 face projectors.
+    obs_a, obs_b = asymmetric_pair(3, 1)
     config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
     untraced = incompatibility.directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
     tracer = instrument.Tracer()
     tracer.install(qincompat, patches)
     traced = incompatibility.directional_incompatibility(Measure.FIDELITY, obs_b, obs_a, config)
     assert _fields(traced) == _fields(untraced)
-    assert abs(traced.value - 0.5) <= 1e-12
+    assert abs(traced.value - 4.0 / 9.0) <= 1e-12
     assert tracer.layer_metrics([])["objective.pair_evals"] > 0
 
 
@@ -112,7 +117,7 @@ def test_the_tracer_reads_the_iteration_cap(patches):
     tracer = instrument.Tracer()
     tracer.install(qincompat, patches)
     capped = OptimizerConfig(n_random_starts=2, max_iterations=1, rng_seed=3)
-    incompatibility.maximal_disturbance(Measure.FIDELITY, z_channel(0.3), capped)
+    incompatibility.maximal_disturbance(Measure.L1, z_channel(0.3), capped)
     assert tracer.layer_metrics([])["optimize.nm_maxiter_frac"] == 1.0
 
 
