@@ -107,9 +107,14 @@ _MAXLS = 20
 _MAXFUN = 15000
 
 
-# A block probability below this at a completed iteration marks a face the
-# start is approaching, and the start is tried on that face.
-FACE_TOL = 1e-8
+# A block probability below this at a start's first evaluation or at a
+# completed iteration marks a face the start is near, and the start is tried
+# on that face. Over the 52 fidelity searches of two `verify --suite all`
+# passes, without the first-evaluation trial, objective calls fell from
+# 2,929 at 1e-8 to 1,531 at 1e-3 and 1,424 at 1e-2. The larger the
+# threshold, the more random starts end in other local maxima
+# (BENCH_early_faces.json).
+FACE_TOL = 1e-3
 
 
 class Faces(NamedTuple):
@@ -118,7 +123,10 @@ class Faces(NamedTuple):
     ``probs`` is ``(S, B)``: the probability of each of the objective's
     ``B`` blocks at each evaluated row. Block ``b`` vanishes at a state psi
     exactly where ``psi @ columns[b] == 0``, so a face, a set of blocks, is
-    the subspace on which all of them vanish.
+    the subspace on which all of them vanish. :func:`minimize` reads
+    ``probs`` at each start's first evaluation and at each completed
+    iteration, and ``columns`` only to build the projector of a face it
+    tries.
     """
 
     probs: np.ndarray
@@ -185,18 +193,23 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     checks this against scipy itself.
 
     ``fun`` may also return a third item, :class:`Faces`, reading each row
-    as the interleaved real and imaginary parts of a complex vector. When an
-    iteration of a start completes at a point where some blocks have
-    probability below ``FACE_TOL``, the start is evaluated at that point
-    projected onto the face where those blocks and the blocks of its
-    current face vanish, in the next step's call. If ``fun`` is no higher
-    there, the start's workspace restarts from the projected point, and from
-    then on it is evaluated at ``P x`` with gradient ``P grad``, which is
-    ``fun`` restricted to the face. A square-root kink at a vanishing
-    probability makes L-BFGS-B crawl toward the face; on it the problem is
-    smooth. A start that never meets a face follows scipy's iterates, a
-    face whose only point is 0 is skipped, each face's projector is made
-    once per call, and every evaluation, accepted or not, is counted.
+    as the interleaved real and imaginary parts of a complex vector. When a
+    start's first evaluation, or an iteration of it, ends at a point where
+    some blocks have probability below ``FACE_TOL``, the start is evaluated
+    at that point projected onto the face where those blocks and the blocks
+    of its current face vanish, in the next step's call. If ``fun`` is no
+    higher there, up to ``n`` eps of ``max(|f|, 1)``, the start's workspace
+    restarts from the projected point, and from then on it is evaluated at
+    ``P x`` with gradient ``P grad``, which is ``fun`` restricted to the
+    face. Otherwise it goes on from its point, with the value and gradient
+    it had there. A square-root kink at a vanishing probability makes
+    L-BFGS-B crawl toward the face, and a start that begins on a face, such
+    as an eigenvector of the second measurement, spends 20 or more
+    evaluations in a first line search that fails at the kink; on the face
+    the problem is smooth. A start that never meets a face
+    follows scipy's iterates, a face whose only point is 0 is skipped, each
+    face's projector is made once per call, and every evaluation, accepted
+    or not, is counted.
     """
     x = np.array(x0, dtype=np.float64)
     starts, n = x.shape
@@ -218,25 +231,42 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     factr = options["ftol"] / np.finfo(float).eps
     pgtol = options["gtol"]
     maxiter = options["maxiter"]
+    # A start that begins on a face is compared with its own point projected
+    # onto the face, whose value differs by round-off alone: up to 6 eps for
+    # fidelity pairs at d <= 32.
+    tie = n * np.finfo(float).eps
     # Per start: the last value and the point it was evaluated at, as a list
     # (list equality of floats is the elementwise == of scipy's cache check).
     f = [0.0] * starts
     at = [None] * starts
     nits = [0] * starts
     nfevs = [0] * starts
-    # Per start: the blocks below FACE_TOL at its last evaluation (None if
-    # none), its face and that face's projector, and the face it is being
-    # tried on, with its gradient before the trial.
+    # Per start: a mask of the blocks below FACE_TOL at its last evaluation
+    # (None if none), its face and that face's projector, and the face it is
+    # being tried on, with its gradient before the trial.
     near = [None] * starts
     face = [()] * starts
     projector = [None] * starts
     trial = {}
     projectors = {}
     columns = ()
+
+    def face_to_try(i):
+        """Start i's face joined with its blocks near 0, if that is a new face other than {0}."""
+        blocks = tuple(sorted(set(np.flatnonzero(near[i]).tolist()).union(face[i])))
+        if blocks == face[i]:
+            return None
+        if blocks not in projectors:
+            projectors[blocks] = _face_projector(columns, blocks)
+        return blocks if projectors[blocks] is not None else None
+
     running = range(starts)
     while running:
         pending = []
         for i in running:
+            if i in trial:  # to be tried on a face after its first evaluation
+                pending.append(i)
+                continue
             xi, gi, wa, iwa, task, lsave, isave, dsave, ln_task = rows[i]
             while True:
                 _lbfgsb.setulb(m, xi, bounds, bounds, nbd, f[i], gi, factr, pgtol, wa, iwa,
@@ -251,15 +281,10 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                         task[:] = 5, 504  # STOP: iteration limit
                     elif nfevs[i] > _MAXFUN:
                         task[:] = 5, 502  # STOP: evaluation limit
-                    elif near[i] is not None:
-                        blocks = tuple(sorted(set(near[i]).union(face[i])))
-                        if blocks != face[i]:
-                            if blocks not in projectors:
-                                projectors[blocks] = _face_projector(columns, blocks)
-                            if projectors[blocks] is not None:
-                                trial[i] = blocks, gi.copy()
-                                pending.append(i)
-                                break
+                    elif near[i] is not None and (blocks := face_to_try(i)):
+                        trial[i] = blocks, gi.copy()
+                        pending.append(i)
+                        break
                 else:  # converged, stopped, or abnormal
                     break
         if pending:
@@ -284,7 +309,7 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                 nfevs[i] += 1
                 if i in trial:
                     blocks, before = trial.pop(i)
-                    if value > f[i]:  # lower on the face: go on from x as before
+                    if value - f[i] > tie * max(abs(f[i]), 1.0):  # lower on the face: go on from x
                         g[i] = before
                         continue
                     face[i], projector[i] = blocks, through[k]
@@ -293,7 +318,9 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                     for state in rows[i][2:]:
                         state[:] = 0  # task START: restart the workspace at x
                 at[i], f[i] = point, value
-                near[i] = tuple(np.flatnonzero(small[k]).tolist()) if hits[k] else None
+                near[i] = small[k] if hits[k] else None
+                if nfevs[i] == 1 and near[i] is not None and (blocks := face_to_try(i)):
+                    trial[i] = blocks, g[i].copy()
         running = pending
     for i, proj in enumerate(projector):
         if proj is not None:
@@ -446,12 +473,18 @@ def maximize_over_pure_states(
     :func:`minimize`, which advances them in lockstep with one objective
     call per step; each start follows the iterates of
     ``scipy.optimize.minimize(method="L-BFGS-B")`` from it, bit for bit,
-    unless the objective reports :class:`Faces` and the start reaches one.
-    It then finishes on the face, where the objective is smooth, instead of
-    crawling into the square-root kink: there the value error scales as the
-    square root of the vanishing probability, and a random start of a
-    random observable pair took about 70 iterations to bring it to
-    round-off.
+    unless the objective reports :class:`Faces` and the start comes within
+    ``FACE_TOL`` of one, at its first evaluation or at a completed
+    iteration. It then finishes on the face, where the objective is smooth,
+    instead of crawling into the square-root kink: there the value error
+    scales as the square root of the vanishing probability, and a random
+    start of a random observable pair took about 70 iterations to bring it
+    to round-off. A seed that sits on a face stays there after two
+    evaluations, even where leaving the face would raise the value, which
+    the trial cannot see. Entering faces at a block probability of 1e-3 rather than
+    1e-8 halves the iterations of the `verify` searches, and it sends some
+    random starts into other local maxima: over 660 searches off the
+    benchmark grid, 653 values stayed within 1e-15, 4 fell and 3 rose.
 
     A start stops after ``max_iterations`` iterations, once an iteration
     improves the value by less than ``convergence_tol * 1e-5`` (relative

@@ -26,8 +26,10 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
+from qincompat import incompatibility, optimize
 from qincompat.incompatibility import _disturbance_objective, canonical_instrument
-from qincompat.optimize import FACE_TOL, LocalSearch, _folded_objective, _lbfgsb, minimize
+from qincompat.optimize import FACE_TOL, _MAXLS, LocalSearch, _folded_objective, _lbfgsb, minimize
+from qincompat.verify import run_suites
 
 LIGHT = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=1)
 
@@ -527,7 +529,7 @@ def test_face_restricted_rows_equal_each_start_run_alone():
     batch = minimize(fun, starts, options=ORACLE_OPTIONS)
     free = minimize(_face_free(fun), starts, options=ORACLE_OPTIONS)
     # Every start ends on a face, where some block probability is 0, and sooner than without.
-    assert (fun(batch.x)[2].probs.min(axis=1) < FACE_TOL**2).all()
+    assert (fun(batch.x)[2].probs.min(axis=1) < 1e-16).all()
     assert (batch.nits < free.nits).all()
     for row, x0 in enumerate(starts):
         alone = minimize(fun, x0[None], options=ORACLE_OPTIONS)
@@ -549,3 +551,48 @@ def test_evaluations_count_every_face_trial():
     assert result.evaluations == sum(rows)
     free = maximize_over_pure_states(_face_free(objective), 4, seeds, CLI_BUDGET)
     assert result.value > free.value and result.evaluations < free.evaluations
+
+
+def test_a_start_on_a_face_is_restarted_there_after_its_first_evaluation():
+    # An eigenvector of second sits where every other outcome of second has
+    # probability 0. Without the trial its first line search fails at the
+    # kink after about 20 evaluations; with it the start ends after the trial.
+    first, second = random_observable(3, 0), random_observable(3, 1)
+    for one, other in ((first, second), (second, first)):
+        fun = _folded_objective(pair_distance_objective(Measure.FIDELITY, one, other), 3)
+        for eigenvector in other.basis.T:
+            points = []
+
+            def recorded(x):
+                points.append(x.copy())
+                return fun(x)
+
+            x0 = np.ascontiguousarray(eigenvector)[None].view(np.float64)
+            result = minimize(recorded, x0, options=ORACLE_OPTIONS)
+            face = fun(points[0])[2].probs[0] < FACE_TOL
+            assert face.sum() == 2
+            assert (fun(points[1])[2].probs[0][face] < 1e-30).all()
+            assert result.nfevs[0] <= _MAXLS
+
+
+def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
+    search = incompatibility.maximize_over_pure_states
+
+    def searched_values():
+        values = []
+
+        def recorded(*args):
+            result = search(*args)
+            values.append(result.value)
+            return result
+
+        with monkeypatch.context() as patched:
+            patched.setattr(incompatibility, "maximize_over_pure_states", recorded)
+            run_suites(("disturbance-ordering", "commutation", "luders"), rng_seed=5)
+        return np.array(values)
+
+    values = searched_values()
+    monkeypatch.setattr(optimize, "FACE_TOL", 1e-8)
+    late = searched_values()
+    assert len(values) == len(late) > 20
+    assert np.abs(values - late).max() <= 1e-12
