@@ -107,14 +107,12 @@ _MAXLS = 20
 _MAXFUN = 15000
 
 
-# A block probability below this at a start's first evaluation or at a
-# completed iteration marks a face the start is near, and the start is tried
-# on that face. Over the 52 fidelity searches of two `verify --suite all`
-# passes, without the first-evaluation trial, objective calls fell from
-# 2,929 at 1e-8 to 1,531 at 1e-3 and 1,424 at 1e-2. The larger the
-# threshold, the more random starts end in other local maxima
-# (BENCH_early_faces.json).
-FACE_TOL = 1e-3
+# A block probability below this at a completed iteration, or at a start's
+# first evaluation, marks a face the start is near, and the start is tried on
+# that face. A larger threshold ends more of the crawl toward the face, but
+# commits starts to faces their paths would have passed by, and more random
+# starts end in lower local maxima (BENCH_early_faces.json).
+FACE_TOL = 1e-6
 
 
 class Faces(NamedTuple):
@@ -193,20 +191,22 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     checks this against scipy itself.
 
     ``fun`` may also return a third item, :class:`Faces`, reading each row
-    as the interleaved real and imaginary parts of a complex vector. When a
-    start's first evaluation, or an iteration of it, ends at a point where
-    some blocks have probability below ``FACE_TOL``, the start is evaluated
-    at that point projected onto the face where those blocks and the blocks
-    of its current face vanish, in the next step's call. If ``fun`` is no
-    higher there, up to ``n`` eps of ``max(|f|, 1)``, the start's workspace
+    as the interleaved real and imaginary parts of a complex vector. When an
+    iteration of a start completes at a point where some blocks have
+    probability below ``FACE_TOL``, the start is evaluated at that point
+    projected onto the face where those blocks and the blocks of its
+    current face vanish, in the next step's call. If ``fun`` is no higher
+    there, up to ``n`` eps of ``max(|f|, 1)``, the start's workspace
     restarts from the projected point, and from then on it is evaluated at
     ``P x`` with gradient ``P grad``, which is ``fun`` restricted to the
-    face. Otherwise it goes on from its point, with the value and gradient
-    it had there. A square-root kink at a vanishing probability makes
-    L-BFGS-B crawl toward the face, and a start that begins on a face, such
-    as an eigenvector of the second measurement, spends 20 or more
-    evaluations in a first line search that fails at the kink; on the face
-    the problem is smooth. A start that never meets a face
+    face; otherwise it goes on as before. A square-root kink at a vanishing
+    probability makes L-BFGS-B crawl toward the face; on the face the
+    problem is smooth. A start whose first point is near a face, such as an
+    eigenvector of the second measurement, first takes the step L-BFGS-B
+    proposes, so a step that lowers ``fun`` carries it off the face as it
+    would carry scipy's. Only if that step does not lower ``fun``, where
+    the line search would go on backtracking at the kink, is the start tried
+    on the face from its first point. A start that never meets a face
     follows scipy's iterates, a face whose only point is 0 is skipped, each
     face's projector is made once per call, and every evaluation, accepted
     or not, is counted.
@@ -242,11 +242,14 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     nits = [0] * starts
     nfevs = [0] * starts
     # Per start: a mask of the blocks below FACE_TOL at its last evaluation
-    # (None if none), its face and that face's projector, and the face it is
-    # being tried on, with its gradient before the trial.
+    # (None if none), and its face and that face's projector. A start whose
+    # first evaluation is near a face keeps that face, value and point until
+    # its second. A start to be tried on a face holds the face, the value it
+    # may not exceed, the point to project, and the gradient to go on with.
     near = [None] * starts
     face = [()] * starts
     projector = [None] * starts
+    first = {}
     trial = {}
     projectors = {}
     columns = ()
@@ -264,7 +267,7 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     while running:
         pending = []
         for i in running:
-            if i in trial:  # to be tried on a face after its first evaluation
+            if i in trial:  # to be tried on a face after its second evaluation
                 pending.append(i)
                 continue
             xi, gi, wa, iwa, task, lsave, isave, dsave, ln_task = rows[i]
@@ -282,7 +285,7 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                     elif nfevs[i] > _MAXFUN:
                         task[:] = 5, 502  # STOP: evaluation limit
                     elif near[i] is not None and (blocks := face_to_try(i)):
-                        trial[i] = blocks, gi.copy()
+                        trial[i] = blocks, f[i], xi.copy(), gi.copy()
                         pending.append(i)
                         break
                 else:  # converged, stopped, or abnormal
@@ -290,7 +293,13 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
         if pending:
             points = x[pending]
             listed = points.tolist()
-            through = [projectors[trial[i][0]] if i in trial else projector[i] for i in pending]
+            through = []
+            for k, i in enumerate(pending):
+                if i in trial:
+                    points[k] = trial[i][2]
+                    through.append(projectors[trial[i][0]])
+                else:
+                    through.append(projector[i])
             for k, proj in enumerate(through):
                 if proj is not None:
                     points[k] = points[k] @ proj
@@ -308,8 +317,8 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
             for k, (i, point, value) in enumerate(zip(pending, listed, values.tolist())):
                 nfevs[i] += 1
                 if i in trial:
-                    blocks, before = trial.pop(i)
-                    if value - f[i] > tie * max(abs(f[i]), 1.0):  # lower on the face: go on from x
+                    blocks, ref, _, before = trial.pop(i)
+                    if value - ref > tie * max(abs(ref), 1.0):  # higher on the face: go on as before
                         g[i] = before
                         continue
                     face[i], projector[i] = blocks, through[k]
@@ -319,8 +328,13 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                         state[:] = 0  # task START: restart the workspace at x
                 at[i], f[i] = point, value
                 near[i] = small[k] if hits[k] else None
-                if nfevs[i] == 1 and near[i] is not None and (blocks := face_to_try(i)):
-                    trial[i] = blocks, g[i].copy()
+                if nfevs[i] == 1:
+                    if near[i] is not None and (blocks := face_to_try(i)):
+                        first[i] = blocks, value, x[i].copy()
+                elif i in first:  # the first point of its first line search
+                    blocks, ref, start = first.pop(i)
+                    if not value < ref:
+                        trial[i] = blocks, ref, start, g[i].copy()
         running = pending
     for i, proj in enumerate(projector):
         if proj is not None:
@@ -474,17 +488,11 @@ def maximize_over_pure_states(
     call per step; each start follows the iterates of
     ``scipy.optimize.minimize(method="L-BFGS-B")`` from it, bit for bit,
     unless the objective reports :class:`Faces` and the start comes within
-    ``FACE_TOL`` of one, at its first evaluation or at a completed
-    iteration. It then finishes on the face, where the objective is smooth,
-    instead of crawling into the square-root kink: there the value error
-    scales as the square root of the vanishing probability, and a random
-    start of a random observable pair took about 70 iterations to bring it
-    to round-off. A seed that sits on a face stays there after two
-    evaluations, even where leaving the face would raise the value, which
-    the trial cannot see. Entering faces at a block probability of 1e-3 rather than
-    1e-8 halves the iterations of the `verify` searches, and it sends some
-    random starts into other local maxima: over 660 searches off the
-    benchmark grid, 653 values stayed within 1e-15, 4 fell and 3 rose.
+    ``FACE_TOL`` of one. It then finishes on the face, where the objective
+    is smooth, instead of crawling into the square-root kink: there the
+    value error scales as the square root of the vanishing probability, and
+    a random start of a random observable pair took about 70 iterations to
+    bring it to round-off.
 
     A start stops after ``max_iterations`` iterations, once an iteration
     improves the value by less than ``convergence_tol * 1e-5`` (relative

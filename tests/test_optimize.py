@@ -27,6 +27,7 @@ from qincompat import (
     z_channel,
 )
 from qincompat import incompatibility, optimize
+from qincompat.constructions import degenerate_observable, random_unitary
 from qincompat.incompatibility import _disturbance_objective, canonical_instrument
 from qincompat.optimize import FACE_TOL, _MAXLS, LocalSearch, _folded_objective, _lbfgsb, minimize
 from qincompat.verify import run_suites
@@ -553,26 +554,91 @@ def test_evaluations_count_every_face_trial():
     assert result.value > free.value and result.evaluations < free.evaluations
 
 
-def test_a_start_on_a_face_is_restarted_there_after_its_first_evaluation():
+def _evaluated_points(fun, x0):
+    """The points at which ``minimize`` evaluates ``fun`` from ``x0``, and its result."""
+    points = []
+
+    def recorded(x):
+        points.append(x.copy())
+        return fun(x)
+
+    return points, minimize(recorded, x0, options=ORACLE_OPTIONS)
+
+
+def test_a_start_on_a_face_is_tried_there_when_its_first_step_does_not_descend():
     # An eigenvector of second sits where every other outcome of second has
-    # probability 0. Without the trial its first line search fails at the
-    # kink after about 20 evaluations; with it the start ends after the trial.
+    # probability 0. Its first line-search point is higher, so the start is
+    # tried on the face next, where scipy's line search goes on backtracking.
     first, second = random_observable(3, 0), random_observable(3, 1)
     for one, other in ((first, second), (second, first)):
         fun = _folded_objective(pair_distance_objective(Measure.FIDELITY, one, other), 3)
         for eigenvector in other.basis.T:
-            points = []
-
-            def recorded(x):
-                points.append(x.copy())
-                return fun(x)
-
             x0 = np.ascontiguousarray(eigenvector)[None].view(np.float64)
-            result = minimize(recorded, x0, options=ORACLE_OPTIONS)
+            points, result = _evaluated_points(fun, x0)
+            free, _ = _evaluated_points(_face_free(fun), x0)
             face = fun(points[0])[2].probs[0] < FACE_TOL
             assert face.sum() == 2
-            assert (fun(points[1])[2].probs[0][face] < 1e-30).all()
+            assert points[1].tobytes() == free[1].tobytes()
+            assert fun(points[1])[0][0] >= fun(points[0])[0][0]
+            assert (fun(points[2])[2].probs[0][face] < 1e-30).all()
             assert result.nfevs[0] <= _MAXLS
+            assert result.nfevs[0] < len(free)
+
+
+def test_a_start_whose_first_step_leaves_its_face_follows_scipy():
+    # This eigenvector of second is a strict local maximum, but the first
+    # step L-BFGS-B proposes from it lands higher, and the start climbs from
+    # there to the pair's directional value.
+    first = degenerate_observable([4, 1], random_unitary(5, 24))
+    second = random_observable(5, 124)
+    objective = pair_distance_objective(Measure.FIDELITY, first, second)
+    fun = _folded_objective(objective, 5)
+    x0 = np.ascontiguousarray(second.basis[:, 4])[None].view(np.float64)
+    points, result = _evaluated_points(fun, x0)
+    free, _ = _evaluated_points(_face_free(fun), x0)
+    assert fun(points[1])[0][0] < fun(points[0])[0][0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(points[:3], free[:3]))
+    end = result.x[0].view(np.complex128) / np.linalg.norm(result.x[0])
+    assert objective(end[None])[0][0] >= 0.496206884034305 - 1e-12
+
+
+# Searches that a larger FACE_TOL, or a face trial before a start's first
+# step, sent into lower local maxima, with the values they reach at
+# FACE_TOL = 1e-8: F directional values of a degenerate observable with
+# eigenspace ranks (d - 1, 1) in the basis random_unitary(d, s) before
+# random_observable(d, s + 100), and backward asymmetric pair searches at
+# 4 starts and 400 iterations.
+DEGENERATE_FIRST_VALUES = {
+    (4, 10): 0.4999749408564209,
+    (5, 3): 0.4999860068392106,
+    (5, 24): 0.496206884034305,
+    (6, 5): 0.49992749070403897,
+    (6, 9): 0.49677674399940497,
+    (6, 26): 0.49998834867564823,
+}
+ASYMMETRIC_BACKWARD_VALUES = {
+    (5, 2, 38): 0.4988854381999831,
+    (7, 2, 1): 0.49987671851908067,
+    (7, 3, 12): 0.4999842491270273,
+}
+
+
+@pytest.mark.parametrize("d, s", DEGENERATE_FIRST_VALUES)
+def test_degenerate_first_values_reach_those_of_late_faces(d, s):
+    first = degenerate_observable([d - 1, 1], random_unitary(d, s))
+    second = random_observable(d, s + 100)
+    config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
+    result = directional_incompatibility(Measure.FIDELITY, first, second, config)
+    assert result.value >= DEGENERATE_FIRST_VALUES[d, s] - 1e-12
+
+
+@pytest.mark.parametrize("d, mult, rng_seed", ASYMMETRIC_BACKWARD_VALUES)
+def test_asymmetric_backward_values_reach_those_of_late_faces(d, mult, rng_seed):
+    second, first = asymmetric_pair(d, mult)
+    objective = pair_distance_objective(Measure.FIDELITY, first, second)
+    config = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=rng_seed)
+    result = maximize_over_pure_states(objective, d, analytic_seed_states(first, second), config)
+    assert result.value >= ASYMMETRIC_BACKWARD_VALUES[d, mult, rng_seed] - 1e-12
 
 
 def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
