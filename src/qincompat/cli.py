@@ -58,7 +58,7 @@ EXIT_SCIENCE = 3
 # under 1 s and 52 MB, a d = 32 random POVM 11 s and 243 MB.
 MAX_COUNT = 1024
 # The largest scan --trials: every row is kept until the CSV is written. A
-# --dim 2 scan then takes 119 s and 108 MB (2-vCPU Xeon); one d = 32 trial
+# --dim 2 scan then takes 67-82 s and 108 MB (2-vCPU Xeon); one d = 32 trial
 # takes about 6 s, so there the cap bounds memory rather than time.
 MAX_TRIALS = 100_000
 

@@ -361,23 +361,42 @@ def _normal_basis(kraus: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _heralded_differences(first, second) -> np.ndarray:
-    """Stack of D_j = sum_k K_k^dag E_j K_k - E_j, one per outcome of second.
+def _heralded_differences(first, second) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stack of D_j = sum_k K_k^dag E_j K_k - E_j, one per outcome of second, and its basis.
 
     The K_k are the Kraus operators of first's canonical instrument and the
     E_j second's effects, so the sequential and plain outcome probabilities
     of a state psi differ by q_j - p_j = <psi|D_j|psi>. The D_j are Hermitian
     up to round-off; the eigensolvers read only their lower triangles.
+
+    An observable ``first`` builds no instrument: in its eigenbasis U its
+    projectors are the 0/1 diagonal blocks of its eigenspaces, so with
+    ``G_j = U^H E_j U`` and M the mask of those blocks the stack is
+    ``U^H D_j U = M * G_j - G_j``, which is ``-G_j`` off the blocks and 0 on
+    them, and U is returned with it; an eigenvector v of that stack is
+    ``U v`` in the computational basis. An observable ``second`` gives
+    ``G_j = W_j W_j^H``, the sum of the outer products of the columns of
+    ``W = U^H V`` in its j-th eigenspace, so its projectors are not built
+    either. Any other ``first`` returns the Kraus sandwich itself and ``None``.
     """
-    kraus = np.stack(canonical_instrument(first).kraus_flat())
-    effects = np.stack(measurement_effects(second))
-    if kraus.shape[1] != effects.shape[1]:
-        raise DimensionMismatchError(
-            f"dimensions differ: {kraus.shape[1]} vs {effects.shape[1]}"
-        )
-    kraus_adj = kraus.conj().transpose(0, 2, 1)
-    heralded = (kraus_adj[None] @ effects[:, None] @ kraus[None]).sum(axis=1)
-    return heralded - effects
+    kraus = (None if isinstance(first, HermitianObservable)
+             else np.stack(canonical_instrument(first).kraus_flat()))
+    if first.dim != second.dim:
+        raise DimensionMismatchError(f"dimensions differ: {first.dim} vs {second.dim}")
+    if kraus is not None:
+        effects = np.stack(measurement_effects(second))
+        kraus_adj = kraus.conj().transpose(0, 2, 1)
+        heralded = (kraus_adj[None] @ effects[:, None] @ kraus[None]).sum(axis=1)
+        return heralded - effects, None
+    basis = first.basis
+    if isinstance(second, HermitianObservable):
+        rows = (basis.conj().T @ second.basis).T
+        outer = rows[:, :, None] @ rows.conj()[:, None, :]
+        rotated = np.add.reduceat(outer, np.cumsum((0,) + second.ranks[:-1]), axis=0)
+    else:
+        rotated = basis.conj().T @ np.stack(measurement_effects(second)) @ basis
+    labels = np.repeat(np.arange(first.n_outcomes), first.ranks)
+    return np.where(labels[:, None] == labels, 0.0, -rotated), basis
 
 
 def _exact_directional(measure: Measure, first, second) -> OptResult:
@@ -389,8 +408,10 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
     largest eigenvalue of any subset sum. A subset holding the last outcome
     is the negated complement of one that does not, so the 2^(n-1) sums of
     D_1..D_{n-1} cover every subset through their extreme eigenvalues.
+    When first is an observable the D_j are taken in its eigenbasis, and the
+    winning eigenvector is mapped back (:func:`_heralded_differences`).
     """
-    diff = _heralded_differences(first, second)
+    diff, basis = _heralded_differences(first, second)
     n, dim, _ = diff.shape
     if measure is Measure.L1:
         masks = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
@@ -407,6 +428,8 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
         value, vec = top[j], vecs[j, :, -1]
     else:
         value, vec = bottom[j], vecs[j, :, 0]
+    if basis is not None:
+        vec = basis @ vec
     return OptResult(
         value=float(value),
         argmax=PureState.normalized(vec),

@@ -35,6 +35,7 @@ from qincompat import (
     fourier_mub_pair,
     maximal_disturbance,
     maximize_over_pure_states,
+    measurement_effects,
     mub_triple_qubit,
     pair_distance_objective,
     pair_incompatibility,
@@ -332,6 +333,64 @@ def test_exact_path_rejects_dimension_mismatch():
     for measure in EXACT_MEASURES:
         with pytest.raises(DimensionMismatchError, match="dimensions differ: 2 vs 3"):
             directional_incompatibility(measure, obs_2, obs_3)
+
+
+def _sandwich_exact(measure, first, second) -> float:
+    """Q_1 or Q_inf from D_j = sum_k K_k E_j K_k - E_j over first's Hermitian Kraus operators."""
+    kraus = np.stack(canonical_instrument(first).kraus_flat())
+    effects = np.stack(measurement_effects(second))
+    diff = np.einsum("kab,jbc,kcd->jad", kraus, effects, kraus) - effects
+    if measure is Measure.LINF:
+        return float(np.abs(np.linalg.eigvalsh(diff)).max())
+    n = len(diff)
+    masks = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    lam = np.linalg.eigvalsh(np.einsum("sj,jab->sab", masks.astype(float), diff[: n - 1]))
+    return float(max(lam[:, -1].max(), -lam[:, 0].min()))
+
+
+def _eigenbasis_pair(kind, d):
+    """An observable first and a second of the named kind at dimension d, fresh each call.
+
+    Degenerate observables have ranks (d - d//2, d//2), or (2, 1, ..., 1)
+    for the second of a degenerate pair; at d = 2 both are (2,).
+    """
+    rng = np.random.default_rng(1000 * d + len(kind))
+    high = (d - d // 2, d // 2) if d > 2 else (2,)
+    low = (2,) + (1,) * (d - 2)
+    if kind == "degenerate first":
+        return degenerate_observable(high, random_unitary(d, rng)), random_observable(d, rng)
+    if kind == "degenerate second":
+        return random_observable(d, rng), degenerate_observable(high, random_unitary(d, rng))
+    if kind == "both degenerate":
+        return (degenerate_observable(high, random_unitary(d, rng)),
+                degenerate_observable(low, random_unitary(d, rng)))
+    return random_observable(d, rng), random_povm(d, 3, rng)
+
+
+_EIGENBASIS_KINDS = ("degenerate first", "degenerate second", "both degenerate", "povm second")
+
+
+@pytest.mark.parametrize("kind", _EIGENBASIS_KINDS)
+@pytest.mark.parametrize("d", range(2, 9))
+def test_exact_values_in_the_eigenbasis_match_the_kraus_sandwich(kind, d):
+    first, second = _eigenbasis_pair(kind, d)
+    for measure in EXACT_MEASURES:
+        for a, b in ((first, second), (second, first)):
+            result = directional_incompatibility(measure, a, b)
+            assert result.provenance is Provenance.EXACT
+            assert abs(result.value - _sandwich_exact(measure, a, b)) <= 2e-15
+            objective = pair_distance_objective(measure, a, b)
+            assert abs(objective(result.argmax.amplitudes[None])[0][0] - result.value) <= 1e-12
+
+
+@pytest.mark.parametrize("measure", EXACT_MEASURES)
+def test_an_exact_report_of_observables_builds_no_projectors(measure):
+    for kind in _EIGENBASIS_KINDS[:3]:
+        first, second = _eigenbasis_pair(kind, 4)
+        pair_incompatibility(measure, first, second)
+        for obs in (first, second):
+            assert "instrument" not in vars(obs)
+            assert "projectors" not in vars(obs)
 
 
 @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
