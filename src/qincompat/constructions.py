@@ -49,8 +49,7 @@ def random_observable(dim: int, seed=0) -> HermitianObservable:
     """Non-degenerate observable with a Haar-random eigenbasis and eigenvalues 1..d."""
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
-    basis = random_unitary(dim, seed)
-    return HermitianObservable.from_eigensystem(np.arange(1.0, dim + 1.0), basis)
+    return HermitianObservable(np.arange(1.0, dim + 1.0), (1,) * dim, random_unitary(dim, seed))
 
 
 def random_povm(dim: int, n_outcomes: int, seed=0) -> Povm:

@@ -37,7 +37,7 @@ def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
         raise ValidationError(
             f"{name} must be a nonempty square matrix, got shape {mat.shape}"
         )
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+    if not np.isfinite(mat).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return mat
 
@@ -77,7 +77,7 @@ class PureState:
         vec = np.array(self.amplitudes, dtype=np.complex128).ravel()
         if vec.size == 0:
             raise ValidationError("state vector must be nonempty")
-        if not (np.all(np.isfinite(vec.real)) and np.all(np.isfinite(vec.imag))):
+        if not np.isfinite(vec).all():
             raise ValidationError("state vector contains non-finite entries")
         norm_sq = float(np.real(vec.conj() @ vec))
         if abs(norm_sq - 1.0) > STATE_NORM_TOL:
@@ -218,21 +218,28 @@ class HermitianObservable:
     def from_eigensystem(cls, eigenvalues, basis, group_tol: float = 1e-12) -> "HermitianObservable":
         """Build an observable from eigenvalues and an orthonormal basis.
 
-        Columns of ``basis`` are the eigenvectors; eigenvalues within
-        ``group_tol`` of one another are merged into a single eigenspace.
+        Columns of ``basis`` are the eigenvectors. Sorted eigenvalues within
+        ``group_tol`` (finite, non-negative) of their neighbour are merged
+        into one eigenspace, so a chain of close values is one group, valued
+        at its mean. The basis is C-ordered when every eigenspace is a line
+        and F-ordered otherwise: fidelity searches follow its layout through
+        BLAS round-off.
         """
+        if not 0 <= group_tol < np.inf:
+            raise ParamOutOfRangeError("group_tol must be finite and non-negative")
         vals = np.asarray(eigenvalues, dtype=float).ravel()
         vecs = as_complex_matrix(basis, "eigenbasis")
         if vals.size != vecs.shape[0]:
             raise ValidationError("number of eigenvalues must match dimension")
         order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
-        groups = _cluster_sorted(vals, group_tol)
-        return cls(
-            eigenvalues=np.array([float(np.mean(vals[idx])) for idx in groups]),
-            ranks=tuple(len(idx) for idx in groups),
-            basis=np.hstack([vecs[:, idx] for idx in groups]),
-        )
+        vals = vals[order]
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(vals) > group_tol) + 1, [vals.size]))
+        ranks = np.diff(bounds)
+        eigvals = vals[bounds[:-1]]
+        for k in np.flatnonzero(ranks > 1):  # np.add.reduceat would round differently
+            eigvals[k] = np.mean(vals[bounds[k]:bounds[k + 1]])
+        layout = "F" if ranks.max() > 1 else "C"
+        return cls(eigvals, tuple(ranks.tolist()), np.asarray(vecs[:, order], order=layout))
 
 
 @dataclass(frozen=True)
@@ -347,17 +354,6 @@ class Instrument:
             eff = sum(k.conj().T @ k for k in ops)
             out.append((eff + eff.conj().T) / 2.0)
         return tuple(out)
-
-
-def _cluster_sorted(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of a sorted array whose neighbors differ by at most tol."""
-    groups = [[0]]
-    for k in range(1, values.size):
-        if values[k] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
 
 
 def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObservable:

@@ -5,6 +5,7 @@ import pytest
 
 from qincompat import (
     DensityMatrix,
+    HermitianObservable,
     Measure,
     ParamOutOfRangeError,
     PureState,
@@ -167,6 +168,17 @@ def test_random_observable_nondegenerate():
     obs = random_observable(4, 21)
     assert obs.is_nondegenerate
     assert obs.eigenvalues == pytest.approx([1.0, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_random_observable_is_its_eigensystem(d):
+    for seed in range(5):
+        obs = random_observable(d, seed)
+        ref = HermitianObservable.from_eigensystem(np.arange(1.0, d + 1.0), random_unitary(d, seed))
+        assert obs.ranks == ref.ranks == (1,) * d
+        assert obs.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert obs.basis.tobytes() == ref.basis.tobytes()
+        assert obs.basis.flags.c_contiguous and ref.basis.flags.c_contiguous
 
 
 def test_random_povm_sums_to_identity():

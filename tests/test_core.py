@@ -12,6 +12,7 @@ from qincompat import (
     Instrument,
     NotHermitianError,
     NotPositiveError,
+    ParamOutOfRangeError,
     Povm,
     PureState,
     ValidationError,
@@ -26,7 +27,7 @@ from qincompat import (
     spectral_decompose,
     trine_povm,
 )
-from qincompat.core import zero_floor
+from qincompat.core import as_complex_matrix, zero_floor
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -93,6 +94,79 @@ def test_from_eigensystem_groups_equal_values():
 def test_from_eigensystem_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValidationError):
         HermitianObservable.from_eigensystem([1.0, bad, 2.0], np.eye(3))
+
+
+def _grouped_one_at_a_time(values, basis, tol):
+    """Neighbour-chained grouping built group by group: a fancy index and an
+    ``np.mean`` per group, then ``np.hstack``. It is the reference that
+    ``from_eigensystem`` must match bit for bit, memory layout included."""
+    vals = np.asarray(values, dtype=float)
+    vecs = np.array(basis, dtype=np.complex128)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    groups = [[0]]
+    for k in range(1, vals.size):
+        if vals[k] - vals[groups[-1][-1]] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return (
+        np.array([float(np.mean(vals[idx])) for idx in groups]),
+        tuple(len(idx) for idx in groups),
+        np.hstack([vecs[:, idx] for idx in groups]),
+    )
+
+
+def _assert_built_as_reference(values, basis, tol):
+    obs = HermitianObservable.from_eigensystem(values, basis, tol)
+    eigvals, ranks, ref = _grouped_one_at_a_time(values, basis, tol)
+    assert obs.ranks == ranks
+    assert obs.eigenvalues.tobytes() == eigvals.tobytes()
+    assert obs.basis.tobytes(order="A") == ref.tobytes(order="A")
+    assert obs.basis.strides == ref.strides
+    # C-ordered exactly when every eigenspace is a line.
+    assert obs.basis.flags.c_contiguous == obs.is_nondegenerate or obs.dim == 1
+    return obs
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-8])
+def test_from_eigensystem_matches_group_by_group_reference(tol):
+    rng = np.random.default_rng(round(-np.log10(tol)))
+    for trial in range(60):
+        d = int(rng.integers(2, 33))
+        vals = []
+        while len(vals) < d:
+            # a cluster of 1-16 values, exactly equal or chained within 1.5 tol
+            size = int(rng.integers(1, 17))
+            spread = rng.uniform(0.0, 1.5 * tol, size) * rng.integers(0, 2)
+            vals.extend(rng.normal() + spread)
+        vals = np.array(vals[:d])
+        rng.shuffle(vals)
+        basis = random_unitary(d, rng)
+        _assert_built_as_reference(vals, basis if trial % 2 else np.asfortranarray(basis), tol)
+
+
+def test_from_eigensystem_chains_neighbours_into_one_group():
+    obs = _assert_built_as_reference([1.6e-12, 0.0, 0.8e-12, 1.0], np.eye(4), 1e-12)
+    assert obs.ranks == (3, 1)
+    assert obs.eigenvalues[0] == np.mean([0.0, 0.8e-12, 1.6e-12])
+    # neighbours exactly group_tol apart share a group
+    assert _assert_built_as_reference([2.0, 1.5, 3.0], np.eye(3), 0.5).ranks == (2, 1)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_from_eigensystem_rejects_bad_group_tol(tol):
+    with pytest.raises(ParamOutOfRangeError, match="group_tol"):
+        HermitianObservable.from_eigensystem([1.0, 1.0, 2.0], np.eye(3), tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_imaginary_part_alone_non_finite_is_rejected(bad):
+    entry = complex(0.0, bad)
+    with pytest.raises(ValidationError, match="^eigenbasis contains non-finite entries$"):
+        as_complex_matrix([[1.0, entry], [0.0, 1.0]], "eigenbasis")
+    with pytest.raises(ValidationError, match="^state vector contains non-finite entries$"):
+        PureState(np.array([entry, 0.0]))
 
 
 def test_from_eigensystem_rejects_non_orthonormal_basis():
