@@ -228,8 +228,9 @@ class HermitianObservable:
         if not 0 <= group_tol < np.inf:
             raise ParamOutOfRangeError("group_tol must be finite and non-negative")
         vals = np.asarray(eigenvalues, dtype=float).ravel()
-        vecs = as_complex_matrix(basis, "eigenbasis")
-        if vals.size != vecs.shape[0]:
+        vecs = np.asarray(basis, dtype=np.complex128)  # validated once, in __post_init__
+        if not vals.size or vecs.shape != (vals.size, vals.size):
+            as_complex_matrix(vecs, "eigenbasis")  # a malformed basis is reported first
             raise ValidationError("number of eigenvalues must match dimension")
         order = np.argsort(vals, kind="stable")
         vals = vals[order]

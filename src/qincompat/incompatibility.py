@@ -439,6 +439,41 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
     )
 
 
+def _exact_qubit_fidelity(first: HermitianObservable, second: HermitianObservable) -> OptResult:
+    """Q_F(first -> second) of two qubit observables with two eigenvalues each.
+
+    With ``c = a . b`` the product of the Bloch unit vectors of first's and
+    second's eigenvectors ``|a_0>`` and ``|b_0>``, and ``t = |<a_0|b_0>|^2``,
+    the value is ``(1 - c^2) / 2 = 2 t (1 - t)``. It is attained at either
+    eigenvector of second, is symmetric in the pair, and is 1/2 = 1 - 1/d for
+    unbiased bases.
+
+    Proof: a pure state with Bloch vector r has ``x = b . r`` and
+    ``y = a . r``. Second's outcome probabilities are ``q = (1 ± x) / 2``,
+    and after first they are ``p = (1 ± c y) / 2``, so
+    ``F^2 = [1 + c x y + sqrt((1 - c^2 y^2)(1 - x^2))] / 2``. As ``c^2 <= 1``,
+    ``1 - c^2 y^2 >= c^2 (1 - y^2)``; the Gram matrix of a, b and r is
+    positive semidefinite, so ``|c - x y| <= sqrt((1 - x^2)(1 - y^2))``.
+    Together ``F^2 >= [1 + c x y + |c| |c - x y|] / 2 >= (1 + c^2) / 2``,
+    with equality at ``r = ±b``. F is jointly concave and p, q are affine in
+    the state, so no mixed state does better.
+
+    The value is formed as ``2 t_0 t_1 / (t_0 + t_1)^2`` from both overlaps
+    ``t_i = |<a_i|b_0>|^2``, with no cancellation: ``2 t (1 - t)`` loses the
+    small factor ``1 - t`` to round-off near a shared eigenvector, and so
+    do Bloch coordinates.
+    """
+    overlaps = np.abs(first.basis.conj().T @ second.basis[:, 0]) ** 2
+    value = float(2.0 * overlaps[0] * overlaps[1] / (overlaps[0] + overlaps[1]) ** 2)
+    return OptResult(
+        value=value,
+        argmax=PureState.normalized(second.basis[:, 0]),
+        provenance=Provenance.EXACT,
+        starts_used=0,
+        upper_bound=value,
+    )
+
+
 def directional_incompatibility(
     measure: Measure, first, second, config: OptimizerConfig | None = None
 ) -> OptResult:
@@ -449,7 +484,9 @@ def directional_incompatibility(
     their positive-square-root instrument; second must be an observable or a
     POVM, and anything else raises :class:`TypeError`. The Chebyshev value, and the L1
     value when second has at most ``EXACT_L1_MAX_OUTCOMES`` outcomes, are
-    exact suprema computed from eigenvalues, with provenance ``exact``; they
+    exact suprema computed from eigenvalues, and so is the fidelity value of
+    two qubit observables with two distinct eigenvalues each
+    (:func:`_exact_qubit_fidelity`); these have provenance ``exact`` and
     ignore ``config``. Otherwise the value is an exact evaluation at the
     best state found by the seeded multistart search and hence a lower bound
     on the supremum; the seed set contains every state at which the known
@@ -486,6 +523,14 @@ def directional_incompatibility(
         measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
     ):
         return _exact_directional(measure, first, second)
+    if (
+        measure is Measure.FIDELITY
+        and isinstance(first, HermitianObservable)
+        and isinstance(second, HermitianObservable)
+        and first.dim == second.dim == 2
+        and first.n_outcomes == second.n_outcomes == 2
+    ):
+        return _exact_qubit_fidelity(first, second)
     objective = pair_distance_objective(measure, first, second)
     seeds = analytic_seed_states(first, second)
     ceilings = proven_ceilings(measure, first)

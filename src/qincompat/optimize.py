@@ -24,8 +24,9 @@ That routine, ``setulb``, is all the package uses of scipy at run time, and
 This search serves the fidelity directional values, the maximal
 disturbance of POVMs and instruments, and the L1 directional value of a
 second measurement with too many outcomes. It is skipped where the answer
-is known: the other L1 and all Chebyshev directional values, and the
-disturbance of every observable, are exact suprema computed in
+is known: the other L1 and all Chebyshev directional values, the fidelity
+value of two qubit observables, and the disturbance of every observable,
+are exact suprema computed in
 :mod:`qincompat.incompatibility`, and a directional value or fidelity
 disturbance whose best candidate state already reaches a proven ceiling is
 returned without a search.

@@ -109,7 +109,7 @@ def _suite_commutation(config_for) -> Iterable[ClaimResult]:
     ]
     for label, (obs_a, obs_b) in fixtures:
         worst = max(
-            _symmetric(measure, obs_a, obs_b, config_for(5)) for measure in _ALL_MEASURES
+            _symmetric(measure, obs_a, obs_b, config_for(3)) for measure in _ALL_MEASURES
         )
         yield ClaimResult(
             "commutation", f"all measures vanish, {label}", "le", worst, 0.0, 1e-9

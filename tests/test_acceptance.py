@@ -7,6 +7,8 @@ tolerance than the suite that checks the same claim. Run with
 Every tolerance is fixed here; nothing is calibrated at runtime.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ from qincompat import (
     trace_distance,
     variational_distance,
 )
-from qincompat import DensityMatrix, verify
+from qincompat import DensityMatrix, incompatibility, verify
 from qincompat.constructions import (
     degenerate_observable,
     random_density_matrix,
@@ -268,3 +270,23 @@ def test_verify_suite_claims_pass(suite):
     claims = verify.run_suites([suite])
     assert claims
     assert [c.name for c in claims if not c.passed] == []
+
+
+def test_commuting_fixtures_of_the_commutation_suite_do_not_search(monkeypatch):
+    """The three commuting fixtures of ``commutation`` are exact or stop on
+    their block ceiling of 0, so their claims are the same bits whatever
+    seed they are given: rng_seed + 3, their dimension, and rng_seed + 5."""
+
+    def refuse(*args):
+        raise AssertionError("a commuting fixture started a search")
+
+    monkeypatch.setattr(incompatibility, "maximize_over_pure_states", refuse)
+
+    def commuting_claims(offset):
+        def config_for(dim):
+            return OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=offset + dim)
+
+        claims = itertools.islice(verify._suite_commutation(config_for), 3)
+        return np.array([claim.measured for claim in claims])
+
+    assert commuting_claims(0).tobytes() == commuting_claims(2).tobytes()

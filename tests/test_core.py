@@ -1,6 +1,7 @@
 """Core types: spectral decomposition, instruments, validation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,40 @@ def test_imaginary_part_alone_non_finite_is_rejected(bad):
         as_complex_matrix([[1.0, entry], [0.0, 1.0]], "eigenbasis")
     with pytest.raises(ValidationError, match="^state vector contains non-finite entries$"):
         PureState(np.array([entry, 0.0]))
+
+
+_NAN_EYE3 = np.where(np.eye(3) == 1, np.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "values, basis, message",
+    [
+        ([1.0, 2.0], np.zeros((2, 3)), "eigenbasis must be a nonempty square matrix, got shape (2, 3)"),
+        ([1.0, 2.0], np.zeros((3, 2)), "eigenbasis must be a nonempty square matrix, got shape (3, 2)"),
+        ([1.0, 2.0], [1.0, 0.0], "eigenbasis must be a nonempty square matrix, got shape (2,)"),
+        ([], np.zeros((0, 0)), "eigenbasis must be a nonempty square matrix, got shape (0, 0)"),
+        ([1.0, 2.0, 3.0], _NAN_EYE3, "eigenbasis contains non-finite entries"),
+        ([1.0, 2.0], _NAN_EYE3, "eigenbasis contains non-finite entries"),
+        ([np.nan, 2.0, 3.0], _NAN_EYE3, "eigenbasis contains non-finite entries"),
+        ([1.0, 2.0], np.eye(3), "number of eigenvalues must match dimension"),
+        ([], np.eye(2), "number of eigenvalues must match dimension"),
+        ([1.0, np.nan], np.eye(2), "eigenvalues contain non-finite entries"),
+    ],
+)
+def test_from_eigensystem_reports_the_first_fault_of_its_input(values, basis, message):
+    """The basis is checked once, in ``__post_init__``; a malformed basis is
+    still reported before a count mismatch, and a bad basis before bad values."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        HermitianObservable.from_eigensystem(values, basis)
+
+
+def test_from_eigensystem_leaves_its_input_basis_alone():
+    basis = np.asfortranarray(random_unitary(3, 4))
+    copy = basis.copy(order="A")
+    obs = HermitianObservable.from_eigensystem([3.0, 1.0, 2.0], basis)
+    assert basis.flags.writeable and not obs.basis.flags.writeable
+    assert not np.shares_memory(obs.basis, basis)
+    assert basis.tobytes(order="A") == copy.tobytes(order="A")
 
 
 def test_from_eigensystem_rejects_non_orthonormal_basis():

@@ -1012,3 +1012,88 @@ def test_lueders_norm_ceiling():
     assert incompatibility.proven_ceilings(Measure.FIDELITY, projective)["luders-norm"] == (
         pytest.approx(2.0 / 3.0, abs=1e-15)
     )
+
+
+def _qubit_pairs(count, seed):
+    rng = np.random.default_rng(seed)
+    return [(random_observable(2, rng), random_observable(2, rng)) for _ in range(count)]
+
+
+def test_qubit_observable_fidelity_is_exact_and_matches_the_search(monkeypatch):
+    config = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=5)
+    pairs = _qubit_pairs(200, 2102)
+    searched = [
+        maximize_over_pure_states(
+            pair_distance_objective(Measure.FIDELITY, a, b), 2, analytic_seed_states(a, b), config
+        ).value
+        for first, second in pairs
+        for a, b in ((first, second), (second, first))
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the closed form built an objective or seeds")
+
+    monkeypatch.setattr(incompatibility, "pair_distance_objective", refuse)
+    monkeypatch.setattr(incompatibility, "analytic_seed_states", refuse)
+    results = [
+        directional_incompatibility(Measure.FIDELITY, a, b, config)
+        for first, second in pairs
+        for a, b in ((first, second), (second, first))
+    ]
+    for result, oracle in zip(results, searched):
+        assert result.provenance is Provenance.EXACT
+        assert (result.starts_used, result.evaluations, result.iterations) == (0, 0, 0)
+        assert result.upper_bound == result.value
+        assert abs(result.value - oracle) <= 1e-14
+    values = np.array([result.value for result in results]).reshape(-1, 2)
+    assert np.abs(values[:, 0] - values[:, 1]).max() <= 1e-15
+
+
+def test_qubit_observable_fidelity_is_attained_at_an_eigenvector_of_second():
+    for first, second in _qubit_pairs(20, 2103):
+        result = directional_incompatibility(Measure.FIDELITY, first, second)
+        assert np.abs(result.argmax.amplitudes - second.basis[:, 0]).max() <= 1e-15
+        objective = pair_distance_objective(Measure.FIDELITY, first, second)
+        for column in second.basis.T:
+            assert abs(objective(column[None])[0][0] - result.value) <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-7])
+def test_qubit_observable_fidelity_keeps_its_accuracy_near_a_shared_eigenvector(theta):
+    rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    diagonal = HermitianObservable.from_eigensystem([0.0, 1.0], np.eye(2))
+    rotated = HermitianObservable.from_eigensystem([0.0, 1.0], rotation)
+    expected = np.sin(2.0 * theta) ** 2 / 2.0
+    for first, second in ((diagonal, rotated), (rotated, diagonal)):
+        value = directional_incompatibility(Measure.FIDELITY, first, second).value
+        if theta == 0.0:
+            assert value == 0.0
+        else:
+            assert abs(value - expected) <= 1e-12 * expected
+
+
+def test_qubit_mub_pair_is_exactly_one_half_with_every_bound_met():
+    report = pair_incompatibility(Measure.FIDELITY, *fourier_mub_pair(2))
+    assert report.forward.value == report.backward.value == 0.5
+    assert report.gap_unknown is False
+    assert report.bound_checks and report.bound_violations == ()
+    for first, second in _qubit_pairs(10, 2104):
+        report = pair_incompatibility(Measure.FIDELITY, first, second)
+        assert report.gap_unknown is False
+        assert report.bound_checks and report.bound_violations == ()
+
+
+def test_other_qubit_fidelity_pairs_keep_their_paths(minimize_calls):
+    rng = np.random.default_rng(2105)
+    result = directional_incompatibility(
+        Measure.FIDELITY, random_povm(2, 3, rng), random_povm(2, 3, rng), LIGHT
+    )
+    assert result.provenance is not Provenance.EXACT
+    assert minimize_calls
+    calls = len(minimize_calls)
+    identity = HermitianObservable(np.array([1.0]), (2,), np.eye(2))
+    result = directional_incompatibility(Measure.FIDELITY, identity, random_observable(2, rng), LIGHT)
+    assert result.provenance is Provenance.ANALYTIC_SEED
+    assert result.upper_bound == 0.0 and result.starts_used == 0
+    assert abs(result.value) <= 1e-12
+    assert len(minimize_calls) == calls

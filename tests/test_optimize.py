@@ -643,6 +643,12 @@ def test_asymmetric_backward_values_reach_those_of_late_faces(d, mult, rng_seed)
 
 def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
     search = incompatibility.maximize_over_pure_states
+    # The Lueders pairs of the compute benchmark workload, searched both ways.
+    povm_pairs = [
+        (trine_povm(), random_povm(2, 4, 5)),
+        (random_povm(3, 3, 5), random_povm(3, 4, 6)),
+    ]
+    config = OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=5)
 
     def searched_values():
         values = []
@@ -655,6 +661,9 @@ def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(incompatibility, "maximize_over_pure_states", recorded)
             run_suites(("disturbance-ordering", "commutation", "luders"), rng_seed=5)
+            for first, second in povm_pairs:
+                directional_incompatibility(Measure.FIDELITY, first, second, config)
+                directional_incompatibility(Measure.FIDELITY, second, first, config)
         return np.array(values)
 
     values = searched_values()
