@@ -84,6 +84,13 @@ def _solve(solver, mat: np.ndarray, what: str):
         raise NumericalFailureError(f"decomposition of {what} did not converge") from exc
 
 
+def _collapse_operators(meas) -> np.ndarray:
+    """A measurement's canonical Kraus operators, stacked; an observable's cached projectors."""
+    if isinstance(meas, HermitianObservable):
+        return meas.projectors
+    return np.stack(canonical_instrument(meas).kraus_flat())
+
+
 def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
@@ -167,7 +174,7 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     an observable, a POVM or an instrument; second must be an observable or
     a POVM, and anything else raises :class:`TypeError`. With W the
     columns factoring second's effects (E_j = sum of |w><w| over block j)
-    and K_k the Kraus operators of first's canonical instrument, one column
+    and K_k first's Kraus operators (:func:`_collapse_operators`), one column
     matrix ``cols = [conj(W) | K_k^T conj(W) for every k]`` is built per
     ordered pair, grouped by outcome, so ``amp = psi @ cols`` holds every
     <w|psi> and <w|K_k psi>. The undisturbed and sequential probabilities
@@ -187,16 +194,16 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     approach such a face on it. With full-rank effects, and under the L1
     and Chebyshev measures, it returns ``(values, grads)`` alone.
     """
-    inst = canonical_instrument(first)
+    kraus = _collapse_operators(first)
     factors, offsets = _effect_factors(second)
-    if inst.dim != factors.shape[0]:
-        raise DimensionMismatchError(
-            f"dimensions differ: {inst.dim} vs {factors.shape[0]}"
-        )
-    kraus = inst.kraus_flat()
+    dim = kraus.shape[1]
+    if dim != factors.shape[0]:
+        raise DimensionMismatchError(f"dimensions differ: {dim} vs {factors.shape[0]}")
     factors_conj = factors.conj()
     blocks = np.split(factors_conj, offsets[1:], axis=1)
-    cols = np.hstack([factors_conj] + [k.T @ block for block in blocks for k in kraus])
+    kraus_t = kraus.transpose(0, 2, 1)  # per block: one product over all blocks rounds otherwise
+    products = [(kraus_t @ block).transpose(1, 0, 2).reshape(dim, -1) for block in blocks]
+    cols = np.hstack([factors_conj] + products)
     cols_conj = cols.conj()
     sizes = np.array([block.shape[1] for block in blocks])
     widths = np.concatenate((sizes, len(kraus) * sizes))
@@ -204,8 +211,8 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     column_block = np.repeat(np.arange(widths.size), widths)
     weigh = _WEIGHTS[measure]
     columns = None
-    if measure is Measure.FIDELITY and (sizes < inst.dim).any():
-        columns = tuple(np.split(cols, starts[1:], axis=1))
+    if measure is Measure.FIDELITY and (sizes < dim).any():
+        columns = tuple(cols[:, s:s + w] for s, w in zip(starts.tolist(), widths.tolist()))
 
     def objective(vecs: np.ndarray) -> tuple:
         amp = (vecs[:, None, :] @ cols)[:, 0]
@@ -379,8 +386,7 @@ def _heralded_differences(first, second) -> tuple[np.ndarray, np.ndarray | None]
     ``W = U^H V`` in its j-th eigenspace, so its projectors are not built
     either. Any other ``first`` returns the Kraus sandwich itself and ``None``.
     """
-    kraus = (None if isinstance(first, HermitianObservable)
-             else np.stack(canonical_instrument(first).kraus_flat()))
+    kraus = None if isinstance(first, HermitianObservable) else _collapse_operators(first)
     if first.dim != second.dim:
         raise DimensionMismatchError(f"dimensions differ: {first.dim} vs {second.dim}")
     if kraus is not None:
@@ -480,42 +486,40 @@ def directional_incompatibility(
     """Supremum over states of the chosen distance between second's statistics
     with and without a preceding measurement of first.
 
-    Observables act through their eigenprojector instrument, POVMs through
-    their positive-square-root instrument; second must be an observable or a
-    POVM, and anything else raises :class:`TypeError`. The Chebyshev value, and the L1
-    value when second has at most ``EXACT_L1_MAX_OUTCOMES`` outcomes, are
-    exact suprema computed from eigenvalues, and so is the fidelity value of
-    two qubit observables with two distinct eigenvalues each
-    (:func:`_exact_qubit_fidelity`); these have provenance ``exact`` and
-    ignore ``config``. Otherwise the value is an exact evaluation at the
-    best state found by the seeded multistart search and hence a lower bound
-    on the supremum; the seed set contains every state at which the known
-    closed-form values are attained.
+    Observables act through their eigenprojectors, read as they are, and
+    POVMs through their positive-square-root instrument; second must be an
+    observable or a POVM, and anything else raises :class:`TypeError`. The
+    Chebyshev value, and the L1 value when second has at most
+    ``EXACT_L1_MAX_OUTCOMES`` outcomes, are exact suprema computed from
+    eigenvalues, and so is the fidelity value of two qubit observables with
+    two distinct eigenvalues each (:func:`_exact_qubit_fidelity`); these have
+    provenance ``exact`` and ignore ``config``. Otherwise the value is an
+    exact evaluation at the best state found by the seeded multistart search
+    and hence a lower bound on the supremum; the seed set contains every
+    state at which the known closed-form values are attained.
 
     The seeds are evaluated first. If the best seed comes within
     ``CEILING_TOL`` of the lowest of first's :func:`proven_ceilings`, that
     seed is the supremum up to round-off and is returned with
     ``starts_used=0`` and no search. Otherwise the pair is split into the
-    blocks it leaves invariant (:func:`_invariant_blocks`). If
-    every Kraus operator of first and every effect of second is block
-    diagonal on ``H = ⊕_b H_b``, a state with weights ``w_b`` on the blocks
-    has ``p = sum_b w_b p_b`` and ``q = sum_b w_b q_b``; the L1 and Chebyshev
+    blocks it leaves invariant (:func:`_invariant_blocks`). If every Kraus
+    operator of first and every effect of second is block diagonal on
+    ``H = ⊕_b H_b``, a state with weights ``w_b`` on the blocks has
+    ``p = sum_b w_b p_b`` and ``q = sum_b w_b q_b``; the L1 and Chebyshev
     distances are jointly convex and F is jointly concave, so
     ``Q(first -> second) = max_b Q(first_b -> second_b)``, which is at most
-    the largest over blocks of the lowest ceiling of first restricted to the
-    block. With more than one block, a best seed within ``CEILING_TOL`` of
-    that block ceiling is returned the same way. When first is a degenerate
-    observable and second an observable of dimension at most
-    ``SUBSET_MAX_DIM`` (under the fidelity measure, the only one that
-    searches such a pair), the uniform superpositions of 2 to d - 1 of
-    second's eigenvectors (:func:`_subset_superpositions`) are then tried
-    for the same exit, and never as starts: the backward values of
+    the largest :func:`_block_ceiling`. With more than one block, a best
+    seed within ``CEILING_TOL`` of it is returned the same way. When first
+    is a degenerate observable and second an observable of dimension at
+    most ``SUBSET_MAX_DIM`` (under F, the only measure that searches such a
+    pair), the uniform superpositions of 2 to d - 1 of second's eigenvectors
+    (:func:`_subset_superpositions`) are then tried for the same exit, and
+    never as starts: the backward values of
     :func:`~qincompat.constructions.asymmetric_pair` (4, 1), (6, 1), (6, 2),
     (8, 1), (8, 2) and (8, 3) stop there at 1/2. Otherwise the search runs
-    as it would without the split and the subsets, from the same seeds,
-    which it evaluates again; ``evaluations`` counts every row evaluated.
-    The result's ``upper_bound`` is the ceiling it was checked against,
-    block or table, and ``None`` where first has no proven ceiling.
+    from the same seeds as :func:`_seed_or_search` says. The result's
+    ``upper_bound`` is the ceiling it was checked against, block or table,
+    and ``None`` where first has no proven ceiling.
     """
     if not isinstance(second, (HermitianObservable, Povm)):
         raise TypeError(f"second must be an observable or a POVM, not {type(second).__name__}")
@@ -542,10 +546,7 @@ def directional_incompatibility(
     if values.max() < bound - CEILING_TOL:
         blocks = _invariant_blocks(first, second)
         if len(blocks) > 1:
-            bound = max(
-                min(proven_ceilings(measure, _restricted(first, block)).values())
-                for block in blocks
-            )
+            bound = max(_block_ceiling(first, block) for block in blocks)
         extra = _subset_superpositions(first, second)
     return _seed_or_search(objective, first.dim, seeds, values, bound, config, extra)
 
@@ -602,7 +603,7 @@ def _invariant_blocks(first, second) -> list[np.ndarray]:
     because no generator couples two components. Copies of one block leave
     the lowest of first's :func:`proven_ceilings` where one copy has it.
     """
-    gens = np.concatenate((canonical_instrument(first).kraus_flat(), measurement_effects(second)))
+    gens = np.concatenate((_collapse_operators(first), measurement_effects(second)))
     weights = np.sqrt(np.arange(2.0, len(gens) + 2.0))
     _, vecs = _solve(np.linalg.eigh, np.tensordot(weights, gens, axes=1), "a generic element")
     linked = (np.abs(vecs.conj().T @ gens @ vecs) > BLOCK_TOL).any(axis=0)
@@ -613,25 +614,23 @@ def _invariant_blocks(first, second) -> list[np.ndarray]:
     return [vecs[:, labels == label] for label in np.unique(labels)]
 
 
-def _restricted(meas, basis: np.ndarray):
-    """An observable or POVM compressed to an invariant subspace.
+def _block_ceiling(first, block: np.ndarray) -> float:
+    """The lowest :func:`proven_ceilings` entry of first compressed to an invariant block.
 
-    ``basis`` holds orthonormal columns spanning a subspace that every
-    eigenprojector or effect of ``meas`` leaves invariant. An observable
-    keeps the eigenvalues whose eigenspaces meet the subspace.
+    Nothing compressed is built. An observable's ``r_b`` counts eigenspaces
+    ``U_l`` with ``||block^H U_l||_F^2 > 1/2``: the block's projector
+    commutes with ``U_l U_l^H``, so ``block^H U_l`` has singular values 0 or
+    1 and the weight is their rank. The weights sum to ``d_b``, the column count, so
+    ``1 - 1/r_b <= 1 - 1/d_b``. A POVM's compressed effects
+    ``E' = block^H E block`` are read through ``eigh((E' + E'^H) / 2)``.
     """
-    adjoint = basis.conj().T
-    if isinstance(meas, Povm):
-        return Povm(tuple(adjoint @ effect @ basis for effect in meas.elements))
-    values, ranks, columns = [], [], []
-    for value, sl in zip(meas.eigenvalues, meas.block_slices()):
-        left, sing, _ = _solve(np.linalg.svd, adjoint @ meas.basis[:, sl], "an eigenspace")
-        rank = int(np.count_nonzero(sing > 0.5))
-        if rank:
-            values.append(value)
-            ranks.append(rank)
-            columns.append(left[:, :rank])
-    return HermitianObservable(np.array(values), tuple(ranks), np.hstack(columns))
+    if isinstance(first, Povm):
+        tops = [_solve(np.linalg.eigh, (e + e.conj().T) / 2.0, "a block effect")[0][-1]
+                for e in (block.conj().T @ effect @ block for effect in first.elements)]
+        return min(_luders_ceilings(first.n_outcomes, tops).values())
+    weights = (np.abs(block.conj().T @ first.basis) ** 2).sum(axis=0)
+    overlaps = np.add.reduceat(weights, np.cumsum((0,) + first.ranks[:-1]))
+    return closed_form("degenerate_disturbance", n_distinct=int(np.count_nonzero(overlaps > 0.5)))
 
 
 def proven_ceilings(measure: Measure, first) -> dict[str, float]:
@@ -642,9 +641,8 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
     because the q_j - p_j sum to zero) and, under the fidelity measure,
     ``fidelity-dim`` 1 - 1/d. An N-outcome POVM under the fidelity measure
     has ``luders-outcomes`` 1 - 1/N and ``luders-norm`` 1 - 1/s with
-    s = sum_k ||E_k||, the top eigenvalues in its ``spectra``. Nothing is proven elsewhere. Dimension 1 is allowed:
-    every entry is then 0, which :func:`directional_incompatibility` uses
-    for the one-dimensional blocks of a reducible pair.
+    s = sum_k ||E_k||, the top eigenvalues in its ``spectra``. Nothing is
+    proven elsewhere. Dimension 1 is allowed, and every entry is then 0.
 
     Proof of ``luders-norm``: the Lueders Kraus operators K_k = sqrt(E_k)
     satisfy K_k^2 <= ||K_k|| K_k. For a pure state psi with
@@ -663,12 +661,14 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
             ceilings["fidelity-dim"] = 1.0 - 1.0 / first.dim  # closed_form rejects d = 1
         return ceilings
     if isinstance(first, Povm) and measure is Measure.FIDELITY:
-        norm_sum = float(np.sum([eigvals[-1] for eigvals, _ in first.spectra]))
-        return {
-            "luders-outcomes": closed_form("luders_fidelity_max", n_outcomes=first.n_outcomes),
-            "luders-norm": 1.0 - 1.0 / norm_sum,
-        }
+        return _luders_ceilings(first.n_outcomes, [eigvals[-1] for eigvals, _ in first.spectra])
     return {}
+
+
+def _luders_ceilings(n_outcomes: int, norms) -> dict[str, float]:
+    """Fidelity :func:`proven_ceilings` of a POVM with ``n_outcomes`` effects of norms ``norms``."""
+    return {"luders-outcomes": closed_form("luders_fidelity_max", n_outcomes=n_outcomes),
+            "luders-norm": 1.0 - 1.0 / float(np.sum(norms))}
 
 
 def maximal_disturbance(

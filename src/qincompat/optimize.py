@@ -56,11 +56,14 @@ of states sit at its extreme points.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import glob
 import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -98,6 +101,26 @@ def _load_lbfgsb():
 
 
 _lbfgsb = _load_lbfgsb()
+
+
+def _load_lbfgsb_blas(libs: str):
+    """A ctypes handle on scipy's OpenBLAS in ``libs`` (numpy's is another), or ``None``."""
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas-*")):
+        try:
+            blas = ctypes.CDLL(path)
+            get, put = blas.scipy_openblas_get_num_threads, blas.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            return None
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return blas
+    return None
+
+
+_lbfgsb_blas = _load_lbfgsb_blas(os.path.dirname(_lbfgsb.__file__) + "/../../scipy.libs")
+# The count is per process: concurrent searches share the pin, and the last one restores it.
+_pin = {"searches": 0, "threads": 0}
+_pin_lock = threading.Lock()
 
 _ZERO_NORM_PENALTY = 1e6
 
@@ -210,8 +233,28 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     on the face from its first point. A start that never meets a face
     follows scipy's iterates, a face whose only point is 0 is skipped, each
     face's projector is made once per call, and every evaluation, accepted
-    or not, is counted.
+    or not, is counted. ``setulb``'s BLAS calls are too small to gain from
+    threads, and waking them stalls each call for milliseconds while another
+    process keeps a core busy, so scipy's OpenBLAS (:func:`_load_lbfgsb_blas`)
+    runs on one thread until the last running search returns or raises.
     """
+    blas = _lbfgsb_blas
+    with _pin_lock:
+        if blas is not None and not _pin["searches"]:
+            _pin["threads"] = blas.scipy_openblas_get_num_threads()
+            blas.scipy_openblas_set_num_threads(1)
+        _pin["searches"] += 1
+    try:
+        return _lockstep(fun, x0, options)
+    finally:
+        with _pin_lock:
+            _pin["searches"] -= 1
+            if blas is not None and not _pin["searches"]:
+                blas.scipy_openblas_set_num_threads(_pin["threads"])
+
+
+def _lockstep(fun, x0: np.ndarray, options: dict) -> LocalSearch:
+    """The search of :func:`minimize`."""
     x = np.array(x0, dtype=np.float64)
     starts, n = x.shape
     m = _MAXCOR

@@ -968,6 +968,18 @@ def test_planted_direct_sums_split_into_their_summands(kind, sizes, seed):
             assert min(np.abs(b @ b.conj().T - proj).max() for b in blocks) <= 1e-8
 
 
+def _kron_pair(d, extra):
+    """A MUB pair tensored with I_2 and rotated, plus a summand of its own if ``extra``.
+
+    Every eigenvalue of either observable has rank 2, or 1 on the summand.
+    """
+    parts = [np.kron(obs.matrix, np.eye(2)) for obs in fourier_mub_pair(d)]
+    if extra:
+        parts = [scipy.linalg.block_diag(m, [[value]]) for m, value in zip(parts, (9.0, 7.0))]
+    unitary = random_unitary(len(parts[0]), 5)
+    return tuple(spectral_decompose(_rotated_sum([m], unitary)) for m in parts)
+
+
 @pytest.mark.parametrize("extra", [False, True])
 @pytest.mark.parametrize("d", [2, 3])
 def test_repeated_blocks_merge_without_moving_the_ceiling(d, extra, minimize_calls):
@@ -978,11 +990,7 @@ def test_repeated_blocks_merge_without_moving_the_ceiling(d, extra, minimize_cal
     on which first takes a further value lifts first's own ceiling, so only
     the split gives the exit.
     """
-    parts = [np.kron(obs.matrix, np.eye(2)) for obs in fourier_mub_pair(d)]
-    if extra:
-        parts = [scipy.linalg.block_diag(m, [[value]]) for m, value in zip(parts, (9.0, 7.0))]
-    unitary = random_unitary(len(parts[0]), 5)
-    first, second = (spectral_decompose(_rotated_sum([m], unitary)) for m in parts)
+    first, second = _kron_pair(d, extra)
     blocks = incompatibility._invariant_blocks(first, second)
     assert sorted(b.shape[1] for b in blocks) == [1] * extra + [2 * d]
     ceiling = 1.0 - 1.0 / d
@@ -1097,3 +1105,127 @@ def test_other_qubit_fidelity_pairs_keep_their_paths(minimize_calls):
     assert result.upper_bound == 0.0 and result.starts_used == 0
     assert abs(result.value) <= 1e-12
     assert len(minimize_calls) == calls
+
+
+def _restricted_reference(meas, basis):
+    """The observable or POVM compressed to an invariant block, as block ceilings once built it.
+
+    Kept as the oracle of :func:`incompatibility._block_ceiling`: an
+    observable keeps the eigenvalues whose eigenspaces meet the block, with
+    the rank of ``basis^H U_l`` counted by its singular values above 1/2.
+    """
+    adjoint = basis.conj().T
+    if isinstance(meas, Povm):
+        return Povm(tuple(adjoint @ effect @ basis for effect in meas.elements))
+    values, ranks, columns = [], [], []
+    for value, sl in zip(meas.eigenvalues, meas.block_slices()):
+        left, sing, _ = np.linalg.svd(adjoint @ meas.basis[:, sl])
+        rank = int(np.count_nonzero(sing > 0.5))
+        if rank:
+            values.append(value)
+            ranks.append(rank)
+            columns.append(left[:, :rank])
+    return HermitianObservable(np.array(values), tuple(ranks), np.hstack(columns))
+
+
+def _povm_direct_sum_pair():
+    """Projective MUB POVMs on one qubit summand, random POVMs on the other, rotated."""
+    z_basis, x_basis = (obs.basis for obs in fourier_mub_pair(2))
+    first_upper = [np.outer(v, v.conj()) for v in z_basis.T] + [np.zeros((2, 2))]
+    second_upper = [np.outer(v, v.conj()) for v in x_basis.T]
+    first_lower, second_lower = random_povm(2, 3, seed=5), random_povm(2, 2, seed=6)
+    unitary = random_unitary(4, 9)
+    return tuple(
+        Povm(tuple(unitary @ e @ unitary.conj().T for e in _direct_sum(up, low.elements)))
+        for up, low in ((first_upper, first_lower), (second_upper, second_lower))
+    )
+
+
+def _reducible_pairs():
+    """Pairs that split into blocks: shared eigenvectors, degenerate observables, POVMs."""
+    pairs = {f"shared d={d} d_c={d_c}": commuting_subspace_pair(d, d_c)
+             for d in range(2, 9) for d_c in range(d)}
+    pairs.update({f"asymmetric ({d}, {m})": asymmetric_pair(d, m)
+                  for d, m in [(3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (8, 3)]})
+    pairs.update({f"kron d={d} extra={extra}": _kron_pair(d, extra)
+                  for d in (2, 3) for extra in (False, True)})
+    pairs["planted degenerate"] = _planted_pair("degenerate", (1, 2, 3), 22)[0]
+    pairs["planted povm"] = _planted_pair("povm", (2, 3), 23)[0]
+    pairs["povm direct sum"] = _povm_direct_sum_pair()
+    return pairs
+
+
+def test_block_ceilings_equal_those_of_the_compressed_measurements_bit_for_bit():
+    for name, (obs_a, obs_b) in _reducible_pairs().items():
+        for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
+            measures = [Measure.FIDELITY]
+            if isinstance(first, HermitianObservable):
+                measures.append(Measure.L1)
+            for block in incompatibility._invariant_blocks(first, second):
+                ceiling = incompatibility._block_ceiling(first, block)
+                for measure in measures:
+                    expected = min(incompatibility.proven_ceilings(
+                        measure, _restricted_reference(first, block)).values())
+                    assert ceiling == expected, (name, measure, block.shape)
+
+
+def _per_pair_columns(kraus, factors, offsets):
+    """The pair objective's columns, one product per (outcome block, Kraus operator)."""
+    blocks = np.split(factors.conj(), offsets[1:], axis=1)
+    return np.hstack([factors.conj()] + [k.T @ block for block in blocks for k in kraus])
+
+
+def test_stacked_column_products_equal_the_per_pair_products_bit_for_bit():
+    firsts = dict(_reducible_pairs())
+    rng = np.random.default_rng(2206)
+    for k in range(6):
+        d = 2 + k % 5
+        firsts[f"random {k}"] = (random_observable(d, rng), random_povm(d, 2 + k % 3, rng))
+    firsts["trine"] = (trine_povm(), random_povm(2, 4, seed=0))
+    for name, (obs_a, obs_b) in firsts.items():
+        for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
+            kraus = incompatibility._collapse_operators(first)
+            factors, offsets = incompatibility._effect_factors(second)
+            stacked = np.hstack(
+                [factors.conj()]
+                + [(kraus.transpose(0, 2, 1) @ block).transpose(1, 0, 2).reshape(len(factors), -1)
+                   for block in np.split(factors.conj(), offsets[1:], axis=1)]
+            )
+            reference = _per_pair_columns(
+                canonical_instrument(first).kraus_flat(), factors, offsets)
+            assert stacked.tobytes() == reference.tobytes(), name
+            found = pair_distance_objective(Measure.FIDELITY, first, second)(
+                analytic_seed_states(first, second))
+            if len(found) > 2:  # the face columns are the objective's own, split by block
+                assert np.hstack(found[2].columns).tobytes() == reference.tobytes(), name
+
+
+def test_an_observables_collapse_operators_are_its_instruments_kraus_operators():
+    rng = np.random.default_rng(2207)
+    observables = [random_observable(d, rng) for d in range(2, 7)]
+    observables += [degenerate_observable((2, 1, 3), random_unitary(6, 3)), *asymmetric_pair(5, 2)]
+    observables += [*_kron_pair(3, True), HermitianObservable(np.array([1.0]), (2,), np.eye(2))]
+    for obs in observables:
+        operators = incompatibility._collapse_operators(obs)
+        reference = np.stack(canonical_instrument(obs).kraus_flat())
+        assert operators.tobytes() == reference.tobytes()
+        assert operators.strides == reference.strides and operators.dtype == reference.dtype
+
+
+def test_a_fidelity_search_builds_no_instrument_and_no_block_measurement(monkeypatch):
+    """Fresh observables, one pair reducible, reach the block split and the search."""
+    pairs = [commuting_subspace_pair(5, 2), (random_observable(3, 61), random_observable(3, 62))]
+    assert len(incompatibility._invariant_blocks(*pairs[0])) == 3
+    pairs[0] = commuting_subspace_pair(5, 2)  # fresh again: the split reads the projectors
+    built = []
+    for cls in (Instrument, HermitianObservable, Povm):
+        def counting(self, original=cls.__post_init__):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    results = [directional_incompatibility(Measure.FIDELITY, a, b, TINY)
+               for first, second in pairs for a, b in ((first, second), (second, first))]
+    assert built == []
+    assert results[0].upper_bound == pytest.approx(2.0 / 3.0, abs=1e-15)  # the block ceiling
+    assert results[2].starts_used == TINY.n_random_starts  # the search ran

@@ -1,6 +1,8 @@
 """Multistart pure-state optimizer: correctness, determinism, soundness."""
 
 import importlib
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -427,6 +429,122 @@ def test_lbfgsb_loop_matches_scipy_minimize_at_a_stationary_point():
 def test_the_search_drives_the_extension_scipy_optimize_imports():
     """The L-BFGS-B extension loaded without ``scipy.optimize`` is the one scipy itself uses."""
     assert _lbfgsb is importlib.import_module("scipy.optimize._lbfgsb")
+
+
+class _FakeBlas:
+    """Stands in for the handle on scipy's OpenBLAS and records every count set."""
+
+    def __init__(self, threads):
+        self.threads, self.set = threads, []
+
+    def scipy_openblas_get_num_threads(self):
+        return self.threads
+
+    def scipy_openblas_set_num_threads(self, threads):
+        self.set.append(threads)
+        self.threads = threads
+
+
+def test_the_search_runs_scipys_blas_on_one_thread_and_restores_it(monkeypatch):
+    fun, dim = _oracle_case("pair-F")
+    fake = _FakeBlas(4)
+    seen = []
+
+    def recorded(points):
+        seen.append(fake.threads)
+        return fun(points)
+
+    monkeypatch.setattr(optimize, "_lbfgsb_blas", fake)
+    starts = _oracle_starts("pair-F", dim)
+    minimize(recorded, starts, options=ORACLE_OPTIONS)
+    assert fake.set == [1, 4] and set(seen) == {1}
+
+    def failing(points):
+        raise ObjectiveNaNError("stop")
+
+    with pytest.raises(ObjectiveNaNError):
+        minimize(failing, starts, options=ORACLE_OPTIONS)
+    assert fake.set == [1, 4, 1, 4]
+
+
+def test_a_search_inside_a_search_restores_the_count_once(monkeypatch):
+    """The pin is the process's: only the last search to end restores the count."""
+    fun, dim = _oracle_case("pair-F")
+    fake = _FakeBlas(3)
+    inner = []
+
+    def nesting(points):
+        if not inner:
+            inner.append(minimize(fun, points[:1], options={**ORACLE_OPTIONS, "maxiter": 5}))
+            assert fake.threads == 1
+        return fun(points)
+
+    monkeypatch.setattr(optimize, "_lbfgsb_blas", fake)
+    minimize(nesting, _oracle_starts("pair-F", dim)[:2], options=ORACLE_OPTIONS)
+    assert inner and fake.set == [1, 3] and optimize._pin["searches"] == 0
+
+
+def test_searches_in_several_threads_share_one_pin(monkeypatch):
+    fun, dim = _oracle_case("pair-F")
+    fake = _FakeBlas(2)
+    seen, errors = [], []
+
+    def recorded(points):
+        seen.append(fake.threads)
+        return fun(points)
+
+    def search(k):
+        try:
+            minimize(recorded, _oracle_starts(f"thread-{k}", dim), options=ORACLE_OPTIONS)
+        except Exception as exc:  # reported below: an exception in a thread is otherwise lost
+            errors.append(exc)
+
+    monkeypatch.setattr(optimize, "_lbfgsb_blas", fake)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=search, args=(k,)) for k in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers) and errors == []
+    assert set(seen) == {1}
+    assert fake.threads == 2 and optimize._pin["searches"] == 0
+
+
+def test_scipys_own_blas_is_pinned_and_numpys_left_alone():
+    blas = optimize._lbfgsb_blas
+    if blas is None:
+        pytest.skip("scipy bundles no libscipy_openblas beside the package")
+    assert "libscipy_openblas64_" not in blas._name
+    before = blas.scipy_openblas_get_num_threads()
+    fun, dim = _oracle_case("pair-F")
+    seen = []
+
+    def recorded(points):
+        seen.append(blas.scipy_openblas_get_num_threads())
+        return fun(points)
+
+    minimize(recorded, _oracle_starts("pair-F", dim), options=ORACLE_OPTIONS)
+    assert set(seen) == {1}
+    assert blas.scipy_openblas_get_num_threads() == before
+
+
+def test_without_scipys_openblas_the_search_changes_nothing(monkeypatch, tmp_path):
+    assert optimize._load_lbfgsb_blas(str(tmp_path)) is None
+    (tmp_path / "libscipy_openblas-0.so").write_bytes(b"not a shared library")
+    assert optimize._load_lbfgsb_blas(str(tmp_path)) is None
+    fun, dim = _oracle_case("pair-F")
+    starts = _oracle_starts("pair-F", dim)
+    pinned = minimize(fun, starts, options=ORACLE_OPTIONS)
+    monkeypatch.setattr(optimize, "_lbfgsb_blas", None)
+    plain = minimize(fun, starts, options=ORACLE_OPTIONS)
+    assert plain.x.tobytes() == pinned.x.tobytes()
+    assert plain.nits.tolist() == pinned.nits.tolist()
+    assert plain.nfevs.tolist() == pinned.nfevs.tolist()
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
