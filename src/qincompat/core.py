@@ -31,8 +31,13 @@ TRACE_TOL = 1e-10
 
 
 def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
-    """Coerce ``entries`` to a square complex128 matrix, rejecting NaN/Inf."""
-    mat = np.array(entries, dtype=np.complex128)
+    """Coerce ``entries`` to a C-ordered square complex128 copy, rejecting NaN/Inf.
+
+    Every validated matrix is stored in this one layout, whatever the caller
+    passed: BLAS rounds products of C- and F-ordered operands differently,
+    and a search can follow that round-off to another local maximum.
+    """
+    mat = np.array(entries, dtype=np.complex128, order="C")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
         raise ValidationError(
             f"{name} must be a nonempty square matrix, got shape {mat.shape}"
@@ -101,10 +106,6 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "PureState") -> float:
-        """|<self|other>|, insensitive to global phase."""
-        return float(abs(self.amplitudes.conj() @ other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -220,10 +221,9 @@ class HermitianObservable:
 
         Columns of ``basis`` are the eigenvectors. Sorted eigenvalues within
         ``group_tol`` (finite, non-negative) of their neighbour are merged
-        into one eigenspace, so a chain of close values is one group, valued
-        at its mean. The basis is C-ordered when every eigenspace is a line
-        and F-ordered otherwise: fidelity searches follow its layout through
-        BLAS round-off.
+        into one eigenspace, so a chain of close values is one group. A group
+        is valued at its lowest member plus the mean offset of its members
+        from it, so equal eigenvalues keep their value bit for bit.
         """
         if not 0 <= group_tol < np.inf:
             raise ParamOutOfRangeError("group_tol must be finite and non-negative")
@@ -234,13 +234,13 @@ class HermitianObservable:
             raise ValidationError("number of eigenvalues must match dimension")
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
-        bounds = np.concatenate(([0], np.flatnonzero(np.diff(vals) > group_tol) + 1, [vals.size]))
-        ranks = np.diff(bounds)
-        eigvals = vals[bounds[:-1]]
-        for k in np.flatnonzero(ranks > 1):  # np.add.reduceat would round differently
-            eigvals[k] = np.mean(vals[bounds[k]:bounds[k + 1]])
-        layout = "F" if ranks.max() > 1 else "C"
-        return cls(eigvals, tuple(ranks.tolist()), np.asarray(vecs[:, order], order=layout))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected in __post_init__
+            bounds = np.concatenate(([0], np.flatnonzero(np.diff(vals) > group_tol) + 1, [vals.size]))
+            starts, ranks = bounds[:-1], np.diff(bounds)
+            lowest = vals[starts]
+            # subtracted: x - 0.0 is x for x = -0.0 too, where -0.0 + 0.0 is 0.0
+            eigvals = lowest - np.add.reduceat(np.repeat(lowest, ranks) - vals, starts) / ranks
+        return cls(eigvals, tuple(ranks.tolist()), vecs[:, order])
 
 
 @dataclass(frozen=True)

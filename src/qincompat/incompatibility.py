@@ -29,6 +29,7 @@ from .core import (
     canonical_instrument,
     max_abs,
     measurement_effects,
+    zero_floor,
 )
 from .constructions import (
     computational_observable,
@@ -95,11 +96,12 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
     Observables factor exactly through their stored eigenbasis; a POVM's
-    effects factor through its ``spectra``, keeping the eigenvalues above
-    1e-14, so round-off negatives are dropped. Evaluating probabilities as
-    sums of |<w|psi>|^2 keeps near-zero outcomes at the square of the
-    round-off level, which matters because the fidelity distance takes
-    square roots of them. Any other kind of measurement raises
+    effects factor through its ``spectra``, keeping the eigenvalues that
+    :func:`zero_floor` keeps, as the Lüders roots do, so round-off
+    negatives are dropped. Evaluating probabilities as sums of
+    |<w|psi>|^2 keeps near-zero outcomes at the square of the round-off
+    level, which matters because the fidelity distance takes square roots
+    of them. Any other kind of measurement raises
     :class:`TypeError`.
     """
     if isinstance(meas, HermitianObservable):
@@ -109,8 +111,9 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
         raise TypeError(f"second must be an observable or a POVM, not {type(meas).__name__}")
     columns = []
     for eigvals, eigvecs in meas.spectra:
-        keep = eigvals > 1e-14
-        columns.append(eigvecs[:, keep] * np.sqrt(eigvals[keep]) if keep.any()
+        roots = np.sqrt(zero_floor(eigvals))
+        keep = roots > 0
+        columns.append(eigvecs[:, keep] * roots[keep] if keep.any()
                        else np.zeros((meas.dim, 1), dtype=np.complex128))
     widths = [c.shape[1] for c in columns]
     return np.hstack(columns), np.cumsum([0] + widths[:-1])
@@ -436,13 +439,12 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
         value, vec = bottom[j], vecs[j, :, 0]
     if basis is not None:
         vec = basis @ vec
-    return OptResult(
-        value=float(value),
-        argmax=PureState.normalized(vec),
-        provenance=Provenance.EXACT,
-        starts_used=0,
-        upper_bound=float(value),
-    )
+    return _exact_result(float(value), vec)
+
+
+def _exact_result(value: float, vector: np.ndarray) -> OptResult:
+    """A supremum computed exactly, attained at ``vector`` (normalized here)."""
+    return OptResult(value, PureState.normalized(vector), Provenance.EXACT, 0, upper_bound=value)
 
 
 def _exact_qubit_fidelity(first: HermitianObservable, second: HermitianObservable) -> OptResult:
@@ -471,13 +473,7 @@ def _exact_qubit_fidelity(first: HermitianObservable, second: HermitianObservabl
     """
     overlaps = np.abs(first.basis.conj().T @ second.basis[:, 0]) ** 2
     value = float(2.0 * overlaps[0] * overlaps[1] / (overlaps[0] + overlaps[1]) ** 2)
-    return OptResult(
-        value=value,
-        argmax=PureState.normalized(second.basis[:, 0]),
-        provenance=Provenance.EXACT,
-        starts_used=0,
-        upper_bound=value,
-    )
+    return _exact_result(value, second.basis[:, 0])
 
 
 def directional_incompatibility(
@@ -702,13 +698,7 @@ def maximal_disturbance(
     """
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
-        return OptResult(
-            value=value,
-            argmax=PureState.normalized(_eigenspace_representatives(meas).sum(axis=1)),
-            provenance=Provenance.EXACT,
-            starts_used=0,
-            upper_bound=value,
-        )
+        return _exact_result(value, _eigenspace_representatives(meas).sum(axis=1))
     inst = canonical_instrument(meas)
     objective = _disturbance_objective(measure, inst)
     seeds = analytic_seed_states(meas, inst)
@@ -780,7 +770,13 @@ class IncompatReport:
     forward: OptResult
     backward: OptResult
     bound_checks: tuple[BoundCheck, ...] = ()
-    gap_unknown: bool = True
+
+    @property
+    def gap_unknown(self) -> bool:
+        return not all(
+            r.upper_bound is not None and abs(r.value - r.upper_bound) <= BOUND_SLACK
+            for r in (self.forward, self.backward)
+        )
 
     @property
     def symmetric(self) -> float:
@@ -829,11 +825,6 @@ def check_bounds(report: IncompatReport, first, second) -> tuple[BoundCheck, ...
     return tuple(checks)
 
 
-def _certified(result: OptResult) -> bool:
-    """Whether a directional value is its supremum: within slack of its upper bound."""
-    return result.upper_bound is not None and abs(result.value - result.upper_bound) <= BOUND_SLACK
-
-
 def pair_incompatibility(
     measure: Measure,
     first,
@@ -844,8 +835,7 @@ def pair_incompatibility(
     """Both directional values and the symmetric average (forward + backward) / 4."""
     forward = directional_incompatibility(measure, first, second, config)
     backward = directional_incompatibility(measure, second, first, config)
-    certified = _certified(forward) and _certified(backward)
-    report = IncompatReport(measure, forward, backward, gap_unknown=not certified)
+    report = IncompatReport(measure, forward, backward)
     if with_bounds:
         report = replace(report, bound_checks=check_bounds(report, first, second))
     return report

@@ -93,14 +93,18 @@ def test_from_eigensystem_groups_equal_values():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_from_eigensystem_rejects_non_finite_eigenvalues(bad):
-    with pytest.raises(ValidationError):
-        HermitianObservable.from_eigensystem([1.0, bad, 2.0], np.eye(3))
+    # with no RuntimeWarning from grouping them, alone or together
+    for values in ([1.0, bad, 2.0], [bad, bad, 2.0]):
+        with pytest.raises(ValidationError, match="^eigenvalues contain non-finite entries$"):
+            HermitianObservable.from_eigensystem(values, np.eye(3))
 
 
 def _grouped_one_at_a_time(values, basis, tol):
-    """Neighbour-chained grouping built group by group: a fancy index and an
-    ``np.mean`` per group, then ``np.hstack``. It is the reference that
-    ``from_eigensystem`` must match bit for bit, memory layout included."""
+    """Neighbour-chained grouping built group by group: a fancy index and a
+    sum per group, then ``np.hstack``. A group is valued at its lowest
+    member plus the mean offset of its members from it, formed as a
+    subtraction. It is the reference that ``from_eigensystem`` must match
+    bit for bit."""
     vals = np.asarray(values, dtype=float)
     vecs = np.array(basis, dtype=np.complex128)
     order = np.argsort(vals, kind="stable")
@@ -112,7 +116,7 @@ def _grouped_one_at_a_time(values, basis, tol):
         else:
             groups.append([k])
     return (
-        np.array([float(np.mean(vals[idx])) for idx in groups]),
+        np.array([vals[idx[0]] - np.sum(vals[idx[0]] - vals[idx]) / len(idx) for idx in groups]),
         tuple(len(idx) for idx in groups),
         np.hstack([vecs[:, idx] for idx in groups]),
     )
@@ -123,10 +127,9 @@ def _assert_built_as_reference(values, basis, tol):
     eigvals, ranks, ref = _grouped_one_at_a_time(values, basis, tol)
     assert obs.ranks == ranks
     assert obs.eigenvalues.tobytes() == eigvals.tobytes()
-    assert obs.basis.tobytes(order="A") == ref.tobytes(order="A")
-    assert obs.basis.strides == ref.strides
-    # C-ordered exactly when every eigenspace is a line.
-    assert obs.basis.flags.c_contiguous == obs.is_nondegenerate or obs.dim == 1
+    assert obs.basis.tobytes() == ref.tobytes()
+    # stored C-ordered, whatever the layout of the input
+    assert obs.basis.flags.c_contiguous
     return obs
 
 
@@ -150,9 +153,19 @@ def test_from_eigensystem_matches_group_by_group_reference(tol):
 def test_from_eigensystem_chains_neighbours_into_one_group():
     obs = _assert_built_as_reference([1.6e-12, 0.0, 0.8e-12, 1.0], np.eye(4), 1e-12)
     assert obs.ranks == (3, 1)
-    assert obs.eigenvalues[0] == np.mean([0.0, 0.8e-12, 1.6e-12])
+    assert obs.eigenvalues[0] == 0.0 - ((0.0 - 0.8e-12) + (0.0 - 1.6e-12)) / 3
+    assert abs(obs.eigenvalues[0] - 0.8e-12) <= np.spacing(0.8e-12)
     # neighbours exactly group_tol apart share a group
     assert _assert_built_as_reference([2.0, 1.5, 3.0], np.eye(3), 0.5).ranks == (2, 1)
+
+
+def test_from_eigensystem_keeps_the_value_of_equal_eigenvalues():
+    # the mean of three 0.1s is 0.10000000000000002
+    obs = HermitianObservable.from_eigensystem([0.1, 1.0, 0.1, 0.1], np.eye(4))
+    assert obs.ranks == (3, 1)
+    assert obs.eigenvalues.tolist() == [0.1, 1.0]
+    lone = HermitianObservable.from_eigensystem([1.0, -0.0], np.eye(2))
+    assert lone.eigenvalues.tobytes() == np.array([-0.0, 1.0]).tobytes()
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
@@ -358,9 +371,6 @@ def test_pure_state_validation_and_density():
     state = PureState.normalized([1.0, 1.0])
     rho = state.density()
     np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
-    assert state.overlap(PureState(np.array([1.0, 0.0]))) == pytest.approx(
-        1 / np.sqrt(2)
-    )
 
 
 def test_density_matrix_validation():
@@ -377,6 +387,22 @@ def test_povm_validation():
         Povm((np.eye(2) / 2, np.eye(2) / 3))
     with pytest.raises(NotPositiveError):
         Povm((np.diag([1.1, 0.5]).astype(complex), np.diag([-0.1, 0.5]).astype(complex)))
+
+
+def test_validated_matrices_are_stored_c_ordered():
+    povm = random_povm(3, 4, seed=2)
+    roots = [ops[0] for ops in luders_from_povm(povm).outcomes]
+    basis = random_unitary(3, 5)
+    rho = povm.elements[0] / np.trace(povm.elements[0])
+    fortran = [
+        *Povm(tuple(np.asfortranarray(e) for e in povm.elements)).elements,
+        *Instrument(tuple((np.asfortranarray(k),) for k in roots)).kraus_flat(),
+        HermitianObservable([1.0, 2.0, 3.0], (1, 1, 1), np.asfortranarray(basis)).basis,
+        DensityMatrix(np.asfortranarray(rho)).matrix,
+    ]
+    for stored, entries in zip(fortran, [*povm.elements, *roots, basis, rho], strict=True):
+        assert stored.flags.c_contiguous
+        assert stored.tobytes() == np.ascontiguousarray(entries).tobytes()
 
 
 def test_instrument_validation():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qincompat import (
+    HermitianObservable,
     Measure,
     ObjectiveNaNError,
     OptimizerConfig,
@@ -748,6 +749,33 @@ def test_degenerate_first_values_reach_those_of_late_faces(d, s):
     config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
     result = directional_incompatibility(Measure.FIDELITY, first, second, config)
     assert result.value >= DEGENERATE_FIRST_VALUES[d, s] - 1e-12
+
+
+def test_layout_twins_of_a_pair_give_one_value():
+    # The pair of the test above with each basis passed C- and F-ordered,
+    # through from_eigensystem and through the constructor: every observable
+    # stores a C-ordered basis, so the search cannot follow BLAS round-off
+    # of another layout to another local maximum.
+    def twins(obs):
+        values = np.repeat(obs.eigenvalues, obs.ranks)
+        for basis in (np.ascontiguousarray(obs.basis), np.asfortranarray(obs.basis)):
+            yield HermitianObservable.from_eigensystem(values, basis)
+            yield HermitianObservable(obs.eigenvalues, obs.ranks, basis)
+
+    first = degenerate_observable([4, 1], random_unitary(5, 24))
+    second = random_observable(5, 124)
+    config = OptimizerConfig(n_random_starts=8, max_iterations=600, rng_seed=0)
+    seen = set()
+    for one in twins(first):
+        for other in twins(second):
+            seen.add((
+                directional_incompatibility(Measure.FIDELITY, one, other, config).value,
+                analytic_seed_states(one, other).tobytes(),
+                directional_incompatibility(Measure.L1, one, other).value,
+                directional_incompatibility(Measure.LINF, one, other).value,
+            ))
+    assert len(seen) == 1
+    assert seen.pop()[0] >= DEGENERATE_FIRST_VALUES[5, 24] - 1e-12
 
 
 @pytest.mark.parametrize("d, mult, rng_seed", ASYMMETRIC_BACKWARD_VALUES)

@@ -25,6 +25,7 @@ from qincompat import (
     load_observable_file,
     random_observable,
     random_povm,
+    random_unitary,
     save_observable_file,
     trine_povm,
     z_channel,
@@ -58,6 +59,25 @@ def test_degenerate_observable_roundtrip(tmp_path):
     loaded = roundtrip(degenerate, tmp_path / "deg.json")
     assert loaded.ranks == degenerate.ranks
     np.testing.assert_array_equal(loaded.basis, degenerate.basis)
+
+
+def test_degenerate_observables_with_fractional_eigenvalues_roundtrip_byte_for_byte(tmp_path):
+    # Three 0.1s average to 0.10000000000000002; a group keeps its value.
+    rng = np.random.default_rng(21)
+    cases = [([0.1, 0.1, 0.1, 1.0], np.eye(4))]
+    for _ in range(60):
+        ranks = rng.integers(1, 4, size=int(rng.integers(1, 4)))
+        values = np.repeat(np.sort(rng.uniform(-2.0, 2.0, ranks.size)), ranks)
+        cases.append((values, random_unitary(int(ranks.sum()), rng)))
+    path, again = tmp_path / "deg.json", tmp_path / "again.json"
+    for values, basis in cases:
+        obs = HermitianObservable.from_eigensystem(values, basis)
+        assert np.repeat(obs.eigenvalues, obs.ranks).tobytes() == np.asarray(values).tobytes()
+        loaded = roundtrip(obs, path)
+        assert loaded.eigenvalues.tobytes() == obs.eigenvalues.tobytes()
+        assert loaded.basis.tobytes() == obs.basis.tobytes()
+        save_observable_file(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
 
 
 def test_povm_roundtrip_is_exact(tmp_path):
