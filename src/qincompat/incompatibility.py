@@ -230,17 +230,18 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     return objective
 
 
-def _disturbance_objective(measure: Measure, inst: Instrument) -> Objective:
+def _disturbance_objective(measure: Measure, meas) -> Objective:
     """State objective of :func:`maximal_disturbance`, with its gradient.
 
-    With a_k = <psi|K_k|psi>, the fidelity objective is 1 - sum_k |a_k|^2
-    and its gradient -2 sum_k (conj(a_k) K_k psi + a_k K_k^dag psi). The L1
+    With K_k the measurement's :func:`_collapse_operators` and
+    a_k = <psi|K_k|psi>, the fidelity objective is 1 - sum_k |a_k|^2 and
+    its gradient -2 sum_k (conj(a_k) K_k psi + a_k K_k^dag psi). The L1
     objective is half the trace norm of M = sum_k K_k|psi><psi|K_k^dag -
     |psi><psi|; with S = sign(M) from the same ``eigh``, its gradient is
     sum_k K_k^dag S K_k psi - S psi. Both take and return stacks, like the
     pair objective, with one matrix product or ``eigh`` per state.
     """
-    kraus = np.stack(inst.kraus_flat())
+    kraus = _collapse_operators(meas)
     n, dim, _ = kraus.shape
     adjoints = kraus.conj().transpose(0, 2, 1)
     if measure is Measure.FIDELITY:
@@ -290,7 +291,7 @@ def _seed_columns(meas) -> np.ndarray:
         bases = [eigvecs for _, eigvecs in meas.spectra]
         bases.append(np.stack([eigvecs[:, -1] for eigvecs in bases], axis=1))
     elif isinstance(meas, Instrument):
-        bases = [_normal_basis(kraus) for kraus in meas.kraus_flat()]
+        bases = [_normal_basis(kraus) for kraus in _collapse_operators(meas)]
     else:
         raise TypeError(f"cannot derive seed states from {type(meas).__name__}")
     return np.hstack([col for basis in bases for col in (basis, basis.sum(axis=1)[:, None])])
@@ -374,38 +375,37 @@ def _normal_basis(kraus: np.ndarray) -> np.ndarray:
 def _heralded_differences(first, second) -> tuple[np.ndarray, np.ndarray | None]:
     """Stack of D_j = sum_k K_k^dag E_j K_k - E_j, one per outcome of second, and its basis.
 
-    The K_k are the Kraus operators of first's canonical instrument and the
-    E_j second's effects, so the sequential and plain outcome probabilities
-    of a state psi differ by q_j - p_j = <psi|D_j|psi>. The D_j are Hermitian
-    up to round-off; the eigensolvers read only their lower triangles.
+    The K_k are first's :func:`_collapse_operators` and ``E_j = W_j W_j^H``
+    second's effects, from the columns W of :func:`_effect_factors` that the
+    search reads, so q_j - p_j = <psi|D_j|psi> for a state psi. The D_j are
+    Hermitian up to round-off; the eigensolvers read only their lower triangles.
 
-    An observable ``first`` builds no instrument: in its eigenbasis U its
-    projectors are the 0/1 diagonal blocks of its eigenspaces, so with
-    ``G_j = U^H E_j U`` and M the mask of those blocks the stack is
-    ``U^H D_j U = M * G_j - G_j``, which is ``-G_j`` off the blocks and 0 on
-    them, and U is returned with it; an eigenvector v of that stack is
-    ``U v`` in the computational basis. An observable ``second`` gives
-    ``G_j = W_j W_j^H``, the sum of the outer products of the columns of
-    ``W = U^H V`` in its j-th eigenspace, so its projectors are not built
-    either. Any other ``first`` returns the Kraus sandwich itself and ``None``.
+    An observable ``first`` with eigenbasis U is read there, where its
+    projectors are the 0/1 diagonal blocks of its eigenspaces: with ``G_j``
+    formed like ``E_j`` from the columns of ``U^H W`` and M the mask of those
+    blocks, the stack is ``U^H D_j U = M * G_j - G_j``, which is ``-G_j`` off
+    the blocks and 0 on them, and U is returned with it; an eigenvector v of
+    that stack is ``U v`` in the computational basis. Any other ``first``
+    returns the stack itself and ``None``.
     """
+    factors, offsets = _effect_factors(second)
     kraus = None if isinstance(first, HermitianObservable) else _collapse_operators(first)
     if first.dim != second.dim:
         raise DimensionMismatchError(f"dimensions differ: {first.dim} vs {second.dim}")
     if kraus is not None:
-        effects = np.stack(measurement_effects(second))
+        effects = _block_grams(factors, offsets)
         kraus_adj = kraus.conj().transpose(0, 2, 1)
         heralded = (kraus_adj[None] @ effects[:, None] @ kraus[None]).sum(axis=1)
         return heralded - effects, None
-    basis = first.basis
-    if isinstance(second, HermitianObservable):
-        rows = (basis.conj().T @ second.basis).T
-        outer = rows[:, :, None] @ rows.conj()[:, None, :]
-        rotated = np.add.reduceat(outer, np.cumsum((0,) + second.ranks[:-1]), axis=0)
-    else:
-        rotated = basis.conj().T @ np.stack(measurement_effects(second)) @ basis
+    rotated = _block_grams(first.basis.conj().T @ factors, offsets)
     labels = np.repeat(np.arange(first.n_outcomes), first.ranks)
-    return np.where(labels[:, None] == labels, 0.0, -rotated), basis
+    return np.where(labels[:, None] == labels, 0.0, -rotated), first.basis
+
+
+def _block_grams(columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sum of |c><c| over each block of columns, the blocks starting at ``offsets``."""
+    rows = columns.T
+    return np.add.reduceat(rows[:, :, None] @ rows.conj()[:, None, :], offsets, axis=0)
 
 
 def _exact_directional(measure: Measure, first, second) -> OptResult:
@@ -517,8 +517,6 @@ def directional_incompatibility(
     ``upper_bound`` is the ceiling it was checked against, block or table,
     and ``None`` where first has no proven ceiling.
     """
-    if not isinstance(second, (HermitianObservable, Povm)):
-        raise TypeError(f"second must be an observable or a POVM, not {type(second).__name__}")
     if measure is Measure.LINF or (
         measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
     ):
@@ -699,22 +697,22 @@ def maximal_disturbance(
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
         return _exact_result(value, _eigenspace_representatives(meas).sum(axis=1))
-    inst = canonical_instrument(meas)
-    objective = _disturbance_objective(measure, inst)
-    seeds = analytic_seed_states(meas, inst)
+    objective = _disturbance_objective(measure, meas)
+    inst = canonical_instrument(meas)  # read for its seeds only; an instrument is seeded once
+    seeds = analytic_seed_states(meas) if inst is meas else analytic_seed_states(meas, inst)
     if measure is Measure.L1:
         return maximize_over_pure_states(objective, meas.dim, seeds, config)
-    bound = _dual_ceiling(inst)
+    bound = _dual_ceiling(meas)
     if isinstance(meas, Povm):
         bound = min(bound, proven_ceilings(measure, meas)["luders-norm"])
     return _seed_or_search(objective, meas.dim, seeds, _checked(objective(seeds)[0]), bound, config)
 
 
-def _dual_ceiling(inst: Instrument) -> float:
-    """An upper bound on the fidelity disturbance of an instrument, by weak duality.
+def _dual_ceiling(meas) -> float:
+    """An upper bound on the fidelity disturbance of a measurement, by weak duality.
 
     For a pure psi, ``1 - D_F(psi) = sum_k |a_k|^2`` with
-    ``a_k = <psi|K_k|psi>``, over the instrument's Kraus operators. Since
+    ``a_k = <psi|K_k|psi>``, over the measurement's :func:`_collapse_operators`. Since
     ``|a_k - c_k|^2 >= 0`` for every complex ``c_k``,
     ``sum_k |a_k|^2 >= <psi|M|psi> - |c|^2`` with the Hermitian
     ``M = sum_k conj(c_k) K_k + c_k K_k^dag``, which is at least
@@ -731,7 +729,7 @@ def _dual_ceiling(inst: Instrument) -> float:
     ``|c| <= 1`` and ``sum_k |a_k|^2 <= 1`` give ``||M|| <= 2``, so the
     padding is at most 6.4e-13 at d = 32.
     """
-    kraus = np.stack(inst.kraus_flat())
+    kraus = _collapse_operators(meas)
     dim = kraus.shape[1]
     weights = np.trace(kraus, axis1=1, axis2=2) / dim
     half = np.tensordot(weights.conj(), kraus, axes=1)
@@ -795,7 +793,7 @@ def check_bounds(report: IncompatReport, first, second) -> tuple[BoundCheck, ...
     check per entry of the first measurement's :func:`proven_ceilings`. A
     POVM or instrument has no proven ``disturbance`` entry; its
     ``disturbance`` check is the disturbance objective (F for the fidelity
-    measure, L1 otherwise) of its canonical instrument, evaluated once at
+    measure, L1 otherwise) of its collapse operators, evaluated once at
     the direction's ``argmax``. That is the ordering
     ``incompatibility <= disturbance`` state by state: the classical
     fidelity of two outcome distributions is at least the Uhlmann fidelity
@@ -814,7 +812,7 @@ def check_bounds(report: IncompatReport, first, second) -> tuple[BoundCheck, ...
         for name, bound in ceilings.items():
             checks.append(BoundCheck(f"{name}-{direction}", bound, result.value))
         if "disturbance" not in ceilings:
-            objective = _disturbance_objective(disturbance_kind, canonical_instrument(meas))
+            objective = _disturbance_objective(disturbance_kind, meas)
             bound = float(objective(result.argmax.amplitudes[None])[0][0])
             checks.append(BoundCheck(f"disturbance-{direction}", bound, result.value))
         dim_bounds.append(ceilings.get("fidelity-dim"))

@@ -336,10 +336,10 @@ def test_exact_path_rejects_dimension_mismatch():
 
 
 def _sandwich_exact(measure, first, second) -> float:
-    """Q_1 or Q_inf from D_j = sum_k K_k E_j K_k - E_j over first's Hermitian Kraus operators."""
+    """Q_1 or Q_inf from D_j = sum_k K_k^dag E_j K_k - E_j over first's Kraus operators."""
     kraus = np.stack(canonical_instrument(first).kraus_flat())
     effects = np.stack(measurement_effects(second))
-    diff = np.einsum("kab,jbc,kcd->jad", kraus, effects, kraus) - effects
+    diff = np.einsum("kba,jbc,kcd->jad", kraus.conj(), effects, kraus) - effects
     if measure is Measure.LINF:
         return float(np.abs(np.linalg.eigvalsh(diff)).max())
     n = len(diff)
@@ -391,6 +391,53 @@ def test_an_exact_report_of_observables_builds_no_projectors(measure):
         for obs in (first, second):
             assert "instrument" not in vars(obs)
             assert "projectors" not in vars(obs)
+
+
+def test_exact_values_read_the_effect_factors_not_the_effect_matrices(monkeypatch):
+    rng = np.random.default_rng(2401)
+    povm_3, povm_4 = random_povm(3, 4, rng), random_povm(3, 3, rng)
+    pairs = {
+        "observable -> POVM": (random_observable(3, rng), povm_3),
+        "POVM -> observable": (povm_3, random_observable(3, rng)),
+        "POVM -> POVM": (povm_3, povm_4),
+        "instrument -> POVM": (_random_instrument(3, 3, seed=2402), povm_4),
+        "trine -> POVM": (trine_povm(), random_povm(2, 4, rng)),
+        "degenerate observables": _eigenbasis_pair("both degenerate", 5),
+        "degenerate second": _eigenbasis_pair("degenerate second", 4),
+    }
+    expected = {(name, m): _sandwich_exact(m, *pair)
+                for name, pair in pairs.items() for m in EXACT_MEASURES}
+
+    def refuse(meas):
+        raise AssertionError("the exact path rebuilt effect matrices")
+
+    monkeypatch.setattr(incompatibility, "measurement_effects", refuse)
+    for (name, measure), value in expected.items():
+        result = directional_incompatibility(measure, *pairs[name])
+        assert result.provenance is Provenance.EXACT, name
+        assert abs(result.value - value) <= 2e-15, name
+
+
+def _eigenbasis_differences_reference(first, second):
+    """An observable pair's stack, G_j read off second's eigenbasis V and ranks as U^H V."""
+    basis = first.basis
+    rows = (basis.conj().T @ second.basis).T
+    outer = rows[:, :, None] @ rows.conj()[:, None, :]
+    rotated = np.add.reduceat(outer, np.cumsum((0,) + second.ranks[:-1]), axis=0)
+    labels = np.repeat(np.arange(first.n_outcomes), first.ranks)
+    return np.where(labels[:, None] == labels, 0.0, -rotated)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_observable_pair_differences_are_formed_bit_for_bit_as_before(d):
+    rng = np.random.default_rng(2403 + d)
+    pairs = [(random_observable(d, rng), random_observable(d, rng))]
+    pairs += [_eigenbasis_pair(kind, d) for kind in _EIGENBASIS_KINDS[:3]]
+    for obs_a, obs_b in pairs:
+        for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
+            diff, basis = incompatibility._heralded_differences(first, second)
+            assert basis is first.basis
+            assert diff.tobytes() == _eigenbasis_differences_reference(first, second).tobytes()
 
 
 @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
@@ -599,6 +646,36 @@ def test_the_dual_ceiling_is_tight_for_the_trine_and_equal_rank_projective_povms
         povm = Povm.from_observable(degenerate_observable(ranks, random_unitary(sum(ranks), 9)))
         ceiling = incompatibility._dual_ceiling(canonical_instrument(povm))
         assert abs(ceiling - (1.0 - 1.0 / len(ranks))) <= 1e-12
+
+
+def test_the_disturbance_kernel_and_dual_ceiling_read_a_measurement_as_its_instrument():
+    rng = np.random.default_rng(2404)
+    measurements = [random_povm(3, 4, rng), trine_povm(), _random_instrument(3, 2, seed=2405),
+                    z_channel(0.3), random_observable(4, rng),
+                    degenerate_observable((2, 1, 1), random_unitary(4, rng))]
+    for meas in measurements:
+        inst = canonical_instrument(meas)
+        states = np.vstack([analytic_seed_states(meas), random_unitary(meas.dim, rng)])
+        for measure in (Measure.FIDELITY, Measure.L1):
+            read = incompatibility._disturbance_objective(measure, meas)(states)
+            built = incompatibility._disturbance_objective(measure, inst)(states)
+            for a, b in zip(read, built):
+                assert a.tobytes() == b.tobytes()
+        assert incompatibility._dual_ceiling(meas) == incompatibility._dual_ceiling(inst)
+
+
+def test_an_instrument_is_seeded_once(monkeypatch):
+    instruments = [z_channel(0.3), _random_instrument(3, 3, seed=2406)]
+    for inst in instruments:
+        twice = analytic_seed_states(inst, inst)
+        assert analytic_seed_states(inst).tobytes() == twice.tobytes()
+    calls = []
+    real = incompatibility._normal_basis
+    monkeypatch.setattr(incompatibility, "_normal_basis", lambda k: calls.append(1) or real(k))
+    for inst in instruments:
+        calls.clear()
+        maximal_disturbance(Measure.FIDELITY, inst, TINY)
+        assert len(calls) == len(inst.kraus_flat())
 
 
 @pytest.mark.parametrize("k", range(11))
