@@ -20,20 +20,27 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_unitary(dim: int, seed=0) -> np.ndarray:
+def random_unitary(dim: int, seed=0, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The R diagonal's phases are divided out so the distribution is exactly
-    Haar rather than QR-convention dependent.
+    Haar rather than QR-convention dependent. With ``count`` the result is a
+    stack of ``count`` unitaries from one Gaussian block and one stacked QR;
+    the block holds the Gaussians in the order single draws take them, so
+    the stack equals ``count`` successive draws from one generator bit for
+    bit and leaves the generator where they would.
     """
     if dim < 1:
         raise ParamOutOfRangeError("dimension must be positive")
-    rng = _as_rng(seed)
-    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(gauss)
-    diag = np.diagonal(r).copy()
+    n = 1 if count is None else count
+    if n < 1:
+        raise ParamOutOfRangeError("count must be positive")
+    gauss = _as_rng(seed).standard_normal((n, 2, dim, dim))
+    q, r = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
+    diag = np.diagonal(r, axis1=1, axis2=2).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    unitaries = q * (diag / np.abs(diag))[:, None, :]
+    return unitaries[0] if count is None else unitaries
 
 
 def random_pure_state(dim: int, seed=0) -> PureState:
@@ -49,7 +56,13 @@ def random_observable(dim: int, seed=0) -> HermitianObservable:
     """Non-degenerate observable with a Haar-random eigenbasis and eigenvalues 1..d."""
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
-    return HermitianObservable(np.arange(1.0, dim + 1.0), (1,) * dim, random_unitary(dim, seed))
+    return _observable_on(random_unitary(dim, seed))
+
+
+def _observable_on(basis: np.ndarray) -> HermitianObservable:
+    """Non-degenerate observable with eigenvalues 1..d over the columns of a unitary ``basis``."""
+    dim = basis.shape[0]
+    return HermitianObservable(np.arange(1.0, dim + 1.0), (1,) * dim, basis)
 
 
 def random_povm(dim: int, n_outcomes: int, seed=0) -> Povm:

@@ -161,9 +161,11 @@ class HermitianObservable:
             raise ValidationError("eigenvalues contain non-finite entries")
         if len(ranks) != eigvals.size or sum(ranks) != d or min(ranks) < 1:
             raise ValidationError("eigenspace ranks must be positive and sum to dim")
-        if eigvals.size > 1 and np.min(np.diff(eigvals)) <= 0:
+        if (eigvals[1:] <= eigvals[:-1]).any():
             raise ValidationError("grouped eigenvalues must be strictly increasing")
-        if max_abs(basis.conj().T @ basis - np.eye(d)) > 1e-8:
+        gram = basis.conj().T @ basis
+        gram.reshape(-1)[:: d + 1] -= 1.0  # the diagonal of the fresh C-ordered product
+        if np.abs(gram).max() > 1e-8:
             raise ValidationError("eigenbasis columns are not orthonormal")
         object.__setattr__(self, "eigenvalues", eigvals)
         object.__setattr__(self, "ranks", ranks)

@@ -16,6 +16,7 @@ N^2. Both conventions are implemented exactly as defined.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -32,9 +33,10 @@ from .core import (
     zero_floor,
 )
 from .constructions import (
+    _observable_on,
     computational_observable,
     fourier_mub_pair,
-    random_observable,
+    random_unitary,
 )
 from .errors import DimensionMismatchError, NumericalFailureError, ParamOutOfRangeError
 from .optimize import (
@@ -398,8 +400,27 @@ def _heralded_differences(first, second) -> tuple[np.ndarray, np.ndarray | None]
         heralded = (kraus_adj[None] @ effects[:, None] @ kraus[None]).sum(axis=1)
         return heralded - effects, None
     rotated = _block_grams(first.basis.conj().T @ factors, offsets)
-    labels = np.repeat(np.arange(first.n_outcomes), first.ranks)
-    return np.where(labels[:, None] == labels, 0.0, -rotated), first.basis
+    return np.where(_same_eigenspace(first.ranks), 0.0, -rotated), first.basis
+
+
+@functools.lru_cache(maxsize=256)
+def _same_eigenspace(ranks: tuple[int, ...]) -> np.ndarray:
+    """The read-only 0/1 mask of the diagonal blocks of eigenspaces with these ranks."""
+    labels = np.repeat(np.arange(len(ranks)), ranks)
+    mask = labels[:, None] == labels
+    mask.setflags(write=False)
+    return mask
+
+
+@functools.cache
+def _subset_masks(n: int) -> np.ndarray:
+    """Read-only rows of 0/1 weights, one per subset of n outcomes, in binary order.
+
+    They are stored complex, as the stacks they weight, so that no product casts them.
+    """
+    masks = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.complex128)
+    masks.setflags(write=False)
+    return masks
 
 
 def _block_grams(columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -423,8 +444,8 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
     diff, basis = _heralded_differences(first, second)
     n, dim, _ = diff.shape
     if measure is Measure.L1:
-        masks = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
-        sums = (masks @ diff[: n - 1].reshape(n - 1, dim * dim)).reshape(-1, dim, dim)
+        flat = diff[: n - 1].reshape(n - 1, dim * dim)
+        sums = (_subset_masks(n - 1) @ flat).reshape(-1, dim, dim)
         lam = _solve(np.linalg.eigvalsh, sums, "the subset sums")
         best = int(np.argmax(np.maximum(lam[:, -1], -lam[:, 0])))
         candidates = sums[best : best + 1]
@@ -1011,9 +1032,7 @@ def conjecture_scan(
     master = np.random.default_rng(base_seed)
     for _ in range(n_trials):
         seed = int(master.integers(0, 2**63 - 1))
-        rng = np.random.default_rng(seed)
-        obs_a = random_observable(dim, rng)
-        obs_b = random_observable(dim, rng)
+        obs_a, obs_b = map(_observable_on, random_unitary(dim, seed, count=2))
         record(trial, seed, obs_a, obs_b)
         trial += 1
     return ScanReport(measure=measure, dim=dim, threshold=threshold, rows=tuple(rows))

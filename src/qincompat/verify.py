@@ -15,6 +15,7 @@ import numpy as np
 
 from .accessible import RankOnePovm, acc_fid_objective, q_acc_upper_bound
 from .constructions import (
+    _observable_on,
     asymmetric_pair,
     commuting_subspace_pair,
     degenerate_observable,
@@ -118,8 +119,7 @@ def _suite_commutation(config_for) -> Iterable[ClaimResult]:
         rng = np.random.default_rng(40 + d)
         pairs = []
         while len(pairs) < 4:
-            obs_a = random_observable(d, rng)
-            obs_b = random_observable(d, rng)
+            obs_a, obs_b = map(_observable_on, random_unitary(d, rng, count=2))
             if commutator_maxnorm(obs_a, obs_b) > 1e-3:
                 pairs.append((obs_a, obs_b))
         weakest = min(
@@ -142,8 +142,7 @@ def _suite_disturbance_ordering(config_for) -> Iterable[ClaimResult]:
         rng = np.random.default_rng(70 + d)
         slack = -np.inf
         for _ in range(4):
-            obs_a = random_observable(d, rng)
-            obs_b = random_observable(d, rng)
+            obs_a, obs_b = map(_observable_on, random_unitary(d, rng, count=2))
             cfg = config_for(d)
             for measure in _ALL_MEASURES:
                 fwd = directional_incompatibility(measure, obs_a, obs_b, cfg)

@@ -156,6 +156,25 @@ def test_random_unitary_is_haar_like_and_deterministic():
     assert not np.allclose(u, random_unitary(4, 10))
 
 
+@pytest.mark.parametrize("d", [*range(1, 13), 32])
+def test_a_stack_of_unitaries_is_successive_single_draws(d):
+    for seed in range(5):
+        stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = random_unitary(d, stacked_rng, count=2)
+        singles = [random_unitary(d, single_rng) for _ in range(2)]
+        assert stack.shape == (2, d, d)
+        assert [u.tobytes() for u in stack] == [u.tobytes() for u in singles]
+        assert stacked_rng.standard_normal(4).tobytes() == single_rng.standard_normal(4).tobytes()
+    one = random_unitary(d, 7, count=1)
+    assert one.shape == (1, d, d)
+    assert one[0].tobytes() == random_unitary(d, 7).tobytes()
+
+
+def test_a_stack_of_unitaries_needs_a_positive_count():
+    with pytest.raises(ParamOutOfRangeError):
+        random_unitary(3, 0, count=0)
+
+
 def test_random_pure_state_norm_and_determinism():
     state = random_pure_state(5, 13)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12

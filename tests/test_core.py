@@ -223,6 +223,37 @@ def test_from_eigensystem_rejects_non_orthonormal_basis():
         HermitianObservable.from_eigensystem([1.0, 2.0], skewed)
 
 
+@pytest.mark.parametrize("values", [[1.0, 1.0, 2.0], [1.0, 3.0, 2.0], [2.0, 1.0, 1.0]])
+def test_observable_rejects_eigenvalues_that_do_not_increase(values):
+    with pytest.raises(
+        ValidationError, match="^grouped eigenvalues must be strictly increasing$"
+    ):
+        HermitianObservable(values, (1, 1, 1), np.eye(3))
+
+
+@pytest.mark.parametrize("defect, accepted", [(2e-8, False), (5e-9, True)])
+def test_observable_basis_orthonormality_threshold(defect, accepted):
+    """The Gram matrix may differ from the identity by at most 1e-8, on or off its diagonal."""
+    stretched = np.diag([np.sqrt(1.0 + defect), 1.0, 1.0])
+    sheared = np.array(
+        [[1.0, defect, 0.0], [0.0, np.sqrt(1.0 - defect**2), 0.0], [0.0, 0.0, 1.0]]
+    )
+    for basis in (stretched, sheared):
+        if accepted:
+            HermitianObservable([1.0, 2.0, 3.0], (1, 1, 1), basis)
+        else:
+            with pytest.raises(
+                ValidationError, match="^eigenbasis columns are not orthonormal$"
+            ):
+                HermitianObservable([1.0, 2.0, 3.0], (1, 1, 1), basis)
+
+
+def test_a_one_dimensional_observable_builds():
+    obs = HermitianObservable([2.5], (1,), [[1.0]])
+    assert obs.dim == 1 and obs.n_outcomes == 1
+    np.testing.assert_array_equal(obs.matrix, [[2.5]])
+
+
 def test_spectral_rejects_grouping_that_breaks_reconstruction():
     with pytest.raises(ValidationError):
         spectral_decompose(np.diag([1.0, 1.05, 2.0]), group_tol=0.1)

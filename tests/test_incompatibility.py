@@ -201,6 +201,32 @@ def test_conjecture_scan_injections_and_reproducibility():
     assert [r.seed for r in report.rows] == [r.seed for r in again.rows]
 
 
+@pytest.mark.parametrize("measure", [Measure.L1, Measure.LINF])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_each_scan_row_is_reproduced_in_isolation_from_its_seed(measure, d):
+    report = conjecture_scan(measure, d, 5, base_seed=100 + d)
+    for row in report.rows:
+        rng = np.random.default_rng(row.seed)
+        first, second = random_observable(d, rng), random_observable(d, rng)
+        pair = pair_incompatibility(measure, first, second, with_bounds=False)
+        fwd, bwd = pair.forward, pair.backward
+        argmax = fwd.argmax if fwd.value >= bwd.value else bwd.argmax
+        assert row.value == pair.symmetric
+        assert row.argmax.amplitudes.tobytes() == argmax.amplitudes.tobytes()
+        assert row.provenance == (fwd.provenance, bwd.provenance)
+
+
+def test_the_cached_masks_are_read_only_and_as_built():
+    masks = incompatibility._subset_masks(3)
+    assert not masks.flags.writeable
+    assert masks.dtype == np.complex128
+    np.testing.assert_array_equal(masks.real, [[(k >> j) & 1 for j in range(3)] for k in range(8)])
+    assert incompatibility._subset_masks(3) is masks
+    same = incompatibility._same_eigenspace((2, 1))
+    assert not same.flags.writeable
+    np.testing.assert_array_equal(same, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+
+
 def test_conjecture_scan_rejects_fidelity():
     with pytest.raises(ParamOutOfRangeError):
         conjecture_scan(Measure.FIDELITY, 2, 1, config=TINY)

@@ -130,6 +130,28 @@ def test_the_recorder_notes_every_supremum(patches):
     assert clock.kernel_s
 
 
+@pytest.mark.parametrize("measure", [Measure.L1, Measure.LINF])
+def test_the_recorder_notes_two_exact_suprema_per_scan_row(patches, measure):
+    # The scan workload reads a row's provenance and end time from the two
+    # suprema it notes for that row, one per direction.
+    recorder = instrument.Recorder(instrument.Clock())
+    recorder.install(qincompat, patches)
+    report = incompatibility.conjecture_scan(measure, 3, 2, base_seed=4, inject=("mub",))
+    assert len(report.rows) == 3
+    assert [prov for _, prov in recorder.suprema] == ["exact"] * (2 * len(report.rows))
+
+
+def test_the_tracer_times_the_draw_of_a_scan_row(patches):
+    tracer = instrument.Tracer()
+    tracer.install(qincompat, patches)
+    incompatibility.conjecture_scan(Measure.L1, 3, 1, base_seed=4)
+    metrics = tracer.layer_metrics([])
+    # One draw per row: both unitaries come from one random_unitary call.
+    assert metrics["constructions.calls"] == 1
+    assert metrics["constructions.s"] > 0
+    assert metrics["incompatibility.directional_calls"] == 2
+
+
 def test_suite_runners_yield_claims_under_the_tracer(patches):
     tracer = instrument.Tracer()
     tracer.install(qincompat, patches)
