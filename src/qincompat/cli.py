@@ -44,7 +44,7 @@ from .optimize import OptimizerConfig
 from .serialization import (
     MAX_DIM,
     REPORT_VERSION,
-    _vector_to_json,
+    _pairs,
     load_observable_file,
     save_observable_file,
     write_json_atomic,
@@ -93,7 +93,7 @@ def _opt_result_json(result) -> dict:
         "gap": None if bound is None else max(0.0, bound - result.value),
         "evaluations": result.evaluations,
         "iterations": result.iterations,
-        "argmax": _vector_to_json(result.argmax.amplitudes),
+        "argmax": _pairs(result.argmax.amplitudes),
     }
 
 
@@ -261,7 +261,7 @@ def cmd_scan(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["trial", "seed", "value", "argmax_state"])
         for row in report.rows:
-            argmax = json.dumps(_vector_to_json(row.argmax.amplitudes))
+            argmax = json.dumps(_pairs(row.argmax.amplitudes))
             writer.writerow([row.trial, row.seed, repr(row.value), argmax])
     n_bad = len(report.counterexamples)
     n_exact = sum(row.is_exact for row in report.rows)

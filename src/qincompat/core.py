@@ -250,7 +250,8 @@ class Povm:
     """A positive-operator-valued measure: effects summing to the identity.
 
     Each effect is eigendecomposed once, into ``spectra``, when the POVM is
-    validated; everything that needs an effect's spectrum reads it there.
+    validated; everything that needs an effect's spectrum reads it there,
+    and everything that needs its square roots reads ``roots``.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -283,6 +284,18 @@ class Povm:
         spectra = tuple(np.linalg.eigh((e + e.conj().T) / 2.0) for e in self.elements)
         _freeze(*(arr for spectrum in spectra for arr in spectrum))
         return spectra
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Read-only ``(n, d)`` square roots of the ``spectra`` eigenvalues, one row per effect.
+
+        Each row is ``sqrt(zero_floor(eigenvalues))``: negative and round-off
+        eigenvalues are zeroed, not rooted. These are the eigenvalues of the
+        Lüders Kraus operators, with the eigenvectors of ``spectra``.
+        """
+        roots = np.sqrt([zero_floor(eigvals) for eigvals, _ in self.spectra])
+        _freeze(roots)
+        return roots
 
     @property
     def dim(self) -> int:
@@ -395,10 +408,10 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
 def luders_from_povm(povm: Povm) -> Instrument:
     """The instrument whose Kraus operators are the positive roots of the effects.
 
-    Each root is built from the effect's ``spectra`` entry, with the negative
-    and round-off eigenvalues zeroed by :func:`zero_floor` rather than rooted.
+    Each root is built from the effect's ``spectra`` eigenvectors and its
+    row of ``roots``, in which negative and round-off eigenvalues are zeroed.
     """
-    roots = [(vecs * np.sqrt(zero_floor(vals))) @ vecs.conj().T for vals, vecs in povm.spectra]
+    roots = [(vecs * root) @ vecs.conj().T for (_, vecs), root in zip(povm.spectra, povm.roots)]
     return Instrument(tuple(((root + root.conj().T) / 2.0,) for root in roots))
 
 

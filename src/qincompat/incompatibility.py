@@ -15,6 +15,7 @@ N^2. Both conventions are implemented exactly as defined.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 from dataclasses import dataclass, replace
@@ -30,7 +31,6 @@ from .core import (
     canonical_instrument,
     max_abs,
     measurement_effects,
-    zero_floor,
 )
 from .constructions import (
     _observable_on,
@@ -98,13 +98,12 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
     Observables factor exactly through their stored eigenbasis; a POVM's
-    effects factor through its ``spectra``, keeping the eigenvalues that
-    :func:`zero_floor` keeps, as the Lüders roots do, so round-off
-    negatives are dropped. Evaluating probabilities as sums of
-    |<w|psi>|^2 keeps near-zero outcomes at the square of the round-off
-    level, which matters because the fidelity distance takes square roots
-    of them. Any other kind of measurement raises
-    :class:`TypeError`.
+    effects factor through its ``spectra`` and cached ``roots``, which the
+    Lüders instrument reads too, so round-off negatives are dropped.
+    Evaluating probabilities as sums of |<w|psi>|^2 keeps near-zero outcomes
+    at the square of the round-off level, which matters because the fidelity
+    distance takes square roots of them. Any other kind of measurement
+    raises :class:`TypeError`.
     """
     if isinstance(meas, HermitianObservable):
         offsets = np.cumsum((0,) + meas.ranks[:-1])
@@ -112,8 +111,7 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(meas, Povm):
         raise TypeError(f"second must be an observable or a POVM, not {type(meas).__name__}")
     columns = []
-    for eigvals, eigvecs in meas.spectra:
-        roots = np.sqrt(zero_floor(eigvals))
+    for (_, eigvecs), roots in zip(meas.spectra, meas.roots):
         keep = roots > 0
         columns.append(eigvecs[:, keep] * roots[keep] if keep.any()
                        else np.zeros((meas.dim, 1), dtype=np.complex128))
@@ -320,8 +318,47 @@ def analytic_seed_states(*measurements) -> np.ndarray:
     ``1 - 1e-9``, the same state up to phase, is dropped.
     """
     rows = _unit_rows(np.hstack([_seed_columns(meas) for meas in measurements]).T)
-    duplicate = np.triu(np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9, 1).any(axis=0)
-    return rows[~duplicate]
+    return _distinct(rows, _same_states(rows))
+
+
+def _same_states(rows: np.ndarray) -> np.ndarray:
+    """Which pairs of unit rows are one state up to phase: ``|<u|v>| > 1 - 1e-9``."""
+    return np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9
+
+
+def _distinct(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """The rows that are no earlier row's state, by the :func:`_same_states` matrix ``same``."""
+    return rows[~np.triu(same, 1).any(axis=0)]
+
+
+def _pair_seed_states(first, second) -> tuple[np.ndarray, np.ndarray]:
+    """``analytic_seed_states(first, second)`` and ``(second, first)``, bit for bit.
+
+    Each measurement's unit rows and the overlap matrix of all of them are
+    formed once: the second order takes the same rows and the same overlaps,
+    permuted, where a second call would recompute both.
+    """
+    head = _seed_columns(first)
+    rows = _unit_rows(np.hstack([head, _seed_columns(second)]).T)
+    same = _same_states(rows)
+    order = np.r_[head.shape[1]:len(rows), :head.shape[1]]
+    return _distinct(rows, same), _distinct(rows[order], same[np.ix_(order, order)])
+
+
+# Inside pair_incompatibility: a list of its first, its second and, once a
+# direction has asked for them, their _pair_seed_states, for the
+# directional searches of that pair only.
+_PAIR_SEEDS: contextvars.ContextVar = contextvars.ContextVar("_PAIR_SEEDS", default=None)
+
+
+def _seed_states(first, second) -> np.ndarray:
+    """``analytic_seed_states(first, second)``, shared by both directions of a pair report."""
+    shared = _PAIR_SEEDS.get()
+    if shared is None or {id(first), id(second)} != {id(shared[0]), id(shared[1])}:
+        return analytic_seed_states(first, second)
+    if shared[2] is None:
+        shared[2] = _pair_seed_states(shared[0], shared[1])
+    return shared[2][0 if first is shared[0] else 1]
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -538,9 +575,7 @@ def directional_incompatibility(
     ``upper_bound`` is the ceiling it was checked against, block or table,
     and ``None`` where first has no proven ceiling.
     """
-    if measure is Measure.LINF or (
-        measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
-    ):
+    if _spectral(measure, second):
         return _exact_directional(measure, first, second)
     if (
         measure is Measure.FIDELITY
@@ -551,7 +586,7 @@ def directional_incompatibility(
     ):
         return _exact_qubit_fidelity(first, second)
     objective = pair_distance_objective(measure, first, second)
-    seeds = analytic_seed_states(first, second)
+    seeds = _seed_states(first, second)
     ceilings = proven_ceilings(measure, first)
     if not ceilings:
         return maximize_over_pure_states(objective, first.dim, seeds, config)
@@ -564,6 +599,13 @@ def directional_incompatibility(
             bound = max(_block_ceiling(first, block) for block in blocks)
         extra = _subset_superpositions(first, second)
     return _seed_or_search(objective, first.dim, seeds, values, bound, config, extra)
+
+
+def _spectral(measure: Measure, second) -> bool:
+    """Whether Q(first -> second) is read off eigenvalues (:func:`_exact_directional`), unseeded."""
+    return measure is Measure.LINF or (
+        measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
+    )
 
 
 def _seed_or_search(
@@ -851,9 +893,21 @@ def pair_incompatibility(
     config: OptimizerConfig | None = None,
     with_bounds: bool = True,
 ) -> IncompatReport:
-    """Both directional values and the symmetric average (forward + backward) / 4."""
-    forward = directional_incompatibility(measure, first, second, config)
-    backward = directional_incompatibility(measure, second, first, config)
+    """Both directional values and the symmetric average (forward + backward) / 4.
+
+    Unless both directions are read off eigenvalues, a direction that
+    searches reads the pair's seed states formed once for both
+    (:func:`_pair_seed_states`); each value is the one a separate
+    :func:`directional_incompatibility` call returns.
+    """
+    spectral = _spectral(measure, first) and _spectral(measure, second)
+    token = None if spectral else _PAIR_SEEDS.set([first, second, None])
+    try:
+        forward = directional_incompatibility(measure, first, second, config)
+        backward = directional_incompatibility(measure, second, first, config)
+    finally:
+        if token is not None:
+            _PAIR_SEEDS.reset(token)
     report = IncompatReport(measure, forward, backward)
     if with_bounds:
         report = replace(report, bound_checks=check_bounds(report, first, second))

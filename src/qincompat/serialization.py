@@ -8,6 +8,7 @@ exact binary64 values; files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import tempfile
@@ -27,16 +28,10 @@ REPORT_VERSION = "1"
 MAX_DIM = 32
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
-def _vector_to_json(vec: np.ndarray) -> list:
-    return [_complex_to_pair(z) for z in np.asarray(vec, dtype=complex).ravel()]
+def _pairs(arr: np.ndarray) -> list:
+    """Nested lists of [re, im] Python floats, one pair per entry of ``arr``."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def _is_number(x) -> bool:
@@ -60,6 +55,37 @@ def _pair_from_json(obj, where: str) -> complex:
     return complex(obj[0], obj[1])
 
 
+def _numbers(obj, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``obj`` converted by one ``np.array`` call, or None if it is not numbers of ``shape``.
+
+    None sends the caller to the entry-by-entry walk, which names the bad
+    entry. Booleans convert here as the numbers 0 and 1, so only a file whose
+    text holds no ``true`` or ``false`` is read this way.
+    """
+    try:
+        arr = np.array(obj)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.dtype.kind not in "fi" or arr.shape != shape:
+        return None
+    return arr
+
+
+def _complex_entries(obj, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``obj`` as complex entries of ``shape`` from its [re, im] pairs, or None as :func:`_numbers`.
+
+    The parts are copied, not summed, so every bit, the sign of a zero
+    included, is the one ``complex(re, im)`` gives.
+    """
+    pairs = _numbers(obj, shape + (2,))
+    if pairs is None:
+        return None
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = pairs[..., 0]
+    out.imag = pairs[..., 1]
+    return out
+
+
 def _matrix_from_json(obj, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
@@ -72,40 +98,67 @@ def _matrix_from_json(obj, dim: int, where: str) -> np.ndarray:
     return out
 
 
+def _matrices_from_json(obj, dim: int, where: str, whole: bool) -> tuple[np.ndarray, ...]:
+    """A nonempty list of ``dim x dim`` matrices, converted whole when ``whole``, else walked."""
+    if not isinstance(obj, list) or not obj:
+        raise ParseError(f"{where}: expected a nonempty list")
+    stack = _complex_entries(obj, (len(obj), dim, dim)) if whole else None
+    if stack is not None:
+        return tuple(stack)
+    return tuple(_matrix_from_json(m, dim, f"{where}[{i}]") for i, m in enumerate(obj))
+
+
 def to_payload(obj) -> dict:
     """Serializable payload for an observable, POVM, or instrument."""
     if isinstance(obj, HermitianObservable):
-        values = np.repeat(obj.eigenvalues, obj.ranks)
         return {
             "type": "basis",
-            "eigenvalues": [float(v) for v in values],
-            "vectors": [_vector_to_json(col) for col in obj.basis.T],
+            "eigenvalues": np.repeat(obj.eigenvalues, obj.ranks).tolist(),
+            "vectors": _pairs(obj.basis.T),
         }
     if isinstance(obj, Povm):
-        return {"type": "povm", "elements": [_matrix_to_json(e) for e in obj.elements]}
+        return {"type": "povm", "elements": [_pairs(e) for e in obj.elements]}
     if isinstance(obj, Instrument):
         return {
             "type": "instrument",
-            "outcomes": [[_matrix_to_json(k) for k in ops] for ops in obj.outcomes],
+            "outcomes": [[_pairs(k) for k in ops] for ops in obj.outcomes],
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def from_payload(payload: dict, dim: int):
     """Reconstruct and validate an object from its payload."""
+    return _decode_payload(payload, dim, whole=False)
+
+
+def _decode_payload(payload, dim: int, whole: bool):
+    """:func:`from_payload`; with ``whole``, each numeric field is first converted in one piece.
+
+    ``whole`` is safe only for a payload that holds no booleans. A field that
+    does not convert to numbers of the expected shape is walked entry by
+    entry, so every diagnostic is the walk's.
+    """
     if not isinstance(payload, dict) or "type" not in payload:
         raise ParseError("payload: expected an object with a 'type' field")
     kind = payload["type"]
     if kind == "hermitian":
-        mat = _matrix_from_json(payload.get("matrix"), dim, "payload.matrix")
-        return spectral_decompose(mat)
+        mat = payload.get("matrix")
+        entries = _complex_entries(mat, (dim, dim)) if whole else None
+        if entries is None:
+            entries = _matrix_from_json(mat, dim, "payload.matrix")
+        return spectral_decompose(entries)
     if kind == "basis":
         values = payload.get("eigenvalues")
         vectors = payload.get("vectors")
-        if not isinstance(values, list) or len(values) != dim or not all(map(_is_number, values)):
+        if not isinstance(values, list) or len(values) != dim or not (
+            whole and _numbers(values, (dim,)) is not None or all(map(_is_number, values))
+        ):
             raise ParseError(f"payload.eigenvalues: expected {dim} numbers")
         if not isinstance(vectors, list) or len(vectors) != dim:
             raise ParseError(f"payload.vectors: expected {dim} vectors")
+        columns = _complex_entries(vectors, (dim, dim)) if whole else None
+        if columns is not None:
+            return HermitianObservable.from_eigensystem(np.asarray(values, float), columns.T)
         basis = np.empty((dim, dim), dtype=np.complex128)
         for j, vec in enumerate(vectors):
             if not isinstance(vec, list) or len(vec) != dim:
@@ -114,30 +167,15 @@ def from_payload(payload: dict, dim: int):
                 basis[i, j] = _pair_from_json(pair, f"payload.vectors[{j}][{i}]")
         return HermitianObservable.from_eigensystem(np.asarray(values, float), basis)
     if kind == "povm":
-        elems = payload.get("elements")
-        if not isinstance(elems, list) or not elems:
-            raise ParseError("payload.elements: expected a nonempty list")
-        return Povm(
-            tuple(
-                _matrix_from_json(e, dim, f"payload.elements[{i}]")
-                for i, e in enumerate(elems)
-            )
-        )
+        return Povm(_matrices_from_json(payload.get("elements"), dim, "payload.elements", whole))
     if kind == "instrument":
         outcomes = payload.get("outcomes")
         if not isinstance(outcomes, list) or not outcomes:
             raise ParseError("payload.outcomes: expected a nonempty list")
-        built = []
-        for i, ops in enumerate(outcomes):
-            if not isinstance(ops, list) or not ops:
-                raise ParseError(f"payload.outcomes[{i}]: expected a nonempty list")
-            built.append(
-                tuple(
-                    _matrix_from_json(k, dim, f"payload.outcomes[{i}][{j}]")
-                    for j, k in enumerate(ops)
-                )
-            )
-        return Instrument(tuple(built))
+        return Instrument(tuple(
+            _matrices_from_json(ops, dim, f"payload.outcomes[{i}]", whole)
+            for i, ops in enumerate(outcomes)
+        ))
     raise ParseError(f"payload.type: unknown kind {kind!r}")
 
 
@@ -158,10 +196,15 @@ def load_observable_file(path):
     a ``dim`` above ``MAX_DIM`` (checked before the payload is read), and the
     relevant :class:`ValidationError` subclass when the parsed object breaks
     a quantum invariant, including entries too large to check without overflow.
+    Unless the text holds a ``true`` or ``false``, which would convert as a
+    number, each numeric field is converted in one ``np.array`` call, and
+    only a field that does not convert is walked entry by entry to name the
+    bad entry; both ways build the same bits.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -182,7 +225,8 @@ def load_observable_file(path):
         raise ParseError(f"{path}: dim {dim} is above the limit of {MAX_DIM}")
     try:
         with np.errstate(over="raise"):
-            return from_payload(doc.get("payload"), dim)
+            whole = "true" not in text and "false" not in text
+            return _decode_payload(doc.get("payload"), dim, whole)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except QincompatError:
@@ -193,9 +237,118 @@ def load_observable_file(path):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def write_json_atomic(path, data: Any) -> None:
-    """Serialize ``data`` to JSON at ``path`` via a temp file in the same directory.
+class _Unhandled(Exception):
+    """A value :func:`_dumps` leaves to ``json.dumps``."""
 
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise _Unhandled
+
+
+# The text of a value of exactly one of these types; subclasses take the tests of _encode.
+_LEAF_TEXT = {
+    str: _quote,
+    type(None): lambda _: "null",
+    bool: lambda flag: "true" if flag else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
+def _encode(obj, emit, newline: str) -> None:
+    """Emit the pieces of ``json.dumps(obj, indent=1)`` at the indentation of ``newline``.
+
+    The type tests are the standard encoder's, in its order, so subclasses of
+    ``int`` and ``float`` print as those types and tuples as lists.
+    """
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        emit(leaf(obj))
+    elif isinstance(obj, str):
+        emit(_quote(obj))
+    elif isinstance(obj, int):  # True and False are exactly bool, and were handled above
+        emit(int.__repr__(obj))
+    elif isinstance(obj, float):
+        emit(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + " "
+        separator = "[" + inner
+        for item in obj:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is not None:
+                emit(separator + leaf(item))
+            else:
+                emit(separator)
+                _encode(item, emit, inner)
+            separator = "," + inner
+        emit(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + " "
+        separator = "{" + inner
+        for key, value in obj.items():
+            emit(separator + _quote(_key_text(key)) + ": ")
+            leaf = _LEAF_TEXT.get(type(value))
+            if leaf is not None:
+                emit(leaf(value))
+            else:
+                _encode(value, emit, inner)
+            separator = "," + inner
+        emit(newline + "}")
+    else:
+        raise _Unhandled
+
+
+def _dumps(data) -> str:
+    """The text of ``json.dumps(data, indent=1)``, built without the encoder's generators.
+
+    With an indent set, the standard encoder takes its pure-Python path. Any
+    value this writer does not handle, such as a numpy scalar other than a
+    ``float64``, a bad key or a cycle, is left to ``json.dumps``, which
+    raises its own error.
+    """
+    parts: list[str] = []
+    try:
+        _encode(data, parts.append, "\n")
+    except (_Unhandled, RecursionError):
+        return json.dumps(data, indent=1)
+    return "".join(parts)
+
+
+def write_json_atomic(path, data: Any) -> None:
+    """Serialize ``data`` as ``json.dumps(data, indent=1)`` at ``path`` via a temp file.
+
+    The temp file is made in the target's directory and renamed over it.
     A replaced regular file keeps its permission bits; a new file gets those of a
     plain ``open``, ``0o666`` less the umask, rather than the ``0o600`` of ``mkstemp``.
     A symlink is followed: its final target is replaced and the link kept.
@@ -203,9 +356,13 @@ def write_json_atomic(path, data: Any) -> None:
     device, cannot be replaced without destroying it, so it is written
     through with a plain ``open`` instead.
     """
-    text = json.dumps(data, indent=1) + "\n"
+    text = _dumps(data) + "\n"
+    target = path
     try:
-        mode = os.stat(path).st_mode
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
+            target = os.path.realpath(path)
+            mode = os.stat(target).st_mode
     except FileNotFoundError:  # a new file, or the missing target of a symlink
         umask = os.umask(0o022)  # reading the umask means setting it, so it is set back
         os.umask(umask)
@@ -214,12 +371,15 @@ def write_json_atomic(path, data: Any) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
-    target = os.path.realpath(path)
     fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
     try:
-        os.chmod(tmp_path, mode & 0o777)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            os.fchmod(fd, mode & 0o777)
+            remaining = memoryview(text.encode("utf-8"))
+            while remaining:
+                remaining = remaining[os.write(fd, remaining):]
+        finally:
+            os.close(fd)
         os.replace(tmp_path, target)
     except BaseException:
         if os.path.exists(tmp_path):

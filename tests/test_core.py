@@ -451,3 +451,26 @@ def test_objects_are_frozen():
     state = random_pure_state(2, 9)
     with pytest.raises((ValueError, RuntimeError)):
         state.amplitudes[0] = 0.0
+
+
+def test_povm_roots_are_read_only_and_feed_factors_and_luders_operators_bit_for_bit():
+    from qincompat.incompatibility import _effect_factors
+
+    unitary = random_unitary(2, seed=23)
+    below = unitary @ np.diag([-1e-11, 0.6]) @ unitary.conj().T
+    for povm in (trine_povm(), random_povm(3, 4, seed=24), Povm((below, np.eye(2) - below))):
+        roots = povm.roots
+        assert povm.roots is roots and not roots.flags.writeable
+        expected = [np.sqrt(zero_floor(eigvals)) for eigvals, _ in povm.spectra]
+        assert roots.tobytes() == np.stack(expected).tobytes()
+        # the factors and Kraus operators as they were formed before roots were cached
+        columns = []
+        for (_, eigvecs), root in zip(povm.spectra, expected):
+            keep = root > 0
+            columns.append(eigvecs[:, keep] * root[keep])
+        factors, offsets = _effect_factors(povm)
+        assert factors.tobytes() == np.hstack(columns).tobytes()
+        assert offsets.tolist() == np.cumsum([0] + [c.shape[1] for c in columns[:-1]]).tolist()
+        for (kraus,), (_, eigvecs), root in zip(luders_from_povm(povm).outcomes, povm.spectra, expected):
+            op = (eigvecs * root) @ eigvecs.conj().T
+            assert kraus.tobytes() == ((op + op.conj().T) / 2.0).tobytes()

@@ -1332,3 +1332,65 @@ def test_a_fidelity_search_builds_no_instrument_and_no_block_measurement(monkeyp
     assert built == []
     assert results[0].upper_bound == pytest.approx(2.0 / 3.0, abs=1e-15)  # the block ceiling
     assert results[2].starts_used == TINY.n_random_starts  # the search ran
+
+
+def _directional_fields(result):
+    return (result.value, result.argmax.amplitudes.tobytes(), result.provenance,
+            result.evaluations, result.iterations)
+
+
+_SEED_SHARING_PAIRS = {
+    "mub": fourier_mub_pair(4),
+    "shared eigenvectors": commuting_subspace_pair(5, 2),
+    "asymmetric": asymmetric_pair(5, 2),
+    "degenerate": (degenerate_observable((2, 1, 1), random_unitary(4, 2611)), random_observable(4, 2612)),
+    "trine": (trine_povm(), random_povm(2, 4, seed=2613)),
+    "random povm": (random_povm(3, 3, seed=2614), random_povm(3, 4, seed=2615)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEED_SHARING_PAIRS))
+def test_a_pair_report_forms_its_seeds_once_and_matches_separate_directions(name, monkeypatch):
+    first, second = _SEED_SHARING_PAIRS[name]
+    for a, b in ((first, second), (second, first)):
+        shared = incompatibility._pair_seed_states(a, b)
+        assert shared[0].tobytes() == analytic_seed_states(a, b).tobytes()
+        assert shared[1].tobytes() == analytic_seed_states(b, a).tobytes()
+    separate = [directional_incompatibility(Measure.FIDELITY, a, b, TINY)
+                for a, b in ((first, second), (second, first))]
+    formed = []
+    real = incompatibility._pair_seed_states
+    monkeypatch.setattr(incompatibility, "_pair_seed_states",
+                        lambda a, b: formed.append(1) or real(a, b))
+    monkeypatch.setattr(incompatibility, "analytic_seed_states", None)  # not called in a pair
+    report = pair_incompatibility(Measure.FIDELITY, first, second, TINY)
+    assert formed == [1]
+    for paired, alone in zip((report.forward, report.backward), separate):
+        assert _directional_fields(paired) == _directional_fields(alone)
+
+
+def test_an_instrument_direction_of_a_pair_reads_the_shared_seeds(monkeypatch):
+    inst, povm = z_channel(0.3), random_povm(2, 3, seed=2616)
+    alone = directional_incompatibility(Measure.FIDELITY, inst, povm, TINY)
+    seen = []
+    real = incompatibility.directional_incompatibility
+
+    def recorded(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(incompatibility, "directional_incompatibility", recorded)
+    monkeypatch.setattr(incompatibility, "analytic_seed_states", None)
+    with pytest.raises(TypeError, match="second must be an observable or a POVM"):
+        pair_incompatibility(Measure.FIDELITY, inst, povm, TINY)  # backward has an instrument second
+    assert _directional_fields(seen[0]) == _directional_fields(alone)
+
+
+def test_exact_pair_reports_form_no_seeds(monkeypatch):
+    monkeypatch.setattr(incompatibility, "_pair_seed_states", None)
+    monkeypatch.setattr(incompatibility, "analytic_seed_states", None)
+    first, second = random_observable(3, 2617), random_observable(3, 2618)
+    for measure in EXACT_MEASURES:
+        pair_incompatibility(measure, first, second)
+    pair_incompatibility(Measure.FIDELITY, *fourier_mub_pair(2))
+    assert incompatibility._PAIR_SEEDS.get() is None

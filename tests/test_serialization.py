@@ -382,3 +382,160 @@ def test_malformed_files_exit_2_without_a_traceback(content, route):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert main(argv) == 2
         assert err.getvalue().startswith("error: ")
+
+
+def _written(tree) -> str:
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "tree.json")
+        write_json_atomic(path, tree)
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+
+
+_KEYS = (st.text(max_size=6) | st.integers() | st.floats() | st.booleans() | st.none())
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**30), 2**63, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                       float("nan"), float("inf"), -float("inf")])
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["", "\x00\x1f\x7f", "é \U0001f600", '"\\/', "\ud800"])
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TREES)
+def test_written_files_are_the_indent_1_dumps_of_any_json_tree(tree):
+    assert _written(tree) == json.dumps(tree, indent=1) + "\n"
+
+
+def test_values_json_does_not_encode_raise_its_error():
+    # np.float64 is a float and prints as one; other numpy scalars, sets and
+    # tuple keys are refused by json.dumps, and the writer raises its error.
+    assert _written({"x": [np.float64(0.1), np.float64(-0.0)]}) == (
+        json.dumps({"x": [0.1, -0.0]}, indent=1) + "\n"
+    )
+    for bad in (np.float32(0.5), np.int64(3), np.bool_(True), {1, 2}, {(1, 2): 0},
+                {"report": [1.0, {"value": np.float32(0.5)}]}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(bad, indent=1)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "bad.json")
+            with pytest.raises(TypeError) as raised:
+                write_json_atomic(path, bad)
+            assert str(raised.value) == str(expected.value)
+            assert os.listdir(work) == []
+
+
+def test_a_cycle_raises_as_json_dumps_does():
+    cycle: list = []
+    cycle.append(cycle)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        _written({"cycle": cycle})
+
+
+def _loaded(path):
+    """The loaded object's type and the bytes of its stored arrays, or the error raised."""
+    try:
+        obj = load_observable_file(path)
+    except Exception as exc:  # compared, type and message, with the other route's
+        return type(exc), str(exc)
+    if isinstance(obj, HermitianObservable):
+        arrays = (obj.eigenvalues, np.array(obj.ranks), obj.basis)
+    elif isinstance(obj, Povm):
+        arrays = obj.elements
+    else:
+        arrays = obj.kraus_flat()
+    return type(obj), tuple(a.tobytes() for a in arrays)
+
+
+def _loaded_both_ways(content: bytes):
+    """:func:`_loaded` with each field converted whole and with every field walked."""
+    from qincompat import serialization
+
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "file.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        whole = _loaded(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialization, "_numbers", lambda obj, shape: None)
+            walked = _loaded(path)
+    return whole, walked
+
+
+def _edited(name, edit):
+    doc = copy.deepcopy(_TEMPLATES[name])
+    edit(doc["payload"])
+    return json.dumps(doc).encode()
+
+
+def _set(path, value):
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+_LOADER_CASES = {
+    **{f"valid {name}": json.dumps(doc).encode() for name, doc in _TEMPLATES.items()},
+    "negative zeros": _edited("observable", _set(("vectors", 0, 1), [-0.0, -0.0])),
+    "negative zero in an effect": _edited("povm", _set(("elements", 0, 0, 1), [-0.0, 0.0])),
+    "integer entries": _edited("observable", _set(("vectors",), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])),
+    "integer eigenvalues": _edited("observable", _set(("eigenvalues",), [-1, 2**62])),
+    "a huge integer among floats": _edited("observable", _set(("eigenvalues",), [0.5, 2**64])),
+    "a true among floats": _edited("observable", _set(("vectors", 1, 0), [True, 0.0])),
+    "a false eigenvalue": _edited("observable", _set(("eigenvalues", 0), False)),
+    "a true in a string": _edited("observable", _set(("note",), "true")),
+    "10**400 in a vector": _edited("observable", _set(("vectors", 0, 0), [10**400, 0])),
+    "10**400 in an effect": _edited("povm", _set(("elements", 1, 1, 1), [0.0, 10**400])),
+    "a long eigenvalue list": _edited("observable", _set(("eigenvalues",), [0.25] * 100_000)),
+    "a long vector list": _edited("observable", _set(("vectors",), [[[1.0, 0.0]] * 2] * 5000)),
+    "ragged Kraus lists": json.dumps({"format_version": "1", "dim": 2, "payload": to_payload(
+        Instrument(((np.diag([1.0, 0.0]),), (np.diag([0.0, 0.6]), np.diag([0.0, 0.8])))))}).encode(),
+    "a NaN entry": _edited("hermitian", _set(("matrix", 0, 0), [float("nan"), 0.0])),
+    "a tiny float": _edited("hermitian", _set(("matrix", 0, 0), [5e-324, -5e-324])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOADER_CASES))
+def test_a_file_loads_the_same_whole_and_walked(case):
+    whole, walked = _loaded_both_ways(_LOADER_CASES[case])
+    assert whole == walked
+    loads = case.startswith("valid") or case in {
+        "negative zeros", "negative zero in an effect", "integer entries", "integer eigenvalues",
+        "a huge integer among floats", "a true in a string", "ragged Kraus lists", "a tiny float"}
+    assert not issubclass(whole[0], Exception) if loads else issubclass(whole[0], Exception)
+
+
+def test_a_valid_file_without_booleans_is_not_walked(tmp_path, monkeypatch):
+    from qincompat import serialization
+
+    def refuse(obj, where):
+        raise AssertionError(f"walked {where}")
+
+    monkeypatch.setattr(serialization, "_pair_from_json", refuse)
+    for obj in (random_observable(6, 1), random_povm(3, 4, seed=2), z_channel(0.3),
+                HermitianObservable.from_eigensystem([0.1, 0.1, 1.0], np.eye(3))):
+        path = tmp_path / "obj.json"
+        save_observable_file(obj, path)
+        assert type(load_observable_file(path)) is type(obj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_malformed_files())
+def test_a_malformed_file_fails_the_same_whole_and_walked(content):
+    whole, walked = _loaded_both_ways(content)
+    assert whole == walked
