@@ -251,7 +251,8 @@ class Povm:
 
     Each effect is eigendecomposed once, into ``spectra``, when the POVM is
     validated; everything that needs an effect's spectrum reads it there,
-    and everything that needs its square roots reads ``roots``.
+    everything that needs its square roots reads ``roots``, and everything
+    that needs the effects as sums of ``|w><w|`` reads ``factors``.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -296,6 +297,24 @@ class Povm:
         roots = np.sqrt([zero_floor(eigvals) for eigvals, _ in self.spectra])
         _freeze(roots)
         return roots
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only columns W with ``E_j = W_j W_j^H`` per effect, and each block's start column.
+
+        Effect j's block holds the ``spectra`` eigenvectors with a nonzero
+        ``roots`` entry, each scaled by it; an effect with none has one zero
+        column, so every outcome keeps a block.
+        """
+        columns = []
+        for (_, eigvecs), roots in zip(self.spectra, self.roots):
+            keep = roots > 0
+            columns.append(eigvecs[:, keep] * roots[keep] if keep.any()
+                           else np.zeros((self.dim, 1), dtype=np.complex128))
+        widths = [c.shape[1] for c in columns]
+        factors, offsets = np.hstack(columns), np.cumsum([0] + widths[:-1])
+        _freeze(factors, offsets)
+        return factors, offsets
 
     @property
     def dim(self) -> int:

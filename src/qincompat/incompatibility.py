@@ -19,7 +19,7 @@ import contextvars
 import enum
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .optimize import (
     OptResult,
     Provenance,
     _checked,
+    _maximize_many,
     maximize_over_pure_states,
 )
 
@@ -98,8 +99,9 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
     """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
 
     Observables factor exactly through their stored eigenbasis; a POVM's
-    effects factor through its ``spectra`` and cached ``roots``, which the
-    Lüders instrument reads too, so round-off negatives are dropped.
+    effects factor through its cached :attr:`~qincompat.core.Povm.factors`,
+    formed once from its ``spectra`` and ``roots``, which the Lüders
+    instrument reads too, so round-off negatives are dropped.
     Evaluating probabilities as sums of |<w|psi>|^2 keeps near-zero outcomes
     at the square of the round-off level, which matters because the fidelity
     distance takes square roots of them. Any other kind of measurement
@@ -110,13 +112,7 @@ def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
         return meas.basis, offsets
     if not isinstance(meas, Povm):
         raise TypeError(f"second must be an observable or a POVM, not {type(meas).__name__}")
-    columns = []
-    for (_, eigvecs), roots in zip(meas.spectra, meas.roots):
-        keep = roots > 0
-        columns.append(eigvecs[:, keep] * roots[keep] if keep.any()
-                       else np.zeros((meas.dim, 1), dtype=np.complex128))
-    widths = [c.shape[1] for c in columns]
-    return np.hstack(columns), np.cumsum([0] + widths[:-1])
+    return meas.factors
 
 
 # Square roots of block probabilities are floored before dividing by them.
@@ -207,7 +203,6 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     kraus_t = kraus.transpose(0, 2, 1)  # per block: one product over all blocks rounds otherwise
     products = [(kraus_t @ block).transpose(1, 0, 2).reshape(dim, -1) for block in blocks]
     cols = np.hstack([factors_conj] + products)
-    cols_conj = cols.conj()
     sizes = np.array([block.shape[1] for block in blocks])
     widths = np.concatenate((sizes, len(kraus) * sizes))
     starts = np.cumsum(widths) - widths
@@ -217,7 +212,8 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     if measure is Measure.FIDELITY and (sizes < dim).any():
         columns = tuple(cols[:, s:s + w] for s, w in zip(starts.tolist(), widths.tolist()))
 
-    def objective(vecs: np.ndarray) -> tuple:
+    # The defaults are this pair's; _stacked_pair_objective passes each row's own.
+    def objective(vecs: np.ndarray, cols=cols, cols_conj=cols.conj(), columns=columns) -> tuple:
         amp = (vecs[:, None, :] @ cols)[:, 0]
         sums = np.add.reduceat(np.abs(amp) ** 2, starts, axis=1).reshape(len(vecs), 2, -1)
         values, weights = weigh(sums)
@@ -226,6 +222,47 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
         if columns is None:
             return values, grads
         return values, grads, Faces(sums.reshape(len(vecs), -1), columns)
+
+    objective.terms = _PairTerms(measure, cols, column_block, columns)
+    return objective
+
+
+class _PairTerms(NamedTuple):
+    """The constants of a pair objective, which it carries as ``objective.terms``.
+
+    ``cols`` is its column matrix and ``column_block`` the block of each
+    column: second's outcome blocks, then the same blocks once per Kraus
+    operator of first. ``columns`` are the blocks themselves where the
+    objective reports :class:`~qincompat.optimize.Faces`, else ``None``.
+    Pair objectives of one ``layout`` differ in ``cols`` and ``columns`` alone.
+    """
+
+    measure: Measure
+    cols: np.ndarray
+    column_block: np.ndarray
+    columns: tuple[np.ndarray, ...] | None
+
+    @property
+    def layout(self) -> tuple:
+        return self.measure, self.cols.shape[0], self.column_block.tobytes(), self.columns is None
+
+
+def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:
+    """Pair objectives of one layout as one objective of :func:`_maximize_many`.
+
+    Row ``s`` of a stack is evaluated by the first pair's objective with the
+    columns of pair ``problems[s]``, in one stacked product per row, exactly
+    as that pair's own objective evaluates it.
+    """
+    cols = np.stack([objective.terms.cols for objective in objectives])
+    cols_conj = cols.conj()
+    columns = None
+    if objectives[0].terms.columns is not None:
+        columns = tuple(objective.terms.columns for objective in objectives)
+    evaluate = objectives[0]
+
+    def objective(vecs: np.ndarray, problems: np.ndarray) -> tuple:
+        return evaluate(vecs, cols[problems], cols_conj[problems], columns)
 
     return objective
 
@@ -571,9 +608,42 @@ def directional_incompatibility(
     never as starts: the backward values of
     :func:`~qincompat.constructions.asymmetric_pair` (4, 1), (6, 1), (6, 2),
     (8, 1), (8, 2) and (8, 3) stop there at 1/2. Otherwise the search runs
-    from the same seeds as :func:`_seed_or_search` says. The result's
+    from the same seeds as :func:`_seed_exit` says. The result's
     ``upper_bound`` is the ceiling it was checked against, block or table,
     and ``None`` where first has no proven ceiling.
+    """
+    settled = _settle(measure, first, second)
+    return settled if isinstance(settled, OptResult) else settled.run(first.dim, config)
+
+
+class _Search(NamedTuple):
+    """A supremum that no exit reached: the search it needs.
+
+    ``bound`` is the ceiling the seeds were checked against, ``None`` where
+    the measurement has none, and ``evaluated`` the rows evaluated for the exits.
+    """
+
+    objective: Objective
+    seeds: np.ndarray
+    bound: float | None
+    evaluated: int
+
+    def run(self, dim: int, config: OptimizerConfig | None) -> OptResult:
+        """The search, alone."""
+        return self.finish(maximize_over_pure_states(self.objective, dim, self.seeds, config))
+
+    def finish(self, result: OptResult) -> OptResult:
+        """The searched ``result`` with the ceiling and the exits' evaluations."""
+        if self.bound is None:
+            return result
+        return replace(result, upper_bound=self.bound,
+                       evaluations=result.evaluations + self.evaluated)
+
+
+def _settle(measure: Measure, first, second) -> OptResult | _Search:
+    """Every exit of :func:`directional_incompatibility` before a search, in its order.
+
+    Returns the exact or exit result, or the :class:`_Search` to run.
     """
     if _spectral(measure, second):
         return _exact_directional(measure, first, second)
@@ -589,7 +659,7 @@ def directional_incompatibility(
     seeds = _seed_states(first, second)
     ceilings = proven_ceilings(measure, first)
     if not ceilings:
-        return maximize_over_pure_states(objective, first.dim, seeds, config)
+        return _Search(objective, seeds, None, 0)
     bound = min(ceilings.values())
     values = _checked(objective(seeds)[0])
     extra = None
@@ -598,7 +668,32 @@ def directional_incompatibility(
         if len(blocks) > 1:
             bound = max(_block_ceiling(first, block) for block in blocks)
         extra = _subset_superpositions(first, second)
-    return _seed_or_search(objective, first.dim, seeds, values, bound, config, extra)
+    return _seed_exit(objective, seeds, values, bound, extra)
+
+
+def _directional_many(
+    measure: Measure, pairs: Sequence[tuple], config: OptimizerConfig | None = None
+) -> list[OptResult]:
+    """``directional_incompatibility(measure, first, second, config)`` for each pair, bit for bit.
+
+    Every pair takes its exits first (:func:`_settle`). The pairs left to
+    search are grouped by the layout of their objectives (:class:`_PairTerms`),
+    and each group is one search of :func:`~qincompat.optimize._maximize_many`,
+    whose lockstep steps evaluate the starts of all its pairs in one call.
+    """
+    results = [_settle(measure, first, second) for first, second in pairs]
+    groups: dict[tuple, list[int]] = {}
+    for k, settled in enumerate(results):
+        if isinstance(settled, _Search):
+            groups.setdefault(settled.objective.terms.layout, []).append(k)
+    for members in groups.values():
+        searches = [results[k] for k in members]
+        objective = _stacked_pair_objective([search.objective for search in searches])
+        dim = pairs[members[0]][0].dim
+        found = _maximize_many(objective, dim, [search.seeds for search in searches], config)
+        for k, search, result in zip(members, searches, found):
+            results[k] = search.finish(result)
+    return results
 
 
 def _spectral(measure: Measure, second) -> bool:
@@ -608,15 +703,13 @@ def _spectral(measure: Measure, second) -> bool:
     )
 
 
-def _seed_or_search(
+def _seed_exit(
     objective: Objective,
-    dim: int,
     seeds: np.ndarray,
     values: np.ndarray,
     bound: float,
-    config: OptimizerConfig | None,
     extra: np.ndarray | None = None,
-) -> OptResult:
+) -> OptResult | _Search:
     """The best candidate if its value is within ``CEILING_TOL`` of ``bound``, else the search.
 
     ``values`` are the objective at the seeds. ``extra`` holds further
@@ -624,10 +717,10 @@ def _seed_or_search(
     ceiling, and only for this exit: the search never starts from them. A
     candidate on the ceiling, the best seed first and then the best extra
     row (the first one on ties), is returned with ``starts_used=0`` and
-    ``iterations=0``. Otherwise the search runs from the seeds exactly as it
-    would without ``extra``; it evaluates the seeds again, and
-    ``evaluations`` counts every row evaluated. Either result carries
-    ``upper_bound=bound``.
+    ``iterations=0``. Otherwise the :class:`_Search` from the seeds is
+    returned, exactly as it would be without ``extra``; the search evaluates
+    the seeds again, and its ``evaluations`` count every row evaluated.
+    Either result carries ``upper_bound=bound``.
     """
     rows, found, evaluated = seeds, values, len(seeds)
     if found.max() < bound - CEILING_TOL and extra is not None:
@@ -639,8 +732,7 @@ def _seed_or_search(
             float(found[best]), PureState(rows[best]), Provenance.ANALYTIC_SEED, 0,
             upper_bound=bound, evaluations=evaluated,
         )
-    result = maximize_over_pure_states(objective, dim, seeds, config)
-    return replace(result, upper_bound=bound, evaluations=result.evaluations + evaluated)
+    return _Search(objective, seeds, bound, evaluated)
 
 
 def _invariant_blocks(first, second) -> list[np.ndarray]:
@@ -768,7 +860,8 @@ def maximal_disturbance(
     bound = _dual_ceiling(meas)
     if isinstance(meas, Povm):
         bound = min(bound, proven_ceilings(measure, meas)["luders-norm"])
-    return _seed_or_search(objective, meas.dim, seeds, _checked(objective(seeds)[0]), bound, config)
+    settled = _seed_exit(objective, seeds, _checked(objective(seeds)[0]), bound)
+    return settled if isinstance(settled, OptResult) else settled.run(meas.dim, config)
 
 
 def _dual_ceiling(meas) -> float:
@@ -926,12 +1019,11 @@ def set_incompatibility(
     dims = {obs.dim for obs in observables}
     if len(dims) != 1:
         raise DimensionMismatchError("observables live in different dimensions")
+    pairs = [(obs_a, obs_b) for i, obs_a in enumerate(observables)
+             for j, obs_b in enumerate(observables) if i != j]
     total = 0.0
-    for i, obs_a in enumerate(observables):
-        for j, obs_b in enumerate(observables):
-            if i == j:
-                continue
-            total += directional_incompatibility(measure, obs_a, obs_b, config).value
+    for result in _directional_many(measure, pairs, config):
+        total += result.value
     return total / (n * n)
 
 

@@ -11,7 +11,10 @@ All starts of a supremum run as one lockstep L-BFGS-B search,
 :func:`minimize`: each start drives scipy's compiled routine in its own
 workspace, and each step evaluates the points every start asks for in one
 call of the objective, so the per-call cost of numpy and of the Python
-glue is paid once per step rather than once per start. Each start's
+glue is paid once per step rather than once per start. The lockstep can
+span several suprema whose objectives share one shape and differ in their
+constants (:func:`_maximize_many`), such as the directional values of
+random pairs of one dimension that ``verify`` checks claim by claim. Each start's
 iterates and its iteration and evaluation counts equal those of
 ``scipy.optimize.minimize`` from the same start, bit for bit, which
 ``tests/test_optimize.py`` checks, until the start reaches a face where
@@ -39,7 +42,12 @@ alone, bit for bit: the kernels use elementwise operations, reductions
 along the last axis, row-by-row dot products (``np.vecdot``) and stacked
 products such as ``(S, 1, d) @ (d, m)`` or per-matrix ``eigh``, never one
 2-D product across the stack, whose rows BLAS may round differently
-depending on ``S``. A single state is a stack of one. Seeds and the final
+depending on ``S``. A single state is a stack of one. An objective of
+several problems takes each row's problem too, and row ``s`` then depends
+on its point and on its problem's constants alone: a stacked product
+``(S, 1, d) @ (S, d, m)`` with each row's own matrix, which rounds as the
+broadcast ``(S, 1, d) @ (d, m)`` does (``tests/test_incompatibility.py``
+checks it). Seeds and the final
 comparison use only ``values``. An objective whose value has a square-root
 kink where a block of outcome probability vanishes (the fidelity pair
 objective with a rank-deficient effect) returns a third item,
@@ -148,7 +156,8 @@ class Faces(NamedTuple):
     the subspace on which all of them vanish. :func:`minimize` reads
     ``probs`` at each start's first evaluation and at each completed
     iteration, and ``columns`` only to build the projector of a face it
-    tries.
+    tries. An objective of several problems gives ``columns`` per problem:
+    a tuple whose entry ``p`` is problem ``p``'s tuple of block columns.
     """
 
     probs: np.ndarray
@@ -193,7 +202,7 @@ class LocalSearch(NamedTuple):
         return int(self.nfevs.sum())
 
 
-def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
+def minimize(fun, x0: np.ndarray, options: dict, problems: np.ndarray | None = None) -> LocalSearch:
     """Minimize ``fun`` over R^n with L-BFGS-B, unbounded, from each row of ``x0``.
 
     ``x0`` is an ``(S, n)`` stack of starts, and ``fun`` maps a ``(k, n)``
@@ -233,7 +242,17 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     on the face from its first point. A start that never meets a face
     follows scipy's iterates, a face whose only point is 0 is skipped, each
     face's projector is made once per call, and every evaluation, accepted
-    or not, is counted. ``setulb``'s BLAS calls are too small to gain from
+    or not, is counted.
+
+    ``problems``, if given, is an ``(S,)`` array that assigns each start a
+    problem, and ``fun(points, problems)`` then receives, with the points,
+    the problem of each; its :class:`Faces` ``columns`` are a tuple with one
+    entry per problem, and each face projector is made once per problem and
+    face. Rows may depend on their problem's constants as well as on their
+    point, so the starts of several searches of one shape advance in one
+    lockstep, one call per step, and each start follows the same iterates
+    as in a call of its problem alone. Without ``problems`` nothing is
+    gathered per step. ``setulb``'s BLAS calls are too small to gain from
     threads, and waking them stalls each call for milliseconds while another
     process keeps a core busy, so scipy's OpenBLAS (:func:`_load_lbfgsb_blas`)
     runs on one thread until the last running search returns or raises.
@@ -245,7 +264,7 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
             blas.scipy_openblas_set_num_threads(1)
         _pin["searches"] += 1
     try:
-        return _lockstep(fun, x0, options)
+        return _lockstep(fun, x0, options, problems)
     finally:
         with _pin_lock:
             _pin["searches"] -= 1
@@ -253,7 +272,7 @@ def minimize(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                 blas.scipy_openblas_set_num_threads(_pin["threads"])
 
 
-def _lockstep(fun, x0: np.ndarray, options: dict) -> LocalSearch:
+def _lockstep(fun, x0: np.ndarray, options: dict, problems: np.ndarray | None) -> LocalSearch:
     """The search of :func:`minimize`."""
     x = np.array(x0, dtype=np.float64)
     starts, n = x.shape
@@ -290,22 +309,32 @@ def _lockstep(fun, x0: np.ndarray, options: dict) -> LocalSearch:
     # first evaluation is near a face keeps that face, value and point until
     # its second. A start to be tried on a face holds the face, the value it
     # may not exceed, the point to project, and the gradient to go on with.
+    # A face's projector is made once per problem and face, and keyed by both.
     near = [None] * starts
     face = [()] * starts
     projector = [None] * starts
+    owner = [None] * starts  # each start's problem; None for the one problem
     first = {}
     trial = {}
     projectors = {}
     columns = ()
+    if problems is not None:  # fun(points, problems): pass each pending row's problem
+        stacked, problems = fun, np.asarray(problems)
+        owner = problems.tolist()
+
+        def fun(points):
+            return stacked(points, problems[pending])
 
     def face_to_try(i):
-        """Start i's face joined with its blocks near 0, if that is a new face other than {0}."""
+        """The key of start i's face joined with its blocks near 0, if that face is new, not {0}."""
         blocks = tuple(sorted(set(np.flatnonzero(near[i]).tolist()).union(face[i])))
         if blocks == face[i]:
             return None
-        if blocks not in projectors:
-            projectors[blocks] = _face_projector(columns, blocks)
-        return blocks if projectors[blocks] is not None else None
+        key = owner[i], blocks
+        if key not in projectors:
+            own = columns if owner[i] is None else columns[owner[i]]
+            projectors[key] = _face_projector(own, blocks)
+        return key if projectors[key] is not None else None
 
     running = range(starts)
     while running:
@@ -328,8 +357,8 @@ def _lockstep(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                         task[:] = 5, 504  # STOP: iteration limit
                     elif nfevs[i] > _MAXFUN:
                         task[:] = 5, 502  # STOP: evaluation limit
-                    elif near[i] is not None and (blocks := face_to_try(i)):
-                        trial[i] = blocks, f[i], xi.copy(), gi.copy()
+                    elif near[i] is not None and (key := face_to_try(i)):
+                        trial[i] = key, f[i], xi.copy(), gi.copy()
                         pending.append(i)
                         break
                 else:  # converged, stopped, or abnormal
@@ -361,11 +390,11 @@ def _lockstep(fun, x0: np.ndarray, options: dict) -> LocalSearch:
             for k, (i, point, value) in enumerate(zip(pending, listed, values.tolist())):
                 nfevs[i] += 1
                 if i in trial:
-                    blocks, ref, _, before = trial.pop(i)
+                    key, ref, _, before = trial.pop(i)
                     if value - ref > tie * max(abs(ref), 1.0):  # higher on the face: go on as before
                         g[i] = before
                         continue
-                    face[i], projector[i] = blocks, through[k]
+                    face[i], projector[i] = key[1], through[k]
                     x[i] = points[k]
                     point = points[k].tolist()
                     for state in rows[i][2:]:
@@ -373,12 +402,12 @@ def _lockstep(fun, x0: np.ndarray, options: dict) -> LocalSearch:
                 at[i], f[i] = point, value
                 near[i] = small[k] if hits[k] else None
                 if nfevs[i] == 1:
-                    if near[i] is not None and (blocks := face_to_try(i)):
-                        first[i] = blocks, value, x[i].copy()
+                    if near[i] is not None and (key := face_to_try(i)):
+                        first[i] = key, value, x[i].copy()
                 elif i in first:  # the first point of its first line search
-                    blocks, ref, start = first.pop(i)
+                    key, ref, start = first.pop(i)
                     if not value < ref:
-                        trial[i] = blocks, ref, start, g[i].copy()
+                        trial[i] = key, ref, start, g[i].copy()
         running = pending
     for i, proj in enumerate(projector):
         if proj is not None:
@@ -474,10 +503,12 @@ def _folded_objective(objective: Objective, dim: int) -> Objective:
     below 1e-12 gets a constant penalty and zero gradient. The objective's
     :class:`Faces`, if any, are passed on, with probability 1 in every block
     of a penalized row. A face of ``v`` is a face of ``z``, because the
-    blocks vanish on a complex subspace.
+    blocks vanish on a complex subspace. A stacked objective of
+    :func:`_maximize_many` takes each row's problem as a second argument,
+    and so does its folded form.
     """
 
-    def negated(coords: np.ndarray) -> tuple:
+    def negated(coords: np.ndarray, *problems: np.ndarray) -> tuple:
         norms = _norms(coords)
         kept = norms >= 1e-12
         if not kept.all():
@@ -485,7 +516,7 @@ def _folded_objective(objective: Objective, dim: int) -> Objective:
             grads = np.zeros_like(coords)
             if not kept.any():
                 return values, grads
-            found = negated(coords[kept])
+            found = negated(coords[kept], *(rows[kept] for rows in problems))
             values[kept], grads[kept] = found[:2]
             if len(found) == 2:
                 return values, grads
@@ -493,7 +524,7 @@ def _folded_objective(objective: Objective, dim: int) -> Objective:
             probs[kept] = found[2].probs
             return values, grads, found[2]._replace(probs=probs)
         vecs = coords.view(np.complex128) / norms[:, None]
-        found = objective(vecs)
+        found = objective(vecs, *problems)
         grad = found[1]
         along = np.vecdot(vecs, grad).real[:, None]  # Re(v^H grad), row by row
         folded = ((along * vecs - grad) / norms[:, None]).view(np.float64)
@@ -558,10 +589,11 @@ def maximize_over_pure_states(
     :class:`ObjectiveNaNError` if the objective returns a non-finite value
     at any probed state.
     """
-    if dim < 2:
-        raise ParamOutOfRangeError("dimension must be at least 2")
-    cfg = config if config is not None else OptimizerConfig()
+    return _maximize_many(objective, dim, [seeds], config, stacked=False)[0]
 
+
+def _seed_rows(seeds, dim: int) -> np.ndarray:
+    """``seeds`` as an ``(S, dim)`` complex array, checked for shape and unit norm."""
     seeds = np.asarray(seeds, dtype=np.complex128)
     if seeds.size == 0:
         seeds = seeds.reshape(0, dim)
@@ -569,36 +601,91 @@ def maximize_over_pure_states(
         np.abs(np.vecdot(seeds, seeds).real - 1.0) <= STATE_NORM_TOL
     ):
         raise ValidationError(f"seeds must be unit vectors of length {dim}, as rows")
-    values = _checked(objective(seeds)[0]) if len(seeds) else np.empty(0)
-    ranked = seeds[np.argsort(-values, kind="stable")]
-    best_value, best_vec = (values.max(), ranked[0]) if len(seeds) else (-np.inf, None)
-    best_prov = Provenance.ANALYTIC_SEED
+    return seeds
 
-    refined = ranked[: cfg.n_random_starts].view(np.float64)
-    rng = np.random.default_rng(cfg.rng_seed)
-    starts = np.vstack((refined, rng.standard_normal((cfg.n_random_starts, 2 * dim))))
+
+def _maximize_many(
+    objective, dim: int, seed_sets: Sequence, config: OptimizerConfig | None, stacked: bool = True
+) -> list[OptResult]:
+    """:func:`maximize_over_pure_states` for several problems of one stacked objective.
+
+    ``objective(vecs, problems)`` evaluates each row of the ``(S, dim)``
+    stack ``vecs`` for the problem that ``problems``, an ``(S,)`` array of
+    indices into ``seed_sets``, gives it, and returns what a one-problem
+    objective returns, with :class:`Faces` columns per problem. Row ``s`` of
+    the result may depend on row ``s`` and its problem alone, bit for bit.
+    Each problem's seeds are evaluated, ranked and refined, with the same
+    random starts, as :func:`maximize_over_pure_states` would, and all
+    starts of all problems are one :func:`minimize` call, with one
+    objective call per step; each problem's end points merge in the same
+    order. So result ``p`` equals, bit for bit, a separate search of
+    problem ``p`` from ``seed_sets[p]`` with ``config``. With ``stacked``
+    False the objective takes ``vecs`` alone, there is one seed set, and
+    :func:`minimize` runs without problems: the search of
+    :func:`maximize_over_pure_states`.
+    """
+    if dim < 2:
+        raise ParamOutOfRangeError("dimension must be at least 2")
+    cfg = config if config is not None else OptimizerConfig()
+    seed_sets = [_seed_rows(seeds, dim) for seeds in seed_sets]
+    if stacked:
+        evaluate = objective
+    else:
+        def evaluate(vecs, problems):
+            return objective(vecs)
+
+    n = cfg.n_random_starts
+    seeds = seed_sets[0] if len(seed_sets) == 1 else np.concatenate(seed_sets)
+    seed_problems = np.repeat(np.arange(len(seed_sets)), [len(rows) for rows in seed_sets])
+    values = _checked(evaluate(seeds, seed_problems)[0]) if len(seeds) else np.empty(0)
+    # Per problem: the best value, its vector and provenance, and the seeds to refine.
+    best, refined, lo = [], [], 0
+    for rows in seed_sets:
+        own, lo = values[lo:lo + len(rows)], lo + len(rows)
+        ranked = rows[np.argsort(-own, kind="stable")]
+        top = (own.max(), ranked[0]) if len(rows) else (-np.inf, None)
+        best.append([*top, Provenance.ANALYTIC_SEED])
+        refined.append(ranked[:n].view(np.float64))
+
+    randoms = np.random.default_rng(cfg.rng_seed).standard_normal((n, 2 * dim))
+    starts = np.vstack([part for rows in refined for part in (rows, randoms)])
+    # Per problem: its first start, its first random start and its end, in the stack.
+    spans, lo = [], 0
+    for rows in refined:
+        spans.append((lo, lo + len(rows), lo + len(rows) + n))
+        lo = spans[-1][2]
+    owner = [p for p, (first, _, end) in enumerate(spans) for _ in range(first, end)]
+    problems = np.array(owner)
     options = {
         "maxiter": cfg.max_iterations,
         "ftol": cfg.convergence_tol * 1e-5,
         "gtol": 1e-12,
     }
-    result = minimize(_folded_objective(objective, dim), starts, options=options)
+    fun = _folded_objective(objective, dim)
+    if stacked:
+        result = minimize(fun, starts, options=options, problems=problems)
+    else:
+        result = minimize(fun, starts, options=options)
     norms = _norms(result.x)
     kept = norms >= 1e-12
     vecs = result.x[kept].view(np.complex128) / norms[kept, None]
-    values = _checked(objective(vecs)[0]) if len(vecs) else ()
-    for row, value, vec in zip(np.flatnonzero(kept), values, vecs):
-        if value > best_value:
-            best_value, best_vec = value, vec
-            best_prov = Provenance.ANALYTIC_SEED if row < len(refined) else Provenance.RANDOM_START
+    values = _checked(evaluate(vecs, problems[kept])[0]) if len(vecs) else ()
+    for row, value, vec in zip(np.flatnonzero(kept).tolist(), values, vecs):
+        entry = best[owner[row]]
+        if value > entry[0]:
+            seeded = row < spans[owner[row]][1]
+            entry[:] = value, vec, Provenance.ANALYTIC_SEED if seeded else Provenance.RANDOM_START
 
-    if best_vec is None:  # pragma: no cover - requires every start to collapse to 0
-        raise ObjectiveNaNError("no valid state was probed")
-    return OptResult(
-        value=float(best_value),
-        argmax=PureState(best_vec),
-        provenance=best_prov,
-        starts_used=int(kept[len(refined):].sum()),
-        evaluations=len(seeds) + result.nfev + len(vecs),
-        iterations=int(result.nits.sum()),
-    )
+    results = []
+    for (value, vec, provenance), rows, (lo, mid, hi) in zip(best, seed_sets, spans):
+        if vec is None:  # pragma: no cover - requires every start to collapse to 0
+            raise ObjectiveNaNError("no valid state was probed")
+        results.append(OptResult(
+            value=float(value),
+            argmax=PureState(vec),
+            provenance=provenance,
+            starts_used=int(kept[mid:hi].sum()),
+            evaluations=len(rows) + int(result.nfevs[lo:hi].sum()) + int(kept[lo:hi].sum()),
+            iterations=int(result.nits[lo:hi].sum()),
+        ))
+    return results

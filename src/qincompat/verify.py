@@ -30,6 +30,7 @@ from .core import commutator_maxnorm, spectral_decompose
 from .errors import ParamOutOfRangeError
 from .incompatibility import (
     Measure,
+    _directional_many,
     closed_form,
     commuting_fixture,
     directional_incompatibility,
@@ -122,11 +123,8 @@ def _suite_commutation(config_for) -> Iterable[ClaimResult]:
             obs_a, obs_b = map(_observable_on, random_unitary(d, rng, count=2))
             if commutator_maxnorm(obs_a, obs_b) > 1e-3:
                 pairs.append((obs_a, obs_b))
-        weakest = min(
-            directional_incompatibility(measure, a, b, config_for(d)).value
-            for (a, b) in pairs
-            for measure in _ALL_MEASURES
-        )
+        found = {m: _directional_many(m, pairs, config_for(d)) for m in _ALL_MEASURES}
+        weakest = min(found[m][k].value for k in range(len(pairs)) for m in _ALL_MEASURES)
         yield ClaimResult(
             "commutation",
             f"strict positivity on noncommuting pairs d={d}",
@@ -140,15 +138,16 @@ def _suite_commutation(config_for) -> Iterable[ClaimResult]:
 def _suite_disturbance_ordering(config_for) -> Iterable[ClaimResult]:
     for d in (2, 3, 4):
         rng = np.random.default_rng(70 + d)
+        cfg = config_for(d)
+        pairs = [tuple(map(_observable_on, random_unitary(d, rng, count=2))) for _ in range(4)]
+        found = {m: _directional_many(m, pairs, cfg) for m in _ALL_MEASURES}
         slack = -np.inf
-        for _ in range(4):
-            obs_a, obs_b = map(_observable_on, random_unitary(d, rng, count=2))
-            cfg = config_for(d)
+        for k, (obs_a, _) in enumerate(pairs):
+            ceilings = {kind: maximal_disturbance(kind, obs_a, cfg).value
+                        for kind in (Measure.FIDELITY, Measure.L1)}
             for measure in _ALL_MEASURES:
-                fwd = directional_incompatibility(measure, obs_a, obs_b, cfg)
                 kind = Measure.FIDELITY if measure is Measure.FIDELITY else Measure.L1
-                ceiling = maximal_disturbance(kind, obs_a, cfg).value
-                slack = max(slack, fwd.value - ceiling)
+                slack = max(slack, found[measure][k].value - ceilings[kind])
         yield ClaimResult(
             "disturbance-ordering",
             f"incompatibility below maximal disturbance d={d}",

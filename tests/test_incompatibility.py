@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qincompat.incompatibility as incompatibility
 import qincompat.optimize as optimize
+import qincompat.verify as verify
 from qincompat import (
     DimensionMismatchError,
     HermitianObservable,
@@ -48,6 +49,7 @@ from qincompat import (
 )
 from qincompat.constructions import degenerate_observable, random_unitary
 from qincompat.serialization import MAX_DIM
+from qincompat.verify import run_suites
 
 LIGHT = OptimizerConfig(n_random_starts=3, max_iterations=300, rng_seed=0)
 TINY = OptimizerConfig(n_random_starts=1, max_iterations=120, rng_seed=0)
@@ -1394,3 +1396,97 @@ def test_exact_pair_reports_form_no_seeds(monkeypatch):
         pair_incompatibility(measure, first, second)
     pair_incompatibility(Measure.FIDELITY, *fourier_mub_pair(2))
     assert incompatibility._PAIR_SEEDS.get() is None
+
+
+def _layout_groups(d, rng):
+    """Groups of pairs whose objectives share a layout at dimension d, by name."""
+    povms = [(random_povm(d, 3, rng), random_povm(d, 4, rng)) for _ in range(3)]
+    return {
+        "observables": [(random_observable(d, rng), random_observable(d, rng)) for _ in range(3)],
+        "povms and an instrument": povms + [(_random_instrument(d, 3, seed=d), povms[0][1])],
+    }
+
+
+@pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.name)
+def test_stacked_pair_objectives_equal_each_pair_objective_bit_for_bit(measure):
+    rng = np.random.default_rng(2703)
+    for d in (2, 3, 5):
+        for name, group in _layout_groups(d, rng).items():
+            objectives = [pair_distance_objective(measure, a, b) for a, b in group]
+            assert len({objective.terms.layout for objective in objectives}) == 1, name
+            stacked = incompatibility._stacked_pair_objective(objectives)
+            vecs = rng.standard_normal((11, d)) + 1j * rng.standard_normal((11, d))
+            vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+            problems = rng.integers(0, len(group), 11)
+            found = stacked(vecs, problems)
+            for p, objective in enumerate(objectives):
+                rows = problems == p
+                own = objective(vecs[rows])
+                assert len(own) == len(found), name
+                assert found[0][rows].tobytes() == own[0].tobytes(), name
+                assert found[1][rows].tobytes() == own[1].tobytes(), name
+                if len(own) > 2:
+                    assert found[2].probs[rows].tobytes() == own[2].probs.tobytes(), name
+                    assert found[2].columns[p] is own[2].columns, name
+
+
+def _batched_pairs():
+    """Pairs of every exit and search kind, with layouts shared and not."""
+    rng = np.random.default_rng(2701)
+    povm_3a, povm_4a, povm_3b, povm_4b = (random_povm(3, n, rng) for n in (3, 4, 3, 4))
+    asym_first, asym_second = asymmetric_pair(4, 1)
+    pairs = [(random_observable(d, rng), random_observable(d, rng)) for d in (3, 4, 3, 4, 3)]
+    pairs += [
+        (asym_second, asym_first),  # degenerate first: the subset exit
+        commuting_subspace_pair(4, 1),  # the block exit
+        fourier_mub_pair(3),  # the seed ceiling
+        (random_observable(2, rng), random_observable(2, rng)),  # the qubit closed form
+        (povm_3a, povm_4a),  # Lueders pairs: two of one layout, one of another
+        (povm_3b, povm_4b),
+        (povm_4a, povm_3b),
+        (_random_instrument(3, 3, seed=2702), povm_4b),  # no ceiling, the layout of povm_3a
+        (random_povm(2, 3, rng), random_povm(2, 13, rng)),  # L1 above EXACT_L1_MAX_OUTCOMES
+        (random_povm(2, 3, rng), random_povm(2, 13, rng)),
+    ]
+    return pairs + [pairs[0]]
+
+
+@pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.name)
+def test_batched_directions_equal_each_direction_alone(measure, monkeypatch):
+    pairs = _batched_pairs()
+    sizes = []
+    search_many = incompatibility._maximize_many
+
+    def recorded(objective, dim, seed_sets, config):
+        sizes.append(len(seed_sets))
+        return search_many(objective, dim, seed_sets, config)
+
+    monkeypatch.setattr(incompatibility, "_maximize_many", recorded)
+    batched = incompatibility._directional_many(measure, pairs, LIGHT)
+    alone = [directional_incompatibility(measure, a, b, LIGHT) for a, b in pairs]
+    for k, (ours, theirs) in enumerate(zip(batched, alone)):
+        assert _directional_fields(ours) == _directional_fields(theirs), k
+        assert (ours.upper_bound, ours.starts_used) == (theirs.upper_bound, theirs.starts_used), k
+    # Under F: the qutrit and d = 4 observable pairs, the Lueders pairs with
+    # the instrument, the other Lueders pair and the 13-outcome pairs.
+    groups = {Measure.FIDELITY: [1, 2, 2, 3, 4], Measure.L1: [2], Measure.LINF: []}
+    assert sorted(sizes) == groups[measure]
+    assert sum(sizes) == sum(result.iterations > 0 for result in alone)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 3, 11])
+def test_batched_verify_claims_equal_those_of_one_pair_at_a_time(rng_seed, monkeypatch):
+    suites = ("disturbance-ordering", "commutation")
+
+    def refuse(*args):
+        raise AssertionError("a verify search ran alone")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(incompatibility, "maximize_over_pure_states", refuse)
+        batched = run_suites(suites, rng_seed=rng_seed)
+
+    def one_at_a_time(measure, pairs, config):
+        return [directional_incompatibility(measure, a, b, config) for a, b in pairs]
+
+    monkeypatch.setattr(verify, "_directional_many", one_at_a_time)
+    assert [repr(c) for c in batched] == [repr(c) for c in run_suites(suites, rng_seed=rng_seed)]

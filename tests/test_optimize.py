@@ -788,7 +788,7 @@ def test_asymmetric_backward_values_reach_those_of_late_faces(d, mult, rng_seed)
 
 
 def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
-    search = incompatibility.maximize_over_pure_states
+    search, search_many = incompatibility.maximize_over_pure_states, incompatibility._maximize_many
     # The Lueders pairs of the compute benchmark workload, searched both ways.
     povm_pairs = [
         (trine_povm(), random_povm(2, 4, 5)),
@@ -804,8 +804,14 @@ def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
             values.append(result.value)
             return result
 
+        def recorded_many(*args):
+            results = search_many(*args)
+            values.extend(result.value for result in results)
+            return results
+
         with monkeypatch.context() as patched:
             patched.setattr(incompatibility, "maximize_over_pure_states", recorded)
+            patched.setattr(incompatibility, "_maximize_many", recorded_many)
             run_suites(("disturbance-ordering", "commutation", "luders"), rng_seed=5)
             for first, second in povm_pairs:
                 directional_incompatibility(Measure.FIDELITY, first, second, config)
@@ -817,3 +823,58 @@ def test_searched_values_do_not_depend_on_the_face_threshold(monkeypatch):
     late = searched_values()
     assert len(values) == len(late) > 20
     assert np.abs(values - late).max() <= 1e-12
+
+
+def _stacked(objectives, dim):
+    """One-problem objectives of ``dim`` with equal face counts as one objective of problems.
+
+    Each problem's rows go through its own objective, so a stacked search
+    can differ from separate ones only in how :func:`minimize` keeps them apart.
+    """
+    probe = np.eye(1, dim, dtype=np.complex128)
+    columns = tuple(objective(probe)[2].columns for objective in objectives)
+
+    def stacked(vecs, problems):
+        values, grads = np.empty(len(vecs)), np.empty_like(vecs)
+        probs = np.empty((len(vecs), len(columns[0])))
+        for p, objective in enumerate(objectives):
+            rows = problems == p
+            if rows.any():
+                values[rows], grads[rows], faces = objective(vecs[rows])
+                probs[rows] = faces.probs
+        return values, grads, optimize.Faces(probs, columns)
+
+    return stacked
+
+
+def test_a_stack_of_problems_equals_each_problem_run_alone():
+    # Fidelity pairs at d = 4 whose second has four rank-one outcomes: the
+    # backward asymmetric pair restarts every start on a face, the others
+    # meet faces at their seeds and at the starts that end on them.
+    asym_second, asym_first = asymmetric_pair(4, 1)
+    pairs = [
+        (asym_first, asym_second),
+        (random_observable(4, 31), random_observable(4, 32)),
+        (degenerate_observable([3, 1], random_unitary(4, 33)), random_observable(4, 34)),
+        (asym_first, asym_second),
+    ]
+    objectives = [pair_distance_objective(Measure.FIDELITY, a, b) for a, b in pairs]
+    rng = np.random.default_rng(35)
+    parts = [rng.standard_normal((5, 8)) for _ in pairs]
+    parts[1][2] = 0.0  # a collapsed start
+    second = pairs[2][1]  # two starts on its eigenvectors, which sit on faces
+    parts[2][:2] = [np.ascontiguousarray(second.basis[:, k]).view(np.float64) for k in (0, 3)]
+    problems = np.repeat(np.arange(len(pairs)), 5)
+    fun = _folded_objective(_stacked(objectives, 4), 4)
+    batch = minimize(fun, np.vstack(parts), options=ORACLE_OPTIONS, problems=problems)
+    restarted = 0
+    for p, (objective, x0) in enumerate(zip(objectives, parts)):
+        alone = minimize(_folded_objective(objective, 4), x0, options=ORACLE_OPTIONS)
+        free = minimize(_face_free(_folded_objective(objective, 4)), x0, options=ORACLE_OPTIONS)
+        rows = problems == p
+        assert batch.x[rows].tobytes() == alone.x.tobytes()
+        assert batch.nits[rows].tolist() == alone.nits.tolist()
+        assert batch.nfevs[rows].tolist() == alone.nfevs.tolist()
+        restarted += int((alone.nits != free.nits).sum())
+    assert restarted >= 5
+    assert len(set(batch.nfevs.tolist())) > 5  # problems finish at different steps
