@@ -213,15 +213,17 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
         columns = tuple(cols[:, s:s + w] for s, w in zip(starts.tolist(), widths.tolist()))
 
     # The defaults are this pair's; _stacked_pair_objective passes each row's own.
-    def objective(vecs: np.ndarray, cols=cols, cols_conj=cols.conj(), columns=columns) -> tuple:
-        amp = (vecs[:, None, :] @ cols)[:, 0]
+    def objective(
+        vecs: np.ndarray, *, _cols=cols, _cols_conj=cols.conj(), _columns=columns
+    ) -> tuple:
+        amp = (vecs[:, None, :] @ _cols)[:, 0]
         sums = np.add.reduceat(np.abs(amp) ** 2, starts, axis=1).reshape(len(vecs), 2, -1)
         values, weights = weigh(sums)
         scaled = weights.reshape(len(vecs), -1)[:, column_block] * amp
-        grads = (cols_conj @ scaled[:, :, None])[:, :, 0]
-        if columns is None:
+        grads = (_cols_conj @ scaled[:, :, None])[:, :, 0]
+        if _columns is None:
             return values, grads
-        return values, grads, Faces(sums.reshape(len(vecs), -1), columns)
+        return values, grads, Faces(sums.reshape(len(vecs), -1), _columns)
 
     objective.terms = _PairTerms(measure, cols, column_block, columns)
     return objective
@@ -244,6 +246,12 @@ class _PairTerms(NamedTuple):
 
     @property
     def layout(self) -> tuple:
+        """What a pair objective's closure holds besides its columns.
+
+        Its block starts follow from ``column_block`` and its weights from
+        ``measure``, so objectives of one layout evaluate a row alike and may
+        take each other's columns.
+        """
         return self.measure, self.cols.shape[0], self.column_block.tobytes(), self.columns is None
 
 
@@ -252,7 +260,8 @@ def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:
 
     Row ``s`` of a stack is evaluated by the first pair's objective with the
     columns of pair ``problems[s]``, in one stacked product per row, exactly
-    as that pair's own objective evaluates it.
+    as that pair's own objective evaluates it. Each call gathers a column
+    matrix per row, which :data:`_STACK_BYTES` bounds.
     """
     cols = np.stack([objective.terms.cols for objective in objectives])
     cols_conj = cols.conj()
@@ -262,7 +271,9 @@ def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:
     evaluate = objectives[0]
 
     def objective(vecs: np.ndarray, problems: np.ndarray) -> tuple:
-        return evaluate(vecs, cols[problems], cols_conj[problems], columns)
+        return evaluate(
+            vecs, _cols=cols[problems], _cols_conj=cols_conj[problems], _columns=columns
+        )
 
     return objective
 
@@ -678,22 +689,62 @@ def _directional_many(
 
     Every pair takes its exits first (:func:`_settle`). The pairs left to
     search are grouped by the layout of their objectives (:class:`_PairTerms`),
-    and each group is one search of :func:`~qincompat.optimize._maximize_many`,
-    whose lockstep steps evaluate the starts of all its pairs in one call.
+    and each group, cut into batches by :func:`_batches`, is one search of
+    :func:`~qincompat.optimize._maximize_many`, whose lockstep steps
+    evaluate the starts of all its pairs in one call. A batch of one pair is
+    searched alone.
     """
     results = [_settle(measure, first, second) for first, second in pairs]
     groups: dict[tuple, list[int]] = {}
     for k, settled in enumerate(results):
         if isinstance(settled, _Search):
             groups.setdefault(settled.objective.terms.layout, []).append(k)
-    for members in groups.values():
-        searches = [results[k] for k in members]
-        objective = _stacked_pair_objective([search.objective for search in searches])
-        dim = pairs[members[0]][0].dim
-        found = _maximize_many(objective, dim, [search.seeds for search in searches], config)
-        for k, search, result in zip(members, searches, found):
-            results[k] = search.finish(result)
+    n = (config if config is not None else OptimizerConfig()).n_random_starts
+    for group in groups.values():
+        dim = pairs[group[0]][0].dim
+        for members in _batches([results[k] for k in group], n):
+            members = [group[i] for i in members]
+            searches = [results[k] for k in members]
+            if len(searches) == 1:
+                results[members[0]] = searches[0].run(dim, config)
+                continue
+            objective = _stacked_pair_objective([search.objective for search in searches])
+            found = _maximize_many(objective, dim, [search.seeds for search in searches], config)
+            for k, search, result in zip(members, searches, found):
+                results[k] = search.finish(result)
     return results
+
+
+# A batched search gathers the column matrix of every row it evaluates, on
+# every step, and past about half a megabyte the copies cost more than the
+# steps its pairs share. Six F searches of observable pairs with 32 random
+# starts each, against the same searches run alone: d = 5 in batches of 0.4
+# and 0.2 MB took 0.90 of the time and d = 6 in batches of 0.4 MB 0.97, but
+# d = 8 in batches of 0.9 MB took 1.08, and four d = 16 searches in one
+# batch of 17 MB 1.42.
+_STACK_BYTES = 1 << 19
+
+
+def _batches(searches: Sequence[_Search], n_random_starts: int) -> list[list[int]]:
+    """Consecutive runs of ``searches`` whose gathered columns fit in ``_STACK_BYTES``.
+
+    A search evaluates at most its seeds plus ``n_random_starts`` rows in
+    one call (its seeds, then at most ``n_random_starts`` of them refined
+    and as many random starts), so a run's rows, each with its pair's
+    column matrix, take at most the sum of ``(seeds + n_random_starts) *
+    cols.nbytes`` over the run. A search that alone exceeds the bound is a
+    run of its own.
+    """
+    runs: list[list[int]] = []
+    total = _STACK_BYTES
+    for k, search in enumerate(searches):
+        size = (len(search.seeds) + n_random_starts) * search.objective.terms.cols.nbytes
+        if total + size > _STACK_BYTES:
+            runs.append([])
+            total = 0
+        runs[-1].append(k)
+        total += size
+    return runs
 
 
 def _spectral(measure: Measure, second) -> bool:
@@ -1019,11 +1070,12 @@ def set_incompatibility(
     dims = {obs.dim for obs in observables}
     if len(dims) != 1:
         raise DimensionMismatchError("observables live in different dimensions")
-    pairs = [(obs_a, obs_b) for i, obs_a in enumerate(observables)
-             for j, obs_b in enumerate(observables) if i != j]
     total = 0.0
-    for result in _directional_many(measure, pairs, config):
-        total += result.value
+    for i, obs_a in enumerate(observables):
+        for j, obs_b in enumerate(observables):
+            if i == j:
+                continue
+            total += directional_incompatibility(measure, obs_a, obs_b, config).value
     return total / (n * n)
 
 

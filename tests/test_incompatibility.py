@@ -1456,13 +1456,21 @@ def test_batched_directions_equal_each_direction_alone(measure, monkeypatch):
     pairs = _batched_pairs()
     sizes = []
     search_many = incompatibility._maximize_many
+    search_alone = incompatibility.maximize_over_pure_states
 
     def recorded(objective, dim, seed_sets, config):
+        assert len(seed_sets) > 1, "a batch of one pair is searched alone"
         sizes.append(len(seed_sets))
         return search_many(objective, dim, seed_sets, config)
 
-    monkeypatch.setattr(incompatibility, "_maximize_many", recorded)
-    batched = incompatibility._directional_many(measure, pairs, LIGHT)
+    def recorded_alone(objective, dim, seeds, config):
+        sizes.append(1)
+        return search_alone(objective, dim, seeds, config)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(incompatibility, "_maximize_many", recorded)
+        patched.setattr(incompatibility, "maximize_over_pure_states", recorded_alone)
+        batched = incompatibility._directional_many(measure, pairs, LIGHT)
     alone = [directional_incompatibility(measure, a, b, LIGHT) for a, b in pairs]
     for k, (ours, theirs) in enumerate(zip(batched, alone)):
         assert _directional_fields(ours) == _directional_fields(theirs), k
@@ -1472,6 +1480,46 @@ def test_batched_directions_equal_each_direction_alone(measure, monkeypatch):
     groups = {Measure.FIDELITY: [1, 2, 2, 3, 4], Measure.L1: [2], Measure.LINF: []}
     assert sorted(sizes) == groups[measure]
     assert sum(sizes) == sum(result.iterations > 0 for result in alone)
+
+
+def test_a_batch_gathers_at_most_the_stack_bound_of_columns(monkeypatch):
+    # At d = 8 a pair's column matrix is 8 x 72, 9,216 bytes, and a search
+    # from 18 seeds with 8 random starts gathers up to 26 of them, 240 KB:
+    # two pairs fit in the bound, and the fifth is searched alone.
+    rng = np.random.default_rng(2704)
+    config = OptimizerConfig(n_random_starts=8, max_iterations=60, rng_seed=0)
+    pairs = [(random_observable(8, rng), random_observable(8, rng)) for _ in range(5)]
+    stack = incompatibility._stacked_pair_objective
+    batches, gathered, alone = [], [], []
+
+    def measured_stack(objectives):
+        objective = stack(objectives)
+        batches.append(len(objectives))
+        row_bytes = objectives[0].terms.cols.nbytes
+
+        def measured(vecs, problems):
+            gathered.append(len(problems) * row_bytes)
+            return objective(vecs, problems)
+
+        return measured
+
+    def searched_alone(objective, dim, seeds, config):
+        alone.append(len(seeds))
+        return maximize_over_pure_states(objective, dim, seeds, config)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(incompatibility, "_stacked_pair_objective", measured_stack)
+        patched.setattr(incompatibility, "maximize_over_pure_states", searched_alone)
+        batched = incompatibility._directional_many(Measure.FIDELITY, pairs, config)
+    assert (batches, alone) == ([2, 2], [18])
+    assert 0 < max(gathered) <= incompatibility._STACK_BYTES
+    for ours, (first, second) in zip(batched, pairs):
+        theirs = directional_incompatibility(Measure.FIDELITY, first, second, config)
+        assert _directional_fields(ours) == _directional_fields(theirs)
+    # Observable pairs at d = 12 exceed the bound alone under the default 32 starts.
+    big = [incompatibility._settle(Measure.FIDELITY, random_observable(12, rng),
+                                   random_observable(12, rng)) for _ in range(2)]
+    assert incompatibility._batches(big, OptimizerConfig().n_random_starts) == [[0], [1]]
 
 
 @pytest.mark.parametrize("rng_seed", [0, 3, 11])
