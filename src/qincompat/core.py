@@ -68,6 +68,23 @@ def _freeze(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with each row divided by its norm, in a C-contiguous array.
+
+    An array that is already C-contiguous ``complex128`` is normalized in
+    place; callers pass arrays they have just formed.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+    return rows
+
+
+def _candidate_rows(bases, *sums: np.ndarray) -> np.ndarray:
+    """Unit rows of each basis's columns and their sum, basis by basis, then of ``sums``."""
+    return _unit_rows(np.vstack([row for basis in bases for row in (basis.T, basis.sum(axis=1))]
+                                + list(sums)))
+
+
 @dataclass(frozen=True)
 class PureState:
     """A unit vector in C^d.
@@ -144,8 +161,8 @@ class HermitianObservable:
     ``basis`` holds an orthonormal eigenvector basis whose columns are
     grouped by eigenspace in the same order, ``ranks[i]`` columns for
     ``eigenvalues[i]``. These three fields are validated once, when the
-    observable is built; ``matrix``, ``projectors`` and ``instrument`` are
-    derived from them on first access and are read-only.
+    observable is built; ``matrix``, ``projectors``, ``instrument`` and
+    ``seed_rows`` are derived from them on first access and are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -197,6 +214,19 @@ class HermitianObservable:
         """The projective instrument, built on first access and shared afterwards."""
         return projective_instrument(self)
 
+    @cached_property
+    def seed_rows(self) -> np.ndarray:
+        """Read-only unit rows of the candidate states a supremum starts from.
+
+        They are every eigenvector, the uniform superposition of the basis,
+        and that of the first eigenvector of each eigenspace, which spreads a
+        state evenly over the outcomes, where the disturbance ceiling 1 - 1/r
+        is attained.
+        """
+        rows = _candidate_rows([self.basis], _spread(self))
+        _freeze(rows)
+        return rows
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -245,6 +275,12 @@ class HermitianObservable:
         return cls(eigvals, tuple(ranks.tolist()), vecs[:, order])
 
 
+def _spread(obs: HermitianObservable) -> np.ndarray:
+    """The sum of the first eigenvector of each eigenspace of an observable, unnormalized."""
+    # take, unlike basis[:, starts], copies C-ordered, which fixes the rounding of the row sums
+    return obs.basis.take(np.cumsum((0,) + obs.ranks[:-1]), axis=1).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class Povm:
     """A positive-operator-valued measure: effects summing to the identity.
@@ -252,7 +288,8 @@ class Povm:
     Each effect is eigendecomposed once, into ``spectra``, when the POVM is
     validated; everything that needs an effect's spectrum reads it there,
     everything that needs its square roots reads ``roots``, and everything
-    that needs the effects as sums of ``|w><w|`` reads ``factors``.
+    that needs the effects as sums of ``|w><w|`` reads ``factors``. Its
+    candidate states for a supremum are formed once too, as ``seed_rows``.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -315,6 +352,18 @@ class Povm:
         factors, offsets = np.hstack(columns), np.cumsum([0] + widths[:-1])
         _freeze(factors, offsets)
         return factors, offsets
+
+    @cached_property
+    def seed_rows(self) -> np.ndarray:
+        """Read-only unit rows of the candidate states a supremum starts from.
+
+        They are the ``spectra`` eigenvectors of each effect and their sum,
+        effect by effect, then the sum of every effect's top eigenvector.
+        """
+        tops = np.stack([eigvecs[:, -1] for _, eigvecs in self.spectra], axis=1)
+        rows = _candidate_rows([eigvecs for _, eigvecs in self.spectra], tops.sum(axis=1))
+        _freeze(rows)
+        return rows
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,6 @@ N^2. Both conventions are implemented exactly as defined.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import functools
 from dataclasses import dataclass, replace
@@ -28,6 +27,9 @@ from .core import (
     Instrument,
     Povm,
     PureState,
+    _candidate_rows,
+    _spread,
+    _unit_rows,
     canonical_instrument,
     max_abs,
     measurement_effects,
@@ -261,7 +263,7 @@ def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:
     Row ``s`` of a stack is evaluated by the first pair's objective with the
     columns of pair ``problems[s]``, in one stacked product per row, exactly
     as that pair's own objective evaluates it. Each call gathers a column
-    matrix per row, which :data:`_STACK_BYTES` bounds.
+    matrix per row.
     """
     cols = np.stack([objective.terms.cols for objective in objectives])
     cols_conj = cols.conj()
@@ -324,30 +326,18 @@ def _disturbance_objective(measure: Measure, meas) -> Objective:
     return objective
 
 
-def _seed_columns(meas) -> np.ndarray:
-    """One measurement's candidates for :func:`analytic_seed_states`, unnormalized, as columns.
+def _seed_rows(meas) -> np.ndarray:
+    """One measurement's unit rows for :func:`analytic_seed_states`.
 
-    Each basis gives its columns and their sum. An observable's last basis
-    holds one eigenvector per eigenspace, and a POVM's the top eigenvector
-    of each effect: its columns repeat earlier ones, and only its sum is
-    new. For a projective measurement that sum spreads the state evenly
-    over the outcomes, where the disturbance ceiling 1 - 1/r is attained.
+    An observable's and a POVM's are cached on the object (``seed_rows``);
+    an instrument's are formed on every call, from its Kraus operators'
+    :func:`_normal_basis` eigenbases and their sums.
     """
-    if isinstance(meas, HermitianObservable):
-        bases = [meas.basis, _eigenspace_representatives(meas)]
-    elif isinstance(meas, Povm):
-        bases = [eigvecs for _, eigvecs in meas.spectra]
-        bases.append(np.stack([eigvecs[:, -1] for eigvecs in bases], axis=1))
-    elif isinstance(meas, Instrument):
-        bases = [_normal_basis(kraus) for kraus in _collapse_operators(meas)]
-    else:
+    if isinstance(meas, (HermitianObservable, Povm)):
+        return meas.seed_rows
+    if not isinstance(meas, Instrument):
         raise TypeError(f"cannot derive seed states from {type(meas).__name__}")
-    return np.hstack([col for basis in bases for col in (basis, basis.sum(axis=1)[:, None])])
-
-
-def _eigenspace_representatives(obs: HermitianObservable) -> np.ndarray:
-    """The first eigenvector of each eigenspace of an observable, as columns."""
-    return np.stack([obs.basis[:, sl.start] for sl in obs.block_slices()], axis=1)
+    return _candidate_rows([_normal_basis(kraus) for kraus in _collapse_operators(meas)])
 
 
 def analytic_seed_states(*measurements) -> np.ndarray:
@@ -365,7 +355,7 @@ def analytic_seed_states(*measurements) -> np.ndarray:
     and a row whose overlap ``|<u|v>|`` with an earlier row exceeds
     ``1 - 1e-9``, the same state up to phase, is dropped.
     """
-    rows = _unit_rows(np.hstack([_seed_columns(meas) for meas in measurements]).T)
+    rows = np.concatenate([_seed_rows(meas) for meas in measurements])
     return _distinct(rows, _same_states(rows))
 
 
@@ -377,43 +367,6 @@ def _same_states(rows: np.ndarray) -> np.ndarray:
 def _distinct(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
     """The rows that are no earlier row's state, by the :func:`_same_states` matrix ``same``."""
     return rows[~np.triu(same, 1).any(axis=0)]
-
-
-def _pair_seed_states(first, second) -> tuple[np.ndarray, np.ndarray]:
-    """``analytic_seed_states(first, second)`` and ``(second, first)``, bit for bit.
-
-    Each measurement's unit rows and the overlap matrix of all of them are
-    formed once: the second order takes the same rows and the same overlaps,
-    permuted, where a second call would recompute both.
-    """
-    head = _seed_columns(first)
-    rows = _unit_rows(np.hstack([head, _seed_columns(second)]).T)
-    same = _same_states(rows)
-    order = np.r_[head.shape[1]:len(rows), :head.shape[1]]
-    return _distinct(rows, same), _distinct(rows[order], same[np.ix_(order, order)])
-
-
-# Inside pair_incompatibility: a list of its first, its second and, once a
-# direction has asked for them, their _pair_seed_states, for the
-# directional searches of that pair only.
-_PAIR_SEEDS: contextvars.ContextVar = contextvars.ContextVar("_PAIR_SEEDS", default=None)
-
-
-def _seed_states(first, second) -> np.ndarray:
-    """``analytic_seed_states(first, second)``, shared by both directions of a pair report."""
-    shared = _PAIR_SEEDS.get()
-    if shared is None or {id(first), id(second)} != {id(shared[0]), id(shared[1])}:
-        return analytic_seed_states(first, second)
-    if shared[2] is None:
-        shared[2] = _pair_seed_states(shared[0], shared[1])
-    return shared[2][0 if first is shared[0] else 1]
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``rows`` with each row divided by its norm."""
-    rows = np.ascontiguousarray(rows, dtype=np.complex128)
-    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
-    return rows
 
 
 def _subset_superpositions(first, second) -> np.ndarray | None:
@@ -667,7 +620,7 @@ def _settle(measure: Measure, first, second) -> OptResult | _Search:
     ):
         return _exact_qubit_fidelity(first, second)
     objective = pair_distance_objective(measure, first, second)
-    seeds = _seed_states(first, second)
+    seeds = analytic_seed_states(first, second)
     ceilings = proven_ceilings(measure, first)
     if not ceilings:
         return _Search(objective, seeds, None, 0)
@@ -689,62 +642,30 @@ def _directional_many(
 
     Every pair takes its exits first (:func:`_settle`). The pairs left to
     search are grouped by the layout of their objectives (:class:`_PairTerms`),
-    and each group, cut into batches by :func:`_batches`, is one search of
-    :func:`~qincompat.optimize._maximize_many`, whose lockstep steps
-    evaluate the starts of all its pairs in one call. A batch of one pair is
-    searched alone.
+    and each group is one search of :func:`~qincompat.optimize._maximize_many`,
+    whose lockstep steps evaluate the starts of all its pairs in one call. A
+    group of one pair is searched alone. Each step copies a row's column
+    matrix for every row, so batching serves small d: six F searches of
+    observable pairs with 32 random starts each took 0.90 of the time of the
+    same searches alone at d = 5, but 1.08 at d = 8, and four d = 16
+    searches 1.42.
     """
     results = [_settle(measure, first, second) for first, second in pairs]
     groups: dict[tuple, list[int]] = {}
     for k, settled in enumerate(results):
         if isinstance(settled, _Search):
             groups.setdefault(settled.objective.terms.layout, []).append(k)
-    n = (config if config is not None else OptimizerConfig()).n_random_starts
     for group in groups.values():
+        searches = [results[k] for k in group]
         dim = pairs[group[0]][0].dim
-        for members in _batches([results[k] for k in group], n):
-            members = [group[i] for i in members]
-            searches = [results[k] for k in members]
-            if len(searches) == 1:
-                results[members[0]] = searches[0].run(dim, config)
-                continue
-            objective = _stacked_pair_objective([search.objective for search in searches])
-            found = _maximize_many(objective, dim, [search.seeds for search in searches], config)
-            for k, search, result in zip(members, searches, found):
-                results[k] = search.finish(result)
+        if len(searches) == 1:
+            results[group[0]] = searches[0].run(dim, config)
+            continue
+        objective = _stacked_pair_objective([search.objective for search in searches])
+        found = _maximize_many(objective, dim, [search.seeds for search in searches], config)
+        for k, search, result in zip(group, searches, found):
+            results[k] = search.finish(result)
     return results
-
-
-# A batched search gathers the column matrix of every row it evaluates, on
-# every step, and past about half a megabyte the copies cost more than the
-# steps its pairs share. Six F searches of observable pairs with 32 random
-# starts each, against the same searches run alone: d = 5 in batches of 0.4
-# and 0.2 MB took 0.90 of the time and d = 6 in batches of 0.4 MB 0.97, but
-# d = 8 in batches of 0.9 MB took 1.08, and four d = 16 searches in one
-# batch of 17 MB 1.42.
-_STACK_BYTES = 1 << 19
-
-
-def _batches(searches: Sequence[_Search], n_random_starts: int) -> list[list[int]]:
-    """Consecutive runs of ``searches`` whose gathered columns fit in ``_STACK_BYTES``.
-
-    A search evaluates at most its seeds plus ``n_random_starts`` rows in
-    one call (its seeds, then at most ``n_random_starts`` of them refined
-    and as many random starts), so a run's rows, each with its pair's
-    column matrix, take at most the sum of ``(seeds + n_random_starts) *
-    cols.nbytes`` over the run. A search that alone exceeds the bound is a
-    run of its own.
-    """
-    runs: list[list[int]] = []
-    total = _STACK_BYTES
-    for k, search in enumerate(searches):
-        size = (len(search.seeds) + n_random_starts) * search.objective.terms.cols.nbytes
-        if total + size > _STACK_BYTES:
-            runs.append([])
-            total = 0
-        runs[-1].append(k)
-        total += size
-    return runs
 
 
 def _spectral(measure: Measure, second) -> bool:
@@ -902,7 +823,7 @@ def maximal_disturbance(
     """
     if isinstance(meas, HermitianObservable) and measure is not Measure.LINF:
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
-        return _exact_result(value, _eigenspace_representatives(meas).sum(axis=1))
+        return _exact_result(value, _spread(meas))
     objective = _disturbance_objective(measure, meas)
     inst = canonical_instrument(meas)  # read for its seeds only; an instrument is seeded once
     seeds = analytic_seed_states(meas) if inst is meas else analytic_seed_states(meas, inst)
@@ -1039,19 +960,14 @@ def pair_incompatibility(
 ) -> IncompatReport:
     """Both directional values and the symmetric average (forward + backward) / 4.
 
-    Unless both directions are read off eigenvalues, a direction that
-    searches reads the pair's seed states formed once for both
-    (:func:`_pair_seed_states`); each value is the one a separate
-    :func:`directional_incompatibility` call returns.
+    Each direction is one :func:`directional_incompatibility` call, so each
+    value is the one a separate call returns. A direction that searches
+    reads its seed states from :func:`analytic_seed_states`, which reads an
+    observable's or a POVM's rows from its cached ``seed_rows``, formed once
+    however many directions and reports read them.
     """
-    spectral = _spectral(measure, first) and _spectral(measure, second)
-    token = None if spectral else _PAIR_SEEDS.set([first, second, None])
-    try:
-        forward = directional_incompatibility(measure, first, second, config)
-        backward = directional_incompatibility(measure, second, first, config)
-    finally:
-        if token is not None:
-            _PAIR_SEEDS.reset(token)
+    forward = directional_incompatibility(measure, first, second, config)
+    backward = directional_incompatibility(measure, second, first, config)
     report = IncompatReport(measure, forward, backward)
     if with_bounds:
         report = replace(report, bound_checks=check_bounds(report, first, second))

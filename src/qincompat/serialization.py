@@ -126,14 +126,10 @@ def to_payload(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def from_payload(payload: dict, dim: int):
-    """Reconstruct and validate an object from its payload."""
-    return _decode_payload(payload, dim, whole=False)
-
-
 def _decode_payload(payload, dim: int, whole: bool):
-    """:func:`from_payload`; with ``whole``, each numeric field is first converted in one piece.
+    """Reconstruct and validate an object from its payload.
 
+    With ``whole``, each numeric field is first converted in one piece;
     ``whole`` is safe only for a payload that holds no booleans. A field that
     does not convert to numbers of the expected shape is walked entry by
     entry, so every diagnostic is the walk's.
@@ -245,29 +241,9 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
+    if not math.isfinite(x):
+        raise _Unhandled
     return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise _Unhandled
 
 
 # The text of a value of exactly one of these types; subclasses take the tests of _encode.
@@ -317,7 +293,9 @@ def _encode(obj, emit, newline: str) -> None:
         inner = newline + " "
         separator = "{" + inner
         for key, value in obj.items():
-            emit(separator + _quote(_key_text(key)) + ": ")
+            if not isinstance(key, str):
+                raise _Unhandled
+            emit(separator + _quote(key) + ": ")
             leaf = _LEAF_TEXT.get(type(value))
             if leaf is not None:
                 emit(leaf(value))
@@ -332,10 +310,11 @@ def _encode(obj, emit, newline: str) -> None:
 def _dumps(data) -> str:
     """The text of ``json.dumps(data, indent=1)``, built without the encoder's generators.
 
-    With an indent set, the standard encoder takes its pure-Python path. Any
-    value this writer does not handle, such as a numpy scalar other than a
-    ``float64``, a bad key or a cycle, is left to ``json.dumps``, which
-    raises its own error.
+    With an indent set, the standard encoder takes its pure-Python path. The
+    writer handles the trees the program writes, whose keys are all ``str``
+    and whose floats are all finite. Anything else, such as a key of another
+    type, a NaN or an infinity, a numpy scalar other than a ``float64`` or a
+    cycle, is left to ``json.dumps``, which writes it or raises its own error.
     """
     parts: list[str] = []
     try:

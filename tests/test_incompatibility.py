@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qincompat.core as core
 import qincompat.incompatibility as incompatibility
 import qincompat.optimize as optimize
 import qincompat.verify as verify
@@ -1352,26 +1353,16 @@ _SEED_SHARING_PAIRS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SEED_SHARING_PAIRS))
-def test_a_pair_report_forms_its_seeds_once_and_matches_separate_directions(name, monkeypatch):
+def test_a_pair_report_matches_separate_directions(name):
     first, second = _SEED_SHARING_PAIRS[name]
-    for a, b in ((first, second), (second, first)):
-        shared = incompatibility._pair_seed_states(a, b)
-        assert shared[0].tobytes() == analytic_seed_states(a, b).tobytes()
-        assert shared[1].tobytes() == analytic_seed_states(b, a).tobytes()
     separate = [directional_incompatibility(Measure.FIDELITY, a, b, TINY)
                 for a, b in ((first, second), (second, first))]
-    formed = []
-    real = incompatibility._pair_seed_states
-    monkeypatch.setattr(incompatibility, "_pair_seed_states",
-                        lambda a, b: formed.append(1) or real(a, b))
-    monkeypatch.setattr(incompatibility, "analytic_seed_states", None)  # not called in a pair
     report = pair_incompatibility(Measure.FIDELITY, first, second, TINY)
-    assert formed == [1]
     for paired, alone in zip((report.forward, report.backward), separate):
         assert _directional_fields(paired) == _directional_fields(alone)
 
 
-def test_an_instrument_direction_of_a_pair_reads_the_shared_seeds(monkeypatch):
+def test_an_instrument_direction_of_a_pair_equals_a_lone_call(monkeypatch):
     inst, povm = z_channel(0.3), random_povm(2, 3, seed=2616)
     alone = directional_incompatibility(Measure.FIDELITY, inst, povm, TINY)
     seen = []
@@ -1382,20 +1373,82 @@ def test_an_instrument_direction_of_a_pair_reads_the_shared_seeds(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(incompatibility, "directional_incompatibility", recorded)
-    monkeypatch.setattr(incompatibility, "analytic_seed_states", None)
     with pytest.raises(TypeError, match="second must be an observable or a POVM"):
         pair_incompatibility(Measure.FIDELITY, inst, povm, TINY)  # backward has an instrument second
     assert _directional_fields(seen[0]) == _directional_fields(alone)
 
 
 def test_exact_pair_reports_form_no_seeds(monkeypatch):
-    monkeypatch.setattr(incompatibility, "_pair_seed_states", None)
     monkeypatch.setattr(incompatibility, "analytic_seed_states", None)
     first, second = random_observable(3, 2617), random_observable(3, 2618)
     for measure in EXACT_MEASURES:
         pair_incompatibility(measure, first, second)
-    pair_incompatibility(Measure.FIDELITY, *fourier_mub_pair(2))
-    assert incompatibility._PAIR_SEEDS.get() is None
+    qubits = fourier_mub_pair(2)
+    pair_incompatibility(Measure.FIDELITY, *qubits)
+    assert all("seed_rows" not in vars(obs) for obs in (first, second) + qubits)
+
+
+def test_an_observables_and_a_povms_seed_rows_are_read_only_and_formed_once(monkeypatch):
+    formed = []
+    real = core._candidate_rows
+    monkeypatch.setattr(core, "_candidate_rows", lambda *args: formed.append(1) or real(*args))
+    rng = np.random.default_rng(2619)
+    measurements = [random_observable(4, rng), degenerate_observable((2, 1, 1), random_unitary(4, rng)),
+                    random_povm(4, 3, rng), random_povm(4, 5, rng)]
+    rows = [meas.seed_rows for meas in measurements]
+    assert len(formed) == len(measurements)
+    for meas, own in zip(measurements, rows):
+        assert not own.flags.writeable
+        with pytest.raises(ValueError):
+            own[0, 0] = 0.0
+        for other in measurements:
+            analytic_seed_states(meas, other)
+            pair_incompatibility(Measure.FIDELITY, other, meas, TINY)
+        maximal_disturbance(Measure.L1, meas, TINY)
+        assert meas.seed_rows is own
+    assert len(formed) == len(measurements)
+
+
+def _reference_seed_states(*measurements):
+    """The seed states built from every column, repeats included, then normalized and deduplicated.
+
+    An observable adds its basis, one eigenvector per eigenspace, and the sum
+    of each; a POVM the eigenbasis of each effect, the top eigenvector of
+    each, and the sum of each; an instrument the normal basis of each Kraus
+    operator and its sum.
+    """
+    columns = []
+    for meas in measurements:
+        if isinstance(meas, HermitianObservable):
+            bases = [meas.basis, np.stack([meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1)]
+        elif isinstance(meas, Povm):
+            bases = [eigvecs for _, eigvecs in meas.spectra]
+            bases.append(np.stack([eigvecs[:, -1] for eigvecs in bases], axis=1))
+        else:
+            bases = [incompatibility._normal_basis(kraus) for kraus in meas.kraus_flat()]
+        columns += [col for basis in bases for col in (basis, basis.sum(axis=1)[:, None])]
+    rows = np.ascontiguousarray(np.hstack(columns).T)
+    rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
+    same = np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9
+    return rows[~np.triu(same, 1).any(axis=0)]
+
+
+def test_analytic_seed_states_equal_those_of_every_column_byte_for_byte():
+    rng = np.random.default_rng(2620)
+    for d in range(2, 9):
+        measurements = [random_observable(d, rng), *fourier_mub_pair(d), random_povm(d, 3, rng),
+                        random_povm(d, d + 2, rng), _random_instrument(d, 2, seed=2620 + d)]
+        if d >= 3:
+            measurements += [degenerate_observable((d - 2, 1, 1), random_unitary(d, rng)),
+                             degenerate_observable((2,) * (d // 2) + (1,) * (d % 2), random_unitary(d, rng))]
+        measurements.append(canonical_instrument(measurements[3]))
+        if d == 2:
+            measurements += [trine_povm(), z_channel(0.3)]
+        for a in measurements:
+            assert analytic_seed_states(a).tobytes() == _reference_seed_states(a).tobytes()
+            for b in measurements:
+                ours, theirs = analytic_seed_states(a, b), _reference_seed_states(a, b)
+                assert ours.tobytes() == theirs.tobytes(), (d, type(a).__name__, type(b).__name__)
 
 
 def _layout_groups(d, rng):
@@ -1482,44 +1535,24 @@ def test_batched_directions_equal_each_direction_alone(measure, monkeypatch):
     assert sum(sizes) == sum(result.iterations > 0 for result in alone)
 
 
-def test_a_batch_gathers_at_most_the_stack_bound_of_columns(monkeypatch):
-    # At d = 8 a pair's column matrix is 8 x 72, 9,216 bytes, and a search
-    # from 18 seeds with 8 random starts gathers up to 26 of them, 240 KB:
-    # two pairs fit in the bound, and the fifth is searched alone.
+def test_five_d8_pairs_batched_equal_each_searched_alone(monkeypatch):
     rng = np.random.default_rng(2704)
     config = OptimizerConfig(n_random_starts=8, max_iterations=60, rng_seed=0)
     pairs = [(random_observable(8, rng), random_observable(8, rng)) for _ in range(5)]
     stack = incompatibility._stacked_pair_objective
-    batches, gathered, alone = [], [], []
+    batches = []
 
     def measured_stack(objectives):
-        objective = stack(objectives)
         batches.append(len(objectives))
-        row_bytes = objectives[0].terms.cols.nbytes
-
-        def measured(vecs, problems):
-            gathered.append(len(problems) * row_bytes)
-            return objective(vecs, problems)
-
-        return measured
-
-    def searched_alone(objective, dim, seeds, config):
-        alone.append(len(seeds))
-        return maximize_over_pure_states(objective, dim, seeds, config)
+        return stack(objectives)
 
     with monkeypatch.context() as patched:
         patched.setattr(incompatibility, "_stacked_pair_objective", measured_stack)
-        patched.setattr(incompatibility, "maximize_over_pure_states", searched_alone)
         batched = incompatibility._directional_many(Measure.FIDELITY, pairs, config)
-    assert (batches, alone) == ([2, 2], [18])
-    assert 0 < max(gathered) <= incompatibility._STACK_BYTES
+    assert batches == [5]
     for ours, (first, second) in zip(batched, pairs):
         theirs = directional_incompatibility(Measure.FIDELITY, first, second, config)
         assert _directional_fields(ours) == _directional_fields(theirs)
-    # Observable pairs at d = 12 exceed the bound alone under the default 32 starts.
-    big = [incompatibility._settle(Measure.FIDELITY, random_observable(12, rng),
-                                   random_observable(12, rng)) for _ in range(2)]
-    assert incompatibility._batches(big, OptimizerConfig().n_random_starts) == [[0], [1]]
 
 
 @pytest.mark.parametrize("rng_seed", [0, 3, 11])
