@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 import numpy as np
 
 from .errors import (
@@ -66,6 +67,38 @@ def zero_floor(eigvals: np.ndarray) -> np.ndarray:
 def _freeze(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.setflags(write=False)
+
+
+def _solve(solver, mat: np.ndarray, what: str):
+    """Run a dense decomposition, reporting non-convergence as NumericalFailureError."""
+    try:
+        return solver(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"decomposition of {what} did not converge") from exc
+
+
+# The weight c of _normal_basis. Being transcendental, it separates any two
+# distinct eigenvalues whose real and imaginary parts are algebraic numbers.
+_NORMAL_MIX = np.e
+
+
+def _normal_basis(kraus: np.ndarray) -> np.ndarray:
+    """Orthonormal basis adapted to a Kraus operator's invariant directions.
+
+    A normal ``K`` has commuting Hermitian parts ``H1 = (K + K^dag)/2`` and
+    ``H2 = (K - K^dag)/2i``, and an eigenbasis of ``H1 + c H2`` at
+    ``c = _NORMAL_MIX`` is a joint one, which diagonalizes ``K``, unless two
+    distinct eigenvalues ``a + ib`` of ``K`` have ``a + cb`` in common. An
+    exactly Hermitian ``K``, as every Kraus operator the package builds is,
+    has ``H2 = 0``, so this is an eigenbasis of ``K`` itself.
+    """
+    commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
+    if max_abs(commut) <= 1e-9:
+        mixed = (kraus + kraus.conj().T) / 2.0 + _NORMAL_MIX * (kraus - kraus.conj().T) / 2.0j
+        _, vecs = _solve(np.linalg.eigh, mixed, "a Kraus operator")
+        return vecs
+    _, vecs = _solve(np.linalg.eigh, kraus.conj().T @ kraus, "a Kraus operator")
+    return vecs
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -161,8 +194,8 @@ class HermitianObservable:
     ``basis`` holds an orthonormal eigenvector basis whose columns are
     grouped by eigenspace in the same order, ``ranks[i]`` columns for
     ``eigenvalues[i]``. These three fields are validated once, when the
-    observable is built; ``matrix``, ``projectors``, ``instrument`` and
-    ``seed_rows`` are derived from them on first access and are read-only.
+    observable is built; ``matrix``, ``projectors``, ``factors``, ``instrument``
+    and ``seed_rows`` are derived from them on first access and are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -200,6 +233,18 @@ class HermitianObservable:
         projs = np.array(projs)
         _freeze(projs)
         return projs
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The Kraus operators of the collapse instrument: the ``projectors``."""
+        return self.projectors
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``basis``, whose block i factors ``projectors[i]``, and each block's start column."""
+        offsets = np.array((0, *accumulate(self.ranks[:-1])))
+        _freeze(offsets)
+        return self.basis, offsets
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -278,7 +323,7 @@ class HermitianObservable:
 def _spread(obs: HermitianObservable) -> np.ndarray:
     """The sum of the first eigenvector of each eigenspace of an observable, unnormalized."""
     # take, unlike basis[:, starts], copies C-ordered, which fixes the rounding of the row sums
-    return obs.basis.take(np.cumsum((0,) + obs.ranks[:-1]), axis=1).sum(axis=1)
+    return obs.basis.take(obs.factors[1], axis=1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -287,8 +332,9 @@ class Povm:
 
     Each effect is eigendecomposed once, into ``spectra``, when the POVM is
     validated; everything that needs an effect's spectrum reads it there,
-    everything that needs its square roots reads ``roots``, and everything
-    that needs the effects as sums of ``|w><w|`` reads ``factors``. Its
+    everything that needs its square roots reads ``roots``, everything
+    that needs the effects as sums of ``|w><w|`` reads ``factors``, and
+    everything that needs the Lüders Kraus operators reads ``kraus``. Its
     candidate states for a supremum are formed once too, as ``seed_rows``.
     """
 
@@ -352,6 +398,14 @@ class Povm:
         factors, offsets = np.hstack(columns), np.cumsum([0] + widths[:-1])
         _freeze(factors, offsets)
         return factors, offsets
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """Read-only Lüders Kraus operators ``sqrt(E_k)``, stacked, from ``spectra`` and ``roots``."""
+        roots = [(vecs * root) @ vecs.conj().T for (_, vecs), root in zip(self.spectra, self.roots)]
+        kraus = np.stack([(root + root.conj().T) / 2.0 for root in roots])
+        _freeze(kraus)
+        return kraus
 
     @cached_property
     def seed_rows(self) -> np.ndarray:
@@ -431,6 +485,20 @@ class Instrument:
         """All Kraus operators, outcome-major order."""
         return [k for ops in self.outcomes for k in ops]
 
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """Read-only stack of :meth:`kraus_flat`."""
+        kraus = np.stack(self.kraus_flat())
+        _freeze(kraus)
+        return kraus
+
+    @cached_property
+    def seed_rows(self) -> np.ndarray:
+        """Read-only unit candidate rows: each Kraus operator's :func:`_normal_basis` and its sum."""
+        rows = _candidate_rows([_normal_basis(kraus) for kraus in self.kraus])
+        _freeze(rows)
+        return rows
+
     def effects(self) -> tuple[np.ndarray, ...]:
         """The POVM implemented by this instrument: E_i = sum_k K_ik^dag K_ik."""
         out = []
@@ -463,10 +531,7 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
         group_tol = 1e-8 * scale if scale > 0 else 1e-12
     elif group_tol <= 0:
         raise ParamOutOfRangeError("group_tol must be positive")
-    try:
-        eigvals, eigvecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError("eigensolver did not converge") from exc
+    eigvals, eigvecs = _solve(np.linalg.eigh, sym, "the matrix")
     obs = HermitianObservable.from_eigensystem(eigvals, eigvecs, group_tol)
     if max_abs(obs.matrix - sym) > RECONSTRUCTION_TOL:
         raise ValidationError("spectral decomposition does not reconstruct the matrix")
@@ -474,13 +539,8 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
 
 
 def luders_from_povm(povm: Povm) -> Instrument:
-    """The instrument whose Kraus operators are the positive roots of the effects.
-
-    Each root is built from the effect's ``spectra`` eigenvectors and its
-    row of ``roots``, in which negative and round-off eigenvalues are zeroed.
-    """
-    roots = [(vecs * root) @ vecs.conj().T for (_, vecs), root in zip(povm.spectra, povm.roots)]
-    return Instrument(tuple(((root + root.conj().T) / 2.0,) for root in roots))
+    """The instrument whose Kraus operators are the positive roots of the effects, ``povm.kraus``."""
+    return Instrument(tuple((root,) for root in povm.kraus))
 
 
 def projective_instrument(obs: HermitianObservable) -> Instrument:

@@ -27,7 +27,7 @@ from .core import (
     Instrument,
     Povm,
     PureState,
-    _candidate_rows,
+    _solve,
     _spread,
     _unit_rows,
     canonical_instrument,
@@ -40,7 +40,7 @@ from .constructions import (
     fourier_mub_pair,
     random_unitary,
 )
-from .errors import DimensionMismatchError, NumericalFailureError, ParamOutOfRangeError
+from .errors import DimensionMismatchError, ParamOutOfRangeError
 from .optimize import (
     Faces,
     Objective,
@@ -82,37 +82,25 @@ class Measure(enum.Enum):
         raise ParamOutOfRangeError(f"unknown measure flag {text!r}; use 1, F or inf")
 
 
-def _solve(solver, mat: np.ndarray, what: str):
-    """Run a dense decomposition, reporting non-convergence as NumericalFailureError."""
-    try:
-        return solver(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"decomposition of {what} did not converge") from exc
-
-
-def _collapse_operators(meas) -> np.ndarray:
-    """A measurement's canonical Kraus operators, stacked; an observable's cached projectors."""
-    if isinstance(meas, HermitianObservable):
-        return meas.projectors
-    return np.stack(canonical_instrument(meas).kraus_flat())
+def _require_measurements(*measurements) -> None:
+    """Raise :class:`TypeError` unless each argument is an observable, a POVM or an instrument."""
+    for meas in measurements:
+        if not isinstance(meas, (HermitianObservable, Povm, Instrument)):
+            raise TypeError(f"expected an observable, a POVM or an instrument, not {type(meas).__name__}")
 
 
 def _effect_factors(meas) -> tuple[np.ndarray, np.ndarray]:
-    """Columns W with E_j = sum over its block of |w><w|, plus block start offsets.
+    """The cached ``factors`` of an observable or a POVM; any other kind raises :class:`TypeError`.
 
-    Observables factor exactly through their stored eigenbasis; a POVM's
-    effects factor through its cached :attr:`~qincompat.core.Povm.factors`,
-    formed once from its ``spectra`` and ``roots``, which the Lüders
-    instrument reads too, so round-off negatives are dropped.
-    Evaluating probabilities as sums of |<w|psi>|^2 keeps near-zero outcomes
-    at the square of the round-off level, which matters because the fidelity
-    distance takes square roots of them. Any other kind of measurement
-    raises :class:`TypeError`.
+    They are columns W with E_j = sum over its block of |w><w|, plus block
+    start offsets: an observable's eigenbasis, and a POVM's ``spectra``
+    eigenvectors scaled by its ``roots``, which its Lüders ``kraus`` read
+    too, so round-off negatives are dropped. Evaluating probabilities as
+    sums of |<w|psi>|^2 keeps near-zero outcomes at the square of the
+    round-off level, which matters because the fidelity distance takes
+    square roots of them.
     """
-    if isinstance(meas, HermitianObservable):
-        offsets = np.cumsum((0,) + meas.ranks[:-1])
-        return meas.basis, offsets
-    if not isinstance(meas, Povm):
+    if not isinstance(meas, (HermitianObservable, Povm)):
         raise TypeError(f"second must be an observable or a POVM, not {type(meas).__name__}")
     return meas.factors
 
@@ -175,7 +163,7 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     an observable, a POVM or an instrument; second must be an observable or
     a POVM, and anything else raises :class:`TypeError`. With W the
     columns factoring second's effects (E_j = sum of |w><w| over block j)
-    and K_k first's Kraus operators (:func:`_collapse_operators`), one column
+    and K_k first's cached Kraus stack (``first.kraus``), one column
     matrix ``cols = [conj(W) | K_k^T conj(W) for every k]`` is built per
     ordered pair, grouped by outcome, so ``amp = psi @ cols`` holds every
     <w|psi> and <w|K_k psi>. The undisturbed and sequential probabilities
@@ -195,7 +183,8 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     approach such a face on it. With full-rank effects, and under the L1
     and Chebyshev measures, it returns ``(values, grads)`` alone.
     """
-    kraus = _collapse_operators(first)
+    _require_measurements(first)
+    kraus = first.kraus
     factors, offsets = _effect_factors(second)
     dim = kraus.shape[1]
     if dim != factors.shape[0]:
@@ -283,7 +272,7 @@ def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:
 def _disturbance_objective(measure: Measure, meas) -> Objective:
     """State objective of :func:`maximal_disturbance`, with its gradient.
 
-    With K_k the measurement's :func:`_collapse_operators` and
+    With K_k the measurement's cached Kraus stack (``meas.kraus``) and
     a_k = <psi|K_k|psi>, the fidelity objective is 1 - sum_k |a_k|^2 and
     its gradient -2 sum_k (conj(a_k) K_k psi + a_k K_k^dag psi). The L1
     objective is half the trace norm of M = sum_k K_k|psi><psi|K_k^dag -
@@ -291,7 +280,8 @@ def _disturbance_objective(measure: Measure, meas) -> Objective:
     sum_k K_k^dag S K_k psi - S psi. Both take and return stacks, like the
     pair objective, with one matrix product or ``eigh`` per state.
     """
-    kraus = _collapse_operators(meas)
+    _require_measurements(meas)
+    kraus = meas.kraus
     n, dim, _ = kraus.shape
     adjoints = kraus.conj().transpose(0, 2, 1)
     if measure is Measure.FIDELITY:
@@ -326,36 +316,23 @@ def _disturbance_objective(measure: Measure, meas) -> Objective:
     return objective
 
 
-def _seed_rows(meas) -> np.ndarray:
-    """One measurement's unit rows for :func:`analytic_seed_states`.
-
-    An observable's and a POVM's are cached on the object (``seed_rows``);
-    an instrument's are formed on every call, from its Kraus operators'
-    :func:`_normal_basis` eigenbases and their sums.
-    """
-    if isinstance(meas, (HermitianObservable, Povm)):
-        return meas.seed_rows
-    if not isinstance(meas, Instrument):
-        raise TypeError(f"cannot derive seed states from {type(meas).__name__}")
-    return _candidate_rows([_normal_basis(kraus) for kraus in _collapse_operators(meas)])
-
-
 def analytic_seed_states(*measurements) -> np.ndarray:
     """Candidate extremal states for suprema involving the measurements.
 
     Returns an ``(S, dim)`` ``complex128`` array of unit rows: the
-    candidates of each measurement in turn. Observables contribute every
-    eigenvector, the uniform superposition of the full eigenbasis, and the
-    uniform superposition of one representative vector per eigenspace (the
-    state that equidistributes probability over the distinct outcomes of a
-    degenerate spectrum). POVMs and instruments contribute the eigenbases
-    of their effects and Kraus operators plus the same superpositions, and
-    a POVM also the sum of its effects' top eigenvectors. Each
-    row is normalized as :meth:`PureState.normalized` would normalize it,
-    and a row whose overlap ``|<u|v>|`` with an earlier row exceeds
-    ``1 - 1e-9``, the same state up to phase, is dropped.
+    cached ``seed_rows`` of each measurement in turn. An observable's are
+    every eigenvector, the uniform superposition of the full eigenbasis, and
+    that of one representative vector per eigenspace (the state that
+    equidistributes probability over the distinct outcomes of a degenerate
+    spectrum). A POVM's are each effect's eigenvectors and their sum, then
+    the sum of every effect's top eigenvector; an instrument's, each Kraus
+    operator's eigenbasis and its sum. Each row is normalized as
+    :meth:`PureState.normalized` would normalize it, and a row whose overlap
+    ``|<u|v>|`` with an earlier row exceeds ``1 - 1e-9``, the same state up
+    to phase, is dropped. Anything else raises :class:`TypeError`.
     """
-    rows = np.concatenate([_seed_rows(meas) for meas in measurements])
+    _require_measurements(*measurements)
+    rows = np.concatenate([meas.seed_rows for meas in measurements])
     return _distinct(rows, _same_states(rows))
 
 
@@ -388,34 +365,10 @@ def _subset_superpositions(first, second) -> np.ndarray | None:
     return _unit_rows(masks[(sizes >= 2) & (sizes < second.dim)] @ second.basis.T)
 
 
-# The weight c of _normal_basis. Being transcendental, it separates any two
-# distinct eigenvalues whose real and imaginary parts are algebraic numbers.
-_NORMAL_MIX = np.e
-
-
-def _normal_basis(kraus: np.ndarray) -> np.ndarray:
-    """Orthonormal basis adapted to a Kraus operator's invariant directions.
-
-    A normal ``K`` has commuting Hermitian parts ``H1 = (K + K^dag)/2`` and
-    ``H2 = (K - K^dag)/2i``, and an eigenbasis of ``H1 + c H2`` at
-    ``c = _NORMAL_MIX`` is a joint one, which diagonalizes ``K``, unless two
-    distinct eigenvalues ``a + ib`` of ``K`` have ``a + cb`` in common. An
-    exactly Hermitian ``K``, as every Kraus operator the package builds is,
-    has ``H2 = 0``, so this is an eigenbasis of ``K`` itself.
-    """
-    commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
-    if max_abs(commut) <= 1e-9:
-        mixed = (kraus + kraus.conj().T) / 2.0 + _NORMAL_MIX * (kraus - kraus.conj().T) / 2.0j
-        _, vecs = _solve(np.linalg.eigh, mixed, "a Kraus operator")
-        return vecs
-    _, vecs = _solve(np.linalg.eigh, kraus.conj().T @ kraus, "a Kraus operator")
-    return vecs
-
-
 def _heralded_differences(first, second) -> tuple[np.ndarray, np.ndarray | None]:
     """Stack of D_j = sum_k K_k^dag E_j K_k - E_j, one per outcome of second, and its basis.
 
-    The K_k are first's :func:`_collapse_operators` and ``E_j = W_j W_j^H``
+    The K_k are first's cached ``kraus`` and ``E_j = W_j W_j^H``
     second's effects, from the columns W of :func:`_effect_factors` that the
     search reads, so q_j - p_j = <psi|D_j|psi> for a state psi. The D_j are
     Hermitian up to round-off; the eigensolvers read only their lower triangles.
@@ -429,10 +382,11 @@ def _heralded_differences(first, second) -> tuple[np.ndarray, np.ndarray | None]
     returns the stack itself and ``None``.
     """
     factors, offsets = _effect_factors(second)
-    kraus = None if isinstance(first, HermitianObservable) else _collapse_operators(first)
+    _require_measurements(first)
     if first.dim != second.dim:
         raise DimensionMismatchError(f"dimensions differ: {first.dim} vs {second.dim}")
-    if kraus is not None:
+    if not isinstance(first, HermitianObservable):
+        kraus = first.kraus
         effects = _block_grams(factors, offsets)
         kraus_adj = kraus.conj().transpose(0, 2, 1)
         heralded = (kraus_adj[None] @ effects[:, None] @ kraus[None]).sum(axis=1)
@@ -609,7 +563,10 @@ def _settle(measure: Measure, first, second) -> OptResult | _Search:
 
     Returns the exact or exit result, or the :class:`_Search` to run.
     """
-    if _spectral(measure, second):
+    _effect_factors(second)  # a second that is no observable or POVM is a TypeError
+    if measure is Measure.LINF or (
+        measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
+    ):
         return _exact_directional(measure, first, second)
     if (
         measure is Measure.FIDELITY
@@ -668,13 +625,6 @@ def _directional_many(
     return results
 
 
-def _spectral(measure: Measure, second) -> bool:
-    """Whether Q(first -> second) is read off eigenvalues (:func:`_exact_directional`), unseeded."""
-    return measure is Measure.LINF or (
-        measure is Measure.L1 and second.n_outcomes <= EXACT_L1_MAX_OUTCOMES
-    )
-
-
 def _seed_exit(
     objective: Objective,
     seeds: np.ndarray,
@@ -724,7 +674,7 @@ def _invariant_blocks(first, second) -> list[np.ndarray]:
     because no generator couples two components. Copies of one block leave
     the lowest of first's :func:`proven_ceilings` where one copy has it.
     """
-    gens = np.concatenate((_collapse_operators(first), measurement_effects(second)))
+    gens = np.concatenate((first.kraus, measurement_effects(second)))
     weights = np.sqrt(np.arange(2.0, len(gens) + 2.0))
     _, vecs = _solve(np.linalg.eigh, np.tensordot(weights, gens, axes=1), "a generic element")
     linked = (np.abs(vecs.conj().T @ gens @ vecs) > BLOCK_TOL).any(axis=0)
@@ -750,7 +700,7 @@ def _block_ceiling(first, block: np.ndarray) -> float:
                 for e in (block.conj().T @ effect @ block for effect in first.elements)]
         return min(_luders_ceilings(first.n_outcomes, tops).values())
     weights = (np.abs(block.conj().T @ first.basis) ** 2).sum(axis=0)
-    overlaps = np.add.reduceat(weights, np.cumsum((0,) + first.ranks[:-1]))
+    overlaps = np.add.reduceat(weights, first.factors[1])
     return closed_form("degenerate_disturbance", n_distinct=int(np.count_nonzero(overlaps > 0.5)))
 
 
@@ -825,7 +775,7 @@ def maximal_disturbance(
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
         return _exact_result(value, _spread(meas))
     objective = _disturbance_objective(measure, meas)
-    inst = canonical_instrument(meas)  # read for its seeds only; an instrument is seeded once
+    inst = canonical_instrument(meas)  # a POVM's Lüders instrument adds its seeds; an instrument is its own
     seeds = analytic_seed_states(meas) if inst is meas else analytic_seed_states(meas, inst)
     if measure is Measure.L1:
         return maximize_over_pure_states(objective, meas.dim, seeds, config)
@@ -840,7 +790,7 @@ def _dual_ceiling(meas) -> float:
     """An upper bound on the fidelity disturbance of a measurement, by weak duality.
 
     For a pure psi, ``1 - D_F(psi) = sum_k |a_k|^2`` with
-    ``a_k = <psi|K_k|psi>``, over the measurement's :func:`_collapse_operators`. Since
+    ``a_k = <psi|K_k|psi>``, over the measurement's cached ``kraus``. Since
     ``|a_k - c_k|^2 >= 0`` for every complex ``c_k``,
     ``sum_k |a_k|^2 >= <psi|M|psi> - |c|^2`` with the Hermitian
     ``M = sum_k conj(c_k) K_k + c_k K_k^dag``, which is at least
@@ -857,7 +807,7 @@ def _dual_ceiling(meas) -> float:
     ``|c| <= 1`` and ``sum_k |a_k|^2 <= 1`` give ``||M|| <= 2``, so the
     padding is at most 6.4e-13 at d = 32.
     """
-    kraus = _collapse_operators(meas)
+    kraus = meas.kraus
     dim = kraus.shape[1]
     weights = np.trace(kraus, axis1=1, axis2=2) / dim
     half = np.tensordot(weights.conj(), kraus, axes=1)
@@ -962,9 +912,9 @@ def pair_incompatibility(
 
     Each direction is one :func:`directional_incompatibility` call, so each
     value is the one a separate call returns. A direction that searches
-    reads its seed states from :func:`analytic_seed_states`, which reads an
-    observable's or a POVM's rows from its cached ``seed_rows``, formed once
-    however many directions and reports read them.
+    reads its seed states from :func:`analytic_seed_states`, which reads each
+    measurement's rows from its cached ``seed_rows``, formed once however
+    many directions and reports read them.
     """
     forward = directional_incompatibility(measure, first, second, config)
     backward = directional_incompatibility(measure, second, first, config)

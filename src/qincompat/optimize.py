@@ -592,7 +592,7 @@ def maximize_over_pure_states(
     return _maximize_many(objective, dim, [seeds], config, stacked=False)[0]
 
 
-def _seed_rows(seeds, dim: int) -> np.ndarray:
+def _checked_seeds(seeds, dim: int) -> np.ndarray:
     """``seeds`` as an ``(S, dim)`` complex array, checked for shape and unit norm."""
     seeds = np.asarray(seeds, dtype=np.complex128)
     if seeds.size == 0:
@@ -627,7 +627,7 @@ def _maximize_many(
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
-    seed_sets = [_seed_rows(seeds, dim) for seeds in seed_sets]
+    seed_sets = [_checked_seeds(seeds, dim) for seeds in seed_sets]
     if stacked:
         evaluate = objective
     else:

@@ -86,7 +86,11 @@ def _complex_entries(obj, shape: tuple[int, ...]) -> np.ndarray | None:
     return out
 
 
-def _matrix_from_json(obj, dim: int, where: str) -> np.ndarray:
+def _matrix(obj, dim: int, where: str, whole: bool) -> np.ndarray:
+    """A ``dim x dim`` matrix of [re, im] pairs, converted whole when ``whole``, else walked."""
+    out = _complex_entries(obj, (dim, dim)) if whole else None
+    if out is not None:
+        return out
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
     out = np.empty((dim, dim), dtype=np.complex128)
@@ -105,7 +109,7 @@ def _matrices_from_json(obj, dim: int, where: str, whole: bool) -> tuple[np.ndar
     stack = _complex_entries(obj, (len(obj), dim, dim)) if whole else None
     if stack is not None:
         return tuple(stack)
-    return tuple(_matrix_from_json(m, dim, f"{where}[{i}]") for i, m in enumerate(obj))
+    return tuple(_matrix(m, dim, f"{where}[{i}]", False) for i, m in enumerate(obj))
 
 
 def to_payload(obj) -> dict:
@@ -138,11 +142,7 @@ def _decode_payload(payload, dim: int, whole: bool):
         raise ParseError("payload: expected an object with a 'type' field")
     kind = payload["type"]
     if kind == "hermitian":
-        mat = payload.get("matrix")
-        entries = _complex_entries(mat, (dim, dim)) if whole else None
-        if entries is None:
-            entries = _matrix_from_json(mat, dim, "payload.matrix")
-        return spectral_decompose(entries)
+        return spectral_decompose(_matrix(payload.get("matrix"), dim, "payload.matrix", whole))
     if kind == "basis":
         values = payload.get("eigenvalues")
         vectors = payload.get("vectors")
@@ -152,16 +152,8 @@ def _decode_payload(payload, dim: int, whole: bool):
             raise ParseError(f"payload.eigenvalues: expected {dim} numbers")
         if not isinstance(vectors, list) or len(vectors) != dim:
             raise ParseError(f"payload.vectors: expected {dim} vectors")
-        columns = _complex_entries(vectors, (dim, dim)) if whole else None
-        if columns is not None:
-            return HermitianObservable.from_eigensystem(np.asarray(values, float), columns.T)
-        basis = np.empty((dim, dim), dtype=np.complex128)
-        for j, vec in enumerate(vectors):
-            if not isinstance(vec, list) or len(vec) != dim:
-                raise ParseError(f"payload.vectors[{j}]: expected {dim} entries")
-            for i, pair in enumerate(vec):
-                basis[i, j] = _pair_from_json(pair, f"payload.vectors[{j}][{i}]")
-        return HermitianObservable.from_eigensystem(np.asarray(values, float), basis)
+        columns = _matrix(vectors, dim, "payload.vectors", whole)  # row j is vector j
+        return HermitianObservable.from_eigensystem(np.asarray(values, float), columns.T)
     if kind == "povm":
         return Povm(_matrices_from_json(payload.get("elements"), dim, "payload.elements", whole))
     if kind == "instrument":

@@ -295,20 +295,16 @@ SUITES = tuple(_SUITE_RUNNERS)
 def run_suites(selectors: Iterable[str] = ("all",), rng_seed: int = 0) -> list[ClaimResult]:
     """Run the selected claim suites and return their results.
 
-    Each supremum uses a 4-start, 400-iteration search seeded from
-    ``rng_seed`` plus the fixture's dimension. Deterministic for fixed
-    arguments.
+    Every selector is checked, and each suite runs once, in the order of its
+    first mention; ``all`` names every suite in ``SUITES`` order. Each
+    supremum uses a 4-start, 400-iteration search seeded from ``rng_seed``
+    plus the fixture's dimension. Deterministic for fixed arguments.
     """
-    chosen: list[str] = []
+    chosen: dict[str, None] = {}
     for sel in selectors:
-        if sel == "all":
-            chosen = list(SUITES)
-            break
-        if sel not in _SUITE_RUNNERS:
-            raise ParamOutOfRangeError(
-                f"unknown suite {sel!r}; choose from {('all',) + SUITES}"
-            )
-        chosen.append(sel)
+        if sel != "all" and sel not in _SUITE_RUNNERS:
+            raise ParamOutOfRangeError(f"unknown suite {sel!r}; choose from {('all',) + SUITES}")
+        chosen.update(dict.fromkeys(SUITES if sel == "all" else (sel,)))
 
     def config_for(dim: int) -> OptimizerConfig:
         return OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=rng_seed + dim)

@@ -332,6 +332,27 @@ def test_verify_rejects_unknown_suite(capsys):
         run(["verify", "--suite", "nonsense"])
 
 
+def test_verify_runs_a_repeated_suite_once(capsys):
+    assert run(["verify", "--suite", "triple", "--suite", "triple"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("triple: fidelity value of the unbiased qubit triple") == 1
+    assert out.splitlines()[-1] == "1/1 claims passed"
+
+
+def test_run_suites_checks_every_selector_and_runs_each_suite_once(monkeypatch):
+    import qincompat.verify as verify
+
+    for suite in SUITES:
+        monkeypatch.setitem(verify._SUITE_RUNNERS, suite, lambda config_for, suite=suite: [suite])
+    assert verify.run_suites(["triple", "triple"]) == ["triple"]
+    assert verify.run_suites(["all", "all"]) == list(SUITES)
+    rest = [suite for suite in SUITES if suite != "zchannel"]
+    assert verify.run_suites(["zchannel", "all", "triple"]) == ["zchannel"] + rest
+    for selectors in (["all", "bogus"], ["bogus", "all"], ["triple", "bogus"]):
+        with pytest.raises(qincompat.ParamOutOfRangeError, match="bogus"):
+            verify.run_suites(selectors)
+
+
 def test_construct_asymmetric_and_random_families(tmp_path):
     assert run(["construct", "asymmetric", "--dim", 4, "--m", 1, "--out", tmp_path]) == 0
     obs_b = load_observable_file(tmp_path / "asym_d4_m1_b.json")
@@ -584,22 +605,34 @@ def test_a_second_main_builds_no_parser_and_runs_the_current_handler(tmp_path, m
     assert run(["construct", "trine", "--out", tmp_path]) == 7
 
 
-def test_a_luders_report_builds_each_instrument_once(tmp_path, monkeypatch):
+def test_a_luders_report_builds_no_instrument_and_forms_each_povms_kraus_once(tmp_path, monkeypatch):
+    import functools
+
     import qincompat.core as core
 
     save_observable_file(trine_povm(), tmp_path / "trine.json")
     save_observable_file(random_povm(2, 4, seed=0), tmp_path / "povm4.json")
-    built = []
-    real = core.luders_from_povm
+    built, formed = [], []
+    real_init, real_kraus = core.Instrument.__post_init__, core.Povm.kraus.func
 
-    def counting(povm):
-        built.append(povm)
-        return real(povm)
+    def counting_init(self):
+        built.append(self)
+        real_init(self)
 
-    monkeypatch.setattr(core, "luders_from_povm", counting)
-    assert run(["compute", "--measure", "F", "--luders", tmp_path / "trine.json",
-                tmp_path / "povm4.json", *FAST]) == 0
-    assert [povm.n_outcomes for povm in built] == [3, 4]
+    def counting_kraus(povm):
+        formed.append(povm)
+        return real_kraus(povm)
+
+    monkeypatch.setattr(core.Instrument, "__post_init__", counting_init)
+    kraus = functools.cached_property(counting_kraus)
+    kraus.__set_name__(core.Povm, "kraus")
+    monkeypatch.setattr(core.Povm, "kraus", kraus)
+    for measure in ("F", "1", "inf"):
+        formed.clear()
+        assert run(["compute", "--measure", measure, "--luders", tmp_path / "trine.json",
+                    tmp_path / "povm4.json", *FAST]) == 0
+        assert built == []
+        assert [povm.n_outcomes for povm in formed] == [3, 4]
 
 
 def test_a_luders_report_decomposes_each_effect_once(tmp_path, monkeypatch):

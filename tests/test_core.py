@@ -474,3 +474,8 @@ def test_povm_roots_are_read_only_and_feed_factors_and_luders_operators_bit_for_
         for (kraus,), (_, eigvecs), root in zip(luders_from_povm(povm).outcomes, povm.spectra, expected):
             op = (eigvecs * root) @ eigvecs.conj().T
             assert kraus.tobytes() == ((op + op.conj().T) / 2.0).tobytes()
+        # Povm.kraus, formed as luders_from_povm formed its roots before they were cached
+        ops = [(eigvecs * root) @ eigvecs.conj().T for (_, eigvecs), root in zip(povm.spectra, expected)]
+        reference = np.stack([(op + op.conj().T) / 2.0 for op in ops])
+        assert povm.kraus is povm.kraus and not povm.kraus.flags.writeable
+        assert povm.kraus.tobytes() == reference.tobytes() and povm.kraus.shape == reference.shape

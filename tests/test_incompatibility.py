@@ -1,6 +1,7 @@
 """Incompatibility measures: closed-form values, bounds, scans."""
 
 from dataclasses import replace
+import functools
 
 import numpy as np
 import pytest
@@ -694,16 +695,15 @@ def test_the_disturbance_kernel_and_dual_ceiling_read_a_measurement_as_its_instr
 
 
 def test_an_instrument_is_seeded_once(monkeypatch):
-    instruments = [z_channel(0.3), _random_instrument(3, 3, seed=2406)]
-    for inst in instruments:
+    calls = []
+    real = core._normal_basis
+    monkeypatch.setattr(core, "_normal_basis", lambda k: calls.append(1) or real(k))
+    for inst in (z_channel(0.3), _random_instrument(3, 3, seed=2406)):
+        calls.clear()
         twice = analytic_seed_states(inst, inst)
         assert analytic_seed_states(inst).tobytes() == twice.tobytes()
-    calls = []
-    real = incompatibility._normal_basis
-    monkeypatch.setattr(incompatibility, "_normal_basis", lambda k: calls.append(1) or real(k))
-    for inst in instruments:
-        calls.clear()
-        maximal_disturbance(Measure.FIDELITY, inst, TINY)
+        for measure in (Measure.FIDELITY, Measure.L1):
+            maximal_disturbance(measure, inst, TINY)
         assert len(calls) == len(inst.kraus_flat())
 
 
@@ -804,7 +804,7 @@ def _candidate_columns(meas):
     elif isinstance(meas, Povm):
         bases = [np.linalg.eigh(elem)[1] for elem in meas.elements]
     else:
-        bases = [incompatibility._normal_basis(kraus) for kraus in meas.kraus_flat()]
+        bases = [core._normal_basis(kraus) for kraus in meas.kraus_flat()]
     columns = [col for basis in bases for col in (*basis.T, basis.sum(axis=1))]
     if isinstance(meas, HermitianObservable) and meas.n_outcomes > 1:
         reps = np.stack([meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1)
@@ -854,6 +854,22 @@ def test_a_second_instrument_is_a_type_error(measure, first):
         pair_distance_objective(measure, first, channel)
 
 
+@pytest.mark.parametrize("bad", [np.eye(2), "trine", None], ids=["array", "str", "None"])
+def test_a_non_measurement_is_a_type_error(bad):
+    good = random_observable(2, 78)
+    for measure in (Measure.FIDELITY, Measure.L1):
+        for first, second in ((bad, good), (good, bad)):
+            with pytest.raises(TypeError):
+                pair_distance_objective(measure, first, second)
+            with pytest.raises(TypeError):
+                directional_incompatibility(measure, first, second)
+        with pytest.raises(TypeError):
+            maximal_disturbance(measure, bad)
+    for measurements in ((bad,), (good, bad), (bad, good)):
+        with pytest.raises(TypeError):
+            analytic_seed_states(*measurements)
+
+
 @pytest.mark.parametrize("dim", range(2, 6))
 def test_normal_kraus_basis_diagonalizes_the_operator(dim):
     rng = np.random.default_rng(dim)
@@ -866,7 +882,7 @@ def test_normal_kraus_basis_diagonalizes_the_operator(dim):
     ]
     for spectrum in spectra:
         kraus = unitary @ np.diag(spectrum) @ unitary.conj().T
-        basis = incompatibility._normal_basis(kraus)
+        basis = core._normal_basis(kraus)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-9)
         rotated = basis.conj().T @ kraus @ basis
         assert np.abs(rotated - np.diag(np.diagonal(rotated))).max() <= 1e-9
@@ -1290,8 +1306,8 @@ def test_stacked_column_products_equal_the_per_pair_products_bit_for_bit():
     firsts["trine"] = (trine_povm(), random_povm(2, 4, seed=0))
     for name, (obs_a, obs_b) in firsts.items():
         for first, second in ((obs_a, obs_b), (obs_b, obs_a)):
-            kraus = incompatibility._collapse_operators(first)
-            factors, offsets = incompatibility._effect_factors(second)
+            kraus = first.kraus
+            factors, offsets = second.factors
             stacked = np.hstack(
                 [factors.conj()]
                 + [(kraus.transpose(0, 2, 1) @ block).transpose(1, 0, 2).reshape(len(factors), -1)
@@ -1311,9 +1327,11 @@ def test_an_observables_collapse_operators_are_its_instruments_kraus_operators()
     observables = [random_observable(d, rng) for d in range(2, 7)]
     observables += [degenerate_observable((2, 1, 3), random_unitary(6, 3)), *asymmetric_pair(5, 2)]
     observables += [*_kron_pair(3, True), HermitianObservable(np.array([1.0]), (2,), np.eye(2))]
-    for obs in observables:
-        operators = incompatibility._collapse_operators(obs)
-        reference = np.stack(canonical_instrument(obs).kraus_flat())
+    others = [random_povm(3, 4, rng), trine_povm(), z_channel(0.3), _random_instrument(3, 2, seed=2207)]
+    for meas in observables + others:
+        operators = meas.kraus
+        assert operators is meas.kraus
+        reference = np.stack(canonical_instrument(meas).kraus_flat())
         assert operators.tobytes() == reference.tobytes()
         assert operators.strides == reference.strides and operators.dtype == reference.dtype
 
@@ -1388,25 +1406,55 @@ def test_exact_pair_reports_form_no_seeds(monkeypatch):
     assert all("seed_rows" not in vars(obs) for obs in (first, second) + qubits)
 
 
+_CACHED = ("projectors", "kraus", "factors", "seed_rows")
+
+
 def test_an_observables_and_a_povms_seed_rows_are_read_only_and_formed_once(monkeypatch):
-    formed = []
-    real = core._candidate_rows
-    monkeypatch.setattr(core, "_candidate_rows", lambda *args: formed.append(1) or real(*args))
+    """And an instrument's: each cached array of a measurement is read-only and formed once."""
+    formed, rows_formed, bases = [], [], []
+    real_rows, real_basis = core._candidate_rows, core._normal_basis
+    monkeypatch.setattr(core, "_candidate_rows", lambda *args: rows_formed.append(1) or real_rows(*args))
+    monkeypatch.setattr(core, "_normal_basis", lambda k: bases.append(1) or real_basis(k))
+    for cls in (HermitianObservable, Povm, Instrument):
+        for name in _CACHED:
+            prop = vars(cls).get(name)
+            if isinstance(prop, functools.cached_property):
+                counted = functools.cached_property(
+                    lambda self, form=prop.func, name=name: formed.append((self, name)) or form(self))
+                counted.__set_name__(cls, name)
+                monkeypatch.setattr(cls, name, counted)
     rng = np.random.default_rng(2619)
     measurements = [random_observable(4, rng), degenerate_observable((2, 1, 1), random_unitary(4, rng)),
-                    random_povm(4, 3, rng), random_povm(4, 5, rng)]
-    rows = [meas.seed_rows for meas in measurements]
-    assert len(formed) == len(measurements)
-    for meas, own in zip(measurements, rows):
-        assert not own.flags.writeable
-        with pytest.raises(ValueError):
-            own[0, 0] = 0.0
-        for other in measurements:
+                    random_povm(4, 3, rng), random_povm(4, 5, rng), _random_instrument(4, 3, seed=2619)]
+    own = [(meas, name, getattr(meas, name))
+           for meas in measurements for name in _CACHED if hasattr(type(meas), name)]
+    assert len(rows_formed) == len(measurements)
+    # An observable's kraus are its projectors, so they are not formed a second time.
+    assert [(id(meas), name) for meas, name in formed] == [
+        (id(meas), name) for meas, name, _ in own
+        if not (name == "kraus" and isinstance(meas, HermitianObservable))]
+    for meas, name, value in own:
+        for array in value if name == "factors" else (value,):
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+        if name == "kraus" and isinstance(meas, HermitianObservable):
+            assert value is meas.projectors
+    searched = measurements[:-1]  # an instrument is never a second measurement
+    for meas in measurements:
+        for other in searched:
             analytic_seed_states(meas, other)
-            pair_incompatibility(Measure.FIDELITY, other, meas, TINY)
+            directional_incompatibility(Measure.FIDELITY, meas, other, TINY)
+            if not isinstance(meas, Instrument):
+                pair_incompatibility(Measure.FIDELITY, other, meas, TINY)
         maximal_disturbance(Measure.L1, meas, TINY)
-        assert meas.seed_rows is own
-    assert len(formed) == len(measurements)
+        maximal_disturbance(Measure.FIDELITY, meas, TINY)
+    for meas, name, value in own:
+        assert getattr(meas, name) is value, name
+    luders = [meas.instrument for meas in measurements if isinstance(meas, Povm)]
+    assert len(rows_formed) == len(measurements) + len(luders)
+    assert len(bases) == sum(len(inst.kraus_flat()) for inst in luders + measurements[-1:])
+    assert len({(id(meas), name) for meas, name in formed}) == len(formed)
 
 
 def _reference_seed_states(*measurements):
@@ -1425,7 +1473,7 @@ def _reference_seed_states(*measurements):
             bases = [eigvecs for _, eigvecs in meas.spectra]
             bases.append(np.stack([eigvecs[:, -1] for eigvecs in bases], axis=1))
         else:
-            bases = [incompatibility._normal_basis(kraus) for kraus in meas.kraus_flat()]
+            bases = [core._normal_basis(kraus) for kraus in meas.kraus_flat()]
         columns += [col for basis in bases for col in (basis, basis.sum(axis=1)[:, None])]
     rows = np.ascontiguousarray(np.hstack(columns).T)
     rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]
