@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import COMPLETENESS_TOL, HermitianObservable, PureState, as_complex_matrix, max_abs
+from .core import COMPLETENESS_TOL, HermitianObservable, PureState, _eigvalsh, as_complex_matrix, max_abs
 from .constructions import fourier_basis, random_unitary
 from .errors import (
     DegenerateObservableError,
@@ -82,14 +82,15 @@ def acc_fid_objective(
                 "the accessible-fidelity objective requires non-degenerate observables"
             )
     bases = [obs.basis for obs in observables]
-    total = 0.0
-    for xi in povm.vectors:
-        post = np.zeros((dim, dim), dtype=np.complex128)
+    posts = np.zeros((len(povm.vectors), dim, dim), dtype=np.complex128)
+    for post, xi in zip(posts, povm.vectors):
         for basis in bases:
             weights = np.abs(basis.conj().T @ xi) ** 2
             post += (basis * weights) @ basis.conj().T
-        lam = np.linalg.eigvalsh((post + post.conj().T) / 2.0)
-        total += float(lam[-1])
+    lam = _eigvalsh((posts + posts.conj().transpose(0, 2, 1)) / 2.0, "a post-measurement state")
+    total = 0.0
+    for top in lam[:, -1].tolist():  # left to right, which sum() is not from Python 3.12
+        total += top
     return total / (len(observables) * dim)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HermitianObservable, Instrument, Povm, PureState
+from .core import HermitianObservable, Instrument, Povm, PureState, _eigh, _qr
 from .errors import ParamOutOfRangeError
 
 
@@ -24,11 +24,13 @@ def random_unitary(dim: int, seed=0, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The R diagonal's phases are divided out so the distribution is exactly
-    Haar rather than QR-convention dependent. With ``count`` the result is a
-    stack of ``count`` unitaries from one Gaussian block and one stacked QR;
-    the block holds the Gaussians in the order single draws take them, so
-    the stack equals ``count`` successive draws from one generator bit for
-    bit and leaves the generator where they would.
+    Haar rather than QR-convention dependent (Mezzadri, Notices AMS 54, 592
+    (2007)). R's diagonal is read from LAPACK's raw factor, so R itself is
+    never formed, and Q is ``np.linalg.qr``'s bit for bit. With ``count``
+    the result is a stack of ``count`` unitaries from one Gaussian block and
+    one stacked QR; the block holds the Gaussians in the order single draws
+    take them, so the stack equals ``count`` successive draws from one
+    generator bit for bit and leaves the generator where they would.
     """
     if dim < 1:
         raise ParamOutOfRangeError("dimension must be positive")
@@ -36,8 +38,7 @@ def random_unitary(dim: int, seed=0, count: int | None = None) -> np.ndarray:
     if n < 1:
         raise ParamOutOfRangeError("count must be positive")
     gauss = _as_rng(seed).standard_normal((n, 2, dim, dim))
-    q, r = np.linalg.qr(gauss[:, 0] + 1j * gauss[:, 1])
-    diag = np.diagonal(r, axis1=1, axis2=2).copy()
+    q, diag = _qr(gauss[:, 0] + 1j * gauss[:, 1])
     diag[diag == 0] = 1.0
     unitaries = q * (diag / np.abs(diag))[:, None, :]
     return unitaries[0] if count is None else unitaries
@@ -75,7 +76,7 @@ def random_povm(dim: int, n_outcomes: int, seed=0) -> Povm:
         gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         blocks.append(gauss @ gauss.conj().T)
     total = sum(blocks)
-    eigvals, eigvecs = np.linalg.eigh(total)
+    eigvals, eigvecs = _eigh(total, "the Wishart sum")
     inv_root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
     elems = []
     for block in blocks:

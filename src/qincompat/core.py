@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+import math
+
 import numpy as np
 
 from .errors import (
@@ -69,12 +71,77 @@ def _freeze(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
-def _solve(solver, mat: np.ndarray, what: str):
-    """Run a dense decomposition, reporting non-convergence as NumericalFailureError."""
+# The LAPACK gufuncs that numpy.linalg calls, looked up once. Called directly
+# they give the same bits without the wrapper's type checks, casts and copies,
+# which cost as much as LAPACK itself on the small matrices of a scan row.
+# Their names are private; where this numpy has no gufunc by a name, that one
+# routine goes through numpy.linalg instead.
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # every numpy 2 release has it; the private name may still move
+    _umath_linalg = None
+_EIGH = getattr(_umath_linalg, "eigh_lo", None)
+_EIGVALSH = getattr(_umath_linalg, "eigvalsh_lo", None)
+_QR_RAW = getattr(_umath_linalg, "qr_r_raw", None)
+_QR_Q = getattr(_umath_linalg, "qr_reduced", None)
+_SVD = getattr(_umath_linalg, "svd_f", None)
+
+
+def _lapack(gufunc, signatures: tuple[str, str], fallback, mat: np.ndarray, what: str):
+    """Decompose ``mat`` by ``gufunc`` with the complex or the real signature, as numpy.linalg would.
+
+    A decomposition that fails sets the invalid floating-point flag and
+    fills its output with NaN; under ``errstate(invalid="raise")`` that flag
+    raises instead of warning, and it is reported, as the ``LinAlgError`` of
+    the ``fallback`` is, as :class:`NumericalFailureError`.
+    """
     try:
-        return solver(mat)
-    except np.linalg.LinAlgError as exc:
+        if gufunc is None:
+            return fallback(mat)
+        with np.errstate(invalid="raise"):
+            return gufunc(mat, signature=signatures[mat.dtype.kind != "c"])
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise NumericalFailureError(f"decomposition of {what} did not converge") from exc
+
+
+def _eigh(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(mat)`` bit for bit: eigenvalues and eigenvectors of each lower triangle."""
+    return _lapack(_EIGH, ("D->dD", "d->dd"), np.linalg.eigh, mat, what)
+
+
+def _eigvalsh(mat: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.eigvalsh(mat)`` bit for bit: eigenvalues of each lower triangle."""
+    return _lapack(_EIGVALSH, ("D->d", "d->d"), np.linalg.eigvalsh, mat, what)
+
+
+def _svd(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(mat)`` bit for bit: ``U``, the singular values and ``V^H``, all of U."""
+    return _lapack(_SVD, ("D->DdD", "d->ddd"), np.linalg.svd, mat, what)
+
+
+def _qr(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of the reduced QR of a complex ``(n, d, d)`` stack, and R's diagonal, as a writable array.
+
+    Q is ``np.linalg.qr(mats)[0]`` bit for bit. LAPACK leaves R in the upper
+    triangle of its raw factor, which ``qr_r_raw`` writes over ``mats``, and
+    the diagonal is read there: ``mats`` is overwritten, and R is not formed.
+    """
+    if _QR_RAW is None or _QR_Q is None:
+        q, r = np.linalg.qr(mats)
+        return q, np.diagonal(r, axis1=1, axis2=2).copy()
+    n, dim, _ = mats.shape
+    try:
+        with np.errstate(invalid="raise"):
+            q = _QR_Q(mats, _QR_RAW(mats, signature="D->D"), signature="DD->D")
+    except FloatingPointError as exc:
+        raise NumericalFailureError("QR decomposition failed") from exc
+    return q, mats.reshape(n, dim * dim)[:, :: dim + 1]
+
+
+def _norm(arr: np.ndarray) -> float:
+    """``np.linalg.norm(arr)`` of a complex array bit for bit: ``sqrt(re.re + im.im)`` over its entries."""
+    flat = arr.ravel(order="K")
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
 
 
 # The weight c of _normal_basis. Being transcendental, it separates any two
@@ -95,9 +162,9 @@ def _normal_basis(kraus: np.ndarray) -> np.ndarray:
     commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
     if max_abs(commut) <= 1e-9:
         mixed = (kraus + kraus.conj().T) / 2.0 + _NORMAL_MIX * (kraus - kraus.conj().T) / 2.0j
-        _, vecs = _solve(np.linalg.eigh, mixed, "a Kraus operator")
+        _, vecs = _eigh(mixed, "a Kraus operator")
         return vecs
-    _, vecs = _solve(np.linalg.eigh, kraus.conj().T @ kraus, "a Kraus operator")
+    _, vecs = _eigh(kraus.conj().T @ kraus, "a Kraus operator")
     return vecs
 
 
@@ -116,6 +183,13 @@ def _candidate_rows(bases, *sums: np.ndarray) -> np.ndarray:
     """Unit rows of each basis's columns and their sum, basis by basis, then of ``sums``."""
     return _unit_rows(np.vstack([row for basis in bases for row in (basis.T, basis.sum(axis=1))]
                                 + list(sums)))
+
+
+def _kraus_rows(kraus: np.ndarray) -> np.ndarray:
+    """Read-only unit rows of each Kraus operator's :func:`_normal_basis` and its sum."""
+    rows = _candidate_rows([_normal_basis(k) for k in kraus])
+    _freeze(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -145,8 +219,8 @@ class PureState:
     @classmethod
     def normalized(cls, vector) -> "PureState":
         vec = np.asarray(vector, dtype=np.complex128).ravel()
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.isfinite(norm):
+        norm = _norm(vec)
+        if norm == 0.0 or not math.isfinite(norm):
             raise ValidationError("cannot normalize a zero or non-finite vector")
         return cls(vec / norm)
 
@@ -170,7 +244,7 @@ class DensityMatrix:
             raise NotHermitianError(
                 f"density matrix deviates from self-adjointness by {hermiticity_defect(mat):.3e}"
             )
-        eigvals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        eigvals = _eigvalsh((mat + mat.conj().T) / 2.0, "the density matrix")
         if eigvals.min() < -POVM_EIG_TOL:
             raise NotPositiveError(
                 f"density matrix has eigenvalue {eigvals.min():.3e}"
@@ -335,7 +409,8 @@ class Povm:
     everything that needs its square roots reads ``roots``, everything
     that needs the effects as sums of ``|w><w|`` reads ``factors``, and
     everything that needs the Lüders Kraus operators reads ``kraus``. Its
-    candidate states for a supremum are formed once too, as ``seed_rows``.
+    candidate states for a supremum are formed once too, as ``seed_rows``,
+    and those of its Lüders instrument, for its disturbance, as ``luders_rows``.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -364,10 +439,14 @@ class Povm:
 
     @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only ``(eigenvalues, eigenvectors)`` of ``eigh((E + E^H)/2)`` per effect E."""
-        spectra = tuple(np.linalg.eigh((e + e.conj().T) / 2.0) for e in self.elements)
-        _freeze(*(arr for spectrum in spectra for arr in spectrum))
-        return spectra
+        """Read-only ``(eigenvalues, eigenvectors)`` of ``eigh((E + E^H)/2)`` per effect E.
+
+        All effects are decomposed in one stacked call; each entry is a view of its stack.
+        """
+        elems = np.array(self.elements)
+        eigvals, eigvecs = _eigh((elems + elems.conj().transpose(0, 2, 1)) / 2.0, "a POVM effect")
+        _freeze(eigvals, eigvecs)
+        return tuple(zip(eigvals, eigvecs))
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -418,6 +497,11 @@ class Povm:
         rows = _candidate_rows([eigvecs for _, eigvecs in self.spectra], tops.sum(axis=1))
         _freeze(rows)
         return rows
+
+    @cached_property
+    def luders_rows(self) -> np.ndarray:
+        """Read-only ``seed_rows`` of the Lüders instrument, formed from ``kraus`` without building it."""
+        return _kraus_rows(self.kraus)
 
     @property
     def dim(self) -> int:
@@ -495,9 +579,7 @@ class Instrument:
     @cached_property
     def seed_rows(self) -> np.ndarray:
         """Read-only unit candidate rows: each Kraus operator's :func:`_normal_basis` and its sum."""
-        rows = _candidate_rows([_normal_basis(kraus) for kraus in self.kraus])
-        _freeze(rows)
-        return rows
+        return _kraus_rows(self.kraus)
 
     def effects(self) -> tuple[np.ndarray, ...]:
         """The POVM implemented by this instrument: E_i = sum_k K_ik^dag K_ik."""
@@ -531,7 +613,7 @@ def spectral_decompose(matrix, group_tol: float | None = None) -> HermitianObser
         group_tol = 1e-8 * scale if scale > 0 else 1e-12
     elif group_tol <= 0:
         raise ParamOutOfRangeError("group_tol must be positive")
-    eigvals, eigvecs = _solve(np.linalg.eigh, sym, "the matrix")
+    eigvals, eigvecs = _eigh(sym, "the matrix")
     obs = HermitianObservable.from_eigensystem(eigvals, eigvecs, group_tol)
     if max_abs(obs.matrix - sym) > RECONSTRUCTION_TOL:
         raise ValidationError("spectral decomposition does not reconstruct the matrix")

@@ -27,10 +27,11 @@ from .core import (
     Instrument,
     Povm,
     PureState,
-    _solve,
+    _eigh,
+    _eigvalsh,
+    _norm,
     _spread,
     _unit_rows,
-    canonical_instrument,
     max_abs,
     measurement_effects,
 )
@@ -305,7 +306,7 @@ def _disturbance_objective(measure: Measure, meas) -> Objective:
             images = (rows @ vecs[:, :, None]).reshape(len(vecs), n, dim)
             outer = vecs[:, :, None] * vecs.conj()[:, None, :]
             diff = images.transpose(0, 2, 1) @ images.conj() - outer
-            lam, basis = _solve(np.linalg.eigh, diff, "a state difference")
+            lam, basis = _eigh(diff, "a state difference")
             sign = (basis * np.sign(lam)[:, None, :]) @ basis.conj().transpose(0, 2, 1)
             pulled = (images @ sign.transpose(0, 2, 1)).reshape(len(vecs), n * dim, 1)
             grad = (adjoint_row @ pulled - sign @ vecs[:, :, None])[:, :, 0]
@@ -332,7 +333,12 @@ def analytic_seed_states(*measurements) -> np.ndarray:
     to phase, is dropped. Anything else raises :class:`TypeError`.
     """
     _require_measurements(*measurements)
-    rows = np.concatenate([meas.seed_rows for meas in measurements])
+    return _seed_states(*(meas.seed_rows for meas in measurements))
+
+
+def _seed_states(*row_sets: np.ndarray) -> np.ndarray:
+    """The rows of all ``row_sets`` in turn, less each that is an earlier row's state."""
+    rows = np.concatenate(row_sets)
     return _distinct(rows, _same_states(rows))
 
 
@@ -438,12 +444,12 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
     if measure is Measure.L1:
         flat = diff[: n - 1].reshape(n - 1, dim * dim)
         sums = (_subset_masks(n - 1) @ flat).reshape(-1, dim, dim)
-        lam = _solve(np.linalg.eigvalsh, sums, "the subset sums")
+        lam = _eigvalsh(sums, "the subset sums")
         best = int(np.argmax(np.maximum(lam[:, -1], -lam[:, 0])))
         candidates = sums[best : best + 1]
     else:
         candidates = diff
-    lam, vecs = _solve(np.linalg.eigh, candidates, "the outcome differences")
+    lam, vecs = _eigh(candidates, "the outcome differences")
     top, bottom = lam[:, -1], -lam[:, 0]
     j = int(np.argmax(np.maximum(top, bottom)))
     if top[j] >= bottom[j]:
@@ -676,7 +682,7 @@ def _invariant_blocks(first, second) -> list[np.ndarray]:
     """
     gens = np.concatenate((first.kraus, measurement_effects(second)))
     weights = np.sqrt(np.arange(2.0, len(gens) + 2.0))
-    _, vecs = _solve(np.linalg.eigh, np.tensordot(weights, gens, axes=1), "a generic element")
+    _, vecs = _eigh(np.tensordot(weights, gens, axes=1), "a generic element")
     linked = (np.abs(vecs.conj().T @ gens @ vecs) > BLOCK_TOL).any(axis=0)
     np.fill_diagonal(linked, True)
     labels = np.arange(len(vecs))
@@ -693,12 +699,12 @@ def _block_ceiling(first, block: np.ndarray) -> float:
     commutes with ``U_l U_l^H``, so ``block^H U_l`` has singular values 0 or
     1 and the weight is their rank. The weights sum to ``d_b``, the column count, so
     ``1 - 1/r_b <= 1 - 1/d_b``. A POVM's compressed effects
-    ``E' = block^H E block`` are read through ``eigh((E' + E'^H) / 2)``.
+    ``E' = block^H E block`` are read through ``eigh((E' + E'^H) / 2)``, in one stacked call.
     """
     if isinstance(first, Povm):
-        tops = [_solve(np.linalg.eigh, (e + e.conj().T) / 2.0, "a block effect")[0][-1]
-                for e in (block.conj().T @ effect @ block for effect in first.elements)]
-        return min(_luders_ceilings(first.n_outcomes, tops).values())
+        compressed = np.stack([block.conj().T @ effect @ block for effect in first.elements])
+        lam = _eigh((compressed + compressed.conj().transpose(0, 2, 1)) / 2.0, "a block effect")[0]
+        return min(_luders_ceilings(first.n_outcomes, lam[:, -1].tolist()).values())
     weights = (np.abs(block.conj().T @ first.basis) ** 2).sum(axis=0)
     overlaps = np.add.reduceat(weights, first.factors[1])
     return closed_form("degenerate_disturbance", n_distinct=int(np.count_nonzero(overlaps > 0.5)))
@@ -775,8 +781,9 @@ def maximal_disturbance(
         value = closed_form("degenerate_disturbance", n_distinct=meas.n_outcomes)
         return _exact_result(value, _spread(meas))
     objective = _disturbance_objective(measure, meas)
-    inst = canonical_instrument(meas)  # a POVM's Lüders instrument adds its seeds; an instrument is its own
-    seeds = analytic_seed_states(meas) if inst is meas else analytic_seed_states(meas, inst)
+    # A POVM adds the seed rows of its Lüders instrument, which is not built.
+    seeds = (_seed_states(meas.seed_rows, meas.luders_rows) if isinstance(meas, Povm)
+             else analytic_seed_states(meas))
     if measure is Measure.L1:
         return maximize_over_pure_states(objective, meas.dim, seeds, config)
     bound = _dual_ceiling(meas)
@@ -812,8 +819,8 @@ def _dual_ceiling(meas) -> float:
     weights = np.trace(kraus, axis1=1, axis2=2) / dim
     half = np.tensordot(weights.conj(), kraus, axes=1)
     mat = half + half.conj().T
-    lowest = _solve(np.linalg.eigvalsh, mat, "the dual matrix")[0]
-    padding = 8 * dim * np.finfo(float).eps * np.linalg.norm(mat)
+    lowest = _eigvalsh(mat, "the dual matrix")[0]
+    padding = 8 * dim * np.finfo(float).eps * _norm(mat)
     return float(1.0 - lowest + np.vdot(weights, weights).real + padding)
 
 

@@ -77,7 +77,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import STATE_NORM_TOL, PureState
+from .core import STATE_NORM_TOL, PureState, _svd
 from .errors import ObjectiveNaNError, ParamOutOfRangeError, ValidationError
 
 
@@ -175,7 +175,7 @@ def _face_projector(columns: Sequence[np.ndarray], blocks: tuple[int, ...]) -> n
     imaginary parts is symmetric. ``None`` if the face is ``{0}``.
     """
     stacked = np.hstack([columns[b] for b in blocks]).conj()
-    left, sing, _ = np.linalg.svd(stacked)
+    left, sing, _ = _svd(stacked, "a face")
     rank = int(np.count_nonzero(sing > sing.max() * max(stacked.shape) * np.finfo(float).eps))
     if rank == len(left):
         return None

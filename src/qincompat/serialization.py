@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .core import HermitianObservable, Instrument, Povm, spectral_decompose
-from .errors import ParseError, QincompatError, ValidationError
+from .errors import NumericalFailureError, ParseError, QincompatError, ValidationError
 
 FORMAT_VERSION = "1"
 REPORT_VERSION = "1"
@@ -183,7 +183,8 @@ def load_observable_file(path):
     Raises :class:`ParseError` with a field diagnostic for malformed input or
     a ``dim`` above ``MAX_DIM`` (checked before the payload is read), and the
     relevant :class:`ValidationError` subclass when the parsed object breaks
-    a quantum invariant, including entries too large to check without overflow.
+    a quantum invariant, including entries too large to check without overflow
+    and a matrix whose decomposition fails.
     Unless the text holds a ``true`` or ``false``, which would convert as a
     number, each numeric field is converted in one ``np.array`` call, and
     only a field that does not convert is walked entry by entry to name the
@@ -217,6 +218,8 @@ def load_observable_file(path):
             return _decode_payload(doc.get("payload"), dim, whole)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except NumericalFailureError as exc:  # a file no decomposition can validate is bad input
+        raise ValidationError(f"{path}: {exc}") from exc
     except QincompatError:
         raise
     except FloatingPointError as exc:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,21 +14,26 @@ from qincompat import (
     Instrument,
     NotHermitianError,
     NotPositiveError,
+    NumericalFailureError,
     ParamOutOfRangeError,
     Povm,
     PureState,
     ValidationError,
     canonical_instrument,
     commutator_maxnorm,
+    load_observable_file,
     luders_from_povm,
     projective_instrument,
     random_observable,
     random_povm,
     random_pure_state,
     random_unitary,
+    save_observable_file,
     spectral_decompose,
     trine_povm,
 )
+from qincompat import core
+from qincompat.cli import main
 from qincompat.core import as_complex_matrix, zero_floor
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -479,3 +485,84 @@ def test_povm_roots_are_read_only_and_feed_factors_and_luders_operators_bit_for_
         reference = np.stack([(op + op.conj().T) / 2.0 for op in ops])
         assert povm.kraus is povm.kraus and not povm.kraus.flags.writeable
         assert povm.kraus.tobytes() == reference.tobytes() and povm.kraus.shape == reference.shape
+
+
+def _hermitian_stacks(rng):
+    """Random and degenerate Hermitian stacks, complex and real, at d = 2..8."""
+    for d in range(2, 9):
+        gauss = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        yield gauss + gauss.conj().transpose(0, 2, 1)
+        unitary = random_unitary(d, rng)
+        spectrum = np.repeat([0.0, 1.0], [d // 2, d - d // 2])  # two eigenspaces
+        yield np.stack([(unitary * spectrum) @ unitary.conj().T, np.eye(d), np.zeros((d, d))]).astype(complex)
+        yield gauss.real + gauss.real.transpose(0, 2, 1)
+
+
+def test_lapack_kernels_equal_numpy_linalg_bit_for_bit():
+    rng = np.random.default_rng(3001)
+    for stack in _hermitian_stacks(rng):
+        for mats in (stack, stack[0]):
+            ours, theirs = core._eigh(mats, "a test matrix"), np.linalg.eigh(mats)
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+            assert [a.dtype for a in ours] == [a.dtype for a in theirs]
+            assert core._eigvalsh(mats, "a test matrix").tobytes() == np.linalg.eigvalsh(mats).tobytes()
+    for d in range(1, 9):
+        for count in (None, 2):
+            n = 1 if count is None else count
+            gauss = np.random.default_rng(d).standard_normal((n, 2, d, d))
+            mats = gauss[:, 0] + 1j * gauss[:, 1]
+            q, r = np.linalg.qr(mats)
+            ours_q, diag = core._qr(mats.copy())
+            assert ours_q.tobytes() == q.tobytes()
+            assert diag.tobytes() == np.diagonal(r, axis1=1, axis2=2).tobytes()
+            diag = np.diagonal(r, axis1=1, axis2=2).copy()  # the draw as it read a formed R
+            unitaries = q * (diag / np.abs(diag))[:, None, :]
+            drawn = random_unitary(d, np.random.default_rng(d), count=count)
+            assert drawn.tobytes() == (unitaries[0] if count is None else unitaries).tobytes()
+        for cols in range(1, 2 * d + 1):  # a face projector's stacked columns, of any width
+            mat = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
+            assert ([a.tobytes() for a in core._svd(mat, "a test matrix")]
+                    == [a.tobytes() for a in np.linalg.svd(mat)])
+            for arr in (mat, mat[0], mat.T):
+                assert core._norm(arr) == np.linalg.norm(arr)
+
+
+def test_a_decomposition_that_fails_is_a_numerical_failure_and_warns_of_nothing():
+    """NaN input fails LAPACK's Hermitian solvers at d >= 3 (at d <= 2 it returns NaN, as numpy.linalg does)."""
+    nan = np.full((2, 3, 3), np.nan, dtype=complex)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for kernel in (core._eigh, core._eigvalsh, core._svd):
+            with pytest.raises(NumericalFailureError, match="decomposition of a NaN stack"):
+                kernel(nan, "a NaN stack")
+    assert caught == []
+
+
+def test_each_kernel_falls_back_to_numpy_linalg_where_its_gufunc_is_missing(monkeypatch):
+    rng = np.random.default_rng(3002)
+    stack = next(_hermitian_stacks(rng))
+    face = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    nan = np.full((2, 3, 3), np.nan, dtype=complex)
+
+    def results():
+        return ([a.tobytes() for a in core._eigh(stack, "a")], core._eigvalsh(stack, "a").tobytes(),
+                [a.tobytes() for a in core._svd(face, "a")],
+                random_unitary(3, 5).tobytes(), random_unitary(4, 5, count=3).tobytes())
+
+    with_gufuncs = results()
+    for name in ("_EIGH", "_EIGVALSH", "_QR_RAW", "_QR_Q", "_SVD"):
+        monkeypatch.setattr(core, name, None)
+    assert results() == with_gufuncs
+    for kernel in (core._eigh, core._eigvalsh, core._svd):  # numpy.linalg's LinAlgError, reported the same way
+        with pytest.raises(NumericalFailureError):
+            kernel(nan, "a NaN stack")
+
+
+def test_a_file_whose_decomposition_fails_is_bad_input(tmp_path, monkeypatch):
+    """It exits 2, as it did when the failure was numpy.linalg's LinAlgError, a ValueError."""
+    save_observable_file(trine_povm(), tmp_path / "trine.json")
+    real = core._EIGH
+    monkeypatch.setattr(core, "_EIGH", lambda mat, **kwargs: real(np.full((3, 3, 3), np.nan + 0j), **kwargs))
+    with pytest.raises(ValidationError, match="did not converge"):
+        load_observable_file(tmp_path / "trine.json")
+    assert main(["disturbance", str(tmp_path / "trine.json")]) == 2

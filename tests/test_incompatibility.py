@@ -472,12 +472,15 @@ def test_observable_pair_differences_are_formed_bit_for_bit_as_before(d):
 
 @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
 def test_eigensolver_failure_is_a_numerical_failure(monkeypatch, solver):
+    """A decomposition in the exact L1 path that LAPACK fails to converge raises, and warns of nothing."""
     obs_a, obs_b = fourier_mub_pair(3)
+    name = f"_{solver.upper()}"
+    real = getattr(core, name)
 
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
+    def fail(mat, **kwargs):  # LAPACK fails on NaN input at d >= 3, as on a matrix it cannot converge
+        return real(np.full_like(mat, np.nan), **kwargs)
 
-    monkeypatch.setattr(np.linalg, solver, fail)
+    monkeypatch.setattr(core, name, fail)
     with pytest.raises(NumericalFailureError):
         directional_incompatibility(Measure.L1, obs_a, obs_b)
 
@@ -705,6 +708,34 @@ def test_an_instrument_is_seeded_once(monkeypatch):
         for measure in (Measure.FIDELITY, Measure.L1):
             maximal_disturbance(measure, inst, TINY)
         assert len(calls) == len(inst.kraus_flat())
+
+
+def _disturbance_fields(result):
+    return (result.value, result.argmax.amplitudes.tobytes(), result.provenance,
+            result.starts_used, result.evaluations, result.iterations, result.upper_bound)
+
+
+def test_a_povms_disturbance_builds_no_instrument(monkeypatch):
+    """Its Lüders instrument's seed rows are formed from the POVM's own Kraus stack, bit for bit."""
+    rng = np.random.default_rng(2407)
+    povms = [trine_povm()] + [random_povm(d, n, rng) for d, n in ((2, 4), (3, 4), (3, 2), (4, 5))]
+    measures = (Measure.FIDELITY, Measure.L1)
+    real_seeds, expected = incompatibility._seed_states, []
+    for povm in povms:  # seeded, as before, from the rows of the built Lüders instrument
+        twin = Povm(povm.elements)
+        with monkeypatch.context() as patch:
+            patch.setattr(incompatibility, "_seed_states",
+                          lambda *rows, twin=twin: real_seeds(twin.seed_rows, twin.instrument.seed_rows))
+            expected.append([_disturbance_fields(maximal_disturbance(m, twin, TINY)) for m in measures])
+        assert twin.luders_rows.tobytes() == twin.instrument.seed_rows.tobytes()
+    built = []
+    real_init = Instrument.__post_init__
+    monkeypatch.setattr(Instrument, "__post_init__", lambda self: built.append(1) or real_init(self))
+    for povm, fields in zip(povms, expected):
+        fresh = Povm(povm.elements)
+        assert [_disturbance_fields(maximal_disturbance(m, fresh, TINY)) for m in measures] == fields
+        assert "instrument" not in vars(fresh)
+    assert built == []
 
 
 @pytest.mark.parametrize("k", range(11))

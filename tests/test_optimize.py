@@ -31,7 +31,8 @@ from qincompat import (
 )
 from qincompat import incompatibility, optimize
 from qincompat.constructions import degenerate_observable, random_unitary
-from qincompat.incompatibility import _disturbance_objective, canonical_instrument
+from qincompat.core import canonical_instrument
+from qincompat.incompatibility import _disturbance_objective
 from qincompat.optimize import FACE_TOL, _MAXLS, LocalSearch, _folded_objective, _lbfgsb, minimize
 from qincompat.verify import run_suites
 
