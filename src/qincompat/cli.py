@@ -58,8 +58,9 @@ EXIT_SCIENCE = 3
 # under 1 s and 52 MB, a d = 32 random POVM 11 s and 243 MB.
 MAX_COUNT = 1024
 # The largest scan --trials: every row is kept until the CSV is written. A
-# --dim 2 scan then takes 67-82 s and 108 MB (2-vCPU Xeon); one d = 32 trial
-# takes about 6 s, so there the cap bounds memory rather than time.
+# --dim 2 scan then takes about 20 s and 96 MB (2 shared vCPUs); one d = 32
+# trial takes about 0.05 s under L1 and 0.015 s under Chebyshev, so there a
+# full scan runs 25-90 minutes.
 MAX_TRIALS = 100_000
 
 

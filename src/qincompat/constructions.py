@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HermitianObservable, Instrument, Povm, PureState, _eigh, _qr
+from .core import HermitianObservable, Instrument, Povm, PureState, _eigh, _qr, _whole
 from .errors import ParamOutOfRangeError
 
 
@@ -61,9 +61,13 @@ def random_observable(dim: int, seed=0) -> HermitianObservable:
 
 
 def _observable_on(basis: np.ndarray) -> HermitianObservable:
-    """Non-degenerate observable with eigenvalues 1..d over the columns of a unitary ``basis``."""
+    """Non-degenerate observable with eigenvalues 1..d over the columns of a unitary ``basis``.
+
+    ``basis`` is a fresh :func:`random_unitary` draw that no caller holds, which QR made
+    C-contiguous and unitary to round-off, far inside the 1e-8 that validation allows.
+    """
     dim = basis.shape[0]
-    return HermitianObservable(np.arange(1.0, dim + 1.0), (1,) * dim, basis)
+    return HermitianObservable._trusted(np.arange(1.0, dim + 1.0), (1,) * dim, basis)
 
 
 def random_povm(dim: int, n_outcomes: int, seed=0) -> Povm:
@@ -186,8 +190,8 @@ def degenerate_observable(ranks, basis=None) -> HermitianObservable:
 
     Defaults to the standard basis; eigenvalues are 1..len(ranks).
     """
-    ranks = tuple(int(r) for r in ranks)
-    if not ranks or min(ranks) < 1:
+    ranks = tuple(map(_whole, ranks))
+    if not ranks or None in ranks or min(ranks) < 1:
         raise ParamOutOfRangeError("ranks must be positive integers")
     dim = sum(ranks)
     if basis is None:

@@ -2,9 +2,14 @@
 
 Everything downstream (outcome statistics, incompatibility measures, the
 state optimizer) consumes the types defined here. Matrices are dense
-``complex128`` numpy arrays. Every object checks its defining invariants at
-construction time and freezes its arrays afterwards, so instances are
-immutable and safe to share between threads.
+``complex128`` numpy arrays. Every object built from outside input (a
+public constructor, a library argument, a loaded file) checks its defining
+invariants at construction time and freezes its arrays afterwards, so
+instances are immutable and safe to share between threads. The observables
+the package draws on fresh Haar-random unitaries (``random_observable``, the
+pairs of ``conjecture_scan`` and ``verify``) and the unit argmax states it
+computes meet those invariants by construction: ``HermitianObservable._trusted``
+and ``PureState._trusted`` store their arrays, frozen, without checking them again.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 import math
+import numbers
 
 import numpy as np
 
@@ -69,6 +75,15 @@ def zero_floor(eigvals: np.ndarray) -> np.ndarray:
 def _freeze(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.setflags(write=False)
+
+
+def _whole(value) -> int | None:
+    """``value`` as an ``int`` if it is an integer or a real number with no fractional part, else None."""
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    return None
 
 
 # The LAPACK gufuncs that numpy.linalg calls, looked up once. Called directly
@@ -142,6 +157,14 @@ def _norm(arr: np.ndarray) -> float:
     """``np.linalg.norm(arr)`` of a complex array bit for bit: ``sqrt(re.re + im.im)`` over its entries."""
     flat = arr.ravel(order="K")
     return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
+
+def _normalize(vec: np.ndarray) -> np.ndarray:
+    """A new array, ``vec`` divided by its :func:`_norm`; a zero or non-finite ``vec`` raises."""
+    norm = _norm(vec)
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValidationError("cannot normalize a zero or non-finite vector")
+    return vec / norm
 
 
 # The weight c of _normal_basis. Being transcendental, it separates any two
@@ -218,11 +241,21 @@ class PureState:
 
     @classmethod
     def normalized(cls, vector) -> "PureState":
-        vec = np.asarray(vector, dtype=np.complex128).ravel()
-        norm = _norm(vec)
-        if norm == 0.0 or not math.isfinite(norm):
-            raise ValidationError("cannot normalize a zero or non-finite vector")
-        return cls(vec / norm)
+        return cls(_normalize(np.asarray(vector, dtype=np.complex128).ravel()))
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> "PureState":
+        """A state on a unit vector the package has just formed, stored without ``__post_init__``.
+
+        ``amplitudes`` must be a new C-contiguous 1-D ``complex128`` array of
+        unit norm that owns its data, such as a :func:`_normalize` quotient
+        or the copy of a unit row, and that no caller holds; it is frozen
+        and stored as it is, with no further copy, finiteness pass or norm.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        _freeze(amplitudes)
+        return state
 
     @property
     def dim(self) -> int:
@@ -278,13 +311,13 @@ class HermitianObservable:
 
     def __post_init__(self):
         eigvals = np.asarray(self.eigenvalues, dtype=float).ravel()
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(map(_whole, self.ranks))
         basis = as_complex_matrix(self.basis, "eigenbasis")
         d = basis.shape[0]
         if not np.all(np.isfinite(eigvals)):
             raise ValidationError("eigenvalues contain non-finite entries")
-        if len(ranks) != eigvals.size or sum(ranks) != d or min(ranks) < 1:
-            raise ValidationError("eigenspace ranks must be positive and sum to dim")
+        if None in ranks or len(ranks) != eigvals.size or sum(ranks) != d or min(ranks) < 1:
+            raise ValidationError("eigenspace ranks must be positive whole numbers that sum to dim")
         if (eigvals[1:] <= eigvals[:-1]).any():
             raise ValidationError("grouped eigenvalues must be strictly increasing")
         gram = basis.conj().T @ basis
@@ -295,6 +328,24 @@ class HermitianObservable:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "basis", basis)
         _freeze(eigvals, basis)
+
+    @classmethod
+    def _trusted(cls, eigenvalues: np.ndarray, ranks: tuple[int, ...],
+                 basis: np.ndarray) -> "HermitianObservable":
+        """An observable on fields the package has just formed, stored without ``__post_init__``.
+
+        The fields must already be what validation stores: finite, strictly
+        increasing 1-D float ``eigenvalues``, a tuple of positive ``int``
+        ``ranks`` summing to the dimension, and a C-contiguous ``complex128``
+        ``basis`` with orthonormal columns that no caller writes to
+        afterwards. Both arrays are frozen and stored as they are.
+        """
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "eigenvalues", eigenvalues)
+        object.__setattr__(obs, "ranks", ranks)
+        object.__setattr__(obs, "basis", basis)
+        _freeze(eigenvalues, basis)
+        return obs
 
     @cached_property
     def projectors(self) -> np.ndarray:

@@ -30,6 +30,7 @@ from .core import (
     _eigh,
     _eigvalsh,
     _norm,
+    _normalize,
     _spread,
     _unit_rows,
     max_abs,
@@ -462,8 +463,12 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
 
 
 def _exact_result(value: float, vector: np.ndarray) -> OptResult:
-    """A supremum computed exactly, attained at ``vector`` (normalized here)."""
-    return OptResult(value, PureState.normalized(vector), Provenance.EXACT, 0, upper_bound=value)
+    """A supremum computed exactly, attained at the 1-D ``complex128`` ``vector`` (normalized here).
+
+    The quotient is a new array, so the state stores it without a copy.
+    """
+    return OptResult(value, PureState._trusted(_normalize(vector)), Provenance.EXACT, 0,
+                     upper_bound=value)
 
 
 def _exact_qubit_fidelity(first: HermitianObservable, second: HermitianObservable) -> OptResult:
@@ -657,8 +662,8 @@ def _seed_exit(
     best = int(np.argmax(found))
     if found[best] >= bound - CEILING_TOL:
         return OptResult(
-            float(found[best]), PureState(rows[best]), Provenance.ANALYTIC_SEED, 0,
-            upper_bound=bound, evaluations=evaluated,
+            float(found[best]), PureState._trusted(rows[best].copy()), Provenance.ANALYTIC_SEED,
+            0, upper_bound=bound, evaluations=evaluated,
         )
     return _Search(objective, seeds, bound, evaluated)
 

@@ -682,7 +682,7 @@ def _maximize_many(
             raise ObjectiveNaNError("no valid state was probed")
         results.append(OptResult(
             value=float(value),
-            argmax=PureState(vec),
+            argmax=PureState._trusted(vec.copy()),  # not a view that keeps every end point
             provenance=provenance,
             starts_used=int(kept[mid:hi].sum()),
             evaluations=len(rows) + int(result.nfevs[lo:hi].sum()) + int(kept[lo:hi].sum()),

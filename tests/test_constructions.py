@@ -124,6 +124,10 @@ def test_degenerate_observable_spectrum():
     assert obs.eigenvalues == pytest.approx([1.0, 2.0, 3.0])
     with pytest.raises(ParamOutOfRangeError):
         degenerate_observable(())
+    assert degenerate_observable((2.0, np.int64(1))).ranks == (2, 1)
+    for fractional in ((1.5, 1), (2, 0.5)):
+        with pytest.raises(ParamOutOfRangeError):
+            degenerate_observable(fractional)
 
 
 def test_z_channel_endpoints_and_formula():

@@ -34,7 +34,9 @@ from qincompat import (
 )
 from qincompat import core
 from qincompat.cli import main
+from qincompat.constructions import _observable_on
 from qincompat.core import as_complex_matrix, zero_floor
+from qincompat.incompatibility import _exact_result
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -235,6 +237,22 @@ def test_observable_rejects_eigenvalues_that_do_not_increase(values):
         ValidationError, match="^grouped eigenvalues must be strictly increasing$"
     ):
         HermitianObservable(values, (1, 1, 1), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "ranks", [(1.5, 1.7), (1.5, 0.5), (0.5, 1.5), (float("nan"), 1), (float("inf"), 1), ("one", 1), (1j, 1)]
+)
+def test_observable_rejects_ranks_that_are_not_whole_numbers(ranks):
+    with pytest.raises(ValidationError, match="whole numbers"):
+        HermitianObservable([1.0, 2.0], ranks, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "ranks", [(1, 1), (np.int64(1), np.uint8(1)), (1.0, np.float64(1.0)), (True, np.float32(1.0))]
+)
+def test_observable_takes_integer_and_integral_float_ranks(ranks):
+    obs = HermitianObservable([1.0, 2.0], ranks, np.eye(2))
+    assert obs.ranks == (1, 1) and all(type(r) is int for r in obs.ranks)
 
 
 @pytest.mark.parametrize("defect, accepted", [(2e-8, False), (5e-9, True)])
@@ -566,3 +584,81 @@ def test_a_file_whose_decomposition_fails_is_bad_input(tmp_path, monkeypatch):
     with pytest.raises(ValidationError, match="did not converge"):
         load_observable_file(tmp_path / "trine.json")
     assert main(["disturbance", str(tmp_path / "trine.json")]) == 2
+
+
+def _assert_stored_alike(made, ref, fields):
+    """The two objects store equal bytes, shapes and dtypes in ``fields``, C-ordered and read-only."""
+    for name in fields:
+        got, want = getattr(made, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for arr in (got, want):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("d", [*range(2, 13), 16, 24, 32])
+def test_every_drawn_observable_is_what_validation_would_store(d):
+    """A basis ``_observable_on`` stores unchecked passes the public validator, to the same bytes."""
+    for seed in range(60 if d <= 8 else 15):
+        for basis in (*random_unitary(d, seed, count=2), random_unitary(d, seed)):
+            ref = HermitianObservable(np.arange(1.0, d + 1.0), (1,) * d, basis)
+            made = _observable_on(basis)
+            assert made.ranks == ref.ranks == (1,) * d
+            _assert_stored_alike(made, ref, ("eigenvalues", "basis"))
+        _assert_stored_alike(random_observable(d, seed), ref, ("eigenvalues", "basis"))
+
+
+def test_the_cli_stores_unchecked_only_what_validation_would_store(tmp_path, monkeypatch):
+    """Every object the package builds unchecked, in scan, compute and verify, passes validation.
+
+    Both private constructors are wrapped to build the validated twin of
+    each object they are given and compare the two.
+    """
+    built = {"observables": 0, "states": 0}
+    observable, state = HermitianObservable._trusted.__func__, PureState._trusted.__func__
+
+    def checked_observable(cls, eigenvalues, ranks, basis):
+        ref = HermitianObservable(eigenvalues, ranks, basis)
+        made = observable(cls, eigenvalues, ranks, basis)
+        assert made.ranks == ref.ranks
+        _assert_stored_alike(made, ref, ("eigenvalues", "basis"))
+        built["observables"] += 1
+        return made
+
+    def checked_state(cls, amplitudes):
+        ref = PureState(amplitudes)
+        made = state(cls, amplitudes)
+        _assert_stored_alike(made, ref, ("amplitudes",))
+        assert made.amplitudes.flags.owndata  # no view that keeps a larger array alive
+        built["states"] += 1
+        return made
+
+    monkeypatch.setattr(HermitianObservable, "_trusted", classmethod(checked_observable))
+    monkeypatch.setattr(PureState, "_trusted", classmethod(checked_state))
+    monkeypatch.chdir(tmp_path)
+    for family in (["mub", "--dim", "4"], ["trine"], ["zchannel", "--p", "0.3"],
+                   ["asymmetric", "--dim", "4", "--m", "1"],
+                   ["random-povm", "--dim", "2", "--outcomes", "4"]):
+        assert main(["construct", *family]) == 0
+    for measure in ("F", "1", "inf"):
+        assert main(["compute", "--pair", "mub_d4_a.json", "mub_d4_b.json", "--measure", measure]) == 0
+        assert main(["compute", "--luders", "trine.json", "random_povm_d2_n4_s0.json",
+                     "--measure", measure]) == 0
+    assert main(["compute", "--pair", "asym_d4_m1_a.json", "asym_d4_m1_b.json", "--measure", "F"]) == 0
+    for target in ("trine.json", "zchannel_p0.3.json", "asym_d4_m1_b.json"):
+        for measure in ("F", "1"):
+            assert main(["disturbance", target, "--measure", measure]) == 0
+    for measure, dim in (("1", "3"), ("inf", "6")):
+        assert main(["scan", "--measure", measure, "--dim", dim, "--trials", "20",
+                     "--inject", "mub", "--inject", "commuting", "--out", "scan.csv"]) == 0
+    # 40 drawn pairs, and both directions of 44 scan rows besides the reports' states
+    assert built["observables"] == 80 and built["states"] > 88
+    states = built["states"]
+    assert main(["verify", "--suite", "all"]) == 0
+    assert built["observables"] > 80 and built["states"] > states
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_an_exact_argmax_that_is_zero_or_not_finite_is_rejected(bad):
+    with pytest.raises(ValidationError, match="zero or non-finite"):
+        _exact_result(0.5, np.array([bad, 0.0, 0.0], dtype=np.complex128))
