@@ -212,7 +212,7 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
         amp = (vecs[:, None, :] @ _cols)[:, 0]
         sums = np.add.reduceat(np.abs(amp) ** 2, starts, axis=1).reshape(len(vecs), 2, -1)
         values, weights = weigh(sums)
-        scaled = weights.reshape(len(vecs), -1)[:, column_block] * amp
+        scaled = weights.reshape(len(vecs), -1).take(column_block, axis=1) * amp
         grads = (_cols_conj @ scaled[:, :, None])[:, :, 0]
         if _columns is None:
             return values, grads
@@ -264,9 +264,8 @@ def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:
     evaluate = objectives[0]
 
     def objective(vecs: np.ndarray, problems: np.ndarray) -> tuple:
-        return evaluate(
-            vecs, _cols=cols[problems], _cols_conj=cols_conj[problems], _columns=columns
-        )
+        return evaluate(vecs, _cols=cols.take(problems, axis=0),
+                        _cols_conj=cols_conj.take(problems, axis=0), _columns=columns)
 
     return objective
 
@@ -693,7 +692,10 @@ def _invariant_blocks(first, second) -> list[np.ndarray]:
     labels = np.arange(len(vecs))
     while not np.array_equal(labels, spread := np.where(linked, labels, len(vecs)).min(axis=1)):
         labels = spread
-    return [vecs[:, labels == label] for label in np.unique(labels)]
+    # Each label is the lowest index of its component, so the labels that
+    # are their own index are np.unique(labels), in order, without the
+    # numpy.ma import np.unique pays on its first call.
+    return [vecs[:, labels == label] for label in np.flatnonzero(labels == np.arange(len(labels)))]
 
 
 def _block_ceiling(first, block: np.ndarray) -> float:

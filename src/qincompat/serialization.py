@@ -21,10 +21,9 @@ from .errors import NumericalFailureError, ParseError, QincompatError, Validatio
 
 FORMAT_VERSION = "1"
 REPORT_VERSION = "1"
-# The largest dim of a loaded file and of the CLI's --dim, refused before anything is allocated.
-# At d = 32 a fidelity pair report of two random observables takes 4.5 s and 51 MB, and one of
-# the commuting-subspace --dc 16 pair, which the block split certifies, 0.34 s and 43 MB (2-vCPU
-# Xeon); the limit is part of the CLI contract.
+# The largest dim of a loaded file and of the CLI's --dim, refused before anything is allocated,
+# so that one command stays within a second and about 50 MB: README "Scope" gives the measured
+# time and memory of the largest reports. The limit is part of the CLI contract.
 MAX_DIM = 32
 
 

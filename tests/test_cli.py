@@ -677,3 +677,31 @@ def test_commands_load_no_scipy_module_but_the_lbfgsb_extension(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *map(str, _fixture_files(tmp_path))],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     assert proc.stdout.splitlines()[-1] == "['scipy.optimize._lbfgsb']"
+
+
+# Runs a Lueders compute and verify's luders suite through main, counting the
+# block splits, then prints the count and whether numpy.ma was imported.
+_NO_MASKED_ARRAYS = """
+import sys
+import qincompat.cli, qincompat.incompatibility as inc
+split, calls = inc._invariant_blocks, []
+inc._invariant_blocks = lambda *pair: calls.append(1) or split(*pair)
+a, b = sys.argv[1:3]
+assert qincompat.cli.main(["compute", "--measure", "F", "--luders", a, b, *sys.argv[3:]]) == 0
+assert qincompat.cli.main(["verify", "--suite", "luders"]) == 0
+print(len(calls), "numpy.ma" in sys.modules)
+"""
+
+
+def test_lueders_commands_do_not_import_numpy_ma(tmp_path):
+    """The block split labels its components without ``np.unique``, which imports numpy.ma."""
+    for outcomes, seed in ((3, 1), (4, 2)):
+        assert run(["construct", "random-povm", "--dim", 3, "--outcomes", outcomes,
+                    "--seed", seed, "--out", tmp_path]) == 0
+    files = [tmp_path / "random_povm_d3_n3_s1.json", tmp_path / "random_povm_d3_n4_s2.json"]
+    src = Path(qincompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, *map(str, files), *FAST],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    splits, masked = proc.stdout.splitlines()[-1].split()
+    assert int(splits) >= 2 and masked == "False"

@@ -1158,6 +1158,38 @@ def test_repeated_blocks_merge_without_moving_the_ceiling(d, extra, minimize_cal
     )
 
 
+def _blocks_by_unique(first, second):
+    """The blocks of :func:`_invariant_blocks`, labelled through ``np.unique`` as it once did."""
+    gens = np.concatenate((first.kraus, measurement_effects(second)))
+    weights = np.sqrt(np.arange(2.0, len(gens) + 2.0))
+    _, vecs = incompatibility._eigh(np.tensordot(weights, gens, axes=1), "a generic element")
+    linked = (np.abs(vecs.conj().T @ gens @ vecs) > incompatibility.BLOCK_TOL).any(axis=0)
+    np.fill_diagonal(linked, True)
+    labels = np.arange(len(vecs))
+    while not np.array_equal(labels, spread := np.where(linked, labels, len(vecs)).min(axis=1)):
+        labels = spread
+    return [vecs[:, labels == label] for label in np.unique(labels)]
+
+
+def test_blocks_equal_those_labelled_through_np_unique():
+    """The representatives of the components are the labels that are their own index."""
+    pairs = [_planted_pair(kind, sizes, seed)[0] for kind, sizes, seed in (
+        ("observable", (1, 2, 3), 21), ("degenerate", (1, 2, 3), 22), ("povm", (2, 3), 23),
+        ("observable", (3, 1, 1, 2), 25),
+    )]
+    pairs += [_kron_pair(d, extra) for d in (2, 3) for extra in (False, True)]
+    pairs += [commuting_subspace_pair(6, 3), asymmetric_pair(5, 2)]
+    pairs.append((random_observable(4, np.random.default_rng(3)), random_povm(4, 3, 4)))
+    counts = set()
+    for pair in pairs:
+        for first, second in (pair, pair[::-1]):
+            blocks = incompatibility._invariant_blocks(first, second)
+            reference = _blocks_by_unique(first, second)
+            assert [b.tobytes() for b in blocks] == [b.tobytes() for b in reference]
+            counts.add(len(blocks))
+    assert {1, 2, 3, 4} <= counts
+
+
 def test_lueders_norm_ceiling():
     rng = np.random.default_rng(12)
     for d in (2, 3, 5):

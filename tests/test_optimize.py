@@ -596,6 +596,7 @@ def test_objective_rows_equal_stacks_of_one_bit_for_bit(dim):
         if name.startswith("folded"):
             stack = rng.standard_normal((7, width))
             stack[2] = 0.0  # below the zero-norm threshold
+            stack[4, 1] = np.nan  # a NaN norm takes the same penalty
         else:
             stack = rng.standard_normal((7, width)) + 1j * rng.standard_normal((7, width))
             stack /= np.linalg.norm(stack, axis=1)[:, None]
@@ -605,6 +606,27 @@ def test_objective_rows_equal_stacks_of_one_bit_for_bit(dim):
             value, grad = fn(stack[row : row + 1].copy())
             assert value.tobytes() == values[row : row + 1].tobytes(), name
             assert grad.tobytes() == grads[row : row + 1].tobytes(), name
+
+
+def test_a_non_finite_coordinate_takes_the_zero_norm_penalty():
+    """A NaN norm fails the norm test, so its row is penalized like a zero row, Faces and all."""
+    fold = _folded_objective(pair_distance_objective(
+        Measure.FIDELITY, random_povm(2, 4, seed=0), trine_povm()), 2)
+    stack = np.random.default_rng(4).standard_normal((5, 4))
+    stack[1] = 0.0
+    stack[2, 3] = np.nan
+    stack[3] = np.nan
+    values, grads, faces = fold(stack)
+    assert values[1:4].tolist() == [optimize._ZERO_NORM_PENALTY] * 3
+    assert not grads[1:4].any() and (faces.probs[1:4] == 1.0).all()
+    for row in (0, 4):
+        alone = fold(stack[row : row + 1].copy())
+        assert values[row] < 0 and (faces.probs[row] < 1.0).any()
+        assert alone[0].tobytes() == values[row : row + 1].tobytes()
+        assert alone[1].tobytes() == grads[row : row + 1].tobytes()
+        assert alone[2].probs.tobytes() == faces.probs[row : row + 1].tobytes()
+    for row in (2, 3):
+        assert fold(stack[row : row + 1].copy())[0].tolist() == [optimize._ZERO_NORM_PENALTY]
 
 
 def _face_free(fun):
