@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 import math
 import numbers
 
@@ -67,8 +67,11 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 
 
 def zero_floor(eigvals: np.ndarray) -> np.ndarray:
-    """Zero out negative and round-off-scale eigenvalues; sqrt would blow 1e-16 up to 1e-8."""
-    floor = 1e-14 * max(float(eigvals.max()), 1.0)
+    """Zero out negative and round-off-scale eigenvalues; sqrt would blow 1e-16 up to 1e-8.
+
+    The floor is ``1e-14 * max(largest, 1)``, taken per spectrum along the last axis of a stack.
+    """
+    floor = 1e-14 * np.maximum(eigvals.max(axis=-1, keepdims=True), 1.0)
     return np.where(eigvals > floor, eigvals, 0.0)
 
 
@@ -173,21 +176,22 @@ _NORMAL_MIX = np.e
 
 
 def _normal_basis(kraus: np.ndarray) -> np.ndarray:
-    """Orthonormal basis adapted to a Kraus operator's invariant directions.
+    """Orthonormal bases adapted to the invariant directions of each Kraus operator of a stack.
 
     A normal ``K`` has commuting Hermitian parts ``H1 = (K + K^dag)/2`` and
     ``H2 = (K - K^dag)/2i``, and an eigenbasis of ``H1 + c H2`` at
     ``c = _NORMAL_MIX`` is a joint one, which diagonalizes ``K``, unless two
     distinct eigenvalues ``a + ib`` of ``K`` have ``a + cb`` in common. An
     exactly Hermitian ``K``, as every Kraus operator the package builds is,
-    has ``H2 = 0``, so this is an eigenbasis of ``K`` itself.
+    has ``H2 = 0``, so this is an eigenbasis of ``K`` itself. A ``K`` that is
+    not normal gets the eigenbasis of ``K^dag K``. ``kraus`` is one ``(d, d)``
+    operator or an ``(n, d, d)`` stack, decomposed in one stacked ``eigh``.
     """
-    commut = kraus @ kraus.conj().T - kraus.conj().T @ kraus
-    if max_abs(commut) <= 1e-9:
-        mixed = (kraus + kraus.conj().T) / 2.0 + _NORMAL_MIX * (kraus - kraus.conj().T) / 2.0j
-        _, vecs = _eigh(mixed, "a Kraus operator")
-        return vecs
-    _, vecs = _eigh(kraus.conj().T @ kraus, "a Kraus operator")
+    adjoint = kraus.conj().swapaxes(-1, -2)
+    gram = adjoint @ kraus
+    normal = np.abs(kraus @ adjoint - gram).max(axis=(-2, -1)) <= 1e-9
+    mixed = (kraus + adjoint) / 2.0 + _NORMAL_MIX * (kraus - adjoint) / 2.0j
+    _, vecs = _eigh(np.where(normal[..., None, None], mixed, gram), "a Kraus operator")
     return vecs
 
 
@@ -202,17 +206,69 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _candidate_rows(bases, *sums: np.ndarray) -> np.ndarray:
-    """Unit rows of each basis's columns and their sum, basis by basis, then of ``sums``."""
-    return _unit_rows(np.vstack([row for basis in bases for row in (basis.T, basis.sum(axis=1))]
-                                + list(sums)))
+def _candidate_rows(bases: np.ndarray, *sums: np.ndarray) -> np.ndarray:
+    """Unit rows of each basis's columns and their sum, basis by basis, then of ``sums``.
+
+    ``bases`` is an ``(n, d, d)`` stack, summed in one reduction along its last axis.
+    """
+    n, dim, _ = bases.shape
+    per_basis = np.concatenate((bases.transpose(0, 2, 1), bases.sum(axis=2)[:, None]), axis=1)
+    return _unit_rows(np.vstack((per_basis.reshape(n * (dim + 1), dim), *sums)))
 
 
 def _kraus_rows(kraus: np.ndarray) -> np.ndarray:
     """Read-only unit rows of each Kraus operator's :func:`_normal_basis` and its sum."""
-    rows = _candidate_rows([_normal_basis(k) for k in kraus])
+    rows = _candidate_rows(_normal_basis(kraus))
     _freeze(rows)
     return rows
+
+
+def _block_widths(offsets: np.ndarray, n_cols: int) -> list[int]:
+    """The width of each block of ``n_cols`` columns, the blocks starting at ``offsets``."""
+    starts = offsets.tolist()
+    return [end - start for start, end in zip(starts, starts[1:] + [n_cols])]
+
+
+def _blocks_by_width(columns: np.ndarray, offsets: np.ndarray) -> list[tuple[list[int] | slice, np.ndarray]]:
+    """The blocks of a C-contiguous ``columns`` that start at ``offsets``, stacked by width.
+
+    Returns, for each distinct block width in increasing order, the indices
+    of its blocks (a slice where they are consecutive) and an ``(n_w, d, w)``
+    stack of them, so that a product per block is one stacked product per
+    width. The columns are copied once, grouped by width, into an array
+    shaped like ``columns``, unless they are in that order already, and each
+    stack is a view: each block has the strides its own slice of ``columns``
+    has. BLAS may round a product of a block of other strides differently,
+    as it does a matrix-vector product whose vector has another stride.
+    """
+    dim, n_cols = columns.shape
+    widths = _block_widths(offsets, n_cols)
+    blocks = sorted(range(len(widths)), key=widths.__getitem__)  # stable: by width, then position
+    grouped = columns
+    if widths != sorted(widths):
+        grouped = columns.take(np.argsort(np.repeat(widths, widths), kind="stable"), axis=1)
+    groups, start = [], 0
+    for width, members in groupby(blocks, key=widths.__getitem__):
+        members = list(members)
+        stop = start + len(members) * width
+        if members[-1] - members[0] == len(members) - 1:  # a run of blocks indexes as a slice
+            members = slice(members[0], members[-1] + 1)
+        groups.append((members, grouped[:, start:stop].reshape(dim, -1, width).transpose(1, 0, 2)))
+        start = stop
+    return groups
+
+
+def _block_products(columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``B B^H`` for each block B of ``columns`` starting at ``offsets``, one stacked product per width.
+
+    Each product is the one ``B @ B.conj().T`` of the block's slice of
+    ``columns``, bit for bit: a block of one column is an outer product.
+    """
+    dim = len(columns)
+    out = np.empty((len(offsets), dim, dim), dtype=np.complex128)
+    for blocks, stack in _blocks_by_width(columns, offsets):
+        out[blocks] = stack @ np.conjugate(stack, order="C").transpose(0, 2, 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -303,6 +359,7 @@ class HermitianObservable:
     ``eigenvalues[i]``. These three fields are validated once, when the
     observable is built; ``matrix``, ``projectors``, ``factors``, ``instrument``
     and ``seed_rows`` are derived from them on first access and are read-only.
+    The ``projectors`` are formed in stacks, one product per distinct rank.
     """
 
     eigenvalues: np.ndarray
@@ -349,13 +406,13 @@ class HermitianObservable:
 
     @cached_property
     def projectors(self) -> np.ndarray:
-        """Stack of eigenprojectors, ``projectors[i]`` of rank ``ranks[i]``."""
-        projs = []
-        for sl in self.block_slices():
-            block = self.basis[:, sl]
-            proj = block @ block.conj().T
-            projs.append((proj + proj.conj().T) / 2.0)
-        projs = np.array(projs)
+        """Stack of eigenprojectors, ``projectors[i]`` of rank ``ranks[i]``.
+
+        Each is ``(P + P^H) / 2`` with ``P = B B^H`` for its block B of
+        ``basis`` columns, formed in one stacked product per distinct rank.
+        """
+        projs = _block_products(self.basis, self.factors[1])
+        projs = (projs + projs.conj().transpose(0, 2, 1)) / 2.0
         _freeze(projs)
         return projs
 
@@ -393,7 +450,7 @@ class HermitianObservable:
         state evenly over the outcomes, where the disturbance ceiling 1 - 1/r
         is attained.
         """
-        rows = _candidate_rows([self.basis], _spread(self))
+        rows = _candidate_rows(self.basis[None], _spread(self))
         _freeze(rows)
         return rows
 
@@ -462,6 +519,9 @@ class Povm:
     everything that needs the Lüders Kraus operators reads ``kraus``. Its
     candidate states for a supremum are formed once too, as ``seed_rows``,
     and those of its Lüders instrument, for its disturbance, as ``luders_rows``.
+    Each of these is formed in stacks from the stacked spectra, one product
+    per quantity over all effects, never effect by effect; each slice rounds
+    as the product of its effect alone would.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -489,15 +549,23 @@ class Povm:
         _freeze(*elems)
 
     @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(n, d)`` eigenvalues and ``(n, d, d)`` eigenvectors of every effect, stacked.
+
+        They are ``eigh((E + E^H)/2)`` of each effect E, in one stacked call.
+        """
+        elems = np.array(self.elements)
+        eigvals, eigvecs = _eigh((elems + elems.conj().transpose(0, 2, 1)) / 2.0, "a POVM effect")
+        _freeze(eigvals, eigvecs)
+        return eigvals, eigvecs
+
+    @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Read-only ``(eigenvalues, eigenvectors)`` of ``eigh((E + E^H)/2)`` per effect E.
 
         All effects are decomposed in one stacked call; each entry is a view of its stack.
         """
-        elems = np.array(self.elements)
-        eigvals, eigvecs = _eigh((elems + elems.conj().transpose(0, 2, 1)) / 2.0, "a POVM effect")
-        _freeze(eigvals, eigvecs)
-        return tuple(zip(eigvals, eigvecs))
+        return tuple(zip(*self._eigen))
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -507,7 +575,7 @@ class Povm:
         eigenvalues are zeroed, not rooted. These are the eigenvalues of the
         Lüders Kraus operators, with the eigenvectors of ``spectra``.
         """
-        roots = np.sqrt([zero_floor(eigvals) for eigvals, _ in self.spectra])
+        roots = np.sqrt(zero_floor(self._eigen[0]))
         _freeze(roots)
         return roots
 
@@ -519,21 +587,24 @@ class Povm:
         ``roots`` entry, each scaled by it; an effect with none has one zero
         column, so every outcome keeps a block.
         """
-        columns = []
-        for (_, eigvecs), roots in zip(self.spectra, self.roots):
-            keep = roots > 0
-            columns.append(eigvecs[:, keep] * roots[keep] if keep.any()
-                           else np.zeros((self.dim, 1), dtype=np.complex128))
-        widths = [c.shape[1] for c in columns]
-        factors, offsets = np.hstack(columns), np.cumsum([0] + widths[:-1])
+        n, dim = self.roots.shape
+        keep = self.roots > 0
+        empty = ~keep.any(axis=1)
+        keep[empty, 0] = True  # zeroed below
+        scaled = np.multiply(self._eigen[1].transpose(1, 0, 2), self.roots, order="C")
+        factors = scaled.reshape(dim, n * dim).take(np.flatnonzero(keep), axis=1)
+        widths = keep.sum(axis=1)
+        offsets = np.cumsum(widths) - widths
+        factors[:, offsets[empty]] = 0.0
         _freeze(factors, offsets)
         return factors, offsets
 
     @cached_property
     def kraus(self) -> np.ndarray:
         """Read-only Lüders Kraus operators ``sqrt(E_k)``, stacked, from ``spectra`` and ``roots``."""
-        roots = [(vecs * root) @ vecs.conj().T for (_, vecs), root in zip(self.spectra, self.roots)]
-        kraus = np.stack([(root + root.conj().T) / 2.0 for root in roots])
+        eigvecs = self._eigen[1]
+        roots = (eigvecs * self.roots[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
+        kraus = (roots + roots.conj().transpose(0, 2, 1)) / 2.0
         _freeze(kraus)
         return kraus
 
@@ -544,8 +615,9 @@ class Povm:
         They are the ``spectra`` eigenvectors of each effect and their sum,
         effect by effect, then the sum of every effect's top eigenvector.
         """
-        tops = np.stack([eigvecs[:, -1] for _, eigvecs in self.spectra], axis=1)
-        rows = _candidate_rows([eigvecs for _, eigvecs in self.spectra], tops.sum(axis=1))
+        eigvecs = self._eigen[1]
+        tops = np.ascontiguousarray(eigvecs[:, :, -1].T)
+        rows = _candidate_rows(eigvecs, tops.sum(axis=1))
         _freeze(rows)
         return rows
 

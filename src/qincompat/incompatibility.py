@@ -27,6 +27,9 @@ from .core import (
     Instrument,
     Povm,
     PureState,
+    _block_products,
+    _block_widths,
+    _blocks_by_width,
     _eigh,
     _eigvalsh,
     _norm,
@@ -168,10 +171,12 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     and K_k first's cached Kraus stack (``first.kraus``), one column
     matrix ``cols = [conj(W) | K_k^T conj(W) for every k]`` is built per
     ordered pair, grouped by outcome, so ``amp = psi @ cols`` holds every
-    <w|psi> and <w|K_k psi>. The undisturbed and sequential probabilities
-    p_j and q_j are sums of |amp|^2 over blocks, one ``np.add.reduceat``,
-    so both stay exactly nonnegative and match the public distribution
-    functions up to round-off. The gradient is
+    <w|psi> and <w|K_k psi>. The products ``K_k^T conj(W_j)`` are formed in
+    one stacked product per distinct width of the blocks W_j, each slice
+    rounding as the product of its block alone. The undisturbed and
+    sequential probabilities p_j and q_j are sums of |amp|^2 over blocks,
+    one ``np.add.reduceat``, so both stay exactly nonnegative and match the
+    public distribution functions up to round-off. The gradient is
     ``conj(cols) @ (weights * amp)``, with each column weighted by twice the
     derivative of the distance in its block's probability. Both products
     are stacked matrix-vector products, one per state.
@@ -192,12 +197,21 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     if dim != factors.shape[0]:
         raise DimensionMismatchError(f"dimensions differ: {dim} vs {factors.shape[0]}")
     factors_conj = factors.conj()
-    blocks = np.split(factors_conj, offsets[1:], axis=1)
-    kraus_t = kraus.transpose(0, 2, 1)  # per block: one product over all blocks rounds otherwise
-    products = [(kraus_t @ block).transpose(1, 0, 2).reshape(dim, -1) for block in blocks]
-    cols = np.hstack([factors_conj] + products)
-    sizes = np.array([block.shape[1] for block in blocks])
-    widths = np.concatenate((sizes, len(kraus) * sizes))
+    n_kraus, n_cols = len(kraus), factors.shape[1]
+    sizes = np.array(_block_widths(offsets, n_cols))
+    kraus_t = kraus.transpose(0, 2, 1)
+    cols = np.empty((dim, (1 + n_kraus) * n_cols), dtype=np.complex128)
+    cols[:, :n_cols] = factors_conj
+    # Per block, as one product over all blocks rounds otherwise: block j's
+    # K_k^T conj(W_j) for every k fill its columns, k by k, after conj(W).
+    firsts = n_cols + n_kraus * offsets  # the first of each block's columns
+    for blocks, stack in _blocks_by_width(factors_conj, offsets):
+        products = (kraus_t[:, None] @ stack).transpose(2, 1, 0, 3).reshape(dim, -1)
+        if isinstance(blocks, slice):  # consecutive blocks fill consecutive columns
+            cols[:, firsts[blocks.start]:firsts[blocks.start] + products.shape[1]] = products
+        else:
+            cols[:, (firsts[blocks, None] + np.arange(n_kraus * stack.shape[2])).ravel()] = products
+    widths = np.concatenate((sizes, n_kraus * sizes))
     starts = np.cumsum(widths) - widths
     column_block = np.repeat(np.arange(widths.size), widths)
     weigh = _WEIGHTS[measure]
@@ -349,7 +363,15 @@ def _same_states(rows: np.ndarray) -> np.ndarray:
 
 def _distinct(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
     """The rows that are no earlier row's state, by the :func:`_same_states` matrix ``same``."""
-    return rows[~np.triu(same, 1).any(axis=0)]
+    return rows[~(same & _strict_upper(len(rows))).any(axis=0)]
+
+
+@functools.lru_cache(maxsize=256)
+def _strict_upper(n: int) -> np.ndarray:
+    """The read-only mask of the entries above the diagonal of an ``n x n`` matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _subset_superpositions(first, second) -> np.ndarray | None:
@@ -422,9 +444,17 @@ def _subset_masks(n: int) -> np.ndarray:
 
 
 def _block_grams(columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The sum of |c><c| over each block of columns, the blocks starting at ``offsets``."""
-    rows = columns.T
-    return np.add.reduceat(rows[:, :, None] @ rows.conj()[:, None, :], offsets, axis=0)
+    """``G_j = W_j W_j^H`` for each block W_j of columns, the blocks starting at ``offsets``.
+
+    Where every block is one column c, as for a non-degenerate observable,
+    they are the outer products ``|c><c|``, all in one product; otherwise
+    each is one product of its block, stacked per block width, which gives
+    a one-column block the same outer product.
+    """
+    if len(offsets) == columns.shape[1]:
+        rows = columns.T
+        return rows[:, :, None] @ rows.conj()[:, None, :]
+    return _block_products(columns, offsets)
 
 
 def _exact_directional(measure: Measure, first, second) -> OptResult:

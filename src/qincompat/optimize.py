@@ -626,7 +626,9 @@ def maximize_over_pure_states(
     :class:`ObjectiveNaNError` if the objective returns a non-finite value
     at any probed state.
     """
-    return _maximize_many(objective, dim, [seeds], config, stacked=False)[0]
+    if dim < 2:
+        raise ParamOutOfRangeError("dimension must be at least 2")
+    return _maximize_many(objective, dim, [_checked_seeds(seeds, dim)], config, stacked=False)[0]
 
 
 def _checked_seeds(seeds, dim: int) -> np.ndarray:
@@ -651,6 +653,9 @@ def _maximize_many(
     indices into ``seed_sets``, gives it, and returns what a one-problem
     objective returns, with :class:`Faces` columns per problem. Row ``s`` of
     the result may depend on row ``s`` and its problem alone, bit for bit.
+    Each seed set must be an ``(S, dim)`` ``complex128`` array of unit rows,
+    as the package forms them, and ``dim`` at least 2: neither is checked
+    here, where :func:`maximize_over_pure_states` has checked its own.
     Each problem's seeds are evaluated, ranked and refined, with the same
     random starts, as :func:`maximize_over_pure_states` would, and all
     starts of all problems are one :func:`minimize` call, with one
@@ -661,10 +666,7 @@ def _maximize_many(
     :func:`minimize` runs without problems: the search of
     :func:`maximize_over_pure_states`.
     """
-    if dim < 2:
-        raise ParamOutOfRangeError("dimension must be at least 2")
     cfg = config if config is not None else OptimizerConfig()
-    seed_sets = [_checked_seeds(seeds, dim) for seeds in seed_sets]
     if stacked:
         evaluate = objective
     else:
@@ -706,12 +708,14 @@ def _maximize_many(
     norms = np.sqrt(np.vecdot(result.x, result.x))  # one dot product per row
     kept = norms >= 1e-12
     vecs = result.x[kept].view(np.complex128) / norms[kept, None]
-    values = _checked(evaluate(vecs, problems[kept])[0]) if len(vecs) else ()
-    for row, value, vec in zip(np.flatnonzero(kept).tolist(), values, vecs):
+    values = _checked(evaluate(vecs, problems[kept])[0]).tolist() if len(vecs) else ()
+    # The merge reads Python floats and ints, not a numpy scalar or .sum() per start or problem.
+    for k, (row, value) in enumerate(zip(np.flatnonzero(kept).tolist(), values)):
         entry = best[owner[row]]
         if value > entry[0]:
             seeded = row < spans[owner[row]][1]
-            entry[:] = value, vec, Provenance.ANALYTIC_SEED if seeded else Provenance.RANDOM_START
+            entry[:] = value, vecs[k], Provenance.ANALYTIC_SEED if seeded else Provenance.RANDOM_START
+    kept, nfevs, nits = kept.tolist(), result.nfevs.tolist(), result.nits.tolist()
 
     results = []
     for (value, vec, provenance), rows, (lo, mid, hi) in zip(best, seed_sets, spans):
@@ -721,8 +725,8 @@ def _maximize_many(
             value=float(value),
             argmax=PureState._trusted(vec.copy()),  # not a view that keeps every end point
             provenance=provenance,
-            starts_used=int(kept[mid:hi].sum()),
-            evaluations=len(rows) + int(result.nfevs[lo:hi].sum()) + int(kept[lo:hi].sum()),
-            iterations=int(result.nits[lo:hi].sum()),
+            starts_used=sum(kept[mid:hi]),
+            evaluations=len(rows) + sum(nfevs[lo:hi]) + sum(kept[lo:hi]),
+            iterations=sum(nits[lo:hi]),
         ))
     return results

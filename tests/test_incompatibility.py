@@ -448,18 +448,28 @@ def test_exact_values_read_the_effect_factors_not_the_effect_matrices(monkeypatc
         assert abs(result.value - value) <= 2e-15, name
 
 
-def _eigenbasis_differences_reference(first, second):
-    """An observable pair's stack, G_j read off second's eigenbasis V and ranks as U^H V."""
-    basis = first.basis
-    rows = (basis.conj().T @ second.basis).T
-    outer = rows[:, :, None] @ rows.conj()[:, None, :]
-    rotated = np.add.reduceat(outer, np.cumsum((0,) + second.ranks[:-1]), axis=0)
+def _eigenbasis_differences_reference(first, second, per_block=True):
+    """An observable pair's stack, G_j read off second's eigenbasis V and ranks as U^H V.
+
+    Each G_j is the product ``B B^H`` of its block B of columns of U^H V,
+    block by block, or with ``per_block`` False the sum of the outer products
+    of B's columns, which rounds alike for a block of one column.
+    """
+    columns = first.basis.conj().T @ second.basis
+    if per_block:
+        blocks = np.split(columns, np.cumsum(second.ranks[:-1]), axis=1)
+        rotated = np.stack([block @ block.conj().T for block in blocks])
+    else:
+        rows = columns.T
+        outer = rows[:, :, None] @ rows.conj()[:, None, :]
+        rotated = np.add.reduceat(outer, np.cumsum((0,) + second.ranks[:-1]), axis=0)
     labels = np.repeat(np.arange(first.n_outcomes), first.ranks)
     return np.where(labels[:, None] == labels, 0.0, -rotated)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_observable_pair_differences_are_formed_bit_for_bit_as_before(d):
+    """Bit for bit as the outer products did for a non-degenerate second, and as a product per block."""
     rng = np.random.default_rng(2403 + d)
     pairs = [(random_observable(d, rng), random_observable(d, rng))]
     pairs += [_eigenbasis_pair(kind, d) for kind in _EIGENBASIS_KINDS[:3]]
@@ -468,6 +478,10 @@ def test_observable_pair_differences_are_formed_bit_for_bit_as_before(d):
             diff, basis = incompatibility._heralded_differences(first, second)
             assert basis is first.basis
             assert diff.tobytes() == _eigenbasis_differences_reference(first, second).tobytes()
+            outer_sums = _eigenbasis_differences_reference(first, second, per_block=False)
+            if second.is_nondegenerate:
+                assert diff.tobytes() == outer_sums.tobytes()
+            np.testing.assert_allclose(diff, outer_sums, rtol=0, atol=4 * d * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("solver", ["eigh", "eigvalsh"])
@@ -707,7 +721,7 @@ def test_an_instrument_is_seeded_once(monkeypatch):
         assert analytic_seed_states(inst).tobytes() == twice.tobytes()
         for measure in (Measure.FIDELITY, Measure.L1):
             maximal_disturbance(measure, inst, TINY)
-        assert len(calls) == len(inst.kraus_flat())
+        assert len(calls) == 1  # one stacked call for all its Kraus operators
 
 
 def _disturbance_fields(result):
@@ -1516,7 +1530,7 @@ def test_an_observables_and_a_povms_seed_rows_are_read_only_and_formed_once(monk
         assert getattr(meas, name) is value, name
     luders = [meas.instrument for meas in measurements if isinstance(meas, Povm)]
     assert len(rows_formed) == len(measurements) + len(luders)
-    assert len(bases) == sum(len(inst.kraus_flat()) for inst in luders + measurements[-1:])
+    assert len(bases) == len(luders + measurements[-1:])  # one stacked call per instrument
     assert len({(id(meas), name) for meas, name in formed}) == len(formed)
 
 
