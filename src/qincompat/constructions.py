@@ -4,6 +4,11 @@ Mutually unbiased pairs use the discrete-Fourier basis, which exists in
 every dimension; eigenvalues of constructed observables are the integers
 1..d (or 1, 2 for two-outcome coarse grainings) since the incompatibility
 measures depend only on the eigenprojectors.
+
+Every observable whose arrays a function here forms itself (a fresh
+identity, Fourier or Haar basis and strictly increasing eigenvalues, one
+per eigenspace) is stored through ``HermitianObservable._trusted``, to the
+bytes validation would store. A basis a caller passes in is validated.
 """
 
 from __future__ import annotations
@@ -60,14 +65,20 @@ def random_observable(dim: int, seed=0) -> HermitianObservable:
     return _observable_on(random_unitary(dim, seed))
 
 
-def _observable_on(basis: np.ndarray) -> HermitianObservable:
-    """Non-degenerate observable with eigenvalues 1..d over the columns of a unitary ``basis``.
+def _observable_on(basis: np.ndarray, values: np.ndarray | None = None) -> HermitianObservable:
+    """Non-degenerate observable with strictly increasing ``values`` (1..d by default) over ``basis``.
 
-    ``basis`` is a fresh :func:`random_unitary` draw that no caller holds, which QR made
-    C-contiguous and unitary to round-off, far inside the 1e-8 that validation allows.
+    ``basis`` is a fresh C-contiguous ``complex128`` array with orthonormal
+    columns that no caller holds, such as a :func:`random_unitary` draw, which
+    QR made unitary to round-off, far inside the 1e-8 that validation allows,
+    or an identity or Fourier basis formed here; ``values`` is a fresh float
+    array. Both are stored as they are, as ``from_eigensystem`` would store
+    them bit for bit, since it values each distinct eigenvalue at ``x - 0.0``.
     """
     dim = basis.shape[0]
-    return HermitianObservable._trusted(np.arange(1.0, dim + 1.0), (1,) * dim, basis)
+    if values is None:
+        values = np.arange(1.0, dim + 1.0)
+    return HermitianObservable._trusted(values, (1,) * dim, basis)
 
 
 def random_povm(dim: int, n_outcomes: int, seed=0) -> Povm:
@@ -105,9 +116,7 @@ def computational_observable(dim: int) -> HermitianObservable:
     """Diagonal observable with eigenvalues 1..d in the standard basis."""
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
-    return HermitianObservable.from_eigensystem(
-        np.arange(1.0, dim + 1.0), np.eye(dim, dtype=np.complex128)
-    )
+    return _observable_on(np.eye(dim, dtype=np.complex128))
 
 
 def fourier_basis(dim: int) -> np.ndarray:
@@ -126,11 +135,7 @@ def fourier_mub_pair(dim: int) -> tuple[HermitianObservable, HermitianObservable
     """
     if dim < 2:
         raise ParamOutOfRangeError("dimension must be at least 2")
-    obs_a = computational_observable(dim)
-    obs_b = HermitianObservable.from_eigensystem(
-        np.arange(1.0, dim + 1.0), fourier_basis(dim)
-    )
-    return obs_a, obs_b
+    return computational_observable(dim), _observable_on(fourier_basis(dim))
 
 
 def mub_triple_qubit() -> tuple[HermitianObservable, HermitianObservable, HermitianObservable]:
@@ -138,12 +143,10 @@ def mub_triple_qubit() -> tuple[HermitianObservable, HermitianObservable, Hermit
     sq = 1.0 / np.sqrt(2.0)
     x_basis = np.array([[sq, sq], [sq, -sq]], dtype=np.complex128)
     y_basis = np.array([[sq, sq], [1j * sq, -1j * sq]], dtype=np.complex128)
-    z_basis = np.eye(2, dtype=np.complex128)
-    vals = np.array([1.0, 2.0])
     return (
-        HermitianObservable.from_eigensystem(vals, x_basis),
-        HermitianObservable.from_eigensystem(vals, y_basis),
-        HermitianObservable.from_eigensystem(vals, z_basis),
+        _observable_on(x_basis),
+        _observable_on(y_basis),
+        computational_observable(2),
     )
 
 
@@ -162,9 +165,7 @@ def commuting_subspace_pair(dim: int, n_shared: int) -> tuple[HermitianObservabl
     block = dim - n_shared
     basis_b = np.eye(dim, dtype=np.complex128)
     basis_b[n_shared:, n_shared:] = fourier_basis(block)
-    obs_a = computational_observable(dim)
-    obs_b = HermitianObservable.from_eigensystem(np.arange(1.0, dim + 1.0), basis_b)
-    return obs_a, obs_b
+    return computational_observable(dim), _observable_on(basis_b)
 
 
 def asymmetric_pair(dim: int, m: int) -> tuple[HermitianObservable, HermitianObservable]:
@@ -179,23 +180,24 @@ def asymmetric_pair(dim: int, m: int) -> tuple[HermitianObservable, HermitianObs
         raise ParamOutOfRangeError("dimension must be at least 3")
     if not 1 <= m < dim / 2:
         raise ParamOutOfRangeError("block size m must satisfy 1 <= m < dim / 2")
-    obs_a = computational_observable(dim)
-    values = np.array([1.0] * m + [2.0] * (dim - m))
-    obs_b = HermitianObservable.from_eigensystem(values, fourier_basis(dim))
-    return obs_a, obs_b
+    obs_b = HermitianObservable._trusted(np.array([1.0, 2.0]), (m, dim - m), fourier_basis(dim))
+    return computational_observable(dim), obs_b
 
 
 def degenerate_observable(ranks, basis=None) -> HermitianObservable:
     """Observable with eigenvalue multiplicities ``ranks`` over ``basis`` columns.
 
-    Defaults to the standard basis; eigenvalues are 1..len(ranks).
+    Defaults to the standard basis; eigenvalues are 1..len(ranks). A
+    ``basis`` passed in is validated, the default one is not.
     """
     ranks = tuple(map(_whole, ranks))
     if not ranks or None in ranks or min(ranks) < 1:
         raise ParamOutOfRangeError("ranks must be positive integers")
     dim = sum(ranks)
     if basis is None:
-        basis = np.eye(dim, dtype=np.complex128)
+        return HermitianObservable._trusted(
+            np.arange(1.0, len(ranks) + 1.0), ranks, np.eye(dim, dtype=np.complex128)
+        )
     values = np.concatenate(
         [np.full(r, float(i + 1)) for i, r in enumerate(ranks)]
     )

@@ -7,9 +7,10 @@ public constructor, a library argument, a loaded file) checks its defining
 invariants at construction time and freezes its arrays afterwards, so
 instances are immutable and safe to share between threads. The observables
 the package draws on fresh Haar-random unitaries (``random_observable``, the
-pairs of ``conjecture_scan`` and ``verify``) and the unit argmax states it
-computes meet those invariants by construction: ``HermitianObservable._trusted``
-and ``PureState._trusted`` store their arrays, frozen, without checking them again.
+pairs of ``conjecture_scan`` and ``verify``), the fixture families it forms on
+identity and Fourier bases, and the unit argmax states it computes meet those
+invariants by construction: ``HermitianObservable._trusted`` and
+``PureState._trusted`` store their arrays, frozen, without checking them again.
 """
 
 from __future__ import annotations

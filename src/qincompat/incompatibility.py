@@ -467,7 +467,9 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
     is the negated complement of one that does not, so the 2^(n-1) sums of
     D_1..D_{n-1} cover every subset through their extreme eigenvalues.
     When first is an observable the D_j are taken in its eigenbasis, and the
-    winning eigenvector is mapped back (:func:`_heralded_differences`).
+    winning eigenvector is mapped back (:func:`_heralded_differences`). Where
+    the winning eigenvalue is repeated, the argmax is the
+    :func:`_reference_projection` onto its eigenspace.
     """
     diff, basis = _heralded_differences(first, second)
     n, dim, _ = diff.shape
@@ -483,12 +485,44 @@ def _exact_directional(measure: Measure, first, second) -> OptResult:
     top, bottom = lam[:, -1], -lam[:, 0]
     j = int(np.argmax(np.maximum(top, bottom)))
     if top[j] >= bottom[j]:
-        value, vec = top[j], vecs[j, :, -1]
+        value, end, inner = top[j], -1, -2
     else:
-        value, vec = bottom[j], vecs[j, :, 0]
+        value, end, inner = bottom[j], 0, 1
+    vec = vecs[j, :, end]
+    if dim > 1 and abs(lam[j, inner] - lam[j, end]) <= _REPEATED_TOL:
+        space = np.abs(lam[j] - lam[j, end]) <= _REPEATED_TOL
+        vec = _reference_projection(vecs[j][:, space], basis)
     if basis is not None:
         vec = basis @ vec
     return _exact_result(float(value), vec)
+
+
+# Eigenvalues of one D_j or subset sum this close are taken as one repeated
+# eigenvalue. Those matrices have norm at most 1 (a difference of two
+# effects' expectations) and are formed to a few eps, and eigh is backward
+# stable, so the copies of an exactly repeated eigenvalue come back within
+# about d eps of each other, 1.4e-14 at d = 64, while any state of the merged
+# eigenspace attains the value to within 1e-12, far inside every claim's tolerance.
+_REPEATED_TOL = 1e-12
+
+
+def _reference_projection(space: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """The projection of one fixed reference vector onto the span of the columns of ``space``.
+
+    LAPACK may return any orthonormal basis of a repeated eigenvalue's
+    eigenspace, and round-off of a few eps can turn it; the projection of a
+    fixed vector depends on the eigenspace alone, so it moves only by that
+    round-off over the spectral gap. The reference, ``exp(i e k^2) / sqrt(d)``
+    for k = 0..d-1, has unit moduli and transcendental phases, which no
+    eigenspace of the package's fixtures is orthogonal to. It is taken in the
+    computational basis, which ``basis`` (or None) maps ``space`` to, so the
+    argmax does not depend on which eigenbasis a degenerate first was given.
+    """
+    dim = space.shape[0]
+    reference = np.exp(1j * np.e * np.arange(dim) ** 2) / np.sqrt(dim)
+    if basis is not None:
+        reference = basis.conj().T @ reference
+    return space @ (space.conj().T @ reference)
 
 
 def _exact_result(value: float, vector: np.ndarray) -> OptResult:
@@ -1148,7 +1182,5 @@ def conjecture_scan(
 
 def commuting_fixture(dim: int) -> tuple[HermitianObservable, HermitianObservable]:
     """A canonical fully commuting non-degenerate pair (both diagonal)."""
-    obs_a = computational_observable(dim)
-    values = np.arange(1.0, dim + 1.0) ** 2
-    obs_b = HermitianObservable.from_eigensystem(values, np.eye(dim, dtype=np.complex128))
-    return obs_a, obs_b
+    obs_b = _observable_on(np.eye(dim, dtype=np.complex128), np.arange(1.0, dim + 1.0) ** 2)
+    return computational_observable(dim), obs_b

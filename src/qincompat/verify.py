@@ -8,18 +8,18 @@ fixtures they exercise.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from . import constructions
 from .accessible import RankOnePovm, acc_fid_objective, q_acc_upper_bound
 from .constructions import (
     _observable_on,
     asymmetric_pair,
-    commuting_subspace_pair,
     degenerate_observable,
-    fourier_mub_pair,
     mub_triple_qubit,
     random_observable,
     random_povm,
@@ -63,13 +63,34 @@ class ClaimResult:
         return self.measured >= self.expected - self.tol
 
 
+# The fixtures built so far in the current run_suites call, by construction
+# name and arguments; None outside a call, where each fixture is built anew.
+_FIXTURES: ContextVar[dict | None] = ContextVar("_FIXTURES", default=None)
+
+
+def _fixture(name: str, *args):
+    """``constructions.<name>(*args)``, built once per :func:`run_suites` call.
+
+    Suites that read the same fixture share one object, and with it the
+    derived data cached on it. The construction is looked up on the module
+    at each build, so a wrapper installed there sees every build.
+    """
+    memo = _FIXTURES.get()
+    if memo is None:
+        return getattr(constructions, name)(*args)
+    key = (name, *args)
+    if key not in memo:
+        memo[key] = getattr(constructions, name)(*args)
+    return memo[key]
+
+
 def _symmetric(measure, obs_a, obs_b, config) -> float:
     return pair_incompatibility(measure, obs_a, obs_b, config, with_bounds=False).symmetric
 
 
 def _suite_mub_directional(config_for) -> Iterable[ClaimResult]:
     for d in range(2, 9):
-        obs_a, obs_b = fourier_mub_pair(d)
+        obs_a, obs_b = _fixture("fourier_mub_pair", d)
         value = directional_incompatibility(
             Measure.FIDELITY, obs_a, obs_b, config_for(d)
         ).value
@@ -85,7 +106,7 @@ def _suite_mub_directional(config_for) -> Iterable[ClaimResult]:
 
 def _suite_mub_symmetric(config_for) -> Iterable[ClaimResult]:
     for d in range(2, 7):
-        obs_a, obs_b = fourier_mub_pair(d)
+        obs_a, obs_b = _fixture("fourier_mub_pair", d)
         expected = 0.5 * (1.0 - 1.0 / d)
         for measure in _ALL_MEASURES:
             value = _symmetric(measure, obs_a, obs_b, config_for(d))
@@ -107,7 +128,7 @@ def _suite_commutation(config_for) -> Iterable[ClaimResult]:
             "observable with its own square d=3",
             (base, spectral_decompose(base.matrix @ base.matrix)),
         ),
-        ("fully shared eigenvectors d=3", commuting_subspace_pair(3, 2)),
+        ("fully shared eigenvectors d=3", _fixture("commuting_subspace_pair", 3, 2)),
     ]
     for label, (obs_a, obs_b) in fixtures:
         worst = max(
@@ -160,7 +181,7 @@ def _suite_disturbance_ordering(config_for) -> Iterable[ClaimResult]:
 
 def _suite_shared_eigenvectors(config_for) -> Iterable[ClaimResult]:
     for d, d_c in ((4, 1), (4, 2), (6, 3), (8, 5)):
-        obs_a, obs_b = commuting_subspace_pair(d, d_c)
+        obs_a, obs_b = _fixture("commuting_subspace_pair", d, d_c)
         value = _symmetric(Measure.FIDELITY, obs_a, obs_b, config_for(d))
         yield ClaimResult(
             "shared-eigenvectors",
@@ -249,7 +270,7 @@ def _suite_asymmetry(config_for) -> Iterable[ClaimResult]:
 
 def _suite_accessible(config_for) -> Iterable[ClaimResult]:
     for d, d_c in ((4, 2), (6, 3)):
-        obs_a, obs_b = commuting_subspace_pair(d, d_c)
+        obs_a, obs_b = _fixture("commuting_subspace_pair", d, d_c)
         povm = RankOnePovm.from_basis(obs_b.basis)
         value = 1.0 - acc_fid_objective(povm, (obs_a, obs_b))
         yield ClaimResult(
@@ -260,7 +281,7 @@ def _suite_accessible(config_for) -> Iterable[ClaimResult]:
             0.5 * (1.0 - (d_c + 1.0) / d),
             1e-10,
         )
-    obs_a, obs_b = commuting_subspace_pair(4, 1)
+    obs_a, obs_b = _fixture("commuting_subspace_pair", 4, 1)
     gap = closed_form("fidelity_shared_eigenvectors", d=4, d_c=1) - q_acc_upper_bound(
         obs_a, obs_b
     )
@@ -298,7 +319,9 @@ def run_suites(selectors: Iterable[str] = ("all",), rng_seed: int = 0) -> list[C
     Every selector is checked, and each suite runs once, in the order of its
     first mention; ``all`` names every suite in ``SUITES`` order. Each
     supremum uses a 4-start, 400-iteration search seeded from ``rng_seed``
-    plus the fixture's dimension. Deterministic for fixed arguments.
+    plus the fixture's dimension. Deterministic for fixed arguments. Each
+    fixture is built once per call and shared by the suites that read it;
+    none is kept across calls.
     """
     chosen: dict[str, None] = {}
     for sel in selectors:
@@ -309,4 +332,8 @@ def run_suites(selectors: Iterable[str] = ("all",), rng_seed: int = 0) -> list[C
     def config_for(dim: int) -> OptimizerConfig:
         return OptimizerConfig(n_random_starts=4, max_iterations=400, rng_seed=rng_seed + dim)
 
-    return [claim for suite in chosen for claim in _SUITE_RUNNERS[suite](config_for)]
+    token = _FIXTURES.set({})
+    try:
+        return [claim for suite in chosen for claim in _SUITE_RUNNERS[suite](config_for)]
+    finally:
+        _FIXTURES.reset(token)

@@ -353,6 +353,64 @@ def test_run_suites_checks_every_selector_and_runs_each_suite_once(monkeypatch):
             verify.run_suites(selectors)
 
 
+_SHARING_SUITES = ["mub-directional", "mub-symmetric", "shared-eigenvectors", "accessible"]
+
+
+def _recorded_fixtures(monkeypatch):
+    """Record each fixture the suites read, with its key, and each fixture construction that runs."""
+    import qincompat.constructions as constructions
+    import qincompat.verify as verify
+
+    read, built = [], []
+    real_fixture = verify._fixture
+
+    def reading(name, *args):
+        pair = real_fixture(name, *args)
+        read.append(((name, *args), pair))
+        return pair
+
+    def building(name, real):
+        return lambda *args: built.append((name, *args)) or real(*args)
+
+    monkeypatch.setattr(verify, "_fixture", reading)
+    for name in ("fourier_mub_pair", "commuting_subspace_pair"):
+        monkeypatch.setattr(constructions, name, building(name, getattr(constructions, name)))
+    return read, built
+
+
+def test_suites_of_one_run_share_each_fixture_and_the_next_run_builds_anew(monkeypatch):
+    import qincompat.verify as verify
+
+    read, built = _recorded_fixtures(monkeypatch)
+    verify.run_suites(_SHARING_SUITES)
+    first = dict(read)
+    assert len(read) == 7 + 5 + 4 + 3 and len(first) == 7 + 4  # MUB d = 2..8, shared (4, 1) .. (8, 5)
+    assert sorted(built) == sorted(first)  # one construction per fixture
+    for key, pair in read:
+        assert pair is first[key]
+    read.clear()
+    built.clear()
+    verify.run_suites(_SHARING_SUITES)
+    assert sorted(built) == sorted(first)
+    assert all(pair is not first[key] for key, pair in read)
+    assert verify._FIXTURES.get() is None  # nothing is kept between runs
+
+
+def test_verify_reports_of_one_process_equal_a_fresh_processs(tmp_path):
+    """Two ``verify --suite all`` runs in one process write what a fresh process writes."""
+    src = Path(qincompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for seed in (0, 1, 2):
+        argv = ["verify", "--suite", "all", "--seed", str(seed), "--out"]
+        fresh = tmp_path / f"fresh{seed}.json"
+        subprocess.run([sys.executable, "-m", "qincompat.cli", *argv, str(fresh)],
+                       capture_output=True, env=env, timeout=300, check=True)
+        for again in range(2):
+            here = tmp_path / f"here{seed}_{again}.json"
+            assert run([*argv, here]) == 0
+            assert here.read_bytes() == fresh.read_bytes()
+
+
 def test_construct_asymmetric_and_random_families(tmp_path):
     assert run(["construct", "asymmetric", "--dim", 4, "--m", 1, "--out", tmp_path]) == 0
     obs_b = load_observable_file(tmp_path / "asym_d4_m1_b.json")

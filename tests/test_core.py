@@ -19,10 +19,18 @@ from qincompat import (
     Povm,
     PureState,
     ValidationError,
+    asymmetric_pair,
     canonical_instrument,
     commutator_maxnorm,
+    commuting_fixture,
+    commuting_subspace_pair,
+    computational_observable,
+    degenerate_observable,
+    fourier_basis,
+    fourier_mub_pair,
     load_observable_file,
     luders_from_povm,
+    mub_triple_qubit,
     projective_instrument,
     random_observable,
     random_povm,
@@ -608,8 +616,75 @@ def test_every_drawn_observable_is_what_validation_would_store(d):
         _assert_stored_alike(random_observable(d, seed), ref, ("eigenvalues", "basis"))
 
 
+def _assert_twin(made, ref):
+    """``made`` stores what its validated twin ``ref`` stores, in arrays that own their data."""
+    assert made.ranks == ref.ranks and all(type(r) is int for r in made.ranks)
+    _assert_stored_alike(made, ref, ("eigenvalues", "basis"))
+    assert made.eigenvalues.flags.owndata and made.basis.flags.owndata
+
+
+def _compositions(d):
+    """Every tuple of positive ranks summing to ``d``."""
+    for cuts in range(2 ** (d - 1)):
+        ranks, run = [], 1
+        for k in range(d - 1):
+            if cuts >> k & 1:
+                ranks.append(run)
+                run = 0
+            run += 1
+        yield (*ranks, run)
+
+
+@pytest.mark.parametrize("d", [*range(2, 33), 48, 64])
+def test_every_fixture_family_stores_what_validation_would_store(d):
+    """Each family built on its own arrays equals its twin built through ``from_eigensystem``."""
+    levels = np.arange(1.0, d + 1.0)
+    eye = np.eye(d, dtype=np.complex128)
+    computational = HermitianObservable.from_eigensystem(levels, eye)
+    _assert_twin(computational_observable(d), computational)
+    made_a, made_b = fourier_mub_pair(d)
+    _assert_twin(made_a, computational)
+    _assert_twin(made_b, HermitianObservable.from_eigensystem(levels, fourier_basis(d)))
+    made_a, made_b = commuting_fixture(d)
+    _assert_twin(made_a, computational)
+    _assert_twin(made_b, HermitianObservable.from_eigensystem(levels**2, eye))
+    for n_shared in range(d):
+        basis = np.eye(d, dtype=np.complex128)
+        basis[n_shared:, n_shared:] = fourier_basis(d - n_shared)
+        made_a, made_b = commuting_subspace_pair(d, n_shared)
+        _assert_twin(made_a, computational)
+        _assert_twin(made_b, HermitianObservable.from_eigensystem(levels, basis))
+    for m in range(1, (d + 1) // 2):
+        made_a, made_b = asymmetric_pair(d, m)
+        values = np.array([1.0] * m + [2.0] * (d - m))
+        _assert_twin(made_a, computational)
+        _assert_twin(made_b, HermitianObservable.from_eigensystem(values, fourier_basis(d)))
+    patterns = _compositions(d) if d <= 8 else (
+        (d,), (1,) * d, (1, d - 1), (d - 1, 1), (2,) * (d // 2) + (1,) * (d % 2)
+    )
+    for ranks in patterns:
+        values = np.repeat(np.arange(1.0, len(ranks) + 1.0), ranks)
+        _assert_twin(degenerate_observable(ranks), HermitianObservable.from_eigensystem(values, eye))
+
+
+def test_the_qubit_triple_stores_what_validation_would_store():
+    sq = 1.0 / np.sqrt(2.0)
+    bases = ([[sq, sq], [sq, -sq]], [[sq, sq], [1j * sq, -1j * sq]], np.eye(2))
+    for made, basis in zip(mub_triple_qubit(), bases):
+        _assert_twin(made, HermitianObservable.from_eigensystem([1.0, 2.0], basis))
+
+
+def test_a_degenerate_observable_on_a_basis_passed_in_is_validated():
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        degenerate_observable((1, 1), np.ones((2, 2)))
+    basis = np.asfortranarray(random_unitary(3, 5))
+    made = degenerate_observable((2, 1), basis)
+    assert made.basis is not basis and made.basis.flags.c_contiguous and not made.basis.flags.writeable
+    assert basis.flags.writeable
+
+
 def test_the_cli_stores_unchecked_only_what_validation_would_store(tmp_path, monkeypatch):
-    """Every object the package builds unchecked, in scan, compute and verify, passes validation.
+    """Every object the package builds unchecked, in construct, scan, compute and verify, passes validation.
 
     Both private constructors are wrapped to build the validated twin of
     each object they are given and compare the two.
@@ -636,8 +711,9 @@ def test_the_cli_stores_unchecked_only_what_validation_would_store(tmp_path, mon
     monkeypatch.setattr(HermitianObservable, "_trusted", classmethod(checked_observable))
     monkeypatch.setattr(PureState, "_trusted", classmethod(checked_state))
     monkeypatch.chdir(tmp_path)
-    for family in (["mub", "--dim", "4"], ["trine"], ["zchannel", "--p", "0.3"],
-                   ["asymmetric", "--dim", "4", "--m", "1"],
+    for family in (["mub", "--dim", "4"], ["mub-triple"], ["commuting-subspace", "--dim", "5", "--dc", "2"],
+                   ["asymmetric", "--dim", "4", "--m", "1"], ["zchannel", "--p", "0.3"], ["trine"],
+                   ["random-observable", "--dim", "3"],
                    ["random-povm", "--dim", "2", "--outcomes", "4"]):
         assert main(["construct", *family]) == 0
     for measure in ("F", "1", "inf"):
@@ -651,11 +727,15 @@ def test_the_cli_stores_unchecked_only_what_validation_would_store(tmp_path, mon
     for measure, dim in (("1", "3"), ("inf", "6")):
         assert main(["scan", "--measure", measure, "--dim", dim, "--trials", "20",
                      "--inject", "mub", "--inject", "commuting", "--out", "scan.csv"]) == 0
-    # 40 drawn pairs, and both directions of 44 scan rows besides the reports' states
-    assert built["observables"] == 80 and built["states"] > 88
+    # 10 constructed observables, 40 drawn pairs and 4 injected pairs, and both
+    # directions of 44 scan rows besides the reports' states
+    assert built["observables"] == 98 and built["states"] > 88
     states = built["states"]
     assert main(["verify", "--suite", "all"]) == 0
-    assert built["observables"] > 80 and built["states"] > states
+    # 31 observables of 17 fixtures (7 MUB pairs, 6 commuting pairs, the triple and the
+    # asymmetric pair, each built once though two suites read some), 40 drawn pairs of
+    # the commutation and disturbance-ordering suites and one random observable
+    assert built["observables"] == 98 + 72 and built["states"] > states
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])

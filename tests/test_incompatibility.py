@@ -413,6 +413,80 @@ def test_exact_values_in_the_eigenbasis_match_the_kraus_sandwich(kind, d):
             assert abs(objective(result.argmax.amplitudes[None])[0][0] - result.value) <= 1e-12
 
 
+def _nudged_differences(monkeypatch, scale, seed):
+    """Make every D_j stack move by a Hermitian perturbation of about ``scale`` per entry."""
+    real = incompatibility._heralded_differences
+
+    def nudged(first, second):
+        diff, basis = real(first, second)
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(diff.shape) + 1j * rng.standard_normal(diff.shape)
+        noise = (noise + noise.conj().transpose(0, 2, 1)) / 2.0
+        return diff + scale * (noise - noise.mean(axis=0)), basis
+
+    monkeypatch.setattr(incompatibility, "_heralded_differences", nudged)
+
+
+@pytest.mark.parametrize("measure", EXACT_MEASURES)
+@pytest.mark.parametrize("d, m", [(5, 2), (6, 2), (7, 3)])
+def test_an_argmax_in_a_repeated_eigenspace_survives_round_off(monkeypatch, measure, d, m):
+    """The forward argmax of an asymmetric pair moves by round-off over the gap, not within its eigenspace.
+
+    Its value is a repeated extreme eigenvalue (0.6 twice at d = 5, m = 2),
+    where LAPACK's own eigenvector turned by about 0.02 in its first
+    amplitude when the D_j stacks moved by 3e-16.
+    """
+    first, second = asymmetric_pair(d, m)
+    diff, _ = incompatibility._heralded_differences(first, second)
+    if measure is Measure.L1:
+        diff = (incompatibility._subset_masks(len(diff) - 1) @ diff[:-1].reshape(len(diff) - 1, -1))
+        diff = diff.reshape(-1, d, d)
+    lam = np.linalg.eigvalsh(diff)
+    extreme = np.maximum(lam[:, -1], -lam[:, 0]).max()
+    assert (np.abs(np.abs(lam) - extreme) <= 1e-12).sum() > 1  # the extreme is repeated
+    exact = incompatibility._exact_directional(measure, first, second)
+    for seed in range(4):
+        with monkeypatch.context() as patch:
+            _nudged_differences(patch, 3e-16, seed)
+            moved = incompatibility._exact_directional(measure, first, second)
+        assert abs(moved.value - exact.value) <= 1e-14
+        assert np.abs(moved.argmax.amplitudes - exact.argmax.amplitudes).max() <= 1e-12
+
+
+def _commuting_fixtures():
+    for d in range(2, 7):
+        yield commuting_fixture(d)
+        yield commuting_subspace_pair(d, d - 1)
+
+
+@pytest.mark.parametrize("measure", EXACT_MEASURES)
+def test_an_argmax_in_a_repeated_eigenspace_attains_the_exact_value(measure):
+    pairs = [*_commuting_fixtures(), asymmetric_pair(5, 2), asymmetric_pair(6, 2)]
+    for pair in pairs:
+        for first, second in (pair, pair[::-1]):
+            result = incompatibility._exact_directional(measure, first, second)
+            objective = pair_distance_objective(measure, first, second)
+            value = objective(result.argmax.amplitudes[None])[0][0]
+            assert abs(value - result.value) <= 1e-14
+
+
+def test_only_a_repeated_eigenvalue_replaces_lapacks_eigenvector(monkeypatch):
+    """Random observables have simple eigenvalues, whose eigenvector is kept as LAPACK returned it."""
+    projected = []
+    real = incompatibility._reference_projection
+    monkeypatch.setattr(incompatibility, "_reference_projection",
+                        lambda space, basis: projected.append(space.shape[1]) or real(space, basis))
+    for d in (2, 3, 5):
+        for seed in range(5):
+            for measure in EXACT_MEASURES:
+                incompatibility._exact_directional(measure, random_observable(d, seed),
+                                                   random_observable(d, seed + 50))
+    assert projected == []
+    for measure in EXACT_MEASURES:
+        incompatibility._exact_directional(measure, *commuting_fixture(4))
+    assert projected == [4, 4]
+
+
 @pytest.mark.parametrize("measure", EXACT_MEASURES)
 def test_an_exact_report_of_observables_builds_no_projectors(measure):
     for kind in _EIGENBASIS_KINDS[:3]:
