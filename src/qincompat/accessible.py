@@ -32,10 +32,12 @@ class RankOnePovm:
 
     def __post_init__(self):
         vecs = np.array(self.vectors, dtype=np.complex128)
-        if vecs.ndim != 2 or vecs.shape[0] < vecs.shape[1]:
+        if vecs.ndim != 2 or not 0 < vecs.shape[1] <= vecs.shape[0]:
             raise ValidationError(
-                "vectors must form an (n, d) array with at least d rows"
+                "vectors must form an (n, d) array with d >= 1 and at least d rows"
             )
+        if not np.isfinite(vecs).all():
+            raise ValidationError("vectors contain non-finite entries")
         total = vecs.T @ vecs.conj()  # sum_m |xi_m><xi_m| with xi_m as rows
         if max_abs(total - np.eye(vecs.shape[1])) > COMPLETENESS_TOL:
             raise ValidationError("rank-one elements do not sum to the identity")

@@ -230,17 +230,17 @@ def _block_widths(offsets: np.ndarray, n_cols: int) -> list[int]:
     return [end - start for start, end in zip(starts, starts[1:] + [n_cols])]
 
 
-def _blocks_by_width(columns: np.ndarray, offsets: np.ndarray) -> list[tuple[list[int] | slice, np.ndarray]]:
+def _blocks_by_width(columns: np.ndarray, offsets: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
     """The blocks of a C-contiguous ``columns`` that start at ``offsets``, stacked by width.
 
     Returns, for each distinct block width in increasing order, the indices
-    of its blocks (a slice where they are consecutive) and an ``(n_w, d, w)``
-    stack of them, so that a product per block is one stacked product per
-    width. The columns are copied once, grouped by width, into an array
-    shaped like ``columns``, unless they are in that order already, and each
-    stack is a view: each block has the strides its own slice of ``columns``
-    has. BLAS may round a product of a block of other strides differently,
-    as it does a matrix-vector product whose vector has another stride.
+    of its blocks and an ``(n_w, d, w)`` stack of them, so that a product per
+    block is one stacked product per width. The columns are copied once,
+    grouped by width, into an array shaped like ``columns``, unless they are
+    in that order already, and each stack is a view: each block has the
+    strides its own slice of ``columns`` has. BLAS may round a product of a
+    block of other strides differently, as it does a matrix-vector product
+    whose vector has another stride.
     """
     dim, n_cols = columns.shape
     widths = _block_widths(offsets, n_cols)
@@ -252,8 +252,6 @@ def _blocks_by_width(columns: np.ndarray, offsets: np.ndarray) -> list[tuple[lis
     for width, members in groupby(blocks, key=widths.__getitem__):
         members = list(members)
         stop = start + len(members) * width
-        if members[-1] - members[0] == len(members) - 1:  # a run of blocks indexes as a slice
-            members = slice(members[0], members[-1] + 1)
         groups.append((members, grouped[:, start:stop].reshape(dim, -1, width).transpose(1, 0, 2)))
         start = stop
     return groups

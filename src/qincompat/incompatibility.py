@@ -36,6 +36,7 @@ from .core import (
     _normalize,
     _spread,
     _unit_rows,
+    _whole,
     max_abs,
     measurement_effects,
 )
@@ -207,10 +208,7 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     firsts = n_cols + n_kraus * offsets  # the first of each block's columns
     for blocks, stack in _blocks_by_width(factors_conj, offsets):
         products = (kraus_t[:, None] @ stack).transpose(2, 1, 0, 3).reshape(dim, -1)
-        if isinstance(blocks, slice):  # consecutive blocks fill consecutive columns
-            cols[:, firsts[blocks.start]:firsts[blocks.start] + products.shape[1]] = products
-        else:
-            cols[:, (firsts[blocks, None] + np.arange(n_kraus * stack.shape[2])).ravel()] = products
+        cols[:, (firsts[blocks, None] + np.arange(n_kraus * stack.shape[2])).ravel()] = products
     widths = np.concatenate((sizes, n_kraus * sizes))
     starts = np.cumsum(widths) - widths
     column_block = np.repeat(np.arange(widths.size), widths)
@@ -1053,22 +1051,25 @@ def closed_form(name: str, **params) -> float:
     expected = _CLOSED_FORMS[name]
     if set(params) != set(expected):
         raise ParamOutOfRangeError(f"{name} takes parameters {expected}, got {tuple(params)}")
+    whole = {key: _whole(value) for key, value in params.items()}
+    if None in whole.values():
+        raise ParamOutOfRangeError(f"{name} takes whole numbers, got {params}")
     if name == "fidelity_directional_max":
-        d = int(params["d"])
+        d = whole["d"]
         if d < 2:
             raise ParamOutOfRangeError("d must be at least 2")
         return 1.0 - 1.0 / d
     if name == "fidelity_shared_eigenvectors":
-        d, d_c = int(params["d"]), int(params["d_c"])
+        d, d_c = whole["d"], whole["d_c"]
         if d < 2 or not 0 <= d_c <= d - 1:
             raise ParamOutOfRangeError("need d >= 2 and 0 <= d_c <= d - 1")
         return 0.5 * (1.0 - 1.0 / (d - d_c))
     if name == "luders_fidelity_max":
-        n = int(params["n_outcomes"])
+        n = whole["n_outcomes"]
         if n < 1:
             raise ParamOutOfRangeError("n_outcomes must be at least 1")
         return 1.0 - 1.0 / n
-    n = int(params["n_distinct"])
+    n = whole["n_distinct"]
     if n < 1:
         raise ParamOutOfRangeError("n_distinct must be at least 1")
     return 1.0 - 1.0 / n

@@ -8,7 +8,6 @@ exact binary64 values; files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 import tempfile
@@ -54,42 +53,8 @@ def _pair_from_json(obj, where: str) -> complex:
     return complex(obj[0], obj[1])
 
 
-def _numbers(obj, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``obj`` converted by one ``np.array`` call, or None if it is not numbers of ``shape``.
-
-    None sends the caller to the entry-by-entry walk, which names the bad
-    entry. Booleans convert here as the numbers 0 and 1, so only a file whose
-    text holds no ``true`` or ``false`` is read this way.
-    """
-    try:
-        arr = np.array(obj)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.dtype.kind not in "fi" or arr.shape != shape:
-        return None
-    return arr
-
-
-def _complex_entries(obj, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``obj`` as complex entries of ``shape`` from its [re, im] pairs, or None as :func:`_numbers`.
-
-    The parts are copied, not summed, so every bit, the sign of a zero
-    included, is the one ``complex(re, im)`` gives.
-    """
-    pairs = _numbers(obj, shape + (2,))
-    if pairs is None:
-        return None
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = pairs[..., 0]
-    out.imag = pairs[..., 1]
-    return out
-
-
-def _matrix(obj, dim: int, where: str, whole: bool) -> np.ndarray:
-    """A ``dim x dim`` matrix of [re, im] pairs, converted whole when ``whole``, else walked."""
-    out = _complex_entries(obj, (dim, dim)) if whole else None
-    if out is not None:
-        return out
+def _matrix(obj, dim: int, where: str) -> np.ndarray:
+    """A ``dim x dim`` matrix of [re, im] pairs, walked entry by entry."""
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
     out = np.empty((dim, dim), dtype=np.complex128)
@@ -101,14 +66,11 @@ def _matrix(obj, dim: int, where: str, whole: bool) -> np.ndarray:
     return out
 
 
-def _matrices_from_json(obj, dim: int, where: str, whole: bool) -> tuple[np.ndarray, ...]:
-    """A nonempty list of ``dim x dim`` matrices, converted whole when ``whole``, else walked."""
+def _matrices_from_json(obj, dim: int, where: str) -> tuple[np.ndarray, ...]:
+    """A nonempty list of ``dim x dim`` matrices."""
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a nonempty list")
-    stack = _complex_entries(obj, (len(obj), dim, dim)) if whole else None
-    if stack is not None:
-        return tuple(stack)
-    return tuple(_matrix(m, dim, f"{where}[{i}]", False) for i, m in enumerate(obj))
+    return tuple(_matrix(m, dim, f"{where}[{i}]") for i, m in enumerate(obj))
 
 
 def to_payload(obj) -> dict:
@@ -129,38 +91,30 @@ def to_payload(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _decode_payload(payload, dim: int, whole: bool):
-    """Reconstruct and validate an object from its payload.
-
-    With ``whole``, each numeric field is first converted in one piece;
-    ``whole`` is safe only for a payload that holds no booleans. A field that
-    does not convert to numbers of the expected shape is walked entry by
-    entry, so every diagnostic is the walk's.
-    """
+def _decode_payload(payload, dim: int):
+    """Reconstruct and validate an object from its payload."""
     if not isinstance(payload, dict) or "type" not in payload:
         raise ParseError("payload: expected an object with a 'type' field")
     kind = payload["type"]
     if kind == "hermitian":
-        return spectral_decompose(_matrix(payload.get("matrix"), dim, "payload.matrix", whole))
+        return spectral_decompose(_matrix(payload.get("matrix"), dim, "payload.matrix"))
     if kind == "basis":
         values = payload.get("eigenvalues")
         vectors = payload.get("vectors")
-        if not isinstance(values, list) or len(values) != dim or not (
-            whole and _numbers(values, (dim,)) is not None or all(map(_is_number, values))
-        ):
+        if not isinstance(values, list) or len(values) != dim or not all(map(_is_number, values)):
             raise ParseError(f"payload.eigenvalues: expected {dim} numbers")
         if not isinstance(vectors, list) or len(vectors) != dim:
             raise ParseError(f"payload.vectors: expected {dim} vectors")
-        columns = _matrix(vectors, dim, "payload.vectors", whole)  # row j is vector j
+        columns = _matrix(vectors, dim, "payload.vectors")  # row j is vector j
         return HermitianObservable.from_eigensystem(np.asarray(values, float), columns.T)
     if kind == "povm":
-        return Povm(_matrices_from_json(payload.get("elements"), dim, "payload.elements", whole))
+        return Povm(_matrices_from_json(payload.get("elements"), dim, "payload.elements"))
     if kind == "instrument":
         outcomes = payload.get("outcomes")
         if not isinstance(outcomes, list) or not outcomes:
             raise ParseError("payload.outcomes: expected a nonempty list")
         return Instrument(tuple(
-            _matrices_from_json(ops, dim, f"payload.outcomes[{i}]", whole)
+            _matrices_from_json(ops, dim, f"payload.outcomes[{i}]")
             for i, ops in enumerate(outcomes)
         ))
     raise ParseError(f"payload.type: unknown kind {kind!r}")
@@ -184,15 +138,12 @@ def load_observable_file(path):
     relevant :class:`ValidationError` subclass when the parsed object breaks
     a quantum invariant, including entries too large to check without overflow
     and a matrix whose decomposition fails.
-    Unless the text holds a ``true`` or ``false``, which would convert as a
-    number, each numeric field is converted in one ``np.array`` call, and
-    only a field that does not convert is walked entry by entry to name the
-    bad entry; both ways build the same bits.
+    Each numeric field is walked entry by entry, so a diagnostic names the
+    bad entry.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        doc = json.loads(text)
+            doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -213,8 +164,7 @@ def load_observable_file(path):
         raise ParseError(f"{path}: dim {dim} is above the limit of {MAX_DIM}")
     try:
         with np.errstate(over="raise"):
-            whole = "true" not in text and "false" not in text
-            return _decode_payload(doc.get("payload"), dim, whole)
+            return _decode_payload(doc.get("payload"), dim)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except NumericalFailureError as exc:  # a file no decomposition can validate is bad input
@@ -225,97 +175,6 @@ def load_observable_file(path):
         raise ValidationError(f"{path}: entries too large to validate ({exc})") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-class _Unhandled(Exception):
-    """A value :func:`_dumps` leaves to ``json.dumps``."""
-
-
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise _Unhandled
-    return float.__repr__(x)
-
-
-# The text of a value of exactly one of these types; subclasses take the tests of _encode.
-_LEAF_TEXT = {
-    str: _quote,
-    type(None): lambda _: "null",
-    bool: lambda flag: "true" if flag else "false",
-    int: int.__repr__,
-    float: _float_text,
-}
-
-
-def _encode(obj, emit, newline: str) -> None:
-    """Emit the pieces of ``json.dumps(obj, indent=1)`` at the indentation of ``newline``.
-
-    The type tests are the standard encoder's, in its order, so subclasses of
-    ``int`` and ``float`` print as those types and tuples as lists.
-    """
-    leaf = _LEAF_TEXT.get(type(obj))
-    if leaf is not None:
-        emit(leaf(obj))
-    elif isinstance(obj, str):
-        emit(_quote(obj))
-    elif isinstance(obj, int):  # True and False are exactly bool, and were handled above
-        emit(int.__repr__(obj))
-    elif isinstance(obj, float):
-        emit(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            emit("[]")
-            return
-        inner = newline + " "
-        separator = "[" + inner
-        for item in obj:
-            leaf = _LEAF_TEXT.get(type(item))
-            if leaf is not None:
-                emit(separator + leaf(item))
-            else:
-                emit(separator)
-                _encode(item, emit, inner)
-            separator = "," + inner
-        emit(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            emit("{}")
-            return
-        inner = newline + " "
-        separator = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise _Unhandled
-            emit(separator + _quote(key) + ": ")
-            leaf = _LEAF_TEXT.get(type(value))
-            if leaf is not None:
-                emit(leaf(value))
-            else:
-                _encode(value, emit, inner)
-            separator = "," + inner
-        emit(newline + "}")
-    else:
-        raise _Unhandled
-
-
-def _dumps(data) -> str:
-    """The text of ``json.dumps(data, indent=1)``, built without the encoder's generators.
-
-    With an indent set, the standard encoder takes its pure-Python path. The
-    writer handles the trees the program writes, whose keys are all ``str``
-    and whose floats are all finite. Anything else, such as a key of another
-    type, a NaN or an infinity, a numpy scalar other than a ``float64`` or a
-    cycle, is left to ``json.dumps``, which writes it or raises its own error.
-    """
-    parts: list[str] = []
-    try:
-        _encode(data, parts.append, "\n")
-    except (_Unhandled, RecursionError):
-        return json.dumps(data, indent=1)
-    return "".join(parts)
 
 
 def write_json_atomic(path, data: Any) -> None:
@@ -329,7 +188,7 @@ def write_json_atomic(path, data: Any) -> None:
     device, cannot be replaced without destroying it, so it is written
     through with a plain ``open`` instead.
     """
-    text = _dumps(data) + "\n"
+    text = json.dumps(data, indent=1) + "\n"
     target = path
     try:
         mode = os.lstat(path).st_mode

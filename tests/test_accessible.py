@@ -101,3 +101,17 @@ def test_rank_one_povm_validation():
     povm = RankOnePovm(scaled.astype(complex))
     assert povm.n_outcomes == 4
     assert len(povm.states()) == 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_rank_one_povm_rejects_non_finite_vectors(bad):
+    vectors = np.eye(2, dtype=complex)
+    vectors[1, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        RankOnePovm(vectors)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+def test_rank_one_povm_rejects_a_zero_dimension(shape):
+    with pytest.raises(ValidationError, match="d >= 1"):
+        RankOnePovm(np.zeros(shape, dtype=complex))

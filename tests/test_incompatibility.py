@@ -178,6 +178,20 @@ def test_closed_form_rejects_bad_input():
         closed_form("fidelity_directional_max", d=1)
     with pytest.raises(ParamOutOfRangeError):
         closed_form("luders_fidelity_max", d=2)
+    for params in ({"n_outcomes": 2.7}, {"n_outcomes": "3"}, {"n_outcomes": float("nan")},
+                   {"n_outcomes": float("inf")}, {"n_outcomes": None}):
+        with pytest.raises(ParamOutOfRangeError, match="whole numbers"):
+            closed_form("luders_fidelity_max", **params)
+    with pytest.raises(ParamOutOfRangeError, match="whole numbers"):
+        closed_form("fidelity_directional_max", d=2.5)
+    with pytest.raises(ParamOutOfRangeError, match="whole numbers"):
+        closed_form("fidelity_shared_eigenvectors", d=4, d_c=0.5)
+    with pytest.raises(ParamOutOfRangeError, match="whole numbers"):
+        closed_form("degenerate_disturbance", n_distinct="3")
+    # numpy integers and integral floats are whole numbers
+    assert closed_form("fidelity_directional_max", d=np.int64(4)) == 0.75
+    assert closed_form("fidelity_shared_eigenvectors", d=4.0, d_c=np.uint8(1)) == (1 - 1 / 3) / 2
+    assert closed_form("degenerate_disturbance", n_distinct=np.float64(2.0)) == 0.5
 
 
 def test_measure_flags():

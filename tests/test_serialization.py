@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -443,34 +444,26 @@ def test_a_cycle_raises_as_json_dumps_does():
         _written({"cycle": cycle})
 
 
-def _loaded(path):
-    """The loaded object's type and the bytes of its stored arrays, or the error raised."""
-    try:
-        obj = load_observable_file(path)
-    except Exception as exc:  # compared, type and message, with the other route's
-        return type(exc), str(exc)
+def _outcome(content: bytes):
+    """The loaded object's type and a digest of its stored arrays' bytes, or the error raised."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "file.json")
+        with open(path, "wb") as handle:
+            handle.write(content)
+        try:
+            obj = load_observable_file(path)
+        except Exception as exc:  # pinned by type and message
+            return type(exc).__name__, str(exc).replace(path, "<file>")
     if isinstance(obj, HermitianObservable):
         arrays = (obj.eigenvalues, np.array(obj.ranks), obj.basis)
     elif isinstance(obj, Povm):
         arrays = obj.elements
     else:
         arrays = obj.kraus_flat()
-    return type(obj), tuple(a.tobytes() for a in arrays)
-
-
-def _loaded_both_ways(content: bytes):
-    """:func:`_loaded` with each field converted whole and with every field walked."""
-    from qincompat import serialization
-
-    with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "file.json")
-        with open(path, "wb") as handle:
-            handle.write(content)
-        whole = _loaded(path)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(serialization, "_numbers", lambda obj, shape: None)
-            walked = _loaded(path)
-    return whole, walked
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return type(obj).__name__, digest.hexdigest()[:32]
 
 
 def _edited(name, edit):
@@ -510,32 +503,34 @@ _LOADER_CASES = {
 }
 
 
+# Each case's outcome when every numeric field could also be converted in one
+# np.array call; that route and the entry-by-entry walk agreed on all of them.
+_LOADER_OUTCOMES = {
+    "10**400 in a vector": ("ParseError", "<file>: payload.vectors[0][0]: expected a [re, im] pair, "
+                            f"got [{10**400}, 0]"),
+    "10**400 in an effect": ("ParseError", "<file>: payload.elements[1][1][1]: expected a [re, im] "
+                             f"pair, got [0.0, {10**400}]"),
+    "a NaN entry": ("ValidationError", "matrix contains non-finite entries"),
+    "a false eigenvalue": ("ParseError", "<file>: payload.eigenvalues: expected 2 numbers"),
+    "a huge integer among floats": ("HermitianObservable", "068513fc6db55ff771b645da3ddbb166"),
+    "a long eigenvalue list": ("ParseError", "<file>: payload.eigenvalues: expected 2 numbers"),
+    "a long vector list": ("ParseError", "<file>: payload.vectors: expected 2 vectors"),
+    "a tiny float": ("HermitianObservable", "8d2ff14599fd1b516ef337318cbde608"),
+    "a true among floats": ("ParseError", "<file>: payload.vectors[1][0]: expected a [re, im] pair, "
+                            "got [True, 0.0]"),
+    "a true in a string": ("HermitianObservable", "23055b075e51bc44c945cd5f121200a8"),
+    "integer eigenvalues": ("HermitianObservable", "e5772c25fbe88006c80adeb7460b477d"),
+    "integer entries": ("HermitianObservable", "a871f569157a8775e5fa96aef64d4354"),
+    "negative zero in an effect": ("Povm", "5c882b11f9663e613c052615f2321333"),
+    "negative zeros": ("HermitianObservable", "0e060b280852f4c1de3e0e895da0d7fc"),
+    "ragged Kraus lists": ("Instrument", "f35f967396dc9c6d52f4f35b12e07556"),
+    "valid hermitian": ("HermitianObservable", "4c4ce68cc0d6acfd73c57c3397d0ae59"),
+    "valid instrument": ("Instrument", "52043603de9ad0dde097076cffa73901"),
+    "valid observable": ("HermitianObservable", "23055b075e51bc44c945cd5f121200a8"),
+    "valid povm": ("Povm", "8ddf29841c8a33a37c7efbd16fddad3e"),
+}
+
+
 @pytest.mark.parametrize("case", sorted(_LOADER_CASES))
 def test_a_file_loads_the_same_whole_and_walked(case):
-    whole, walked = _loaded_both_ways(_LOADER_CASES[case])
-    assert whole == walked
-    loads = case.startswith("valid") or case in {
-        "negative zeros", "negative zero in an effect", "integer entries", "integer eigenvalues",
-        "a huge integer among floats", "a true in a string", "ragged Kraus lists", "a tiny float"}
-    assert not issubclass(whole[0], Exception) if loads else issubclass(whole[0], Exception)
-
-
-def test_a_valid_file_without_booleans_is_not_walked(tmp_path, monkeypatch):
-    from qincompat import serialization
-
-    def refuse(obj, where):
-        raise AssertionError(f"walked {where}")
-
-    monkeypatch.setattr(serialization, "_pair_from_json", refuse)
-    for obj in (random_observable(6, 1), random_povm(3, 4, seed=2), z_channel(0.3),
-                HermitianObservable.from_eigensystem([0.1, 0.1, 1.0], np.eye(3))):
-        path = tmp_path / "obj.json"
-        save_observable_file(obj, path)
-        assert type(load_observable_file(path)) is type(obj)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_malformed_files())
-def test_a_malformed_file_fails_the_same_whole_and_walked(content):
-    whole, walked = _loaded_both_ways(content)
-    assert whole == walked
+    assert _outcome(_LOADER_CASES[case]) == _LOADER_OUTCOMES[case]
