@@ -31,13 +31,20 @@ class RankOnePovm:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vecs = np.array(self.vectors, dtype=np.complex128)
+        try:
+            vecs = np.array(self.vectors, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # strings, ragged rows, objects
+            raise ValidationError(f"vectors must be an (n, d) array of numbers: {exc}") from None
         if vecs.ndim != 2 or not 0 < vecs.shape[1] <= vecs.shape[0]:
             raise ValidationError(
                 "vectors must form an (n, d) array with d >= 1 and at least d rows"
             )
         if not np.isfinite(vecs).all():
             raise ValidationError("vectors contain non-finite entries")
+        # Each |xi><xi| is at most I, so no entry of a valid POVM exceeds 1 in
+        # magnitude; checked first, larger entries could overflow the sum.
+        if max_abs(vecs) > 2.0:
+            raise ValidationError("rank-one elements do not sum to the identity")
         total = vecs.T @ vecs.conj()  # sum_m |xi_m><xi_m| with xi_m as rows
         if max_abs(total - np.eye(vecs.shape[1])) > COMPLETENESS_TOL:
             raise ValidationError("rank-one elements do not sum to the identity")

@@ -16,7 +16,7 @@ invariants by construction: ``HermitianObservable._trusted`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, groupby
 import math
 import numbers
@@ -224,37 +224,69 @@ def _kraus_rows(kraus: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _block_widths(offsets: np.ndarray, n_cols: int) -> list[int]:
+def _block_widths(offsets: np.ndarray, n_cols: int) -> tuple[int, ...]:
     """The width of each block of ``n_cols`` columns, the blocks starting at ``offsets``."""
     starts = offsets.tolist()
-    return [end - start for start, end in zip(starts, starts[1:] + [n_cols])]
+    return tuple(end - start for start, end in zip(starts, starts[1:] + [n_cols]))
 
 
-def _blocks_by_width(columns: np.ndarray, offsets: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
-    """The blocks of a C-contiguous ``columns`` that start at ``offsets``, stacked by width.
+def _slice_or_index(indices: list[int]) -> slice | np.ndarray:
+    """Increasing ``indices`` as a slice if they are consecutive, else as a read-only index array.
 
-    Returns, for each distinct block width in increasing order, the indices
-    of its blocks and an ``(n_w, d, w)`` stack of them, so that a product per
-    block is one stacked product per width. The columns are copied once,
-    grouped by width, into an array shaped like ``columns``, unless they are
-    in that order already, and each stack is a view: each block has the
-    strides its own slice of ``columns`` has. BLAS may round a product of a
-    block of other strides differently, as it does a matrix-vector product
-    whose vector has another stride.
+    A slice selects or assigns a view; an index array is a gather or scatter,
+    several times slower on the small arrays here.
     """
-    dim, n_cols = columns.shape
-    widths = _block_widths(offsets, n_cols)
+    first = indices[0]
+    if indices[-1] - first == len(indices) - 1:
+        return slice(first, first + len(indices))
+    index = np.array(indices)
+    _freeze(index)
+    return index
+
+
+@lru_cache(maxsize=256)
+def _width_groups(widths: tuple[int, ...]) -> tuple[np.ndarray | None, tuple]:
+    """How :func:`_blocks_by_width` groups blocks of these widths, formed once per width tuple.
+
+    Returns the read-only column order that puts the blocks in increasing
+    width, stable in position, or ``None`` if they are in that order already;
+    and for each distinct width in increasing order a ``(width, members,
+    span)`` triple: the indices of its blocks, as :func:`_slice_or_index`
+    gives them, and the slice of its columns in that order.
+    """
+    order = None
+    if list(widths) != sorted(widths):
+        order = np.argsort(np.repeat(widths, widths), kind="stable")
+        _freeze(order)
     blocks = sorted(range(len(widths)), key=widths.__getitem__)  # stable: by width, then position
-    grouped = columns
-    if widths != sorted(widths):
-        grouped = columns.take(np.argsort(np.repeat(widths, widths), kind="stable"), axis=1)
     groups, start = [], 0
     for width, members in groupby(blocks, key=widths.__getitem__):
         members = list(members)
         stop = start + len(members) * width
-        groups.append((members, grouped[:, start:stop].reshape(dim, -1, width).transpose(1, 0, 2)))
+        groups.append((width, _slice_or_index(members), slice(start, stop)))
         start = stop
-    return groups
+    return order, tuple(groups)
+
+
+def _blocks_by_width(
+    columns: np.ndarray, widths: tuple[int, ...]
+) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """The blocks of a C-contiguous ``columns`` with these widths, in order, stacked by width.
+
+    Returns, for each distinct block width in increasing order, its blocks
+    (the members of :func:`_width_groups`) and an ``(n_w, d, w)`` stack of
+    them, so that a product per block is one stacked product per width. The
+    columns are copied once, grouped by width, into an array shaped like
+    ``columns``, unless they are in that order already, and each stack is a
+    view: each block has the strides its own slice of ``columns`` has. BLAS
+    may round a product of a block of other strides differently, as it does
+    a matrix-vector product whose vector has another stride.
+    """
+    order, groups = _width_groups(widths)
+    grouped = columns if order is None else columns.take(order, axis=1)
+    dim = len(columns)
+    return [(members, grouped[:, span].reshape(dim, -1, width).transpose(1, 0, 2))
+            for width, members, span in groups]
 
 
 def _block_products(columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -263,9 +295,9 @@ def _block_products(columns: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     Each product is the one ``B @ B.conj().T`` of the block's slice of
     ``columns``, bit for bit: a block of one column is an outer product.
     """
-    dim = len(columns)
+    dim, n_cols = columns.shape
     out = np.empty((len(offsets), dim, dim), dtype=np.complex128)
-    for blocks, stack in _blocks_by_width(columns, offsets):
+    for blocks, stack in _blocks_by_width(columns, _block_widths(offsets, n_cols)):
         out[blocks] = stack @ np.conjugate(stack, order="C").transpose(0, 2, 1)
     return out
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,9 +35,11 @@ from .core import (
     _eigvalsh,
     _norm,
     _normalize,
+    _slice_or_index,
     _spread,
     _unit_rows,
     _whole,
+    _width_groups,
     max_abs,
     measurement_effects,
 )
@@ -174,7 +177,10 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
     ordered pair, grouped by outcome, so ``amp = psi @ cols`` holds every
     <w|psi> and <w|K_k psi>. The products ``K_k^T conj(W_j)`` are formed in
     one stacked product per distinct width of the blocks W_j, each slice
-    rounding as the product of its block alone. The undisturbed and
+    rounding as the product of its block alone. Where they go in ``cols``
+    and which block each column is in depend on the block widths, the Kraus
+    count and the dimension alone, and are formed once per such structure
+    (:func:`_pair_layout`). The undisturbed and
     sequential probabilities p_j and q_j are sums of |amp|^2 over blocks,
     one ``np.add.reduceat``, so both stay exactly nonnegative and match the
     public distribution functions up to round-off. The gradient is
@@ -199,23 +205,20 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
         raise DimensionMismatchError(f"dimensions differ: {dim} vs {factors.shape[0]}")
     factors_conj = factors.conj()
     n_kraus, n_cols = len(kraus), factors.shape[1]
-    sizes = np.array(_block_widths(offsets, n_cols))
+    widths = _block_widths(offsets, n_cols)
+    layout = _pair_layout(widths, n_kraus, dim)
     kraus_t = kraus.transpose(0, 2, 1)
     cols = np.empty((dim, (1 + n_kraus) * n_cols), dtype=np.complex128)
     cols[:, :n_cols] = factors_conj
     # Per block, as one product over all blocks rounds otherwise: block j's
     # K_k^T conj(W_j) for every k fill its columns, k by k, after conj(W).
-    firsts = n_cols + n_kraus * offsets  # the first of each block's columns
-    for blocks, stack in _blocks_by_width(factors_conj, offsets):
-        products = (kraus_t[:, None] @ stack).transpose(2, 1, 0, 3).reshape(dim, -1)
-        cols[:, (firsts[blocks, None] + np.arange(n_kraus * stack.shape[2])).ravel()] = products
-    widths = np.concatenate((sizes, n_kraus * sizes))
-    starts = np.cumsum(widths) - widths
-    column_block = np.repeat(np.arange(widths.size), widths)
+    for (_, stack), products_at in zip(_blocks_by_width(factors_conj, widths), layout.products_at):
+        cols[:, products_at] = (kraus_t[:, None] @ stack).transpose(2, 1, 0, 3).reshape(dim, -1)
+    starts, column_block = layout.starts, layout.column_block
     weigh = _WEIGHTS[measure]
     columns = None
-    if measure is Measure.FIDELITY and (sizes < dim).any():
-        columns = tuple(cols[:, s:s + w] for s, w in zip(starts.tolist(), widths.tolist()))
+    if measure is Measure.FIDELITY and layout.faceted:
+        columns = _BlockColumns(cols, layout.spans)
 
     # The defaults are this pair's; _stacked_pair_objective passes each row's own.
     def objective(
@@ -230,34 +233,105 @@ def pair_distance_objective(measure: Measure, first, second) -> Objective:
             return values, grads
         return values, grads, Faces(sums.reshape(len(vecs), -1), _columns)
 
-    objective.terms = _PairTerms(measure, cols, column_block, columns)
+    objective.terms = _PairTerms(measure, cols, layout, columns)
     return objective
+
+
+class _PairLayout(NamedTuple):
+    """Where a pair objective's columns go, fixed by its ``key``.
+
+    ``key`` is second's block widths, first's Kraus count and the dimension.
+    ``products_at`` are the columns of ``cols`` that each width group of
+    :func:`~qincompat.core._width_groups` fills, in its order, as
+    :func:`~qincompat.core._slice_or_index` gives them. ``starts``,
+    ``column_block`` and ``spans`` are each column block's first column,
+    each column's block and each block's ``(start, stop)``. ``faceted`` is
+    whether a block of second is narrower than the dimension, so that a
+    fidelity objective reports :class:`~qincompat.optimize.Faces`.
+    """
+
+    key: tuple
+    products_at: tuple
+    starts: np.ndarray
+    column_block: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+    faceted: bool
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_layout(widths: tuple[int, ...], n_kraus: int, dim: int) -> _PairLayout:
+    """The read-only :class:`_PairLayout` of these block widths, Kraus count and dimension.
+
+    Block j's products ``K_k^T conj(W_j)`` fill ``n_kraus * w_j`` columns
+    from ``firsts[j]``, after the ``n_cols`` columns of ``conj(W)``.
+    """
+    sizes = np.array(widths)
+    n_cols = int(sizes.sum())
+    firsts = n_cols + n_kraus * (np.cumsum(sizes) - sizes)
+    products_at = tuple(
+        _slice_or_index((firsts[members, None] + np.arange(n_kraus * width)).ravel().tolist())
+        for width, members, _ in _width_groups(widths)[1]
+    )
+    block_widths = np.concatenate((sizes, n_kraus * sizes))
+    starts = np.cumsum(block_widths) - block_widths
+    column_block = np.repeat(np.arange(block_widths.size), block_widths)
+    starts.setflags(write=False)
+    column_block.setflags(write=False)
+    spans = tuple(zip(starts.tolist(), (starts + block_widths).tolist()))
+    return _PairLayout((widths, n_kraus, dim), products_at, starts, column_block, spans,
+                       bool((sizes < dim).any()))
+
+
+class _BlockColumns(Sequence):
+    """The column blocks of a pair objective's ``cols``, each sliced when it is read.
+
+    Entry ``b`` is the view ``cols[:, start:stop]`` of block ``b``'s span,
+    made when it is read; the sequence itself cannot be changed.
+    """
+
+    __slots__ = ("_cols", "_spans")
+
+    def __init__(self, cols: np.ndarray, spans: tuple[tuple[int, int], ...]):
+        self._cols, self._spans = cols, spans
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+    def __getitem__(self, block: int) -> np.ndarray:
+        start, stop = self._spans[block]
+        return self._cols[:, start:stop]
 
 
 class _PairTerms(NamedTuple):
     """The constants of a pair objective, which it carries as ``objective.terms``.
 
-    ``cols`` is its column matrix and ``column_block`` the block of each
-    column: second's outcome blocks, then the same blocks once per Kraus
-    operator of first. ``columns`` are the blocks themselves where the
-    objective reports :class:`~qincompat.optimize.Faces`, else ``None``.
-    Pair objectives of one ``layout`` differ in ``cols`` and ``columns`` alone.
+    ``cols`` is its column matrix and ``structure`` its cached
+    :class:`_PairLayout`, whose ``column_block`` is the block of each column:
+    second's outcome blocks, then the same blocks once per Kraus operator of
+    first. ``columns`` are the blocks themselves (:class:`_BlockColumns`)
+    where the objective reports :class:`~qincompat.optimize.Faces`, else
+    ``None``. Pair objectives of one ``layout`` differ in ``cols`` and
+    ``columns`` alone.
     """
 
     measure: Measure
     cols: np.ndarray
-    column_block: np.ndarray
-    columns: tuple[np.ndarray, ...] | None
+    structure: _PairLayout
+    columns: _BlockColumns | None
+
+    @property
+    def column_block(self) -> np.ndarray:
+        return self.structure.column_block
 
     @property
     def layout(self) -> tuple:
         """What a pair objective's closure holds besides its columns.
 
-        Its block starts follow from ``column_block`` and its weights from
-        ``measure``, so objectives of one layout evaluate a row alike and may
-        take each other's columns.
+        Its block starts, column blocks and faces follow from the structure's
+        key and its weights from ``measure``, so objectives of one layout
+        evaluate a row alike and may take each other's columns.
         """
-        return self.measure, self.cols.shape[0], self.column_block.tobytes(), self.columns is None
+        return self.measure, self.structure.key
 
 
 def _stacked_pair_objective(objectives: Sequence[Objective]) -> Callable:

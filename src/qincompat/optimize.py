@@ -164,12 +164,16 @@ class Faces(NamedTuple):
     the subspace on which all of them vanish. :func:`minimize` reads
     ``probs`` at each start's first evaluation and at each completed
     iteration, and ``columns`` only to build the projector of a face it
-    tries. An objective of several problems gives ``columns`` per problem:
-    a tuple whose entry ``p`` is problem ``p``'s tuple of block columns.
+    tries. ``columns`` is any sequence of arrays: a pair objective passes
+    one that slices each block's columns out of its column matrix only when
+    an entry is read, by spans formed once per block structure, so an
+    evaluation builds no per-block views. An objective of several problems
+    gives ``columns`` per problem: a tuple whose entry ``p`` is problem
+    ``p``'s sequence of block columns.
     """
 
     probs: np.ndarray
-    columns: tuple[np.ndarray, ...]
+    columns: Sequence[np.ndarray]
 
 
 def _face_projector(columns: Sequence[np.ndarray], blocks: tuple[int, ...]) -> np.ndarray | None:

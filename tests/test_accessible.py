@@ -115,3 +115,22 @@ def test_rank_one_povm_rejects_non_finite_vectors(bad):
 def test_rank_one_povm_rejects_a_zero_dimension(shape):
     with pytest.raises(ValidationError, match="d >= 1"):
         RankOnePovm(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ([["a", 1]], "array of numbers"),
+    ([[1.0, 0.0], [0.0]], "array of numbers"),
+    ([[{}, 1.0], [0.0, 1.0]], "array of numbers"),
+])
+def test_rank_one_povm_rejects_vectors_that_are_not_numbers(vectors, message):
+    with pytest.raises(ValidationError, match=message):
+        RankOnePovm(vectors)
+
+
+@pytest.mark.parametrize("scale", [1e200, -1e200j, 1e155])
+def test_rank_one_povm_rejects_large_entries_without_overflow(scale):
+    """Entries whose completeness product would overflow fail validation, with no warning."""
+    vectors = np.eye(2, dtype=complex)
+    vectors[0, 1] = scale
+    with pytest.raises(ValidationError, match="do not sum to the identity"):
+        RankOnePovm(vectors)

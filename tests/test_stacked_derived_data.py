@@ -24,7 +24,7 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
-from qincompat import core, incompatibility
+from qincompat import core, incompatibility, optimize
 from qincompat.core import zero_floor
 
 
@@ -125,6 +125,13 @@ def _povm_with_a_zero_effect():
     return Povm((projs[0], np.zeros((3, 3)), tiny, projs[1] + projs[2] / 2, projs[2] / 2))
 
 
+def _interleaved_povm():
+    """Full-rank effects on both sides of a rank-one one, so that the width-3 blocks are not consecutive."""
+    u = random_unitary(3, 13)
+    ray = 0.3 * np.outer(u[:, 0], u[:, 0].conj())
+    return Povm((0.4 * np.eye(3), ray, 0.6 * np.eye(3) - ray))
+
+
 def _povms():
     rng = np.random.default_rng(3301)
     povms = [random_povm(d, n, rng) for d in range(2, 9) for n in range(2, 7)]
@@ -194,10 +201,10 @@ def test_pair_objective_columns_equal_the_per_block_loop(measure):
         "observable": [random_observable(d, rng) for d in (2, 4, 6)],
         "degenerate": _degenerate_observables(),
         "povm": [random_povm(d, n, rng) for d, n in ((2, 4), (3, 3), (4, 5))]
-        + [trine_povm(), _floored_povm(), _povm_with_a_zero_effect()],
+        + [trine_povm(), _floored_povm(), _povm_with_a_zero_effect(), _interleaved_povm()],
     }
     firsts = dict(seconds, instrument=_instruments())
-    covered = set()
+    covered, scattered = set(), set()
     for first_kind, firsts_of_kind in firsts.items():
         for first in firsts_of_kind:
             for second_kind, seconds_of_kind in seconds.items():
@@ -213,7 +220,29 @@ def test_pair_objective_columns_equal_the_per_block_loop(measure):
                     assert (terms.columns is None) == (columns is None)
                     for got, want in zip(terms.columns or (), columns or ()):
                         _same_bytes(got, want)
+                    if columns is not None:
+                        _assert_faces_columns_equal(pair_distance_objective(measure, first, second), columns)
+                    scattered.update(isinstance(at, np.ndarray) for at in terms.structure.products_at)
     assert covered == {(a, b) for a in firsts for b in seconds}  # every ordered pair of kinds
+    assert scattered == {False, True}  # products written through a slice and through an index
+
+
+def _assert_faces_columns_equal(objective, columns):
+    """The Faces columns of an evaluation give the bytes of ``columns``, the tuple they replaced."""
+    faces = objective(np.eye(1, len(columns[0]), dtype=np.complex128))[2]
+    assert faces.columns is objective.terms.columns
+    assert len(faces.columns) == len(columns)
+    assert [got.tobytes() for got in faces.columns] == [want.tobytes() for want in columns]
+    for block, want in enumerate(columns):
+        _same_bytes(faces.columns[block], want)
+        assert faces.columns[-1 - block].tobytes() == columns[-1 - block].tobytes()
+    blocks = (0, len(columns) // 2)
+    lazy, eager = optimize._face_projector(faces.columns, blocks), optimize._face_projector(columns, blocks)
+    assert (lazy is None) == (eager is None)
+    if lazy is not None:
+        _same_bytes(lazy, eager)
+    with pytest.raises(TypeError):
+        faces.columns[0] = columns[0]
 
 
 def test_the_strict_upper_mask_is_cached_and_read_only():
@@ -221,6 +250,43 @@ def test_the_strict_upper_mask_is_cached_and_read_only():
     assert mask is incompatibility._strict_upper(5)
     assert not mask.flags.writeable
     np.testing.assert_array_equal(mask, np.triu(np.ones((5, 5), dtype=bool), 1))
+
+
+def _read_only(value):
+    """Whether every array in a (nested) tuple of arrays, slices and numbers is read-only."""
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    return not isinstance(value, tuple) or all(_read_only(item) for item in value)
+
+
+@pytest.mark.parametrize("widths", [(1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 2, 2), (3, 1, 3), (2,)])
+def test_the_width_grouping_is_cached_and_read_only(widths):
+    grouping = core._width_groups(widths)
+    assert grouping is core._width_groups(widths)
+    assert _read_only(grouping)
+    layout = incompatibility._pair_layout(widths, 2, 4)
+    assert layout is incompatibility._pair_layout(widths, 2, 4)
+    assert _read_only(layout)
+
+
+@pytest.mark.parametrize("widths, members", [
+    ((1, 1, 1), {1: slice(0, 3)}),
+    ((2, 2, 1, 1), {1: slice(2, 4), 2: slice(0, 2)}),
+    ((1, 2, 1, 2, 2), {1: [0, 2], 2: [1, 3, 4]}),
+    ((3, 1, 3), {1: slice(1, 2), 3: [0, 2]}),
+])
+def test_the_width_grouping_is_a_slice_exactly_where_a_group_is_consecutive(widths, members):
+    order, groups = core._width_groups(widths)
+    assert {width: got if isinstance(got, slice) else got.tolist() for width, got, _ in groups} == members
+    assert (order is None) == (list(widths) == sorted(widths))
+    # Each group's stack holds its members' blocks, and a pair layout writes
+    # their products through a slice exactly where the members are one.
+    columns = np.arange(4 * sum(widths), dtype=np.complex128).reshape(4, -1)
+    blocks = np.split(columns, np.cumsum(widths)[:-1], axis=1)
+    layout = incompatibility._pair_layout(widths, 2, 4)
+    for (got, stack), products_at in zip(core._blocks_by_width(columns, widths), layout.products_at):
+        assert stack.tobytes() == np.stack([blocks[j] for j in np.arange(len(widths))[got]]).tobytes()
+        assert isinstance(products_at, slice) == isinstance(got, slice)
 
 
 def test_block_products_of_one_column_are_outer_products():
