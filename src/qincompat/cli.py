@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -48,6 +49,7 @@ from .serialization import (
     load_observable_file,
     save_observable_file,
     write_json_atomic,
+    write_text_atomic,
 )
 from .verify import SUITES, run_suites
 
@@ -258,12 +260,14 @@ def cmd_scan(args) -> int:
         base_seed=args.seed,
         inject=args.inject,
     )
-    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["trial", "seed", "value", "argmax_state"])
-        for row in report.rows:
-            argmax = json.dumps(_pairs(row.argmax.amplitudes))
-            writer.writerow([row.trial, row.seed, repr(row.value), argmax])
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["trial", "seed", "value", "argmax_state"])
+    for row in report.rows:
+        argmax = json.dumps(_pairs(row.argmax.amplitudes))
+        writer.writerow([row.trial, row.seed, repr(row.value), argmax])
+    with _writing(args.out):
+        write_text_atomic(args.out, table.getvalue())
     n_bad = len(report.counterexamples)
     n_exact = sum(row.is_exact for row in report.rows)
     print(f"scan: {len(report.rows)} rows written to {args.out}")

@@ -83,6 +83,8 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 def _whole(value) -> int | None:
     """``value`` as an ``int`` if it is an integer or a real number with no fractional part, else None."""
+    if type(value) is int:
+        return value
     if isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):
@@ -402,7 +404,7 @@ class HermitianObservable:
         ranks = tuple(map(_whole, self.ranks))
         basis = as_complex_matrix(self.basis, "eigenbasis")
         d = basis.shape[0]
-        if not np.all(np.isfinite(eigvals)):
+        if not np.isfinite(eigvals).all():
             raise ValidationError("eigenvalues contain non-finite entries")
         if None in ranks or len(ranks) != eigvals.size or sum(ranks) != d or min(ranks) < 1:
             raise ValidationError("eigenspace ranks must be positive whole numbers that sum to dim")

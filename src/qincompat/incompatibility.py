@@ -1070,7 +1070,7 @@ def pair_incompatibility(
     backward = directional_incompatibility(measure, second, first, config)
     report = IncompatReport(measure, forward, backward)
     if with_bounds:
-        report = replace(report, bound_checks=check_bounds(report, first, second))
+        return IncompatReport(measure, forward, backward, check_bounds(report, first, second))
     return report
 
 

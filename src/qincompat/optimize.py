@@ -31,7 +31,9 @@ skipped; README "multistart gradient search").
 That routine, ``setulb``, is all the package uses of scipy at run time, and
 :func:`_load_lbfgsb` loads its compiled extension alone: importing
 ``scipy.optimize`` would add 0.5-0.6 s and 49 MB to every process (scipy
-1.17 on a 2-vCPU Xeon), even to commands that never search.
+1.17 on a 2-vCPU Xeon), even to commands that never search. The extension
+and its OpenBLAS are loaded by the first search, not at import, so a
+process that never searches maps neither.
 This search serves the fidelity directional values, the maximal
 disturbance of POVMs and instruments, and the L1 directional value of a
 second measurement with too many outcomes. It is skipped where the answer
@@ -116,9 +118,6 @@ def _load_lbfgsb():
     return module
 
 
-_lbfgsb = _load_lbfgsb()
-
-
 def _load_lbfgsb_blas(libs: str):
     """A ctypes handle on scipy's OpenBLAS in ``libs`` (numpy's is another), or ``None``."""
     for path in glob.glob(os.path.join(libs, "libscipy_openblas-*")):
@@ -133,10 +132,28 @@ def _load_lbfgsb_blas(libs: str):
     return None
 
 
-_lbfgsb_blas = _load_lbfgsb_blas(os.path.dirname(_lbfgsb.__file__) + "/../../scipy.libs")
 # The count is per process: concurrent searches share the pin, and the last one restores it.
 _pin = {"searches": 0, "threads": 0}
 _pin_lock = threading.Lock()
+
+
+def _load_search() -> None:
+    """Set ``_lbfgsb`` and ``_lbfgsb_blas`` unless they are set; called under ``_pin_lock``."""
+    global _lbfgsb, _lbfgsb_blas
+    if "_lbfgsb" not in globals():
+        _lbfgsb = _load_lbfgsb()
+    if "_lbfgsb_blas" not in globals():
+        _lbfgsb_blas = _load_lbfgsb_blas(os.path.dirname(_lbfgsb.__file__) + "/../../scipy.libs")
+
+
+def __getattr__(name: str):
+    """``_lbfgsb`` and ``_lbfgsb_blas`` read before the first search load them."""
+    if name not in ("_lbfgsb", "_lbfgsb_blas"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    with _pin_lock:
+        _load_search()
+    return globals()[name]
+
 
 _ZERO_NORM_PENALTY = 1e6
 
@@ -269,8 +286,9 @@ def minimize(fun, x0: np.ndarray, options: dict, problems: np.ndarray | None = N
     process keeps a core busy, so scipy's OpenBLAS (:func:`_load_lbfgsb_blas`)
     runs on one thread until the last running search returns or raises.
     """
-    blas = _lbfgsb_blas
     with _pin_lock:
+        _load_search()
+        blas = _lbfgsb_blas
         if blas is not None and not _pin["searches"]:
             _pin["threads"] = blas.scipy_openblas_get_num_threads()
             blas.scipy_openblas_set_num_threads(1)

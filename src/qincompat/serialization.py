@@ -7,10 +7,10 @@ exact binary64 values; files are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
-import tempfile
 from typing import Any
 
 import numpy as np
@@ -28,8 +28,8 @@ MAX_DIM = 32
 
 def _pairs(arr: np.ndarray) -> list:
     """Nested lists of [re, im] Python floats, one pair per entry of ``arr``."""
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack((arr.real, arr.imag), axis=-1).tolist()
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    return arr.view(np.float64).reshape(*arr.shape, 2).tolist()
 
 
 def _is_number(x) -> bool:
@@ -38,6 +38,8 @@ def _is_number(x) -> bool:
     Booleans are excluded although Python counts them as ints, and so are
     integers too large to convert to a float.
     """
+    if type(x) is float:  # every number a writer of these files stores
+        return True
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
     try:
@@ -47,23 +49,22 @@ def _is_number(x) -> bool:
     return True
 
 
-def _pair_from_json(obj, where: str) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_is_number, obj)):
-        raise ParseError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
 def _matrix(obj, dim: int, where: str) -> np.ndarray:
-    """A ``dim x dim`` matrix of [re, im] pairs, walked entry by entry."""
+    """A ``dim x dim`` matrix of [re, im] pairs.
+
+    Every entry is checked in order, so a diagnostic names the first bad one;
+    the checked field is then converted in one call.
+    """
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"{where}[{i}]: expected {dim} entries")
         for j, pair in enumerate(row):
-            out[i, j] = _pair_from_json(pair, f"{where}[{i}][{j}]")
-    return out
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and _is_number(pair[0]) and _is_number(pair[1])):
+                raise ParseError(f"{where}[{i}][{j}]: expected a [re, im] pair, got {pair!r}")
+    return np.array(obj, dtype=np.float64).view(np.complex128).reshape(dim, dim)
 
 
 def _matrices_from_json(obj, dim: int, where: str) -> tuple[np.ndarray, ...]:
@@ -138,8 +139,8 @@ def load_observable_file(path):
     relevant :class:`ValidationError` subclass when the parsed object breaks
     a quantum invariant, including entries too large to check without overflow
     and a matrix whose decomposition fails.
-    Each numeric field is walked entry by entry, so a diagnostic names the
-    bad entry.
+    Each numeric field is checked entry by entry, so a diagnostic names the
+    first bad entry, and then converted in one call.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -178,17 +179,35 @@ def load_observable_file(path):
 
 
 def write_json_atomic(path, data: Any) -> None:
-    """Serialize ``data`` as ``json.dumps(data, indent=1)`` at ``path`` via a temp file.
+    """Serialize ``data`` as ``json.dumps(data, indent=1)`` at ``path`` with :func:`write_text_atomic`."""
+    write_text_atomic(path, json.dumps(data, indent=1) + "\n")
 
-    The temp file is made in the target's directory and renamed over it.
-    A replaced regular file keeps its permission bits; a new file gets those of a
-    plain ``open``, ``0o666`` less the umask, rather than the ``0o600`` of ``mkstemp``.
+
+def _temp_name() -> str:
+    """A temp file name with 64 random bits from the OS."""
+    return f"tmp{os.urandom(8).hex()}.tmp"
+
+
+# Names tried before giving up; mkstemp tries os.TMP_MAX, far more than random
+# 64-bit names ever need.
+_TEMP_TRIES = 100
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 at ``path`` via a temp file.
+
+    The temp file is made in the target's directory under a random name, as
+    ``tempfile.mkstemp`` makes it (exclusive create, never through a
+    symlink, a new name while one is taken), and renamed over the target.
+    A new file gets the mode of a plain ``open``, ``0o666`` less the umask,
+    applied by the kernel; a replaced regular file keeps its permission bits.
     A symlink is followed: its final target is replaced and the link kept.
     An existing target that is not a regular file, such as a FIFO or a
     device, cannot be replaced without destroying it, so it is written
-    through with a plain ``open`` instead.
+    through with a plain ``open`` instead. A write that fails leaves the
+    target as it was and removes its temp file.
     """
-    text = json.dumps(data, indent=1) + "\n"
     target = path
     try:
         mode = os.lstat(path).st_mode
@@ -196,17 +215,25 @@ def write_json_atomic(path, data: Any) -> None:
             target = os.path.realpath(path)
             mode = os.stat(target).st_mode
     except FileNotFoundError:  # a new file, or the missing target of a symlink
-        umask = os.umask(0o022)  # reading the umask means setting it, so it is set back
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8") as handle:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         return
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    directory = os.path.dirname(target)
+    for _ in range(_TEMP_TRIES):
+        tmp_path = os.path.join(directory, _temp_name())
+        try:
+            fd = os.open(tmp_path, _TEMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(errno.EEXIST, "no unused temp file name found", directory)
     try:
         try:
-            os.fchmod(fd, mode & 0o777)
+            if mode is not None:
+                os.fchmod(fd, mode & 0o777)
             remaining = memoryview(text.encode("utf-8"))
             while remaining:
                 remaining = remaining[os.write(fd, remaining):]

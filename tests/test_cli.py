@@ -173,6 +173,29 @@ def test_scan_csv_format_and_determinism(tmp_path, capsys):
     assert out.read_text() == second.read_text()
 
 
+def test_a_scan_that_fails_while_writing_leaves_the_previous_csv(tmp_path, monkeypatch):
+    import qincompat.cli as cli
+    from qincompat.serialization import _pairs
+
+    out = tmp_path / "scan.csv"
+    args = ["scan", "--measure", "1", "--dim", 2, "--trials", 3, "--seed", 3, "--out", out]
+    assert run(args) == 0
+    before = out.read_bytes()
+    formatted = []
+
+    def failing(amplitudes):
+        if len(formatted) == 2:
+            raise RuntimeError("row formatting failed")
+        formatted.append(amplitudes)
+        return _pairs(amplitudes)
+
+    monkeypatch.setattr(cli, "_pairs", failing)
+    with pytest.raises(RuntimeError, match="row formatting failed"):
+        run(args)
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["scan.csv"]
+
+
 def test_exact_values_say_so_in_reports_and_scan_summary(tmp_path, capsys, monkeypatch):
     import qincompat.incompatibility as incompatibility
 
@@ -735,6 +758,33 @@ def test_commands_load_no_scipy_module_but_the_lbfgsb_extension(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *map(str, _fixture_files(tmp_path))],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     assert proc.stdout.splitlines()[-1] == "['scipy.optimize._lbfgsb']"
+
+
+# Runs construct, an exact compute, an exact scan and an observable's
+# disturbance through main, then prints every scipy module loaded.
+_EXACT_FOOTPRINT = """
+import os, sys
+import qincompat, qincompat.cli, qincompat.verify
+out = sys.argv[1]
+main = qincompat.cli.main
+assert main(["construct", "mub", "--dim", "3", "--out", out]) == 0
+a, b = (os.path.join(out, f"mub_d3_{side}.json") for side in "ab")
+assert main(["compute", "--measure", "1", "--pair", a, b]) == 0
+assert main(["compute", "--measure", "inf", "--pair", a, b]) == 0
+assert main(["scan", "--measure", "1", "--dim", "3", "--trials", "2",
+             "--out", os.path.join(out, "scan.csv")]) == 0
+assert main(["disturbance", a, "--measure", "F"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_that_never_search_load_no_scipy_module(tmp_path):
+    """The L-BFGS-B extension and its OpenBLAS are loaded by the first search, not at import."""
+    src = Path(qincompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _EXACT_FOOTPRINT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # Runs a Lueders compute and verify's luders suite through main, counting the

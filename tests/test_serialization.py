@@ -22,6 +22,9 @@ from qincompat import (
     ParseError,
     Povm,
     ValidationError,
+    asymmetric_pair,
+    commuting_subspace_pair,
+    degenerate_observable,
     fourier_mub_pair,
     load_observable_file,
     random_observable,
@@ -221,6 +224,33 @@ def test_atomic_write_to_a_fifo_writes_through_it(tmp_path):
     assert received == [json.dumps({"value": 1.0}, indent=1) + "\n"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo"]
+
+
+@pytest.mark.parametrize("taken", ["regular file", "dangling symlink"])
+def test_a_taken_temp_name_is_left_alone_and_the_next_one_used(tmp_path, monkeypatch, taken):
+    from qincompat import serialization
+
+    squatter = tmp_path / "tmptaken.tmp"
+    if taken == "regular file":
+        squatter.write_text("someone else's")
+    else:
+        squatter.symlink_to("nowhere")
+    names = iter(["tmptaken.tmp", "tmpfree.tmp"])
+    handed = []
+    monkeypatch.setattr(serialization, "_temp_name", lambda: handed.append(next(names)) or handed[-1])
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(src) or real_replace(src, dst))
+    write_json_atomic(tmp_path / "report.json", {"value": 1.0})
+    assert handed == ["tmptaken.tmp", "tmpfree.tmp"]
+    assert replaced == [os.path.join(str(tmp_path), "tmpfree.tmp")]
+    assert (tmp_path / "report.json").read_text() == json.dumps({"value": 1.0}, indent=1) + "\n"
+    if taken == "regular file":
+        assert squatter.read_text() == "someone else's" and not squatter.is_symlink()
+    else:
+        assert squatter.is_symlink() and os.readlink(squatter) == "nowhere"
+        assert not (tmp_path / "nowhere").exists()
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "tmptaken.tmp"]
 
 
 def test_booleans_are_not_numbers(tmp_path):
@@ -503,6 +533,26 @@ _LOADER_CASES = {
 }
 
 
+def _file(obj) -> bytes:
+    return json.dumps({"format_version": "1", "dim": obj.dim, "payload": to_payload(obj)}).encode()
+
+
+# The fixture families of the benchmark's compute workload, as construct writes them.
+_FAMILIES = {
+    **{f"mub d={d} {side}": obs for d in range(2, 7)
+       for side, obs in zip("ab", fourier_mub_pair(d))},
+    **{f"commuting-subspace ({d}, {dc}) {side}": obs for d, dc in ((4, 1), (6, 3))
+       for side, obs in zip("ab", commuting_subspace_pair(d, dc))},
+    **{f"asymmetric (4, 1) {side}": obs for side, obs in zip("ab", asymmetric_pair(4, 1))},
+    **{f"random POVM ({d}, {n})": random_povm(d, n, seed)
+       for d, n, seed in ((2, 4, 5), (3, 3, 5), (3, 4, 6))},
+    "trine": trine_povm(),
+    **{f"z channel p={p}": z_channel(p) for p in (0.1, 0.5, 0.9)},
+    "degenerate d=5": degenerate_observable((2, 2, 1), random_unitary(5, 5)),
+}
+_LOADER_CASES.update({f"family {name}": _file(obj) for name, obj in _FAMILIES.items()})
+
+
 # Each case's outcome when every numeric field could also be converted in one
 # np.array call; that route and the entry-by-entry walk agreed on all of them.
 _LOADER_OUTCOMES = {
@@ -528,6 +578,31 @@ _LOADER_OUTCOMES = {
     "valid instrument": ("Instrument", "52043603de9ad0dde097076cffa73901"),
     "valid observable": ("HermitianObservable", "23055b075e51bc44c945cd5f121200a8"),
     "valid povm": ("Povm", "8ddf29841c8a33a37c7efbd16fddad3e"),
+    # The fixture families, as the walk-and-store loader read them.
+    "family asymmetric (4, 1) a": ("HermitianObservable", "a112e82f486b5f9b67362df332813554"),
+    "family asymmetric (4, 1) b": ("HermitianObservable", "18d94e3eee1f3fa1d280ae0bb23308ad"),
+    "family commuting-subspace (4, 1) a": ("HermitianObservable", "a112e82f486b5f9b67362df332813554"),
+    "family commuting-subspace (4, 1) b": ("HermitianObservable", "69568c2564b7f71863e7bd2fb3db0120"),
+    "family commuting-subspace (6, 3) a": ("HermitianObservable", "96096d73a8e94a4777203c9b218b5395"),
+    "family commuting-subspace (6, 3) b": ("HermitianObservable", "26b0e2701b121a6c5093e58a1f57abc5"),
+    "family degenerate d=5": ("HermitianObservable", "2756edc707eccdb169bc0e73cb4c1f9a"),
+    "family mub d=2 a": ("HermitianObservable", "23055b075e51bc44c945cd5f121200a8"),
+    "family mub d=2 b": ("HermitianObservable", "e5b9ebc86f7238c1fbf6b8bbf1cc028b"),
+    "family mub d=3 a": ("HermitianObservable", "85094a14e962922085fce632e0541ed7"),
+    "family mub d=3 b": ("HermitianObservable", "8ef9301be179100f71781065a1537b0f"),
+    "family mub d=4 a": ("HermitianObservable", "a112e82f486b5f9b67362df332813554"),
+    "family mub d=4 b": ("HermitianObservable", "3f9163f5846e4c9c52e8b502f7c476af"),
+    "family mub d=5 a": ("HermitianObservable", "d6cb559d29afe22df8a9b23dca1267af"),
+    "family mub d=5 b": ("HermitianObservable", "1a8fca1f8038d9a9ca09aa9ea3e6a30a"),
+    "family mub d=6 a": ("HermitianObservable", "96096d73a8e94a4777203c9b218b5395"),
+    "family mub d=6 b": ("HermitianObservable", "a400f851566e83f3fd28e36606e49bd7"),
+    "family random POVM (2, 4)": ("Povm", "4b6b3913262ec5c079bcf8284476c21f"),
+    "family random POVM (3, 3)": ("Povm", "7a7195012584e99bf964787508034f7c"),
+    "family random POVM (3, 4)": ("Povm", "9998ea5f8bf0b3a3190bba681ba0270a"),
+    "family trine": ("Povm", "8ddf29841c8a33a37c7efbd16fddad3e"),
+    "family z channel p=0.1": ("Instrument", "3e2fbcfcdeb177ede4766275a3bf18a9"),
+    "family z channel p=0.5": ("Instrument", "f5eeb167714d8c58090c208a335835a5"),
+    "family z channel p=0.9": ("Instrument", "de685203603a809ced6b7e116a3501e9"),
 }
 
 
