@@ -85,6 +85,8 @@ def _whole(value) -> int | None:
     """``value`` as an ``int`` if it is an integer or a real number with no fractional part, else None."""
     if type(value) is int:
         return value
+    if isinstance(value, bool):  # a flag, not a count, as the file loader and OptimizerConfig hold
+        return None
     if isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):
@@ -390,8 +392,8 @@ class HermitianObservable:
     ``basis`` holds an orthonormal eigenvector basis whose columns are
     grouped by eigenspace in the same order, ``ranks[i]`` columns for
     ``eigenvalues[i]``. These three fields are validated once, when the
-    observable is built; ``matrix``, ``projectors``, ``factors``, ``instrument``
-    and ``seed_rows`` are derived from them on first access and are read-only.
+    observable is built; ``matrix``, ``projectors``, ``factors`` and
+    ``seed_rows`` are derived from them on first access and are read-only.
     The ``projectors`` are formed in stacks, one product per distinct rank.
     """
 
@@ -470,11 +472,6 @@ class HermitianObservable:
         return matrix
 
     @cached_property
-    def instrument(self) -> "Instrument":
-        """The projective instrument, built on first access and shared afterwards."""
-        return projective_instrument(self)
-
-    @cached_property
     def seed_rows(self) -> np.ndarray:
         """Read-only unit rows of the candidate states a supremum starts from.
 
@@ -498,14 +495,6 @@ class HermitianObservable:
     @property
     def is_nondegenerate(self) -> bool:
         return all(r == 1 for r in self.ranks)
-
-    def block_slices(self) -> list[slice]:
-        """Column ranges of ``basis`` belonging to each eigenspace."""
-        out, start = [], 0
-        for rank in self.ranks:
-            out.append(slice(start, start + rank))
-            start += rank
-        return out
 
     @classmethod
     def from_eigensystem(cls, eigenvalues, basis, group_tol: float = 1e-12) -> "HermitianObservable":
@@ -570,35 +559,29 @@ class Povm:
             if hermiticity_defect(elem) > HERMITIAN_TOL:
                 raise NotHermitianError(f"POVM element {i} is not self-adjoint")
         object.__setattr__(self, "elements", elems)
-        for i, (eigvals, _) in enumerate(self.spectra):
-            if eigvals.min() < -POVM_EIG_TOL or eigvals.max() > 1.0 + POVM_EIG_TOL:
-                raise NotPositiveError(
-                    f"POVM element {i} has eigenvalues outside [0, 1]: "
-                    f"[{eigvals.min():.3e}, {eigvals.max():.3e}]"
-                )
+        lowest, highest = self.spectra[0][:, 0], self.spectra[0][:, -1]  # each row ascends
+        outside = (lowest < -POVM_EIG_TOL) | (highest > 1.0 + POVM_EIG_TOL)
+        if outside.any():
+            i = int(outside.argmax())
+            raise NotPositiveError(
+                f"POVM element {i} has eigenvalues outside [0, 1]: "
+                f"[{lowest[i]:.3e}, {highest[i]:.3e}]"
+            )
         total = sum(elems)
         if max_abs(total - np.eye(d)) > COMPLETENESS_TOL:
             raise ValidationError("POVM elements do not sum to the identity")
         _freeze(*elems)
 
     @cached_property
-    def _eigen(self) -> tuple[np.ndarray, np.ndarray]:
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(n, d)`` eigenvalues and ``(n, d, d)`` eigenvectors of every effect, stacked.
 
-        They are ``eigh((E + E^H)/2)`` of each effect E, in one stacked call.
+        Row k is ``eigh((E_k + E_k^H)/2)`` of effect k, all in one stacked call.
         """
         elems = np.array(self.elements)
         eigvals, eigvecs = _eigh((elems + elems.conj().transpose(0, 2, 1)) / 2.0, "a POVM effect")
         _freeze(eigvals, eigvecs)
         return eigvals, eigvecs
-
-    @cached_property
-    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read-only ``(eigenvalues, eigenvectors)`` of ``eigh((E + E^H)/2)`` per effect E.
-
-        All effects are decomposed in one stacked call; each entry is a view of its stack.
-        """
-        return tuple(zip(*self._eigen))
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -608,7 +591,7 @@ class Povm:
         eigenvalues are zeroed, not rooted. These are the eigenvalues of the
         Lüders Kraus operators, with the eigenvectors of ``spectra``.
         """
-        roots = np.sqrt(zero_floor(self._eigen[0]))
+        roots = np.sqrt(zero_floor(self.spectra[0]))
         _freeze(roots)
         return roots
 
@@ -624,7 +607,7 @@ class Povm:
         keep = self.roots > 0
         empty = ~keep.any(axis=1)
         keep[empty, 0] = True  # zeroed below
-        scaled = np.multiply(self._eigen[1].transpose(1, 0, 2), self.roots, order="C")
+        scaled = np.multiply(self.spectra[1].transpose(1, 0, 2), self.roots, order="C")
         factors = scaled.reshape(dim, n * dim).take(np.flatnonzero(keep), axis=1)
         widths = keep.sum(axis=1)
         offsets = np.cumsum(widths) - widths
@@ -635,7 +618,7 @@ class Povm:
     @cached_property
     def kraus(self) -> np.ndarray:
         """Read-only Lüders Kraus operators ``sqrt(E_k)``, stacked, from ``spectra`` and ``roots``."""
-        eigvecs = self._eigen[1]
+        eigvecs = self.spectra[1]
         roots = (eigvecs * self.roots[:, None, :]) @ eigvecs.conj().transpose(0, 2, 1)
         kraus = (roots + roots.conj().transpose(0, 2, 1)) / 2.0
         _freeze(kraus)
@@ -648,7 +631,7 @@ class Povm:
         They are the ``spectra`` eigenvectors of each effect and their sum,
         effect by effect, then the sum of every effect's top eigenvector.
         """
-        eigvecs = self._eigen[1]
+        eigvecs = self.spectra[1]
         tops = np.ascontiguousarray(eigvecs[:, :, -1].T)
         rows = _candidate_rows(eigvecs, tops.sum(axis=1))
         _freeze(rows)
@@ -666,11 +649,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def instrument(self) -> "Instrument":
-        """The Lüders instrument, built and validated on first access and shared afterwards."""
-        return luders_from_povm(self)
 
     @classmethod
     def from_observable(cls, obs: HermitianObservable) -> "Povm":
@@ -721,14 +699,10 @@ class Instrument:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def kraus_flat(self) -> list[np.ndarray]:
-        """All Kraus operators, outcome-major order."""
-        return [k for ops in self.outcomes for k in ops]
-
     @cached_property
     def kraus(self) -> np.ndarray:
-        """Read-only stack of :meth:`kraus_flat`."""
-        kraus = np.stack(self.kraus_flat())
+        """Read-only stack of all Kraus operators, outcome-major order."""
+        kraus = np.stack([k for ops in self.outcomes for k in ops])
         _freeze(kraus)
         return kraus
 
@@ -791,13 +765,15 @@ def canonical_instrument(meas) -> Instrument:
 
     Observables collapse via their eigenprojectors, POVMs act through
     their positive square roots, and instruments pass through unchanged.
-    An observable or a POVM builds its instrument once and returns that
-    same object on every later call.
+    An observable or a POVM gets a new, validated instrument on every call;
+    no measurement caches one.
     """
     if isinstance(meas, Instrument):
         return meas
-    if isinstance(meas, (HermitianObservable, Povm)):
-        return meas.instrument
+    if isinstance(meas, HermitianObservable):
+        return projective_instrument(meas)
+    if isinstance(meas, Povm):
+        return luders_from_povm(meas)
     raise TypeError(f"cannot build an instrument from {type(meas).__name__}")
 
 

@@ -423,18 +423,12 @@ def analytic_seed_states(*measurements) -> np.ndarray:
 
 
 def _seed_states(*row_sets: np.ndarray) -> np.ndarray:
-    """The rows of all ``row_sets`` in turn, less each that is an earlier row's state."""
+    """The unit rows of all ``row_sets`` in turn, less each that is an earlier row's state.
+
+    Two rows are one state up to phase where ``|<u|v>| > 1 - 1e-9``.
+    """
     rows = np.concatenate(row_sets)
-    return _distinct(rows, _same_states(rows))
-
-
-def _same_states(rows: np.ndarray) -> np.ndarray:
-    """Which pairs of unit rows are one state up to phase: ``|<u|v>| > 1 - 1e-9``."""
-    return np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9
-
-
-def _distinct(rows: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """The rows that are no earlier row's state, by the :func:`_same_states` matrix ``same``."""
+    same = np.abs(rows.conj() @ rows.T) > 1.0 - 1e-9
     return rows[~(same & _strict_upper(len(rows))).any(axis=0)]
 
 
@@ -460,8 +454,8 @@ def _subset_superpositions(first, second) -> np.ndarray | None:
     if not (isinstance(first, HermitianObservable) and first.n_outcomes < first.dim
             and isinstance(second, HermitianObservable) and second.dim <= SUBSET_MAX_DIM):
         return None
-    masks = (np.arange(2**second.dim)[:, None] >> np.arange(second.dim)) & 1
-    sizes = masks.sum(axis=1)
+    masks = _subset_masks(second.dim)
+    sizes = masks.real.sum(axis=1)
     return _unit_rows(masks[(sizes >= 2) & (sizes < second.dim)] @ second.basis.T)
 
 
@@ -881,7 +875,7 @@ def proven_ceilings(measure: Measure, first) -> dict[str, float]:
             ceilings["fidelity-dim"] = 1.0 - 1.0 / first.dim  # closed_form rejects d = 1
         return ceilings
     if isinstance(first, Povm) and measure is Measure.FIDELITY:
-        return _luders_ceilings(first.n_outcomes, [eigvals[-1] for eigvals, _ in first.spectra])
+        return _luders_ceilings(first.n_outcomes, first.spectra[0][:, -1].tolist())
     return {}
 
 

@@ -43,7 +43,7 @@ def apply_instrument(inst: Instrument, state) -> DensityMatrix:
     rho = _density_of(state)
     _check_dims(inst.dim, rho.shape[0])
     out = np.zeros_like(rho)
-    for kraus in inst.kraus_flat():
+    for kraus in inst.kraus:
         out += kraus @ rho @ kraus.conj().T
     return DensityMatrix((out + out.conj().T) / 2.0)
 
@@ -99,7 +99,7 @@ def pure_channel_fidelity(inst, psi: PureState) -> float:
     _check_dims(instrument.dim, psi.dim)
     vec = psi.amplitudes
     total = 0.0
-    for kraus in instrument.kraus_flat():
+    for kraus in instrument.kraus:
         amp = vec.conj() @ (kraus @ vec)
         total += float(abs(amp)) ** 2
     return float(np.sqrt(np.clip(total, 0.0, 1.0)))

@@ -171,7 +171,7 @@ def test_criterion_09_degenerate_disturbance():
         value = maximal_disturbance(Measure.FIDELITY, obs, cfg(90 + d + r)).value
         assert value == pytest.approx(1.0 - 1.0 / r, abs=1e-9)
         # the equal-weight superposition of one vector per eigenspace attains it
-        reps = [obs.basis[:, sl.start] for sl in obs.block_slices()]
+        reps = [obs.basis[:, start] for start in (0, *itertools.accumulate(obs.ranks[:-1]))]
         psi_opt = PureState.normalized(np.sum(reps, axis=0))
         fid_sq = pure_channel_fidelity(projective_instrument(obs), psi_opt) ** 2
         assert fid_sq == pytest.approx(1.0 / r, abs=1e-12)

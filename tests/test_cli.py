@@ -350,6 +350,51 @@ def test_scan_exits_3_on_a_row_above_the_ceiling(tmp_path, capsys, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_compute_exits_3_on_a_violated_bound_and_still_writes_its_report(tmp_path, capsys, monkeypatch):
+    import qincompat.incompatibility as incompatibility
+
+    real_checks = incompatibility.check_bounds
+
+    def lowered(report, first, second):  # the first check's bound falls below its measured value
+        first_check, *rest = real_checks(report, first, second)
+        return (dataclasses.replace(first_check, bound=first_check.measured - 0.25), *rest)
+
+    monkeypatch.setattr(incompatibility, "check_bounds", lowered)
+    a, b, _ = _fixture_files(tmp_path)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["compute", "--measure", "F", "--pair", a, b, "--out", out, *FAST]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "1 bound violation(s) detected\n"
+    assert captured.out.count("[VIOLATED]") == 1
+    bounds = json.loads(out.read_text())["bounds"]
+    assert [b["satisfied"] for b in bounds] == [False] + [True] * (len(bounds) - 1)
+
+
+def test_a_numerical_failure_inside_a_compute_exits_3(tmp_path, capsys, monkeypatch):
+    import qincompat.incompatibility as incompatibility
+    from qincompat import NumericalFailureError
+
+    def diverging(*args, **kwargs):
+        raise NumericalFailureError("decomposition of the outcome differences did not converge")
+
+    monkeypatch.setattr(incompatibility, "directional_incompatibility", diverging)
+    a, b, _ = _fixture_files(tmp_path)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["compute", "--measure", "1", "--pair", a, b, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "error: decomposition of the outcome differences did not converge\n"
+    )
+    assert not out.exists()
+
+
+def test_construct_commuting_subspace_without_dc_exits_2(tmp_path, capsys):
+    assert run(["construct", "commuting-subspace", "--dim", 4, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == "error: commuting-subspace needs --dc\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         run(["verify", "--suite", "nonsense"])

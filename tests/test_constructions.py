@@ -125,9 +125,9 @@ def test_degenerate_observable_spectrum():
     with pytest.raises(ParamOutOfRangeError):
         degenerate_observable(())
     assert degenerate_observable((2.0, np.int64(1))).ranks == (2, 1)
-    for fractional in ((1.5, 1), (2, 0.5)):
-        with pytest.raises(ParamOutOfRangeError):
-            degenerate_observable(fractional)
+    for not_whole in ((1.5, 1), (2, 0.5), (True, 2), (True, True), (2, np.True_)):
+        with pytest.raises(ParamOutOfRangeError, match="positive integers"):
+            degenerate_observable(not_whole)
 
 
 def test_z_channel_endpoints_and_formula():

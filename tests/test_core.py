@@ -248,7 +248,8 @@ def test_observable_rejects_eigenvalues_that_do_not_increase(values):
 
 
 @pytest.mark.parametrize(
-    "ranks", [(1.5, 1.7), (1.5, 0.5), (0.5, 1.5), (float("nan"), 1), (float("inf"), 1), ("one", 1), (1j, 1)]
+    "ranks", [(1.5, 1.7), (1.5, 0.5), (0.5, 1.5), (float("nan"), 1), (float("inf"), 1), ("one", 1), (1j, 1),
+              (True, True), (True, 1), (1, np.True_)]  # a bool is a numbers.Integral, but a flag, not a rank
 )
 def test_observable_rejects_ranks_that_are_not_whole_numbers(ranks):
     with pytest.raises(ValidationError, match="whole numbers"):
@@ -256,7 +257,7 @@ def test_observable_rejects_ranks_that_are_not_whole_numbers(ranks):
 
 
 @pytest.mark.parametrize(
-    "ranks", [(1, 1), (np.int64(1), np.uint8(1)), (1.0, np.float64(1.0)), (True, np.float32(1.0))]
+    "ranks", [(1, 1), (np.int64(1), np.uint8(1)), (1.0, np.float64(1.0)), (np.int32(1), np.float32(1.0))]
 )
 def test_observable_takes_integer_and_integral_float_ranks(ranks):
     obs = HermitianObservable([1.0, 2.0], ranks, np.eye(2))
@@ -323,7 +324,7 @@ def test_luders_scalar_square_root():
     inst = luders_from_povm(povm)
     np.testing.assert_allclose(inst.outcomes[0][0], np.eye(2) / np.sqrt(2), atol=1e-12)
     rho = random_pure_state(2, 3).density()
-    out = sum(k @ rho.matrix @ k.conj().T for k in inst.kraus_flat())
+    out = sum(k @ rho.matrix @ k.conj().T for k in inst.kraus)
     np.testing.assert_allclose(out, rho.matrix, atol=1e-12)
 
 
@@ -342,12 +343,15 @@ def test_povm_spectra_are_the_read_only_eigh_of_each_symmetrized_effect():
     lopsided = Povm((PROJ_X_PLUS + skew, PROJ_X_MINUS - skew))
     for povm in (trine_povm(), random_povm(3, 4, seed=12), lopsided):
         spectra = povm.spectra
-        assert povm.spectra is spectra and len(spectra) == povm.n_outcomes
-        for (eigvals, eigvecs), effect in zip(spectra, povm.elements):
+        eigvals, eigvecs = spectra
+        assert povm.spectra is spectra
+        assert eigvals.shape == (povm.n_outcomes, povm.dim)
+        assert eigvecs.shape == (povm.n_outcomes, povm.dim, povm.dim)
+        assert not eigvals.flags.writeable and not eigvecs.flags.writeable
+        for vals, vecs, effect in zip(eigvals, eigvecs, povm.elements, strict=True):
             expected_vals, expected_vecs = np.linalg.eigh((effect + effect.conj().T) / 2.0)
-            assert eigvals.tobytes() == expected_vals.tobytes()
-            assert eigvecs.tobytes() == expected_vecs.tobytes()
-            assert not eigvals.flags.writeable and not eigvecs.flags.writeable
+            assert vals.tobytes() == expected_vals.tobytes()
+            assert vecs.tobytes() == expected_vecs.tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):
             povm.spectra = ()
     assert not np.array_equal(lopsided.elements[0], lopsided.elements[0].conj().T)
@@ -396,7 +400,7 @@ def test_instrument_trace_preservation_on_random_states():
     inst = luders_from_povm(random_povm(3, 4, seed=5))
     for k in range(100):
         rho = random_pure_state(3, 100 + k).density().matrix
-        out = sum(kr @ rho @ kr.conj().T for kr in inst.kraus_flat())
+        out = sum(kr @ rho @ kr.conj().T for kr in inst.kraus)
         assert abs(np.trace(out).real - 1.0) <= 1e-10
 
 
@@ -419,9 +423,12 @@ def test_canonical_instrument_dispatch():
     assert canonical_instrument(obs).n_outcomes == 2
     povm = random_povm(2, 3, 4)
     assert canonical_instrument(povm).n_outcomes == 3
-    # Built once per object: every later call returns the same instrument.
-    assert canonical_instrument(obs) is canonical_instrument(obs)
-    assert canonical_instrument(povm) is canonical_instrument(povm)
+    # Built and validated on each call, as projective_instrument and luders_from_povm build it;
+    # no measurement keeps one.
+    assert canonical_instrument(obs) is not canonical_instrument(obs)
+    assert canonical_instrument(obs).kraus.tobytes() == projective_instrument(obs).kraus.tobytes()
+    assert canonical_instrument(povm).kraus.tobytes() == luders_from_povm(povm).kraus.tobytes()
+    assert "instrument" not in vars(obs) and "instrument" not in vars(povm)
     inst = projective_instrument(obs)
     assert canonical_instrument(inst) is inst
     with pytest.raises(TypeError):
@@ -448,8 +455,16 @@ def test_density_matrix_validation():
 def test_povm_validation():
     with pytest.raises(ValidationError):
         Povm((np.eye(2) / 2, np.eye(2) / 3))
-    with pytest.raises(NotPositiveError):
-        Povm((np.diag([1.1, 0.5]).astype(complex), np.diag([-0.1, 0.5]).astype(complex)))
+    # The message names the first effect outside [0, 1] and its extreme eigenvalues.
+    cases = [
+        ((np.diag([1.1, 0.5]), np.diag([-0.1, 0.5])), "POVM element 0 has eigenvalues outside [0, 1]: "
+                                                      "[5.000e-01, 1.100e+00]"),
+        ((np.eye(2) / 2, np.diag([0.7, -0.2]), np.diag([-0.2, 0.7])),
+         "POVM element 1 has eigenvalues outside [0, 1]: [-2.000e-01, 7.000e-01]"),
+    ]
+    for effects, message in cases:
+        with pytest.raises(NotPositiveError, match=f"^{re.escape(message)}$"):
+            Povm(effects)
 
 
 def test_validated_matrices_are_stored_c_ordered():
@@ -459,7 +474,7 @@ def test_validated_matrices_are_stored_c_ordered():
     rho = povm.elements[0] / np.trace(povm.elements[0])
     fortran = [
         *Povm(tuple(np.asfortranarray(e) for e in povm.elements)).elements,
-        *Instrument(tuple((np.asfortranarray(k),) for k in roots)).kraus_flat(),
+        *(ops[0] for ops in Instrument(tuple((np.asfortranarray(k),) for k in roots)).outcomes),
         HermitianObservable([1.0, 2.0, 3.0], (1, 1, 1), np.asfortranarray(basis)).basis,
         DensityMatrix(np.asfortranarray(rho)).matrix,
     ]
@@ -493,21 +508,21 @@ def test_povm_roots_are_read_only_and_feed_factors_and_luders_operators_bit_for_
     for povm in (trine_povm(), random_povm(3, 4, seed=24), Povm((below, np.eye(2) - below))):
         roots = povm.roots
         assert povm.roots is roots and not roots.flags.writeable
-        expected = [np.sqrt(zero_floor(eigvals)) for eigvals, _ in povm.spectra]
+        expected = [np.sqrt(zero_floor(eigvals)) for eigvals in povm.spectra[0]]
         assert roots.tobytes() == np.stack(expected).tobytes()
         # the factors and Kraus operators as they were formed before roots were cached
         columns = []
-        for (_, eigvecs), root in zip(povm.spectra, expected):
+        for eigvecs, root in zip(povm.spectra[1], expected):
             keep = root > 0
             columns.append(eigvecs[:, keep] * root[keep])
         factors, offsets = _effect_factors(povm)
         assert factors.tobytes() == np.hstack(columns).tobytes()
         assert offsets.tolist() == np.cumsum([0] + [c.shape[1] for c in columns[:-1]]).tolist()
-        for (kraus,), (_, eigvecs), root in zip(luders_from_povm(povm).outcomes, povm.spectra, expected):
+        for (kraus,), eigvecs, root in zip(luders_from_povm(povm).outcomes, povm.spectra[1], expected):
             op = (eigvecs * root) @ eigvecs.conj().T
             assert kraus.tobytes() == ((op + op.conj().T) / 2.0).tobytes()
         # Povm.kraus, formed as luders_from_povm formed its roots before they were cached
-        ops = [(eigvecs * root) @ eigvecs.conj().T for (_, eigvecs), root in zip(povm.spectra, expected)]
+        ops = [(eigvecs * root) @ eigvecs.conj().T for eigvecs, root in zip(povm.spectra[1], expected)]
         reference = np.stack([(op + op.conj().T) / 2.0 for op in ops])
         assert povm.kraus is povm.kraus and not povm.kraus.flags.writeable
         assert povm.kraus.tobytes() == reference.tobytes() and povm.kraus.shape == reference.shape

@@ -34,7 +34,7 @@ FIRST_KINDS = ("observable", "povm", "instrument")
 
 def _mixing_instrument(dim, rng):
     """Three outcomes with two Kraus operators each: rotated halves of Lueders roots."""
-    roots = luders_from_povm(random_povm(dim, 3, rng)).kraus_flat()
+    roots = luders_from_povm(random_povm(dim, 3, rng)).kraus
     return Instrument(
         tuple(
             tuple(random_unitary(dim, rng) @ root / np.sqrt(2.0) for _ in range(2))
@@ -64,7 +64,7 @@ def _pair_kink_distance(measure, first, second, state):
 
 def _disturbance_kink_distance(measure, inst, state):
     if measure is Measure.FIDELITY:
-        amps = [state.amplitudes.conj() @ k @ state.amplitudes for k in inst.kraus_flat()]
+        amps = [state.amplitudes.conj() @ k @ state.amplitudes for k in inst.kraus]
         return 1.0 - sum(abs(a) ** 2 for a in amps)
     rho = state.density()
     diff = apply_instrument(inst, rho).matrix - rho.matrix

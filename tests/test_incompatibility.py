@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 import functools
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qincompat import (
     conjecture_scan,
     directional_incompatibility,
     fourier_mub_pair,
+    luders_from_povm,
     maximal_disturbance,
     maximize_over_pure_states,
     measurement_effects,
@@ -192,6 +194,13 @@ def test_closed_form_rejects_bad_input():
     assert closed_form("fidelity_directional_max", d=np.int64(4)) == 0.75
     assert closed_form("fidelity_shared_eigenvectors", d=4.0, d_c=np.uint8(1)) == (1 - 1 / 3) / 2
     assert closed_form("degenerate_disturbance", n_distinct=np.float64(2.0)) == 0.5
+    # booleans are not, as in files and OptimizerConfig
+    for name, params in (("degenerate_disturbance", {"n_distinct": True}),
+                         ("luders_fidelity_max", {"n_outcomes": True}),
+                         ("fidelity_directional_max", {"d": True}),
+                         ("fidelity_shared_eigenvectors", {"d": 4, "d_c": False})):
+        with pytest.raises(ParamOutOfRangeError, match="whole numbers"):
+            closed_form(name, **params)
 
 
 def test_measure_flags():
@@ -381,7 +390,7 @@ def test_exact_path_rejects_dimension_mismatch():
 
 def _sandwich_exact(measure, first, second) -> float:
     """Q_1 or Q_inf from D_j = sum_k K_k^dag E_j K_k - E_j over first's Kraus operators."""
-    kraus = np.stack(canonical_instrument(first).kraus_flat())
+    kraus = canonical_instrument(first).kraus
     effects = np.stack(measurement_effects(second))
     diff = np.einsum("kba,jbc,kcd->jad", kraus.conj(), effects, kraus) - effects
     if measure is Measure.LINF:
@@ -825,18 +834,18 @@ def test_a_povms_disturbance_builds_no_instrument(monkeypatch):
     real_seeds, expected = incompatibility._seed_states, []
     for povm in povms:  # seeded, as before, from the rows of the built Lüders instrument
         twin = Povm(povm.elements)
+        luders = luders_from_povm(twin)
         with monkeypatch.context() as patch:
             patch.setattr(incompatibility, "_seed_states",
-                          lambda *rows, twin=twin: real_seeds(twin.seed_rows, twin.instrument.seed_rows))
+                          lambda *rows, rows_of=(twin.seed_rows, luders.seed_rows): real_seeds(*rows_of))
             expected.append([_disturbance_fields(maximal_disturbance(m, twin, TINY)) for m in measures])
-        assert twin.luders_rows.tobytes() == twin.instrument.seed_rows.tobytes()
+        assert twin.luders_rows.tobytes() == luders.seed_rows.tobytes()
     built = []
     real_init = Instrument.__post_init__
     monkeypatch.setattr(Instrument, "__post_init__", lambda self: built.append(1) or real_init(self))
     for povm, fields in zip(povms, expected):
         fresh = Povm(povm.elements)
         assert [_disturbance_fields(maximal_disturbance(m, fresh, TINY)) for m in measures] == fields
-        assert "instrument" not in vars(fresh)
     assert built == []
 
 
@@ -937,10 +946,10 @@ def _candidate_columns(meas):
     elif isinstance(meas, Povm):
         bases = [np.linalg.eigh(elem)[1] for elem in meas.elements]
     else:
-        bases = [core._normal_basis(kraus) for kraus in meas.kraus_flat()]
+        bases = [core._normal_basis(kraus) for kraus in meas.kraus]
     columns = [col for basis in bases for col in (*basis.T, basis.sum(axis=1))]
     if isinstance(meas, HermitianObservable) and meas.n_outcomes > 1:
-        reps = np.stack([meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1)
+        reps = np.stack([meas.basis[:, start] for start in (0, *accumulate(meas.ranks[:-1]))], axis=1)
         columns.append(reps.sum(axis=1))
     if isinstance(meas, Povm):
         columns.append(np.stack([basis[:, -1] for basis in bases], axis=1).sum(axis=1))
@@ -973,7 +982,7 @@ def test_seed_rows_are_the_normalized_candidates(kind):
 def test_the_package_builds_exactly_hermitian_kraus_operators():
     # _normal_basis relies on it: such an operator's anti-Hermitian part is exactly zero.
     for meas in (random_observable(3, 75), random_povm(3, 4, seed=76)):
-        for kraus in canonical_instrument(meas).kraus_flat():
+        for kraus in canonical_instrument(meas).kraus:
             assert np.array_equal(kraus, kraus.conj().T)
 
 
@@ -1405,8 +1414,9 @@ def _restricted_reference(meas, basis):
     if isinstance(meas, Povm):
         return Povm(tuple(adjoint @ effect @ basis for effect in meas.elements))
     values, ranks, columns = [], [], []
-    for value, sl in zip(meas.eigenvalues, meas.block_slices()):
-        left, sing, _ = np.linalg.svd(adjoint @ meas.basis[:, sl])
+    bounds = [0, *accumulate(meas.ranks)]
+    for value, start, stop in zip(meas.eigenvalues, bounds, bounds[1:]):
+        left, sing, _ = np.linalg.svd(adjoint @ meas.basis[:, start:stop])
         rank = int(np.count_nonzero(sing > 0.5))
         if rank:
             values.append(value)
@@ -1479,7 +1489,7 @@ def test_stacked_column_products_equal_the_per_pair_products_bit_for_bit():
                    for block in np.split(factors.conj(), offsets[1:], axis=1)]
             )
             reference = _per_pair_columns(
-                canonical_instrument(first).kraus_flat(), factors, offsets)
+                canonical_instrument(first).kraus, factors, offsets)
             assert stacked.tobytes() == reference.tobytes(), name
             found = pair_distance_objective(Measure.FIDELITY, first, second)(
                 analytic_seed_states(first, second))
@@ -1496,7 +1506,7 @@ def test_an_observables_collapse_operators_are_its_instruments_kraus_operators()
     for meas in observables + others:
         operators = meas.kraus
         assert operators is meas.kraus
-        reference = np.stack(canonical_instrument(meas).kraus_flat())
+        reference = np.stack([k for ops in canonical_instrument(meas).outcomes for k in ops])
         assert operators.tobytes() == reference.tobytes()
         assert operators.strides == reference.strides and operators.dtype == reference.dtype
 
@@ -1616,9 +1626,9 @@ def test_an_observables_and_a_povms_seed_rows_are_read_only_and_formed_once(monk
         maximal_disturbance(Measure.FIDELITY, meas, TINY)
     for meas, name, value in own:
         assert getattr(meas, name) is value, name
-    luders = [meas.instrument for meas in measurements if isinstance(meas, Povm)]
+    luders = [meas for meas in measurements if isinstance(meas, Povm)]  # each forms its luders_rows
     assert len(rows_formed) == len(measurements) + len(luders)
-    assert len(bases) == len(luders + measurements[-1:])  # one stacked call per instrument
+    assert len(bases) == len(luders + measurements[-1:])  # one stacked call per Kraus stack
     assert len({(id(meas), name) for meas, name in formed}) == len(formed)
 
 
@@ -1633,12 +1643,13 @@ def _reference_seed_states(*measurements):
     columns = []
     for meas in measurements:
         if isinstance(meas, HermitianObservable):
-            bases = [meas.basis, np.stack([meas.basis[:, sl.start] for sl in meas.block_slices()], axis=1)]
+            starts = (0, *accumulate(meas.ranks[:-1]))
+            bases = [meas.basis, np.stack([meas.basis[:, start] for start in starts], axis=1)]
         elif isinstance(meas, Povm):
-            bases = [eigvecs for _, eigvecs in meas.spectra]
+            bases = list(meas.spectra[1])
             bases.append(np.stack([eigvecs[:, -1] for eigvecs in bases], axis=1))
         else:
-            bases = [core._normal_basis(kraus) for kraus in meas.kraus_flat()]
+            bases = [core._normal_basis(kraus) for kraus in meas.kraus]
         columns += [col for basis in bases for col in (basis, basis.sum(axis=1)[:, None])]
     rows = np.ascontiguousarray(np.hstack(columns).T)
     rows /= np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))[:, None]

@@ -25,6 +25,7 @@ from qincompat import (
     sequential_distribution,
     spectral_decompose,
     trace_distance,
+    trine_povm,
     z_channel,
 )
 from qincompat.incompatibility import commuting_fixture
@@ -57,6 +58,16 @@ def test_outcome_distribution_normalization_oracle():
         povm = random_povm(d, int(rng.integers(2, 5)), rng)
         rho = DensityMatrix(random_density_matrix(d, rng))
         assert abs(outcome_distribution(povm, rho).probs.sum() - 1.0) <= 1e-10
+
+
+def test_a_luders_instrument_has_the_outcome_distribution_of_its_povm():
+    # An instrument's effects are sum_k K^dag K, and the Lueders roots square back to the POVM's.
+    povm = trine_povm()
+    inst = luders_from_povm(povm)
+    rng = np.random.default_rng(11)
+    for state in (KET0, PLUS, MAX_MIXED_2, DensityMatrix(random_density_matrix(2, rng))):
+        np.testing.assert_allclose(outcome_distribution(inst, state).probs,
+                                   outcome_distribution(povm, state).probs, rtol=0, atol=1e-15)
 
 
 def test_apply_instrument_fixes_eigenstates():

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -34,7 +35,7 @@ from qincompat import (
     trine_povm,
     z_channel,
 )
-from qincompat.serialization import MAX_DIM, to_payload, write_json_atomic
+from qincompat.serialization import MAX_DIM, to_payload, write_json_atomic, write_text_atomic
 
 
 def roundtrip(obj, path):
@@ -251,6 +252,40 @@ def test_a_taken_temp_name_is_left_alone_and_the_next_one_used(tmp_path, monkeyp
         assert squatter.is_symlink() and os.readlink(squatter) == "nowhere"
         assert not (tmp_path / "nowhere").exists()
     assert sorted(os.listdir(tmp_path)) == ["report.json", "tmptaken.tmp"]
+
+
+@pytest.mark.parametrize("existing", [True, False])
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_a_write_that_fails_leaves_the_target_as_it_was_and_no_temp_file(
+    tmp_path, monkeypatch, failing, existing
+):
+    target = tmp_path / "scan.csv"
+    old = b"trial,value\n0,0.25\n"
+    if existing:
+        target.write_bytes(old)
+
+    def broken(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, failing, broken)
+        with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+            write_text_atomic(target, "trial,value\n0,0.5\n")
+    assert sorted(os.listdir(tmp_path)) == (["scan.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == old
+
+
+@pytest.mark.parametrize("top", ["[]", '[{"format_version": "1"}]', '"povm"', "3", "null"])
+def test_a_file_that_is_not_a_json_object_exits_2(tmp_path, capsys, top):
+    from qincompat.cli import main
+
+    path = tmp_path / "list.json"
+    path.write_text(top)
+    with pytest.raises(ParseError, match="expected a JSON object"):
+        load_observable_file(path)
+    assert main(["disturbance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
 
 
 def test_booleans_are_not_numbers(tmp_path):
@@ -489,7 +524,7 @@ def _outcome(content: bytes):
     elif isinstance(obj, Povm):
         arrays = obj.elements
     else:
-        arrays = obj.kraus_flat()
+        arrays = obj.kraus
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(a.tobytes())

@@ -7,6 +7,8 @@ the loops below, so BLAS rounds it alike; these tests rest on that per-slice
 rounding, under whatever BLAS and thread count the suite runs with.
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -31,12 +33,12 @@ from qincompat.core import zero_floor
 # The loops the stacked forms replaced, kept as references.
 
 def _loop_roots(povm):
-    return np.sqrt([zero_floor(eigvals) for eigvals, _ in povm.spectra])
+    return np.sqrt([zero_floor(eigvals) for eigvals in povm.spectra[0]])
 
 
 def _loop_factors(povm):
     columns = []
-    for (_, eigvecs), roots in zip(povm.spectra, _loop_roots(povm)):
+    for eigvecs, roots in zip(povm.spectra[1], _loop_roots(povm)):
         keep = roots > 0
         columns.append(eigvecs[:, keep] * roots[keep] if keep.any()
                        else np.zeros((povm.dim, 1), dtype=np.complex128))
@@ -45,7 +47,7 @@ def _loop_factors(povm):
 
 
 def _loop_kraus(povm):
-    roots = [(vecs * root) @ vecs.conj().T for (_, vecs), root in zip(povm.spectra, _loop_roots(povm))]
+    roots = [(vecs * root) @ vecs.conj().T for vecs, root in zip(povm.spectra[1], _loop_roots(povm))]
     return np.stack([(root + root.conj().T) / 2.0 for root in roots])
 
 
@@ -63,8 +65,8 @@ def _loop_candidate_rows(bases, *sums):
 
 
 def _loop_seed_rows(povm):
-    tops = np.stack([eigvecs[:, -1] for _, eigvecs in povm.spectra], axis=1)
-    return _loop_candidate_rows([eigvecs for _, eigvecs in povm.spectra], tops.sum(axis=1))
+    tops = np.stack([eigvecs[:, -1] for eigvecs in povm.spectra[1]], axis=1)
+    return _loop_candidate_rows(list(povm.spectra[1]), tops.sum(axis=1))
 
 
 def _loop_kraus_rows(kraus):
@@ -72,9 +74,9 @@ def _loop_kraus_rows(kraus):
 
 
 def _loop_projectors(obs):
-    projs = []
-    for sl in obs.block_slices():
-        block = obs.basis[:, sl]
+    projs, bounds = [], [0, *accumulate(obs.ranks)]
+    for start, stop in zip(bounds, bounds[1:]):
+        block = obs.basis[:, start:stop]
         proj = block @ block.conj().T
         projs.append((proj + proj.conj().T) / 2.0)
     return np.array(projs)
